@@ -8,7 +8,7 @@ against the frozen reference in reference.json (written by freeze.py):
 * every completed level passed the reconstruction-vs-direct cross-check;
 * the first six lshape_uniform levels match the published reference
   tables (copied from the acceptance tests, not imported);
-* the exit code and the CSVs written match the histories.
+* the exit code and the CSVs written agree with the histories.
 
 A level fails when it aborted (SingularMatrix) or failed a check. A level
 that completes where the reference aborted is not a check failure.
@@ -40,11 +40,11 @@ class CheckResult:
 def check_sample(workload, mode, sample, reference):
     """Check one sample against the frozen reference of its workload."""
     res = CheckResult()
-    if sample["exit_code"] != reference["exit_code"]:
-        res.problems.append(
-            f"exit code {sample['exit_code']}, expected {reference['exit_code']}"
-        )
     hists = sample["histories"]
+    # run_experiment exits 2 when a history aborted, else 0
+    want = 2 if any(h["failure"] for h in hists.values()) else 0
+    if sample["exit_code"] != want:
+        res.problems.append(f"exit code {sample['exit_code']}, histories imply {want}")
     if sorted(hists) != sorted(reference["histories"]):
         res.problems.append(f"history keys {sorted(hists)} differ from the reference")
     for key, ref in reference["histories"].items():

@@ -129,7 +129,6 @@ def run(workload, seed, seconds, trace):
     spec = workloads[workload]
     with open(os.path.join(HERE, "reference.json")) as fh:
         reference = json.load(fh)[workload]
-    reference["exit_code"] = spec["exit_code"]
     config = spec["config"]
 
     os.makedirs(WORK, exist_ok=True)

@@ -17,10 +17,6 @@ from collections import defaultdict
 def shares(spans, max_level=None):
     """Return (wall_s, {span name: self seconds}) over the selected levels."""
     by_id = {s["span"]: s for s in spans}
-    children = defaultdict(float)
-    for s in spans:
-        if s["parent"] is not None:
-            children[s["parent"]] += s["end"] - s["start"]
 
     def selected(s):
         while s["name"] != "level":
@@ -32,7 +28,7 @@ def shares(spans, max_level=None):
     totals = defaultdict(float)
     for s in spans:
         if selected(s):
-            totals[s["name"]] += (s["end"] - s["start"]) - children[s["span"]]
+            totals[s["name"]] += s["self_s"]
     if max_level is None:
         wall = sum(s["end"] - s["start"] for s in spans if s["parent"] is None)
     else:

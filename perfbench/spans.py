@@ -3,8 +3,9 @@
 Each public function listed in ``LAYERS`` is replaced, in every ``afem``
 module that holds a reference to it, by a wrapper that records a span
 (name, start, end, parent span, run id, level) in memory. Spans are written
-as JSONL only when the run ends. Nothing inside the package is edited; the
-originals are put back by :meth:`Tracer.uninstall`.
+as JSONL only when the run ends, each with its self time (``self_s``).
+Nothing inside the package is edited; the originals are put back by
+:meth:`Tracer.uninstall`.
 
 Level spans are synthetic: each call of ``project_p0`` made directly from
 ``adaptive_loop`` (the first step of every solve/estimate/mark/refine pass)
@@ -247,11 +248,13 @@ class Tracer:
         return out
 
     def write_jsonl(self, path):
+        self_t = self.self_times()
         with open(path, "w") as fh:
             for i, (name, start, end, parent, level, loop, extra) in enumerate(self.spans):
                 rec = {
                     "run": self.run_id, "span": i, "name": name, "start": start,
-                    "end": end, "parent": parent, "level": level, "loop": loop,
+                    "end": end, "self_s": self_t[i], "parent": parent,
+                    "level": level, "loop": loop,
                 }
                 rec.update(extra)
                 fh.write(json.dumps(rec) + "\n")
