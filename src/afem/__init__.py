@@ -69,7 +69,6 @@ from .problem import (
 from .refine import rgb_refine, uniform_red_refine
 from .solver import (
     LinearSolveReport,
-    SolverConfig,
     equivalence_residual,
     solve_mixed_direct,
     solve_mixed_via_equivalence,

@@ -35,7 +35,7 @@ class EstimatorReport:
     terms, which is the quantity the tables report and marking consumes.
     The remaining entries of ``term_sq`` (data oscillation and coefficient
     approximation) belong to the full reliability bound and are reported
-    alongside; see :attr:`total_bound`.
+    alongside in :attr:`term_norms`.
     """
 
     mesh: object
@@ -58,13 +58,6 @@ class EstimatorReport:
     @property
     def eta(self):
         return float(np.sqrt(self.per_triangle_sq.sum()))
-
-    @property
-    def total_bound(self):
-        """Estimator plus all data terms (the full reliability sum)."""
-        norms = self.term_norms
-        extra = sum(v for k, v in norms.items() if k not in self.eta_terms)
-        return self.eta + extra
 
 
 @dataclass
@@ -251,6 +244,8 @@ def dorfler_mark(eta_sq_per_triangle, theta):
     if not (0.0 < theta <= 1.0):
         raise BadTheta(f"theta must lie in (0, 1], got {theta}")
     eta_sq = np.asarray(eta_sq_per_triangle, dtype=float)
+    # exact power-of-two rescale: theta * total must not round at subnormal scale
+    eta_sq = np.ldexp(eta_sq, -np.frexp(eta_sq.max(initial=0.0))[1])
     total = eta_sq.sum()
     if total <= 0.0:
         return MarkedSet(indices=np.empty(0, dtype=int), achieved_fraction=1.0)

@@ -168,6 +168,41 @@ def _compress(rows, cols, vals, shape):
     return m
 
 
+def _cr_system(mesh, pw, grad_psi, conv_weight, react, local_rhs, u_dirichlet):
+    """Shared nonconforming kernel over edge dofs.
+
+    Element matrix: diffusion (A_h grad psi_j, grad psi_i) plus the
+    convection row (conv_weight b_h psi_j, grad psi_i), int_T psi_j = |T|/3,
+    plus the (T, 3, 3) reaction block; ``local_rhs`` holds the (T, 3)
+    element loads.
+    """
+    area = mesh.area
+    diff = np.einsum("t,tde,tje,tid->tij", area, pw.a_h, grad_psi, grad_psi)
+    conv = np.einsum("t,td,tid->ti", conv_weight * area / 3.0, pw.b_h, grad_psi)
+    conv = np.repeat(conv[:, :, None], 3, axis=2)
+    rows, cols, vals = _cr_triplets(mesh, diff + conv + react)
+    matrix = _compress(rows, cols, vals, (mesh.num_edges, mesh.num_edges))
+
+    rhs = np.zeros(mesh.num_edges)
+    np.add.at(rhs, mesh.triangle_edges.ravel(), local_rhs.ravel())
+    return _system(mesh, matrix, rhs, "cr", u_dirichlet)
+
+
+def _system(mesh, matrix, rhs, kind, u_dirichlet):
+    """Wrap an assembled system, folding in Dirichlet data if given."""
+    system = SparseSystem(
+        matrix=matrix,
+        rhs=rhs,
+        ndofs=len(rhs),
+        free=np.arange(len(rhs)),
+        kind=kind,
+        mesh=mesh,
+    )
+    if u_dirichlet is not None:
+        system = apply_dirichlet(system, u_dirichlet, mesh)
+    return system
+
+
 def assemble_ncfem(mesh, pw_or_field, u_dirichlet=None):
     """Nonconforming system for a_NC(u, v) = (f_h, v) over all edge dofs.
 
@@ -176,37 +211,14 @@ def assemble_ncfem(mesh, pw_or_field, u_dirichlet=None):
     given, boundary dofs are eliminated via :func:`apply_dirichlet`.
     """
     pw = _coerce_pw(mesh, pw_or_field)
-    grad_psi = -2.0 * mesh.grad_bary()  # (T, 3, 2)
     area = mesh.area
-
-    diff = np.einsum(
-        "t,tde,tje,tid->tij", area, pw.a_h, grad_psi, grad_psi
-    )
-    # (psi_j b_h, grad psi_i):  int_T psi_j = |T|/3
-    conv = np.einsum("t,td,tid->ti", area / 3.0, pw.b_h, grad_psi)
-    conv = np.repeat(conv[:, :, None], 3, axis=2)
     react = (
         (pw.gamma_h * area / 3.0)[:, None, None] * np.eye(3)[None, :, :]
     )
-    rows, cols, vals = _cr_triplets(mesh, diff + conv + react)
-    matrix = _compress(rows, cols, vals, (mesh.num_edges, mesh.num_edges))
-
-    rhs = np.zeros(mesh.num_edges)
-    np.add.at(
-        rhs, mesh.triangle_edges.ravel(),
-        np.repeat(pw.f_h * area / 3.0, 3),
+    load = np.repeat((pw.f_h * area / 3.0)[:, None], 3, axis=1)
+    return _cr_system(
+        mesh, pw, -2.0 * mesh.grad_bary(), 1.0, react, load, u_dirichlet
     )
-    system = SparseSystem(
-        matrix=matrix,
-        rhs=rhs,
-        ndofs=mesh.num_edges,
-        free=np.arange(mesh.num_edges),
-        kind="cr",
-        mesh=mesh,
-    )
-    if u_dirichlet is not None:
-        system = apply_dirichlet(system, u_dirichlet, mesh)
-    return system
 
 
 def s_mean(pw):
@@ -243,17 +255,10 @@ def assemble_modified_ncfem(mesh, pw, u_dirichlet=None):
     kappa = condensation_factors(pw)
     grad_psi = -2.0 * mesh.grad_bary()
     area = mesh.area
-
-    diff = np.einsum("t,tde,tje,tid->tij", area, pw.a_h, grad_psi, grad_psi)
-    # (kappa b_h Pi0 u, grad v): mean of a CR basis function is 1/3
-    conv = np.einsum("t,td,tid->ti", kappa * area / 3.0, pw.b_h, grad_psi)
-    conv = np.repeat(conv[:, :, None], 3, axis=2)
+    # (gamma_h kappa Pi0 u, Pi0 v): mean of a CR basis function is 1/3
     react = (pw.gamma_h * kappa * area / 9.0)[:, None, None] * np.ones(
         (1, 3, 3)
     )
-    rows, cols, vals = _cr_triplets(mesh, diff + conv + react)
-    matrix = _compress(rows, cols, vals, (mesh.num_edges, mesh.num_edges))
-
     load = pw.f_h * area / 3.0
     correction = kappa * s_mean(pw) / 4.0 * pw.f_h
     local_rhs = (
@@ -261,20 +266,7 @@ def assemble_modified_ncfem(mesh, pw, u_dirichlet=None):
         - np.einsum("t,td,tid->ti", correction * area, pw.b_h, grad_psi)
         - (pw.gamma_h * correction * area / 3.0)[:, None]
     )
-    rhs = np.zeros(mesh.num_edges)
-    np.add.at(rhs, mesh.triangle_edges.ravel(), local_rhs.ravel())
-
-    system = SparseSystem(
-        matrix=matrix,
-        rhs=rhs,
-        ndofs=mesh.num_edges,
-        free=np.arange(mesh.num_edges),
-        kind="cr",
-        mesh=mesh,
-    )
-    if u_dirichlet is not None:
-        system = apply_dirichlet(system, u_dirichlet, mesh)
-    return system
+    return _cr_system(mesh, pw, grad_psi, kappa, react, local_rhs, u_dirichlet)
 
 
 def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
@@ -332,18 +324,7 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
     )
     rhs = np.zeros(n)
     rhs[ne:] = pw.f_h * mesh.area
-
-    system = SparseSystem(
-        matrix=matrix,
-        rhs=rhs,
-        ndofs=n,
-        free=np.arange(n),
-        kind="mixed",
-        mesh=mesh,
-    )
-    if u_dirichlet is not None:
-        system = apply_dirichlet(system, u_dirichlet, mesh)
-    return system
+    return _system(mesh, matrix, rhs, "mixed", u_dirichlet)
 
 
 def apply_dirichlet(system, u_dirichlet, mesh):

@@ -148,22 +148,6 @@ def _rotate_singular_first(verts, point):
     return out
 
 
-def _split_integrate(fn, mesh, singular_point):
-    """Elementwise integrals of fn with dyadic refinement at the singularity."""
-    verts = mesh.triangle_vertices()
-    vals = np.zeros(mesh.num_triangles)
-    sing = _singular_mask(mesh, singular_point)
-    reg = ~sing
-    if reg.any():
-        vals[reg] = quadrature.integrate(fn, verts[reg], mesh.area[reg])
-    if sing.any():
-        rot = _rotate_singular_first(verts[sing], singular_point)
-        vals[sing] = quadrature.integrate_dyadic(
-            fn, rot, mesh.area[sing], SINGULAR_QUAD_DEPTH
-        )
-    return vals
-
-
 def error_norms(mixed, instance, mesh):
     """L2 errors (e_u, e_p, e_div) of a mixed solution against the exact one.
 
@@ -267,11 +251,12 @@ class ExperimentConfig:
     dump_systems: bool = False
 
     def validate(self):
-        if self.problem not in ("lshape", "crack", "eigen_sweep"):
-            from .problem import _REGISTRY
+        from .problem import _REGISTRY
 
-            if self.problem not in _REGISTRY:
-                raise ConfigError(f"unknown problem {self.problem!r}")
+        if self.problem not in _REGISTRY:
+            raise ConfigError(
+                f"unknown problem {self.problem!r}; registered: {sorted(_REGISTRY)}"
+            )
         if self.mode not in ("uniform", "adaptive"):
             raise ConfigError(f"mode must be uniform|adaptive, got {self.mode!r}")
         if not (0.0 < self.theta <= 1.0):

@@ -5,7 +5,7 @@
 
 A config file holds ``key = value`` lines mirroring the flags (dashes or
 underscores); explicit flags override file values. Exit codes: 0 success,
-1 configuration error, 2 solver singularity (partial CSV written).
+1 usage or configuration error, 2 solver singularity (partial CSV written).
 """
 
 import argparse
@@ -40,24 +40,32 @@ def _parse_config_file(path):
                 key = key.strip().replace("-", "_")
                 if key not in _CONFIG_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = _CONFIG_KEYS[key](val.strip())
+                try:
+                    values[key] = _CONFIG_KEYS[key](val.strip())
+                except ValueError:
+                    raise ConfigError(
+                        f"{path}:{lineno}: bad value for {key}: {val.strip()!r}"
+                    ) from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="afem",
         description="Adaptive nonconforming/mixed FEM benchmark driver",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a convergence experiment")
     run.add_argument("--config", help="key = value file mirroring the flags")
-    run.add_argument(
-        "--problem", choices=["lshape", "crack", "eigen_sweep"], default=None
-    )
-    run.add_argument("--mode", choices=["uniform", "adaptive"], default=None)
+    run.add_argument("--problem", default=None, help="any registered problem")
+    run.add_argument("--mode", default=None, help="uniform or adaptive")
     run.add_argument("--theta", type=float, default=None,
                      help="bulk marking fraction (default 0.5)")
     run.add_argument("--max-ndof", type=int, default=None,
@@ -73,8 +81,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         values = _parse_config_file(args.config) if args.config else {}
         for key in _CONFIG_KEYS:
             flag = getattr(args, key)
@@ -82,17 +90,9 @@ def main(argv=None):
                 values[key] = flag
         if "problem" not in values:
             raise ConfigError("missing required option --problem")
-        config = ExperimentConfig(
-            problem=values["problem"],
-            mode=values.get("mode", "uniform"),
-            theta=values.get("theta", 0.5),
-            max_ndof=values.get("max_ndof", 50000),
-            gamma=values.get("gamma"),
-            out=values.get("out", "."),
-            mesh_path=values.get("mesh"),
-            dump_systems=bool(values.get("dump_systems", False)),
-        )
-        result = run_experiment(config)
+        if "mesh" in values:
+            values["mesh_path"] = values.pop("mesh")
+        result = run_experiment(ExperimentConfig(**values))
     except ConfigError as exc:
         print(f"afem: configuration error: {exc}", file=sys.stderr)
         return 1

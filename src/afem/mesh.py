@@ -186,9 +186,6 @@ class Triangulation:
             worst = min(worst, np.arccos(np.clip(cosang, -1.0, 1.0)).min())
         return float(worst)
 
-    def boundary_tag_of(self, edge_index):
-        return int(self.edge_tags[edge_index])
-
 
 def build_mesh(vertices, triangles, boundary_spec=None, strict=None):
     """Assemble and validate a :class:`Triangulation`.

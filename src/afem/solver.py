@@ -27,13 +27,8 @@ from .assembly import (
 from .errors import MeshMismatch, SingularMatrix
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    residual_tol: float = 1e-10  # relative residual contract of solve_sparse
-    pivot_floor: float = 1e-14   # pivot / max-pivot ratio treated as singular
-
-
-CONFIG = SolverConfig()
+RESIDUAL_TOL = 1e-10  # relative residual contract of solve_sparse
+PIVOT_FLOOR = 1e-14   # pivot / max-pivot ratio treated as singular
 
 
 @dataclass
@@ -44,7 +39,7 @@ class LinearSolveReport:
     max_pivot: float
 
 
-def solve_sparse(system, config=CONFIG):
+def solve_sparse(system):
     """Direct sparse LU solve with partial pivoting and residual check."""
     n = len(system.rhs)
     if n == 0:
@@ -62,7 +57,7 @@ def solve_sparse(system, config=CONFIG):
     pivots = np.abs(lu.U.diagonal())
     max_pivot = float(pivots.max()) if len(pivots) else 0.0
     min_pivot = float(pivots.min()) if len(pivots) else 0.0
-    if max_pivot == 0.0 or min_pivot < config.pivot_floor * max_pivot:
+    if max_pivot == 0.0 or min_pivot < PIVOT_FLOOR * max_pivot:
         raise SingularMatrix(
             f"pivot ratio {min_pivot:.3e} / {max_pivot:.3e} below floor;"
             " reaction coefficient near a discrete eigenvalue or mesh too coarse"
@@ -72,13 +67,13 @@ def solve_sparse(system, config=CONFIG):
         raise SingularMatrix("factorization produced non-finite values")
     scale = max(float(np.linalg.norm(system.rhs)), 1e-300)
     residual = float(np.linalg.norm(matrix @ x - system.rhs)) / scale
-    if residual > config.residual_tol:
+    if residual > RESIDUAL_TOL:
         # one step of iterative refinement before declaring breakdown
         x = x + lu.solve(system.rhs - matrix @ x)
         residual = float(np.linalg.norm(matrix @ x - system.rhs)) / scale
-    if residual > config.residual_tol or not np.all(np.isfinite(x)):
+    if residual > RESIDUAL_TOL or not np.all(np.isfinite(x)):
         raise SingularMatrix(
-            f"relative residual {residual:.3e} exceeds {config.residual_tol:.1e}"
+            f"relative residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
     return LinearSolveReport(
         solution=system.full_solution(x),
@@ -94,12 +89,6 @@ def solve_ncfem(mesh, instance_or_field, pw=None):
     system = assemble_ncfem(
         mesh, pw if pw is not None else field, u_dirichlet=field.u_dirichlet
     )
-    report = solve_sparse(system)
-    return CRSolution(mesh=mesh, edge_values=report.solution)
-
-
-def solve_modified_ncfem(mesh, pw, u_dirichlet):
-    system = assemble_modified_ncfem(mesh, pw, u_dirichlet=u_dirichlet)
     report = solve_sparse(system)
     return CRSolution(mesh=mesh, edge_values=report.solution)
 
@@ -137,16 +126,13 @@ def solve_mixed_via_equivalence(mesh, pw, u_dirichlet=None):
         from .problem import constant_scalar
 
         u_dirichlet = constant_scalar(0.0)
-    u_tilde = solve_modified_ncfem(mesh, pw, u_dirichlet)
+    system = assemble_modified_ncfem(mesh, pw, u_dirichlet=u_dirichlet)
+    u_tilde = CRSolution(mesh=mesh, edge_values=solve_sparse(system).solution)
     return reconstruct_mixed(pw, u_tilde), u_tilde
 
 
 def solve_mixed_direct(mesh, pw, u_dirichlet=None):
     """Mixed solution from the direct saddle-point factorization."""
-    if u_dirichlet is None:
-        from .problem import constant_scalar
-
-        u_dirichlet = constant_scalar(0.0)
     system = assemble_mixed_direct(mesh, pw, u_dirichlet=u_dirichlet)
     report = solve_sparse(system)
     ne = mesh.num_edges

@@ -1,5 +1,6 @@
 import numpy as np
 
+from afem import problem
 from afem.cli import main
 from afem.mesh import build_mesh, write_mesh_file
 
@@ -26,6 +27,48 @@ def test_bad_theta_is_config_error(tmp_path):
     assert main(
         ["run", "--problem", "lshape", "--theta", "0", "--out", str(tmp_path)]
     ) == 1
+
+
+def test_unknown_problem_is_config_error(tmp_path, capsys):
+    assert main(["run", "--problem", "nope", "--out", str(tmp_path)]) == 1
+    assert "unknown problem" in capsys.readouterr().err
+
+
+def test_bad_mode_flag_is_config_error(tmp_path, capsys):
+    code = main(
+        ["run", "--problem", "lshape", "--mode", "sideways", "--out", str(tmp_path)]
+    )
+    assert code == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_malformed_flag_value_is_config_error(tmp_path, capsys):
+    code = main(
+        ["run", "--problem", "lshape", "--max-ndof", "abc", "--out", str(tmp_path)]
+    )
+    assert code == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_malformed_config_value_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("problem = lshape\ntheta = half\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "bad value for theta" in capsys.readouterr().err
+
+
+def test_registered_problem_runs(tmp_path, monkeypatch):
+    monkeypatch.setitem(
+        problem._REGISTRY, "lshape_plugin", lambda **kw: problem.benchmark("lshape")
+    )
+    code = main(
+        [
+            "run", "--problem", "lshape_plugin", "--mode", "uniform",
+            "--max-ndof", "300", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    assert (tmp_path / "lshape_plugin_uniform.csv").exists()
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
