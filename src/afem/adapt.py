@@ -315,6 +315,10 @@ def adaptive_loop(
         if on_level is not None:
             on_level(mesh, mixed, u_tilde, report, record)
         if mode == "uniform":
+            # red refinement gives E' = 2E + 3T edges and T' = 4T triangles;
+            # never build a mesh the budget would reject
+            if 2 * mesh.num_edges + 7 * mesh.num_triangles > max_ndof:
+                break
             mesh = uniform_red_refine(mesh)
         else:
             marked = dorfler_mark(report.per_triangle_sq, theta)

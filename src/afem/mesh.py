@@ -10,8 +10,14 @@ Conventions
 * slit domains duplicate the vertices along the slit, which keeps every
   boundary edge in exactly one triangle.
 
-A Triangulation is immutable after construction; refinement (see
-:mod:`afem.refine`) always returns a new mesh.
+A Triangulation is immutable after construction: everything it carries,
+including the green/blue flags and the red-green-blue refinement state
+that :mod:`afem.refine` keeps behind an adaptively refined mesh, is passed
+to the constructor, and refinement always returns a new mesh.
+
+An undirected edge (a, b) is identified by one int64 key,
+``min(a, b) << 32 | max(a, b)`` (:func:`edge_key`); sorting the keys sorts
+the edges lexicographically by (min, max).
 """
 
 import numpy as np
@@ -19,6 +25,28 @@ import numpy as np
 from .errors import DanglingBoundaryTag, HangingNode, NonPositiveArea
 
 _STRICT_SCAN_LIMIT = 2000  # O(V*E) overlap scan only for small meshes
+_KEY_BITS = 32  # vertex indices must stay below 2**31 for int64 keys
+_KEY_MASK = (1 << _KEY_BITS) - 1
+
+
+def edge_key(a, b):
+    """int64 key of the undirected edges (a, b), elementwise."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    return (np.minimum(a, b) << _KEY_BITS) | np.maximum(a, b)
+
+
+def key_vertices(key):
+    """(min, max) vertex indices of edge keys."""
+    return key >> _KEY_BITS, key & _KEY_MASK
+
+
+def find_keys(keys, queries):
+    """Index of each query in the sorted unique ``keys``, -1 where absent."""
+    if len(keys) == 0:
+        return np.full(np.shape(queries), -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return np.where(keys[pos] == queries, pos, -1)
 
 
 class Triangulation:
@@ -28,7 +56,8 @@ class Triangulation:
     ----------
     vertices : (V, 2) float array
     triangles : (T, 3) int array, counterclockwise
-    edges : (E, 2) int array, canonical orientation (min, max)
+    edges : (E, 2) int array, canonical orientation (min, max), sorted
+    edge_keys : (E,) int64 array, sorted :func:`edge_key` of ``edges``
     triangle_edges : (T, 3) int array, edge opposite local vertex k
     triangle_edge_signs : (T, 3) int array, +1 where the triangle's outward
         normal on that edge coincides with the canonical nu_E
@@ -37,19 +66,24 @@ class Triangulation:
     boundary_edges : (K,) int array of edge indices
     edge_tags : (E,) int array, boundary tag or -1 for interior edges
     green_flag : (T,) int array, 0 plain, 1 green child, 2 blue child
+    rgb : refinement state of :func:`afem.refine.rgb_refine`, or None
     area, h_t, centroid : per-triangle geometry
     edge_length, edge_mid, edge_normal : per-edge geometry
     """
 
-    def __init__(self, vertices, triangles, edge_tags, green_flag=None):
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+    def __init__(
+        self, vertices, triangles, boundary_spec=None, green_flag=None, rgb=None
+    ):
+        # own copies: every array is frozen at the end of construction
+        self.vertices = np.array(vertices, dtype=float, order="C")
+        self.triangles = np.array(triangles, dtype=np.int64, order="C")
         t = self.triangles
         v = self.vertices
 
         # signed areas; reject clockwise or degenerate triangles
-        d1 = v[t[:, 1]] - v[t[:, 0]]
-        d2 = v[t[:, 2]] - v[t[:, 0]]
+        p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+        d1 = p1 - p0
+        d2 = p2 - p0
         signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         scale = max(float(np.abs(v).max()), 1.0)
         if np.any(signed <= 1e-14 * scale**2):
@@ -60,25 +94,20 @@ class Triangulation:
         self.area = signed
 
         # unique edges; local edge k is opposite local vertex k
-        raw = np.stack(
-            [t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1
-        )  # (T, 3, 2) traversal order
-        lo = raw.min(axis=2)
-        hi = raw.max(axis=2)
-        pairs = np.stack([lo, hi], axis=2).reshape(-1, 2)
-        self.edges, inverse, counts = np.unique(
-            pairs, axis=0, return_inverse=True, return_counts=True
+        start = t[:, [1, 2, 0]]  # traversal order: (v1, v2), (v2, v0), (v0, v1)
+        end = t[:, [2, 0, 1]]
+        self.edge_keys, inverse, counts = np.unique(
+            edge_key(start, end).ravel(), return_inverse=True, return_counts=True
         )
+        self.edges = np.stack(key_vertices(self.edge_keys), axis=1)
         if np.any(counts > 2):
             bad = int(np.argmax(counts))
             raise HangingNode(
-                f"edge {tuple(self.edges[bad])} belongs to {counts[bad]} triangles"
+                f"edge {_pair(self.edges[bad])} belongs to {counts[bad]} triangles"
             )
         self.triangle_edges = inverse.reshape(-1, 3)
         # +1 iff the triangle traverses the edge from higher to lower index
-        self.triangle_edge_signs = np.where(
-            raw[:, :, 0] > raw[:, :, 1], 1, -1
-        ).astype(np.int64)
+        self.triangle_edge_signs = np.where(start > end, 1, -1).astype(np.int64)
 
         ne = len(self.edges)
         self.edge_tris = np.full((ne, 2), -1, dtype=np.int64)
@@ -87,51 +116,53 @@ class Triangulation:
         self.edge_tris[inverse, side] = tri_ids
         # two triangles on one edge must traverse it in opposite directions;
         # a missing side here means overlapping (same-orientation) triangles
-        both = counts == 2
-        if np.any((self.edge_tris[both] < 0).any(axis=1)):
-            bad = np.flatnonzero(both)[
-                int(np.argmax((self.edge_tris[both] < 0).any(axis=1)))
-            ]
+        one_sided = (counts == 2) & (
+            (self.edge_tris[:, 0] < 0) | (self.edge_tris[:, 1] < 0)
+        )
+        if np.any(one_sided):
+            bad = int(np.argmax(one_sided))
             raise HangingNode(
-                f"edge {tuple(self.edges[bad])} is traversed twice in the"
+                f"edge {_pair(self.edges[bad])} is traversed twice in the"
                 " same direction (overlapping triangles)"
             )
 
         self.boundary_edges = np.flatnonzero(counts == 1)
         self.edge_tags = np.full(ne, -1, dtype=np.int64)
         self.edge_tags[self.boundary_edges] = 0
-        if edge_tags:
-            self._apply_tags(edge_tags)
+        if boundary_spec is not None and len(boundary_spec):
+            self._apply_tags(np.asarray(boundary_spec, dtype=np.int64))
 
         self.green_flag = (
             np.zeros(len(t), dtype=np.int64)
             if green_flag is None
-            else np.asarray(green_flag, dtype=np.int64)
+            else np.array(green_flag, dtype=np.int64)
         )
+        self.rgb = rgb
 
         # geometry cache
-        self.centroid = v[t].mean(axis=1)
+        self.centroid = (p0 + p1 + p2) / 3.0  # bitwise v[t].mean(axis=1)
         ev = v[self.edges[:, 1]] - v[self.edges[:, 0]]
         self.edge_length = np.hypot(ev[:, 0], ev[:, 1])
         self.edge_mid = 0.5 * (v[self.edges[:, 0]] + v[self.edges[:, 1]])
         self.edge_normal = (
             np.stack([-ev[:, 1], ev[:, 0]], axis=1) / self.edge_length[:, None]
         )
-        self.h_t = self.edge_length[self.triangle_edges].max(axis=1)
-        self._rgb = None  # refinement bookkeeping, set by afem.refine
+        te = self.edge_length[self.triangle_edges]
+        self.h_t = np.maximum(np.maximum(te[:, 0], te[:, 1]), te[:, 2])
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
-    def _apply_tags(self, edge_tags):
-        lookup = {
-            (int(a), int(b)): i
-            for i, (a, b) in enumerate(self.edges[self.boundary_edges])
-        }
-        for (a, b), tag in edge_tags.items():
-            key = (min(a, b), max(a, b))
-            if key not in lookup:
-                raise DanglingBoundaryTag(
-                    f"tagged edge {key} is not a boundary edge"
-                )
-            self.edge_tags[self.boundary_edges[lookup[key]]] = tag
+    def _apply_tags(self, spec):
+        """Tag boundary edges from ``(i, j, tag)`` rows."""
+        bnd = self.boundary_edges
+        hit = find_keys(self.edge_keys[bnd], edge_key(spec[:, 0], spec[:, 1]))
+        if np.any(hit < 0):
+            i, j = spec[int(np.argmax(hit < 0)), :2]
+            raise DanglingBoundaryTag(
+                f"tagged edge {_pair(sorted((i, j)))} is not a boundary edge"
+            )
+        self.edge_tags[bnd[hit]] = spec[:, 2]
 
     # -- basic queries ----------------------------------------------------
 
@@ -187,7 +218,13 @@ class Triangulation:
         return float(worst)
 
 
-def build_mesh(vertices, triangles, boundary_spec=None, strict=None):
+def _pair(edge):
+    return (int(edge[0]), int(edge[1]))
+
+
+def build_mesh(
+    vertices, triangles, boundary_spec=None, strict=None, green_flag=None, rgb=None
+):
     """Assemble and validate a :class:`Triangulation`.
 
     boundary_spec, when given, lists ``(i, j, tag)`` for boundary edges;
@@ -197,19 +234,20 @@ def build_mesh(vertices, triangles, boundary_spec=None, strict=None):
     strict toggles the O(V*E) vertex-on-edge overlap scan; by default it
     runs for meshes up to a few thousand triangles and whenever the mesh
     carries no duplicated (slit) vertices.
+
+    green_flag and rgb are the refinement state that
+    :func:`afem.refine.rgb_refine` hands to the new mesh.
     """
-    tags = {}
-    if boundary_spec:
-        for i, j, tag in boundary_spec:
-            tags[(min(int(i), int(j)), max(int(i), int(j)))] = int(tag)
     tri_arr = np.asarray(triangles, dtype=np.int64)
     nv = len(np.asarray(vertices))
+    if nv >= 1 << (_KEY_BITS - 1):
+        raise ValueError(f"{nv} vertices exceed the edge-key range")
     if tri_arr.size and (tri_arr.min() < 0 or tri_arr.max() >= nv):
+        bad = tri_arr[(tri_arr < 0) | (tri_arr >= nv)][0]
         raise ValueError(
-            f"triangle references vertex {int(tri_arr.max())} but only"
-            f" {nv} vertices given"
+            f"triangle references vertex {int(bad)} but only {nv} vertices given"
         )
-    mesh = Triangulation(vertices, tri_arr, tags)
+    mesh = Triangulation(vertices, tri_arr, boundary_spec, green_flag, rgb)
     if strict is None:
         strict = mesh.num_triangles <= _STRICT_SCAN_LIMIT
     if strict:

@@ -8,12 +8,19 @@ recomputed from scratch after every refinement step. Marking a green or
 blue child therefore rolls back to its skeleton parent, which is then
 red-refined -- the rule that keeps minimum angles bounded over arbitrarily
 many adaptive levels.
+
+Both refinements are array code: edges are int64 keys
+(:func:`afem.mesh.edge_key`) kept in sorted arrays and looked up with
+``searchsorted``, in the style of Funken, Praetorius and Wissgott,
+"Efficient implementation of adaptive P1-FEM in Matlab" (CMAM 2011).
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidMark
-from .mesh import build_mesh
+from .mesh import build_mesh, edge_key, find_keys, key_vertices
 
 
 def uniform_red_refine(mesh):
@@ -30,45 +37,38 @@ def uniform_red_refine(mesh):
             np.stack([mid[:, 0], mid[:, 1], mid[:, 2]], axis=1),
         ]
     )
-    spec = []
-    for e in mesh.boundary_edges:
-        a, b = mesh.edges[e]
-        m = nv + e
-        tag = mesh.edge_tags[e]
-        spec.append((a, m, tag))
-        spec.append((m, b, tag))
+    bnd = mesh.boundary_edges
+    spec = _split_boundary(mesh.edges[bnd], nv + bnd, mesh.edge_tags[bnd])
     return build_mesh(new_vertices, children, spec, strict=False)
 
 
-class _RgbState:
+def _split_boundary(edges, mids, tags):
+    """Boundary spec rows (a, m, tag), (m, b, tag) for each split edge (a, b)."""
+    a, b = edges[:, 0], edges[:, 1]
+    halves = np.stack(
+        [np.stack([a, mids, tags], axis=1), np.stack([mids, b, tags], axis=1)],
+        axis=1,
+    )
+    return halves.reshape(-1, 3)
+
+
+def _local_edge_keys(tris):
+    """(n, 3) keys of the edges opposite local vertices 0, 1, 2."""
+    return edge_key(tris[:, [1, 2, 0]], tris[:, [2, 0, 1]])
+
+
+class _RgbState(NamedTuple):
     """Skeleton connectivity behind a published mesh."""
 
-    def __init__(self, skeleton, split, parent_of, midpoints, tags):
-        self.skeleton = skeleton      # list of vertex triples (CCW)
-        self.split = split            # set of canonical skeleton edge pairs
-        self.parent_of = parent_of    # published triangle -> skeleton index
-        self.midpoints = midpoints    # canonical edge pair -> vertex index
-        self.tags = tags              # canonical boundary edge pair -> tag
-
-
-def _edge(a, b):
-    return (a, b) if a < b else (b, a)
-
-
-def _tri_edges(tri):
-    v0, v1, v2 = tri
-    return (_edge(v1, v2), _edge(v2, v0), _edge(v0, v1))
+    skeleton: np.ndarray  # (S, 3) vertex triples (CCW)
+    split: np.ndarray  # sorted keys of the split skeleton edges
+    split_mid: np.ndarray  # midpoint vertex of each split edge
+    parent_of: np.ndarray  # published triangle -> skeleton index
 
 
 def _fresh_state(mesh):
-    tags = {}
-    for e in mesh.boundary_edges:
-        a, b = mesh.edges[e]
-        tags[_edge(int(a), int(b))] = int(mesh.edge_tags[e])
-    skeleton = [tuple(int(v) for v in tri) for tri in mesh.triangles]
-    return _RgbState(
-        skeleton, set(), np.arange(mesh.num_triangles), {}, tags
-    )
+    empty = np.empty(0, dtype=np.int64)
+    return _RgbState(mesh.triangles, empty, empty, np.arange(mesh.num_triangles))
 
 
 def rgb_refine(mesh, marked):
@@ -81,139 +81,163 @@ def rgb_refine(mesh, marked):
     gives a green pair. Iterated until no closure child would carry a
     hanging node.
     """
-    marked = sorted({int(i) for i in marked})
-    if marked and (marked[0] < 0 or marked[-1] >= mesh.num_triangles):
+    if not isinstance(marked, np.ndarray):
+        marked = np.fromiter(marked, dtype=np.int64)
+    marked = np.unique(marked.astype(np.int64))
+    if marked.size and (marked[0] < 0 or marked[-1] >= mesh.num_triangles):
         raise InvalidMark(f"marked indices must lie in [0, {mesh.num_triangles})")
-    if not marked:
+    if not marked.size:
         return mesh
 
-    state = mesh._rgb if mesh._rgb is not None else _fresh_state(mesh)
+    state = mesh.rgb if mesh.rgb is not None else _fresh_state(mesh)
     skeleton = state.skeleton
-    midpoints = dict(state.midpoints)
-    tags = dict(state.tags)
-    vertices = [tuple(p) for p in np.asarray(mesh.vertices)]
+    keys = _local_edge_keys(skeleton)
+    # midpoints exist exactly for the edges split before this step; the
+    # keys of their two halves are fixed during the closure
+    pos = find_keys(state.split, keys)
+    has_mid = pos >= 0
+    mid = np.full(keys.shape, -1, dtype=np.int64)
+    mid[has_mid] = state.split_mid[pos[has_mid]]
+    lo, hi = key_vertices(keys)
+    halves = (edge_key(lo, mid), edge_key(mid, hi))
 
-    red = {int(state.parent_of[i]) for i in marked}
+    red = np.zeros(len(skeleton), dtype=bool)
+    red[state.parent_of[marked]] = True
 
     # closure to a fixed point: any skeleton triangle whose prospective
     # green/blue child would contain a split half-edge is promoted to red,
-    # as is any triangle with all three edges split
+    # as is any triangle with all three edges split; the rule is monotone,
+    # so promoting every candidate of a sweep at once reaches the same set
     while True:
-        split_now = set(state.split)
-        for s in red:
-            split_now.update(_tri_edges(skeleton[s]))
-        grew = False
-        for idx, tri in enumerate(skeleton):
-            if idx in red:
-                continue
-            edges = _tri_edges(tri)
-            present = [e for e in edges if e in split_now]
-            promote = len(present) == 3
-            if not promote:
-                for e in present:
-                    m = midpoints.get(e)
-                    if m is None:
-                        continue  # split this round; halves cannot exist yet
-                    if (
-                        _edge(e[0], m) in split_now
-                        or _edge(e[1], m) in split_now
-                    ):
-                        promote = True
-                        break
-            if promote:
-                red.add(idx)
-                grew = True
-        if not grew:
-            break
-
-    def midpoint(e):
-        m = midpoints.get(e)
-        if m is None:
-            a, b = e
-            m = len(vertices)
-            vertices.append(
-                (
-                    0.5 * (vertices[a][0] + vertices[b][0]),
-                    0.5 * (vertices[a][1] + vertices[b][1]),
-                )
-            )
-            midpoints[e] = m
-            tag = tags.get(e)
-            if tag is not None:
-                tags[_edge(a, m)] = tag
-                tags[_edge(m, b)] = tag
-        return m
-
-    new_skeleton = []
-    for idx, tri in enumerate(skeleton):
-        if idx not in red:
-            new_skeleton.append(tri)
-            continue
-        v0, v1, v2 = tri
-        m0 = midpoint(_edge(v1, v2))
-        m1 = midpoint(_edge(v2, v0))
-        m2 = midpoint(_edge(v0, v1))
-        new_skeleton.extend(
-            [(v0, m2, m1), (m2, v1, m0), (m1, m0, v2), (m0, m1, m2)]
+        split_now = np.union1d(state.split, keys[red])
+        present = find_keys(split_now, keys) >= 0
+        half_split = has_mid & (
+            (find_keys(split_now, halves[0]) >= 0)
+            | (find_keys(split_now, halves[1]) >= 0)
         )
+        promote = ~red & (
+            present.all(axis=1) | (present & half_split).any(axis=1)
+        )
+        if not promote.any():
+            break
+        red |= promote
 
-    # prune the split set to edges still owned by some skeleton triangle
-    alive = set()
-    for tri in new_skeleton:
-        alive.update(_tri_edges(tri))
-    new_split = split_now & alive
-
-    published = []
-    flags = []
-    parents = []
-
-    def emit(tri, flag, parent):
-        published.append(tri)
-        flags.append(flag)
-        parents.append(parent)
-
-    coords = np.asarray(vertices)
-    for parent, tri in enumerate(new_skeleton):
-        splits = [e in new_split for e in _tri_edges(tri)]
-        n = sum(splits)
-        if n == 0:
-            emit(tri, 0, parent)
-        elif n == 1:
-            k = splits.index(True)
-            v = tri[k]
-            a, b = tri[(k + 1) % 3], tri[(k + 2) % 3]
-            m = midpoints[_edge(a, b)]
-            emit((v, a, m), 1, parent)
-            emit((v, m, b), 1, parent)
-        elif n == 2:
-            k = splits.index(False)  # unsplit edge is opposite vertex k
-            vc = tri[k]  # shared vertex of the two split edges
-            va, vb = tri[(k + 1) % 3], tri[(k + 2) % 3]
-            ma = midpoints[_edge(vb, vc)]  # on edge opposite va
-            mb = midpoints[_edge(vc, va)]  # on edge opposite vb
-            emit((mb, ma, vc), 2, parent)
-            # split the quad (va, vb, ma, mb) along its shorter diagonal
-            d1 = np.hypot(*(coords[va] - coords[ma]))
-            d2 = np.hypot(*(coords[vb] - coords[mb]))
-            if d1 <= d2:
-                emit((va, vb, ma), 2, parent)
-                emit((va, ma, mb), 2, parent)
-            else:
-                emit((va, vb, mb), 2, parent)
-                emit((vb, ma, mb), 2, parent)
-        else:  # pragma: no cover - promoted to red above
-            raise AssertionError("triply split triangle escaped promotion")
-
-    # the tag map spans all generations; keep only currently existing edges
-    published_edges = set()
-    for tri in published:
-        published_edges.update(_tri_edges(tri))
-    spec = [
-        (a, b, tag) for (a, b), tag in tags.items() if (a, b) in published_edges
-    ]
-    new_mesh = build_mesh(coords, np.array(published), spec, strict=False)
-    new_mesh.green_flag[:] = flags
-    new_mesh._rgb = _RgbState(
-        new_skeleton, new_split, np.array(parents), midpoints, tags
+    # new midpoints, numbered by first occurrence over the red triangles in
+    # skeleton order, edges (v1, v2), (v2, v0), (v0, v1)
+    nv = mesh.num_vertices
+    red_mid = mid[red].ravel()
+    fresh = red_mid < 0
+    fresh_keys, first, inverse = np.unique(
+        keys[red].ravel()[fresh], return_index=True, return_inverse=True
     )
-    return new_mesh
+    order = np.argsort(first)
+    number = np.empty(len(order), dtype=np.int64)
+    number[order] = nv + np.arange(len(order))
+    red_mid[fresh] = number[inverse]
+    a, b = key_vertices(fresh_keys[order])
+    coords = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[a] + mesh.vertices[b])])
+    mid_keys = np.concatenate([state.split, fresh_keys])
+    by_key = np.argsort(mid_keys)
+    mid_keys = mid_keys[by_key]
+    mid_vals = np.concatenate([state.split_mid, number])[by_key]
+
+    # red triangles become their four children in place
+    v0, v1, v2 = skeleton[red].T
+    m0, m1, m2 = red_mid.reshape(-1, 3).T
+    keep = np.flatnonzero(~red)
+    new_skeleton = _scatter(
+        np.where(red, 4, 1),
+        (keep, [skeleton[keep]]),
+        (
+            np.flatnonzero(red),
+            [
+                np.stack([v0, m2, m1], axis=1),
+                np.stack([m2, v1, m0], axis=1),
+                np.stack([m1, m0, v2], axis=1),
+                np.stack([m0, m1, m2], axis=1),
+            ],
+        ),
+    )
+
+    # keep the split edges still owned by some skeleton triangle
+    keys = _local_edge_keys(new_skeleton)
+    splits = find_keys(split_now, keys) >= 0
+    new_split = np.unique(keys[splits])
+    edge_mid = np.full(keys.shape, -1, dtype=np.int64)
+    edge_mid[splits] = mid_vals[find_keys(mid_keys, keys[splits])]
+
+    # close the skeleton: one split edge gives a green pair, two a blue triple
+    n = splits.sum(axis=1)
+    if np.any(n == 3):  # pragma: no cover - promoted to red above
+        raise AssertionError("triply split triangle escaped promotion")
+    plain = np.flatnonzero(n == 0)
+
+    gr = np.flatnonzero(n == 1)
+    k = np.argmax(splits[gr], axis=1)  # the split edge is opposite vertex k
+    v, va, vb = (new_skeleton[gr, (k + j) % 3] for j in range(3))
+    m = edge_mid[gr, k]
+    green = [np.stack([v, va, m], axis=1), np.stack([v, m, vb], axis=1)]
+
+    bl = np.flatnonzero(n == 2)
+    k = np.argmin(splits[bl], axis=1)  # the unsplit edge is opposite vertex k
+    vc, va, vb = (new_skeleton[bl, (k + j) % 3] for j in range(3))
+    ma = edge_mid[bl, (k + 1) % 3]  # on the edge opposite va
+    mb = edge_mid[bl, (k + 2) % 3]  # on the edge opposite vb
+    # split the quad (va, vb, ma, mb) along its shorter diagonal
+    da = coords[va] - coords[ma]
+    db = coords[vb] - coords[mb]
+    short_a = np.hypot(da[:, 0], da[:, 1]) <= np.hypot(db[:, 0], db[:, 1])
+    blue = [
+        np.stack([mb, ma, vc], axis=1),
+        np.stack([va, vb, np.where(short_a, ma, mb)], axis=1),
+        np.stack([np.where(short_a, va, vb), ma, mb], axis=1),
+    ]
+
+    counts = n + 1
+    published = _scatter(
+        counts, (plain, [new_skeleton[plain]]), (gr, green), (bl, blue)
+    )
+
+    # a boundary edge lies in one skeleton triangle, so it is split only when
+    # that triangle turns red, which removes it: edges with a midpoint are
+    # halved, all others carry over
+    bnd = mesh.boundary_edges
+    bpos = find_keys(mid_keys, mesh.edge_keys[bnd])
+    halved = bpos >= 0
+    tags = mesh.edge_tags[bnd]
+    edges = mesh.edges[bnd]
+    spec = np.concatenate(
+        [
+            np.column_stack([edges[~halved], tags[~halved]]),
+            _split_boundary(edges[halved], mid_vals[bpos[halved]], tags[halved]),
+        ]
+    )
+    state = _RgbState(
+        new_skeleton,
+        new_split,
+        mid_vals[find_keys(mid_keys, new_split)],
+        np.repeat(np.arange(len(new_skeleton)), counts),
+    )
+    return build_mesh(
+        coords,
+        published,
+        spec,
+        strict=False,
+        green_flag=np.repeat(n, counts),
+        rgb=state,
+    )
+
+
+def _scatter(counts, *groups):
+    """Stack the children of all parents, parent by parent.
+
+    ``counts[p]`` is the number of children of parent p; each group is
+    ``(parents, children)`` with ``children[j]`` the (len(parents), 3)
+    array of every listed parent's child j.
+    """
+    start = np.cumsum(counts) - counts
+    out = np.empty((int(counts.sum()), 3), dtype=np.int64)
+    for parents, children in groups:
+        for j, child in enumerate(children):
+            out[start[parents] + j] = child
+    return out

@@ -10,8 +10,12 @@ what the promise implies: criterion 7 bounds how far the reliability and
 efficiency constants move between levels of one run, and criterion 8
 predicts the near-resonant estimator gap from the discrete mixed eigenvalue
 of each level (computed by ``oracles.mixed_dirichlet_eigenvalue``).
+
+The same runs also pin the published adaptive meshes level by level
+(``test_published_meshes_pinned``).
 """
 
+import hashlib
 import itertools
 import time
 
@@ -54,26 +58,38 @@ def report(num, name, passed, detail=""):
 
 
 class RunDiag:
-    def __init__(self, history, div_resid, seconds):
+    def __init__(self, history, div_resid, mesh_digests, seconds):
         self.history = history
         self.div_resid = div_resid
+        self.mesh_digests = mesh_digests
         self.seconds = seconds
+
+
+def mesh_digest(mesh):
+    """SHA-1 of the vertices, triangles and green/blue flags of a mesh."""
+    h = hashlib.sha1()
+    h.update(np.ascontiguousarray(mesh.vertices, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(mesh.triangles, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(mesh.green_flag, dtype=np.int64).tobytes())
+    return h.hexdigest()
 
 
 def run_with_diagnostics(instance, mode, theta, max_ndof):
     div_resid = []
+    mesh_digests = []
 
     def spy(mesh, mixed, u_tilde, est_report, record):
         pw = project_p0(instance.field, mesh)
         target = pw.f_h - pw.gamma_h * mixed.u
         scale = max(1.0, float(np.abs(target).max()))
         div_resid.append(float(np.abs(mixed.div() - target).max()) / scale)
+        mesh_digests.append(mesh_digest(mesh))
 
     start = time.perf_counter()
     history = adaptive_loop(
         instance, theta=theta, max_ndof=max_ndof, mode=mode, on_level=spy
     )
-    return RunDiag(history, div_resid, time.perf_counter() - start)
+    return RunDiag(history, div_resid, mesh_digests, time.perf_counter() - start)
 
 
 @pytest.fixture(scope="module")
@@ -399,3 +415,46 @@ def test_criterion_9_property_suites():
         9, "property suites", not failures,
         "all sub-checks green" if not failures else f"failed: {failures}",
     )
+
+
+# mesh_digest of every level of the adaptive runs, frozen from the
+# dict-and-loop red-green-blue refinement that the array code replaced
+PINNED_LSHAPE_ADAPTIVE = [
+    "2d3a4927963eca49d2ca75c6252f091f77bf0453",
+    "eda2d40be950b199062e0303acd29373cd6779ca",
+    "da4da999a62871e8427835e8e1530d921efa16b7",
+    "f2cf60a76c46fecaf9c79d388fd59dce5a1953cd",
+    "050c1fb25e56d646451978c1d30e3d8e7ab59c3c",
+    "e113596d0c92fa5aba04aeb0a39ec7768a3355a3",
+    "3c9cd939ee53dbb7fbf3d9ef6438e2bdfbd44ff0",
+    "887b72d807264334397a403944b03577a5bca9cd",
+    "0eb9d0eba011fdac7407bd4337314575cc1f1c44",
+    "cbdc86f690081f5d344b212429c822272c1f99a6",
+    "b80397e3f790a7b5a650ca61d5cc9b4042dece69",
+    "26714ccbacb9164e3a9df7e73d754e35858c158f",
+    "a68d7745a6e90eeceba0e063a25515e218768583",
+]
+
+PINNED_CRACK_ADAPTIVE = [
+    "7115bdd297199cb8854a5370c849ae4fdb5d85c6",
+    "f81ec63b07cdeb4838954c6c433998e45911a10e",
+    "ab3c0f98d7af15e8dec08bf277136132a9cb604c",
+    "16c5b7b1ab207cadb67251a89994fca7670838aa",
+    "03cafc98f0e8d11c9dcf68670d76e2fc07386afd",
+    "882f2270c5a661333a58019ca4b72f717cb90d97",
+    "f23c1e5e5bc5cf04d13b5966001ea5bcbf7d5f18",
+    "3f9084b8fd47c328d3dbaf7b7d3f261aa75acd3e",
+    "e39268bb24551268dd5726b0af7f90883b1a2f22",
+    "7f86efa2eb05efba835c74e7b1eacd11f3eebe8e",
+    "cc56a1d8633e639f61d64ab69c736c044705ad1b",
+    "1fb3a3b95bb03b8f9d4020b890bcb165226e90b6",
+    "338b631324b4306cb88043633a3c1b628c23c0c0",
+]
+
+
+def test_published_meshes_pinned(adaptive_lshape, adaptive_crack):
+    for diag, pinned in (
+        (adaptive_lshape, PINNED_LSHAPE_ADAPTIVE),
+        (adaptive_crack, PINNED_CRACK_ADAPTIVE),
+    ):
+        assert diag.mesh_digests == pinned

@@ -13,6 +13,7 @@ from afem.adapt import (
     estimate_nc,
     grad_p1,
 )
+from afem import adapt
 from afem.assembly import CRSolution
 from afem.errors import BadTheta
 from afem.mesh import build_mesh
@@ -22,9 +23,11 @@ from afem.problem import (
     constant_matrix,
     constant_scalar,
     constant_vector,
+    crack_start_mesh,
     lshape_start_mesh,
     project_p0,
 )
+from afem.refine import rgb_refine, uniform_red_refine
 from afem.solver import solve_mixed_via_equivalence
 
 SQUARE = (
@@ -318,6 +321,37 @@ def test_loop_uniform_matches_mark_all():
     inst = benchmark("lshape")
     hist = adaptive_loop(inst, mode="uniform", max_ndof=300)
     assert [r.ndof for r in hist.records] == [68, 256]
+
+
+@pytest.mark.parametrize("make", [lshape_start_mesh, crack_start_mesh])
+def test_red_refinement_dof_count_is_predicted(make):
+    for mesh in (make(), rgb_refine(make(), [0, 3])):
+        predicted = 2 * mesh.num_edges + 7 * mesh.num_triangles
+        assert uniform_red_refine(mesh).ndof_mixed == predicted
+
+
+def test_uniform_loop_builds_no_mesh_over_budget(monkeypatch):
+    calls = []
+
+    def counted(mesh):
+        calls.append(mesh.num_triangles)
+        return uniform_red_refine(mesh)
+
+    monkeypatch.setattr(adapt, "uniform_red_refine", counted)
+    hist = adaptive_loop(benchmark("lshape"), mode="uniform", max_ndof=16000)
+    assert len(calls) == 4  # the 61696-dof mesh is never built
+    # the history of the code that built it and then stopped
+    expected = [
+        (68, 1.0100233831401633, 0.161152730547886, 0.25718530405240386),
+        (256, 0.5255184295919991, 0.08142117504503221, 0.18331212175835876),
+        (992, 0.2771045906099844, 0.04074372124459595, 0.12047634956113078),
+        (3904, 0.14882766552045348, 0.020295517079309, 0.07761360836300338),
+        (15488, 0.08185330720600603, 0.010102973109713193, 0.04958538902120572),
+    ]
+    assert [r.ndof for r in hist.records] == [row[0] for row in expected]
+    got = [(r.eta, r.e_u, r.e_p) for r in hist.records]
+    assert np.allclose(got, [row[1:] for row in expected], rtol=1e-10, atol=0)
+    assert hist.failure is None
 
 
 def test_adaptive_eta_decreases_after_startup():

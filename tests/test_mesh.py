@@ -253,6 +253,72 @@ vertices 3 / triangles 1 / boundary 3
     assert mesh.num_triangles == 1
 
 
+def test_negative_vertex_index_reported():
+    with pytest.raises(ValueError, match="references vertex -1 "):
+        build_mesh(REF[0], np.array([[0, 1, -1]]))
+
+
+def _reference_edge_table(triangles, spec):
+    """Edge table through np.unique over (min, max) row pairs and dicts."""
+    t = np.asarray(triangles)
+    raw = np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1)
+    pairs = np.sort(raw, axis=2).reshape(-1, 2)
+    edges, inverse, counts = np.unique(
+        pairs, axis=0, return_inverse=True, return_counts=True
+    )
+    signs = np.where(raw[:, :, 0] > raw[:, :, 1], 1, -1)
+    edge_tris = np.full((len(edges), 2), -1)
+    for row, (e, s) in enumerate(zip(inverse.ravel(), signs.ravel())):
+        edge_tris[e, 0 if s > 0 else 1] = row // 3
+    tags = np.where(counts == 1, 0, -1)
+    index = {tuple(e): i for i, e in enumerate(edges.tolist())}
+    for i, j, tag in spec:
+        tags[index[(min(i, j), max(i, j))]] = tag
+    return {
+        "edges": edges,
+        "triangle_edges": inverse.reshape(-1, 3),
+        "triangle_edge_signs": signs,
+        "edge_tris": edge_tris,
+        "edge_tags": tags,
+    }
+
+
+def _rgb_mesh_with_green_and_blue():
+    # two neighbours of triangle 0 give it a blue triple; marking a green
+    # child then rolls it back to its red-refined skeleton parent
+    mesh = rgb_refine(crack_start_mesh(), [1, 17])
+    mesh = rgb_refine(mesh, [int(np.flatnonzero(mesh.green_flag == 1)[0])])
+    assert {1, 2} <= set(mesh.green_flag.tolist())
+    return mesh
+
+
+@pytest.mark.parametrize(
+    "make", [lshape_start_mesh, crack_start_mesh, _rgb_mesh_with_green_and_blue]
+)
+def test_edge_table_matches_unique_pairs_reference(make):
+    source = make()
+    # tag every boundary edge distinctly, listed reversed and shuffled
+    rng = np.random.default_rng(5)
+    bnd = rng.permutation(source.boundary_edges)
+    spec = [
+        (int(source.edges[e, 1]), int(source.edges[e, 0]), 10 + k)
+        for k, e in enumerate(bnd)
+    ]
+    for given in ([], spec):
+        mesh = build_mesh(source.vertices, source.triangles, given)
+        ref = _reference_edge_table(source.triangles, given)
+        for name, expected in ref.items():
+            assert np.array_equal(getattr(mesh, name), expected), name
+
+
+def test_mesh_is_read_only():
+    mesh = rgb_refine(lshape_start_mesh(), [0])
+    with pytest.raises(ValueError):
+        mesh.triangles[0, 0] = 1
+    with pytest.raises(ValueError):
+        mesh.green_flag[:] = 0
+
+
 def test_mesh_file_malformed(tmp_path):
     path = tmp_path / "bad.mesh"
     path.write_text("vertices 2 triangles 1 boundary 0\n0 0\n1 0\n0 1 2\n")
