@@ -21,7 +21,6 @@ from .assembly import (
     CRSolution,
     MixedSolution,
     SparseSystem,
-    apply_dirichlet,
     assemble_mixed_direct,
     assemble_modified_ncfem,
     assemble_ncfem,

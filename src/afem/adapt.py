@@ -87,20 +87,13 @@ def grad_p1(mesh, nodal):
     return np.einsum("tk,tkd->td", vals, mesh.grad_bary())
 
 
-def _affine_sq_l2(mesh, value_at_mids):
-    """Elementwise int_T |w|^2 for affine w given at the 3 edge midpoints."""
-    return mesh.area / 3.0 * np.einsum("tqd,tqd->t", value_at_mids, value_at_mids)
-
-
-def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw, delta=None):
+def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
     """Residual estimator for the mixed solution.
 
     Terms per triangle: osc ||(1-Pi0)(f - gamma u_M)||, volume
     ||h_T (A_h^-1 p_M + u_M b*_h)||, nonconformity
     ||A_h^-1 p_M + u_M b*_h - grad v|| with v = -average(u~_CR), and
     coefficient terms ||(A^-1 - A_h^-1) p_M|| and ||u_M (b* - b*_h)||.
-    ``delta`` additionally reports the h^delta-weighted nonconformity
-    diagnostic (regularity-refined bound); never used for marking.
     """
     if mixed.mesh is not mesh or u_cr_tilde.mesh is not mesh or pw.mesh is not mesh:
         raise MeshMismatch("estimator inputs live on different meshes")
@@ -126,11 +119,11 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw, delta=None):
         np.einsum("tde,tqe->tqd", pw.a_h_inv, p_at_mids)
         + (mixed.u[:, None] * pw.b_star_h)[:, None, :]
     )
-    volume_sq = mesh.h_t**2 * _affine_sq_l2(mesh, r)
+    volume_sq = mesh.h_t**2 * quadrature.affine_sq_l2(mesh.area, r)
 
     v_nodal = -average_cr(u_cr_tilde)
     gv = grad_p1(mesh, v_nodal)
-    nonconf_sq = _affine_sq_l2(mesh, r - gv[:, None, :])
+    nonconf_sq = quadrature.affine_sq_l2(mesh.area, r - gv[:, None, :])
 
     # coefficient approximation terms, degree-2 rule on the midpoints
     xm, ym = mids[..., 0].ravel(), mids[..., 1].ravel()
@@ -139,22 +132,18 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw, delta=None):
     diff_a = np.einsum(
         "tqde,tqe->tqd", a_inv_pts - pw.a_h_inv[:, None, :, :], p_at_mids
     )
-    coeff_a_sq = _affine_sq_l2(mesh, diff_a)
+    coeff_a_sq = quadrature.affine_sq_l2(mesh.area, diff_a)
 
     b_pts = np.asarray(coeffs.b(xm, ym), dtype=float).reshape(-1, 3, 2)
     b_star_pts = np.einsum("tqde,tqe->tqd", a_inv_pts, b_pts)
     diff_b = mixed.u[:, None, None] * (b_star_pts - pw.b_star_h[:, None, :])
-    coeff_b_sq = _affine_sq_l2(mesh, diff_b)
+    coeff_b_sq = quadrature.affine_sq_l2(mesh.area, diff_b)
 
     resid = pw.f_h - pw.gamma_h * mixed.u
     diagnostics = {
         "norm_h2_fh": float(np.sqrt(np.sum(mesh.area * (mesh.h_t**2 * pw.f_h) ** 2))),
         "norm_h_resid": float(np.sqrt(np.sum(mesh.area * (mesh.h_t * resid) ** 2))),
     }
-    if delta is not None:
-        diagnostics["norm_hdelta_nonconf"] = float(
-            np.sqrt(np.sum(mesh.h_t ** (2.0 * delta) * nonconf_sq))
-        )
     return EstimatorReport(
         mesh=mesh,
         term_sq={

@@ -24,10 +24,10 @@ from .errors import MeshMismatch, SingularLocalFactor
 
 @dataclass
 class SparseSystem:
-    """Triplet-assembled sparse system with Dirichlet bookkeeping.
+    """Triplet-assembled sparse system over the ``free`` dofs.
 
-    ``matrix``/``rhs`` describe the reduced system over ``free`` dofs once
-    :func:`apply_dirichlet` has run; before that, all dofs are free.
+    Eliminated Dirichlet dofs are listed in ``fixed`` with their values;
+    :meth:`full_solution` puts them back. ``kind`` labels the dump only.
     """
 
     matrix: sp.csc_matrix
@@ -37,14 +37,11 @@ class SparseSystem:
     fixed: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     fixed_values: np.ndarray = field(default_factory=lambda: np.empty(0))
     kind: str = "cr"
-    mesh: object = None
-    dirichlet_applied: bool = False
 
     def full_solution(self, x_free):
         out = np.empty(self.ndofs)
         out[self.free] = x_free
-        if len(self.fixed):
-            out[self.fixed] = self.fixed_values
+        out[self.fixed] = self.fixed_values
         return out
 
     def dump_triplets(self, path):
@@ -185,22 +182,27 @@ def _cr_system(mesh, pw, grad_psi, conv_weight, react, local_rhs, u_dirichlet):
 
     rhs = np.zeros(mesh.num_edges)
     np.add.at(rhs, mesh.triangle_edges.ravel(), local_rhs.ravel())
-    return _system(mesh, matrix, rhs, "cr", u_dirichlet)
-
-
-def _system(mesh, matrix, rhs, kind, u_dirichlet):
-    """Wrap an assembled system, folding in Dirichlet data if given."""
-    system = SparseSystem(
-        matrix=matrix,
-        rhs=rhs,
-        ndofs=len(rhs),
-        free=np.arange(len(rhs)),
-        kind=kind,
-        mesh=mesh,
+    dofs = np.arange(mesh.num_edges)
+    if u_dirichlet is None:
+        return SparseSystem(matrix, rhs, ndofs=len(dofs), free=dofs)
+    # essential data: fix boundary dofs to u_D(mid E), move their columns
+    bnd = mesh.boundary_edges
+    values = _boundary_values(mesh, u_dirichlet)
+    free = np.setdiff1d(dofs, bnd)
+    return SparseSystem(
+        matrix=matrix[np.ix_(free, free)].tocsc(),
+        rhs=rhs[free] - matrix[np.ix_(free, bnd)] @ values,
+        ndofs=len(dofs),
+        free=free,
+        fixed=bnd,
+        fixed_values=values,
     )
-    if u_dirichlet is not None:
-        system = apply_dirichlet(system, u_dirichlet, mesh)
-    return system
+
+
+def _boundary_values(mesh, u_dirichlet):
+    """u_D at the boundary-edge midpoints, in ``mesh.boundary_edges`` order."""
+    mid = mesh.edge_mid[mesh.boundary_edges]
+    return np.asarray(u_dirichlet(mid[:, 0], mid[:, 1]), dtype=float).ravel()
 
 
 def assemble_ncfem(mesh, pw_or_field, u_dirichlet=None):
@@ -208,7 +210,7 @@ def assemble_ncfem(mesh, pw_or_field, u_dirichlet=None):
 
     Coefficients enter through their centroid values (the piecewise data);
     the remaining polynomial integrals are exact. With ``u_dirichlet``
-    given, boundary dofs are eliminated via :func:`apply_dirichlet`.
+    given, boundary dofs are fixed to u_D(mid E) and eliminated.
     """
     pw = _coerce_pw(mesh, pw_or_field)
     area = mesh.area
@@ -324,57 +326,10 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
     )
     rhs = np.zeros(n)
     rhs[ne:] = pw.f_h * mesh.area
-    return _system(mesh, matrix, rhs, "mixed", u_dirichlet)
-
-
-def apply_dirichlet(system, u_dirichlet, mesh):
-    """Fold Dirichlet data u_D into a system.
-
-    Nonconforming systems: boundary-edge dofs are fixed to u_D(mid E) and
-    eliminated (columns moved to the right-hand side). Mixed systems: all
-    dofs stay free; the first equation's right-hand side receives the
-    natural term -sigma |E| u_D(mid E) per boundary edge.
-    """
-    if system.mesh is not mesh:
-        raise MeshMismatch("system was assembled on a different mesh")
-    if system.dirichlet_applied:
-        raise ValueError("Dirichlet data already applied to this system")
-    bnd = mesh.boundary_edges
-    mid = mesh.edge_mid[bnd]
-    values = np.asarray(u_dirichlet(mid[:, 0], mid[:, 1]), dtype=float).ravel()
-
-    if system.kind == "mixed":
-        tri = np.where(
-            mesh.edge_tris[bnd, 0] >= 0,
-            mesh.edge_tris[bnd, 0],
-            mesh.edge_tris[bnd, 1],
-        )
-        # sign of the canonical normal relative to the outward normal
-        local = mesh.triangle_edges[tri] == bnd[:, None]
-        sigma = mesh.triangle_edge_signs[tri][local].astype(float)
-        rhs = system.rhs.copy()
+    if u_dirichlet is not None:
+        # natural data -sigma |E| u_D(mid E); T_plus (column 0) has sigma = +1
+        bnd = mesh.boundary_edges
+        sigma = np.where(mesh.edge_tris[bnd, 0] >= 0, 1.0, -1.0)
+        values = _boundary_values(mesh, u_dirichlet)
         rhs[bnd] -= sigma * mesh.edge_length[bnd] * values
-        return SparseSystem(
-            matrix=system.matrix,
-            rhs=rhs,
-            ndofs=system.ndofs,
-            free=system.free,
-            kind="mixed",
-            mesh=mesh,
-            dirichlet_applied=True,
-        )
-
-    free = np.setdiff1d(np.arange(system.ndofs), bnd)
-    a = system.matrix
-    rhs = system.rhs[free] - a[np.ix_(free, bnd)] @ values
-    return SparseSystem(
-        matrix=a[np.ix_(free, free)].tocsc(),
-        rhs=np.asarray(rhs).ravel(),
-        ndofs=system.ndofs,
-        free=free,
-        fixed=bnd.copy(),
-        fixed_values=values,
-        kind="cr",
-        mesh=mesh,
-        dirichlet_applied=True,
-    )
+    return SparseSystem(matrix, rhs, ndofs=n, free=np.arange(n), kind="mixed")

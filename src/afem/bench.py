@@ -292,7 +292,12 @@ def run_experiment(config, echo=print):
     os.makedirs(config.out, exist_ok=True)
     start_mesh = None
     if config.mesh_path:
-        start_mesh = read_mesh_file(config.mesh_path)
+        try:
+            start_mesh = read_mesh_file(config.mesh_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(
+                f"cannot read mesh file {config.mesh_path!r}: {exc}"
+            ) from None
 
     if config.problem == "eigen_sweep":
         gammas = [config.gamma] if config.gamma is not None else list(

@@ -14,6 +14,13 @@ import sys
 from .bench import ExperimentConfig, run_experiment
 from .errors import AfemError, ConfigError
 
+
+def _switch(text):
+    """1/true/yes/on or 0/false/no/off, in any case; ValueError otherwise."""
+    words = ("0", "false", "no", "off", "1", "true", "yes", "on")
+    return words.index(text.lower()) >= 4
+
+
 _CONFIG_KEYS = {
     "problem": str,
     "mode": str,
@@ -22,7 +29,7 @@ _CONFIG_KEYS = {
     "gamma": float,
     "out": str,
     "mesh": str,
-    "dump_systems": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "dump_systems": _switch,
 }
 
 

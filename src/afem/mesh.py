@@ -322,8 +322,8 @@ def read_mesh_file(path_or_file):
 
     def expect(word):
         nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != word:
-            raise ValueError(f"mesh file: expected {word!r} in header")
+        if pos + 1 >= len(tokens) or tokens[pos] != word:
+            raise ValueError(f"mesh file: expected '{word} <count>' in header")
         pos += 1
         val = int(tokens[pos])
         pos += 1

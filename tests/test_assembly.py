@@ -4,7 +4,6 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from afem.assembly import (
-    apply_dirichlet,
     assemble_mixed_direct,
     assemble_modified_ncfem,
     assemble_ncfem,
@@ -18,6 +17,7 @@ from afem.problem import (
     constant_matrix,
     constant_scalar,
     constant_vector,
+    crack_start_mesh,
     lshape_start_mesh,
     project_p0,
 )
@@ -29,6 +29,7 @@ from oracles import (
     random_spd_matrix,
     random_triangle,
 )
+from test_mesh import _rgb_mesh_with_green_and_blue
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 SQUARE = (
@@ -135,18 +136,48 @@ def test_singular_local_factor_detected():
 
 def test_dirichlet_elimination_moves_columns():
     mesh = build_mesh(REF_TRI, np.array([[0, 1, 2]]))
-    raw = assemble_ncfem(mesh, make_field(gamma=1.0))
-    zero = apply_dirichlet(raw, constant_scalar(0.0), mesh)
+    zero = assemble_ncfem(
+        mesh, make_field(gamma=1.0), u_dirichlet=constant_scalar(0.0)
+    )
     assert zero.matrix.shape == (0, 0)  # single triangle: all edges boundary
     assert np.allclose(zero.fixed_values, 0.0)
 
     mesh2 = build_mesh(*SQUARE)
     raw2 = assemble_ncfem(mesh2, make_field(gamma=1.0))
-    ones = apply_dirichlet(raw2, constant_scalar(1.0), mesh2)
+    ones = assemble_ncfem(
+        mesh2, make_field(gamma=1.0), u_dirichlet=constant_scalar(1.0)
+    )
     free = ones.free
     full = raw2.matrix.toarray()
     expected = -full[np.ix_(free, ones.fixed)] @ np.ones(len(ones.fixed))
     assert np.allclose(ones.rhs, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "make", [lshape_start_mesh, crack_start_mesh, _rgb_mesh_with_green_and_blue]
+)
+def test_mixed_boundary_term_matches_triangle_sign_lookup(make):
+    mesh = make()
+
+    def u_d(x, y):
+        return 1.0 + 0.3 * np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+
+    pw = project_p0(make_field(b=(0.5, -1.0), gamma=2.0, f=1.0), mesh)
+    plain = assemble_mixed_direct(mesh, pw)
+    folded = assemble_mixed_direct(mesh, pw, u_dirichlet=u_d)
+    # reference: the edge's sign in the local numbering of its one triangle
+    bnd = mesh.boundary_edges
+    tri = np.where(
+        mesh.edge_tris[bnd, 0] >= 0, mesh.edge_tris[bnd, 0], mesh.edge_tris[bnd, 1]
+    )
+    local = mesh.triangle_edges[tri] == bnd[:, None]
+    sigma = mesh.triangle_edge_signs[tri][local].astype(float)
+    assert set(sigma.tolist()) == {-1.0, 1.0}
+    mid = mesh.edge_mid[bnd]
+    expected = np.zeros(len(plain.rhs))
+    expected[bnd] = -sigma * mesh.edge_length[bnd] * u_d(mid[:, 0], mid[:, 1])
+    assert np.array_equal(folded.rhs - plain.rhs, expected)
+    assert (folded.matrix != plain.matrix).nnz == 0
 
 
 def test_lshape_boundary_value_at_unit_height():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from afem import problem
 from afem.cli import main
@@ -150,3 +151,46 @@ def test_dump_systems_flag(tmp_path):
     sysdir = tmp_path / "systems"
     assert (sysdir / "level0_modified_nc.txt").exists()
     assert (sysdir / "level0_mixed.txt").exists()
+
+
+def test_missing_mesh_file_is_config_error(tmp_path, capsys):
+    path = tmp_path / "missing.mesh"
+    code = main(
+        ["run", "--problem", "lshape", "--mesh", str(path), "--out", str(tmp_path)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(path) in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "vertices 3 / triangles 1 / boundary 0\n0 0\n1 0\n0 1\n0 1 5\n",
+        "vertices 3 / triangles 1 / boundary\n",
+    ],
+    ids=["index_out_of_range", "header_cut_short"],
+)
+def test_malformed_mesh_file_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    code = main(
+        ["run", "--problem", "lshape", "--mesh", str(path), "--out", str(tmp_path)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(path) in err
+
+
+def test_config_dump_systems_takes_only_switch_words(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("problem = lshape\ndump_systems = maybe\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "bad value for dump_systems" in capsys.readouterr().err
+    assert not (tmp_path / "systems").exists()
+
+    cfg.write_text(
+        "problem = lshape\nmode = uniform\nmax_ndof = 80\ndump_systems = ON\n"
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "systems" / "level0_mixed.txt").exists()

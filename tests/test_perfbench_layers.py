@@ -5,6 +5,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from afem import adapt, bench
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -18,3 +22,27 @@ def test_tracer_layers_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert spans.LAYERS and not missing
+
+
+@pytest.mark.parametrize(
+    "problem, mode, max_ndof",
+    [("lshape", "uniform", 4000), ("crack", "adaptive", 1500)],
+)
+def test_level_clock_sees_one_projection_per_level(
+    tmp_path, monkeypatch, problem, mode, max_ndof
+):
+    # perfbench/child.py timestamps every level at adapt.project_p0
+    seen = []
+    project_p0 = adapt.project_p0
+
+    def counting(coeffs, mesh):
+        seen.append(mesh.ndof_mixed)
+        return project_p0(coeffs, mesh)
+
+    monkeypatch.setattr(adapt, "project_p0", counting)
+    config = bench.ExperimentConfig(
+        problem=problem, mode=mode, max_ndof=max_ndof, out=str(tmp_path)
+    )
+    (history,) = bench.run_experiment(config, echo=lambda *_: None).histories.values()
+    assert len(history.records) >= 3
+    assert seen == history.ndofs

@@ -100,7 +100,7 @@ def test_cr_affine_patch_test():
 def test_cr_lshape_level0_is_finite_and_bounded():
     inst = benchmark("lshape")
     mesh = inst.start_mesh()
-    sol = solve_ncfem(mesh, inst)
+    sol = solve_ncfem(mesh, inst.field)
     assert np.all(np.isfinite(sol.edge_values))
     assert np.abs(sol.edge_values).max() < 10.0
 
@@ -259,7 +259,7 @@ def test_galerkin_residual_of_cr_solve():
     mesh = inst.start_mesh()
     pw = project_p0(inst.field, mesh)
     system = assemble_ncfem(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
-    sol = solve_ncfem(mesh, inst, pw=pw)
+    sol = solve_ncfem(mesh, inst.field)
     resid = system.matrix @ sol.edge_values[system.free] - system.rhs
     scale = max(np.abs(system.rhs).max(), 1.0)
     assert np.abs(resid).max() <= 1e-9 * scale
