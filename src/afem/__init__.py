@@ -15,7 +15,6 @@ from .adapt import (
     average_cr,
     dorfler_mark,
     estimate_mixed,
-    estimate_nc,
 )
 from .assembly import (
     CRSolution,

@@ -9,7 +9,7 @@ solve / estimate / mark / refine, cross-checking the reconstruction
 against the direct saddle solve on every level.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,14 +38,9 @@ class EstimatorReport:
     alongside in :attr:`term_norms`.
     """
 
-    mesh: object
     term_sq: dict
-    eta_terms: tuple = ()
-    diagnostics: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.eta_terms:
-            self.eta_terms = tuple(self.term_sq)
+    eta_terms: tuple
+    diagnostics: dict
 
     @property
     def per_triangle_sq(self):
@@ -101,7 +96,7 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
     mids = 0.5 * (pv + np.roll(pv, -1, axis=1))  # (T, 3, 2)
 
     # oscillation of f - gamma u_M against its centroid value, degree 5
-    pts = quadrature.physical_points(pv, quadrature.DEGREE5)
+    pts = quadrature.physical_points(pv)
     x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
     g = np.asarray(coeffs.f(x, y), dtype=float).reshape(pts.shape[:2]) - np.asarray(
         coeffs.gamma(x, y), dtype=float
@@ -145,7 +140,6 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
         "norm_h_resid": float(np.sqrt(np.sum(mesh.area * (mesh.h_t * resid) ** 2))),
     }
     return EstimatorReport(
-        mesh=mesh,
         term_sq={
             "osc": osc_sq,
             "volume": volume_sq,
@@ -155,75 +149,6 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
         },
         eta_terms=("volume", "nonconformity"),
         diagnostics=diagnostics,
-    )
-
-
-def estimate_nc(mesh, u_cr, coeffs):
-    """Explicit residual estimator for the plain nonconforming solution.
-
-    Volume term ||h_T (f - gamma u_CR - div p_CR)|| plus the interior-edge
-    normal jump term ||h_E^(1/2) [p_CR] . nu_E||, each edge contribution
-    split half-half onto its two triangles. The broken flux uses the
-    centroid coefficient values, p_CR = -(A_h grad u_CR + u_CR b_h), whose
-    elementwise divergence is -b_h . grad u_CR.
-    """
-    if u_cr.mesh is not mesh:
-        raise MeshMismatch("solution lives on a different mesh")
-    pw = project_p0(coeffs, mesh)
-    grads = u_cr.gradients()
-    pv = mesh.triangle_vertices()
-
-    pts = quadrature.physical_points(pv, quadrature.DEGREE5)
-    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
-    bary = quadrature.DEGREE5[0]
-    traces = u_cr.vertex_traces()
-    u_at = np.einsum("qk,tk->tq", bary, traces)
-    fv = np.asarray(coeffs.f(x, y), dtype=float).reshape(u_at.shape)
-    gv = np.asarray(coeffs.gamma(x, y), dtype=float).reshape(u_at.shape)
-    div_p = -np.einsum("td,td->t", pw.b_h, grads)
-    resid = fv - gv * u_at - div_p[:, None]
-    volume_sq = mesh.h_t**2 * mesh.area * ((resid**2) @ quadrature.DEGREE5[1])
-
-    # normal jumps of the affine broken flux, 2-point Gauss per edge (exact)
-    inner = mesh.interior_edges
-    tp, tm = mesh.edge_tris[inner, 0], mesh.edge_tris[inner, 1]
-    nu = mesh.edge_normal[inner]
-    va = mesh.vertices[mesh.edges[inner, 0]]
-    vb = mesh.vertices[mesh.edges[inner, 1]]
-    jump_sq_edge = np.zeros(len(inner))
-    for s, w in zip(*quadrature.GAUSS2_1D):
-        pt = (1 - s) * va + s * vb
-        val_p = _p_cr_at(pw, grads, u_cr, tp, pt)
-        val_m = _p_cr_at(pw, grads, u_cr, tm, pt)
-        jump = np.einsum("ed,ed->e", val_p - val_m, nu)
-        jump_sq_edge += w * jump**2
-    h_e = mesh.edge_length[inner]
-    jump_sq_edge *= h_e * h_e  # h_E weight times edge measure |E|
-
-    jump_sq = np.zeros(mesh.num_triangles)
-    np.add.at(jump_sq, tp, 0.5 * jump_sq_edge)
-    np.add.at(jump_sq, tm, 0.5 * jump_sq_edge)
-    return EstimatorReport(
-        mesh=mesh, term_sq={"volume": volume_sq, "jump": jump_sq}
-    )
-
-
-def _cross2(a, b):
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
-def _p_cr_at(pw, grads, u_cr, tris, points):
-    """-(A_h grad u_CR + u_CR b_h) on the given triangles at (E, 2) points."""
-    mesh = u_cr.mesh
-    pv = mesh.vertices[mesh.triangles[tris]]
-    det = _cross2(pv[:, 1] - pv[:, 0], pv[:, 2] - pv[:, 0])
-    l1 = _cross2(points - pv[:, 0], pv[:, 2] - pv[:, 0]) / det
-    l2 = _cross2(pv[:, 1] - pv[:, 0], points - pv[:, 0]) / det
-    lam = np.stack([1.0 - l1 - l2, l1, l2], axis=1)
-    u_val = np.einsum("ek,ek->e", lam, u_cr.vertex_traces()[tris])
-    return -(
-        np.einsum("eij,ej->ei", pw.a_h[tris], grads[tris])
-        + u_val[:, None] * pw.b_h[tris]
     )
 
 

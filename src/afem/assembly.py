@@ -99,18 +99,6 @@ class MixedSolution:
         """Elementwise divergence, constant per triangle."""
         return 2.0 * self.flux_slope
 
-    def normal_jumps(self):
-        """[p]_E . nu_E on interior edges (zero for conforming fluxes)."""
-        mesh = self.mesh
-        inner = mesh.interior_edges
-        tp = mesh.edge_tris[inner, 0]
-        tm = mesh.edge_tris[inner, 1]
-        mid = mesh.edge_mid[inner]
-        nu = mesh.edge_normal[inner]
-        val_p = self.flux_const[tp] + self.flux_slope[tp, None] * mid
-        val_m = self.flux_const[tm] + self.flux_slope[tm, None] * mid
-        return np.einsum("ed,ed->e", val_p - val_m, nu)
-
 
 def mixed_from_edge_flux(mesh, edge_flux, u):
     """Expand edge flux dofs into the per-triangle affine representation."""

@@ -140,12 +140,9 @@ def _singular_mask(mesh, point, tol=1e-12):
 
 def _rotate_singular_first(verts, point):
     """Reorder each triangle so the singular vertex is local vertex 0."""
-    out = verts.copy()
     hit = np.abs(verts - np.asarray(point)).max(axis=2) < 1e-12
-    for m in range(len(verts)):
-        k = int(np.argmax(hit[m]))
-        out[m] = np.roll(verts[m], -k, axis=0)
-    return out
+    order = (hit.argmax(axis=1)[:, None] + np.arange(3)) % 3
+    return np.take_along_axis(verts, order[:, :, None], axis=1)
 
 
 def error_norms(mixed, instance, mesh):

@@ -93,22 +93,12 @@ def constant_scalar(c):
     return g
 
 
-def s_of_t(triangle, a_h_inv):
-    """Second-moment functional of one triangle.
+def s_of_t(mesh, a_h_inv):
+    """Second-moment functional per triangle, shape (T,).
 
     Computed with the edge-midpoint rule, which integrates the quadratic
     integrand exactly:  S_T = (|T|/3) sum_k (m_k - c)^T A_h^{-1} (m_k - c).
     """
-    tri = np.asarray(triangle, dtype=float)
-    c = tri.mean(axis=0)
-    mids = 0.5 * (tri + np.roll(tri, -1, axis=0)) - c
-    d1 = tri[1] - tri[0]
-    d2 = tri[2] - tri[0]
-    area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-    return float(area / 3.0 * np.einsum("kd,de,ke->", mids, a_h_inv, mids))
-
-
-def _s_of_t_all(mesh, a_h_inv):
     pv = mesh.triangle_vertices()
     mids = 0.5 * (pv + np.roll(pv, -1, axis=1)) - mesh.centroid[:, None, :]
     return mesh.area / 3.0 * np.einsum("tkd,tde,tke->t", mids, a_h_inv, mids)
@@ -140,7 +130,7 @@ def project_p0(coeffs, mesh):
         b_star_h=b_star_h,
         gamma_h=np.asarray(coeffs.gamma(cx, cy), dtype=float).ravel(),
         f_h=np.asarray(coeffs.f(cx, cy), dtype=float).ravel(),
-        s_t=_s_of_t_all(mesh, a_h_inv),
+        s_t=s_of_t(mesh, a_h_inv),
     )
 
 
@@ -329,20 +319,6 @@ def benchmark(name, **params):
     return factory(**params)
 
 
-def residual_of_exact(instance, x, y, h=1e-5):
-    """First-order-system residual div p + gamma u - f of the exact data,
-    with the flux divergence taken by central differences (the flux already
-    carries the sign, p = -(A grad u + u b)). Consistency diagnostic."""
-    ex = instance.exact
-    cf = instance.field
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    div_p = (ex.p(x + h, y)[..., 0] - ex.p(x - h, y)[..., 0]) / (2 * h) + (
-        ex.p(x, y + h)[..., 1] - ex.p(x, y - h)[..., 1]
-    ) / (2 * h)
-    return div_p + cf.gamma(x, y) * ex.u(x, y) - cf.f(x, y)
-
-
 __all__ = [
     "CoefficientField",
     "ExactSolution",
@@ -354,7 +330,6 @@ __all__ = [
     "register_problem",
     "lshape_start_mesh",
     "crack_start_mesh",
-    "residual_of_exact",
     "constant_matrix",
     "constant_vector",
     "constant_scalar",

@@ -1,4 +1,4 @@
-"""Quadrature rules on triangles and edges.
+"""Quadrature rules on triangles.
 
 All triangle rules are stored in barycentric coordinates with weights
 normalized to sum to one, so that
@@ -32,12 +32,6 @@ DEGREE5 = (
     np.array([0.225, _W1, _W1, _W1, _W2, _W2, _W2]),
 )
 
-# 2-point Gauss rule on [0,1], exact through degree 3 (edge integrals)
-GAUSS2_1D = (
-    np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)]),
-    np.array([0.5, 0.5]),
-)
-
 
 def affine_sq_l2(areas, value_at_mids):
     """Elementwise int_T |w|^2 for w affine on T, given at the three edge
@@ -45,29 +39,28 @@ def affine_sq_l2(areas, value_at_mids):
     return areas / 3.0 * np.einsum("tqd,tqd->t", value_at_mids, value_at_mids)
 
 
-def physical_points(verts, rule):
-    """Map barycentric rule points onto a batch of triangles.
+def physical_points(verts):
+    """Map the degree-5 rule's points onto a batch of triangles.
 
-    verts: (M, 3, 2) vertex coordinates; returns (M, Q, 2).
+    verts: (M, 3, 2) vertex coordinates; returns (M, 7, 2).
     """
-    bary = rule[0]
-    return np.einsum("qi,mid->mqd", bary, verts)
+    return np.einsum("qi,mid->mqd", DEGREE5[0], verts)
 
 
-def integrate(fn, verts, areas, rule=DEGREE5):
+def integrate(fn, verts, areas):
     """Integrate ``fn(x, y) -> (M, Q)-compatible array`` over a triangle batch.
 
     fn receives flattened coordinate arrays and must evaluate pointwise.
     Returns the (M,) vector of element integrals.
     """
-    pts = physical_points(verts, rule)
+    pts = physical_points(verts)
     m, q = pts.shape[0], pts.shape[1]
     vals = np.asarray(fn(pts[..., 0].ravel(), pts[..., 1].ravel()))
     vals = vals.reshape(m, q)
-    return areas * (vals @ rule[1])
+    return areas * (vals @ DEGREE5[1])
 
 
-def integrate_dyadic(fn, verts, areas, depth, rule=DEGREE5):
+def integrate_dyadic(fn, verts, areas, depth):
     """Element integrals with dyadic subdivision toward local vertex 0.
 
     Each triangle is split through its edge midpoints; the child containing
@@ -76,7 +69,7 @@ def integrate_dyadic(fn, verts, areas, depth, rule=DEGREE5):
     singularity at vertex 0.
     """
     if depth == 0:
-        return integrate(fn, verts, areas, rule)
+        return integrate(fn, verts, areas)
     v0, v1, v2 = verts[:, 0], verts[:, 1], verts[:, 2]
     m01 = 0.5 * (v0 + v1)
     m12 = 0.5 * (v1 + v2)
@@ -88,6 +81,6 @@ def integrate_dyadic(fn, verts, areas, depth, rule=DEGREE5):
         np.stack([m20, m12, v2], axis=1),
         np.stack([m01, m12, m20], axis=1),
     ):
-        total += integrate(fn, child, quarter, rule)
+        total += integrate(fn, child, quarter)
     corner = np.stack([v0, m01, m20], axis=1)
-    return total + integrate_dyadic(fn, corner, quarter, depth - 1, rule)
+    return total + integrate_dyadic(fn, corner, quarter, depth - 1)

@@ -6,7 +6,9 @@ triangle integration goes through a Duffy-transformed Gauss-Legendre grid.
 The one exception is :func:`mixed_dirichlet_eigenvalue`: the discrete
 spectrum it reports is that of the very matrix the package solves, so it
 takes that matrix from the package's mixed assembly and guards the result
-with its own eigen-residual check instead.
+with its own eigen-residual check instead. :func:`normal_jumps` and
+:func:`residual_of_exact` are consistency diagnostics of a mixed solution
+and of the benchmarks' exact data.
 """
 
 import numpy as np
@@ -126,6 +128,33 @@ def random_triangle(rng, scale=1.0):
             area2 = -area2
         if area2 > 0.05 * scale**2:
             return pts
+
+
+def normal_jumps(mixed):
+    """[p]_E . nu_E on interior edges (zero for conforming fluxes)."""
+    mesh = mixed.mesh
+    inner = mesh.interior_edges
+    tp = mesh.edge_tris[inner, 0]
+    tm = mesh.edge_tris[inner, 1]
+    mid = mesh.edge_mid[inner]
+    nu = mesh.edge_normal[inner]
+    val_p = mixed.flux_const[tp] + mixed.flux_slope[tp, None] * mid
+    val_m = mixed.flux_const[tm] + mixed.flux_slope[tm, None] * mid
+    return np.einsum("ed,ed->e", val_p - val_m, nu)
+
+
+def residual_of_exact(instance, x, y, h=1e-5):
+    """First-order-system residual div p + gamma u - f of the exact data,
+    with the flux divergence taken by central differences (the flux already
+    carries the sign, p = -(A grad u + u b))."""
+    ex = instance.exact
+    cf = instance.field
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    div_p = (ex.p(x + h, y)[..., 0] - ex.p(x - h, y)[..., 0]) / (2 * h) + (
+        ex.p(x, y + h)[..., 1] - ex.p(x, y - h)[..., 1]
+    ) / (2 * h)
+    return div_p + cf.gamma(x, y) * ex.u(x, y) - cf.f(x, y)
 
 
 def mixed_dirichlet_eigenvalue(mesh, shift):

@@ -9,7 +9,9 @@ Where the paper promises a property without numbers, the criterion checks
 what the promise implies: criterion 7 bounds how far the reliability and
 efficiency constants move between levels of one run, and criterion 8
 predicts the near-resonant estimator gap from the discrete mixed eigenvalue
-of each level (computed by ``oracles.mixed_dirichlet_eigenvalue``).
+of each level (computed by ``oracles.mixed_dirichlet_eigenvalue``), and
+criterion 10 checks the a priori L2 estimate of the nonconforming method
+through the ratio of its L2 and energy rates.
 
 The same runs also pin the published adaptive meshes level by level
 (``test_published_meshes_pinned``).
@@ -22,6 +24,7 @@ import time
 import numpy as np
 import pytest
 
+from afem import bench, quadrature
 from afem.adapt import adaptive_loop, dorfler_mark, estimate_mixed
 from afem.assembly import assemble_ncfem
 from afem.mesh import build_mesh
@@ -393,7 +396,8 @@ def test_criterion_9_property_suites():
             )
 
         expected = integrate_triangle(integrand, tri, order=8)
-        if abs(s_of_t(tri, a_inv) - expected) > 1e-13 * abs(expected):
+        s_t = s_of_t(build_mesh(tri, np.array([[0, 1, 2]])), a_inv[None])[0]
+        if abs(s_t - expected) > 1e-13 * abs(expected):
             failures.append("s_of_t oracle")
             break
 
@@ -414,6 +418,70 @@ def test_criterion_9_property_suites():
     report(
         9, "property suites", not failures,
         "all sub-checks green" if not failures else f"failed: {failures}",
+    )
+
+
+def cr_errors(sol, instance):
+    """(||u - u_CR||, ||grad_NC(u - u_CR)||), the CR function evaluated as
+    affine per triangle from its first vertex trace and its gradient, with
+    the error norms' dyadic quadrature at the singular corner."""
+    mesh = sol.mesh
+    pv = mesh.triangle_vertices()
+    trace0 = sol.vertex_traces()[:, 0]
+    grads = sol.gradients()
+    ex = instance.exact
+    sing = bench._singular_mask(mesh, instance.singular_point)
+    totals = np.zeros(2)
+    for idx, dyadic in ((np.flatnonzero(~sing), False), (np.flatnonzero(sing), True)):
+        m = len(idx)
+        v0, c, g = pv[idx, 0], trace0[idx], grads[idx]
+
+        def u_err(x, y):
+            per = np.size(x) // m
+            offset = np.stack([x, y], axis=-1) - np.repeat(v0, per, axis=0)
+            u_cr = np.repeat(c, per) + np.einsum(
+                "nd,nd->n", np.repeat(g, per, axis=0), offset
+            )
+            return (ex.u(x, y) - u_cr) ** 2
+
+        def grad_err(x, y):
+            d = ex.grad_u(x, y) - np.repeat(g, np.size(x) // m, axis=0)
+            return np.einsum("nd,nd->n", d, d)
+
+        for k, fn in enumerate((u_err, grad_err)):
+            if dyadic:
+                rot = bench._rotate_singular_first(pv[idx], instance.singular_point)
+                per_tri = quadrature.integrate_dyadic(
+                    fn, rot, mesh.area[idx], bench.SINGULAR_QUAD_DEPTH
+                )
+            else:
+                per_tri = quadrature.integrate(fn, pv[idx], mesh.area[idx])
+            totals[k] += per_tri.sum()
+    return tuple(float(v) for v in np.sqrt(totals))
+
+
+def test_criterion_10_ncfem_l2_rate():
+    # reduced regularity on the L-shape (s = 2/3): the broken energy error
+    # of plain CR falls like N^(-s/2) and the L2 error like N^(-s), so the
+    # ratio of the two rates is 2 whatever the constants
+    inst = benchmark("lshape")
+    mesh = inst.start_mesh()
+    edges, errors = [], []
+    for _ in range(6):
+        edges.append(mesh.num_edges)
+        errors.append(cr_errors(solve_ncfem(mesh, inst.field), inst))
+        mesh = uniform_red_refine(mesh)
+    rates = [
+        [np.log(e0 / e1) / np.log(n1 / n0) for e0, e1 in zip(prev, cur)]
+        for n0, n1, prev, cur in zip(edges, edges[1:], errors, errors[1:])
+    ]
+    ratios = [r_l2 / r_energy for r_l2, r_energy in rates[-3:]]
+    ok = min(edges[-3:]) >= 1000 and all(abs(r - 2.0) <= 0.15 for r in ratios)
+    report(
+        10, "nonconforming L2 rate twice the energy rate (2 +- 0.15)", ok,
+        f"N={edges}, L2 rates={[f'{r[0]:.3f}' for r in rates]}, energy rates="
+        f"{[f'{r[1]:.3f}' for r in rates]}, last three ratios="
+        f"{[f'{r:.3f}' for r in ratios]}",
     )
 
 

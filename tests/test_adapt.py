@@ -10,7 +10,6 @@ from afem.adapt import (
     average_cr,
     dorfler_mark,
     estimate_mixed,
-    estimate_nc,
     grad_p1,
 )
 from afem import adapt
@@ -188,57 +187,6 @@ def test_coefficient_terms_match_independent_recomputation():
             acc_b += mesh.area[t] / 3.0 * float(db @ db)
         assert report.term_sq["coeff_a"][t] == pytest.approx(acc_a, rel=1e-12)
         assert report.term_sq["coeff_b"][t] == pytest.approx(acc_b, rel=1e-12)
-
-
-# -- the nonconforming estimator ---------------------------------------------
-
-
-def test_nc_estimator_zero_problem():
-    mesh = lshape_start_mesh()
-    sol = CRSolution(mesh=mesh, edge_values=np.zeros(mesh.num_edges))
-    report = estimate_nc(mesh, sol, field())
-    assert report.eta == 0.0
-
-
-def test_nc_estimator_no_jump_for_conforming_affine():
-    mesh = build_mesh(*SQUARE)
-    sol = cr_interpolant(mesh, lambda x, y: 3.0 * x + 2.0 * y)
-    report = estimate_nc(mesh, sol, field())
-    assert report.term_sq["jump"].max() < 1e-26
-
-
-def test_nc_estimator_volume_term_for_unit_load():
-    mesh = build_mesh(*SQUARE)
-    sol = CRSolution(mesh=mesh, edge_values=np.zeros(mesh.num_edges))
-    report = estimate_nc(mesh, sol, field(f=1.0))
-    expected = mesh.h_t**2 * mesh.area  # ||h_T * 1||^2 per triangle
-    assert np.allclose(report.term_sq["volume"], expected, rtol=1e-12)
-    assert report.term_sq["jump"].max() == 0.0
-
-
-def test_nc_estimator_single_edge_jump_value():
-    mesh = build_mesh(*SQUARE)
-    # u = x on T0 and u = 0 on T1: normal flux of -grad u jumps across the
-    # diagonal by j = nu . (1, 0)
-    values = np.zeros(mesh.num_edges)
-    values[mesh.triangle_edges[0]] = mesh.edge_mid[mesh.triangle_edges[0], 0]
-    diag = np.intersect1d(mesh.triangle_edges[0], mesh.triangle_edges[1])[0]
-    values[diag] = mesh.edge_mid[diag, 0]
-    # rebuild T1 values: zero on its private edges
-    private1 = [e for e in mesh.triangle_edges[1] if e != diag]
-    values[private1] = 0.0
-    sol = CRSolution(mesh=mesh, edge_values=values)
-    report = estimate_nc(mesh, sol, field())
-    grads = sol.gradients()
-    nu = mesh.edge_normal[diag]
-    j = abs((grads[0] - grads[1]) @ nu)
-    expected_edge_sq = (mesh.edge_length[diag] * j) ** 2
-    total_jump_sq = report.term_sq["jump"].sum()
-    assert total_jump_sq == pytest.approx(expected_edge_sq, rel=1e-12)
-    # split half-half between the two triangles
-    assert report.term_sq["jump"][0] == pytest.approx(
-        0.5 * expected_edge_sq, rel=1e-12
-    )
 
 
 # -- marking ------------------------------------------------------------------

@@ -7,6 +7,7 @@ from afem.adapt import adaptive_loop
 from afem.assembly import MixedSolution
 from afem.bench import (
     ConvergenceHistory,
+    _rotate_singular_first,
     ExperimentConfig,
     LevelRecord,
     convergence_rate,
@@ -86,6 +87,20 @@ def test_error_norms_zero_discrete_solution_against_oracle():
         else:
             total += integrate_triangle(u_sq, tri, order=10)
     assert e_u == pytest.approx(math.sqrt(total), rel=1e-4)
+
+
+def test_rotate_singular_first_matches_roll_loop():
+    rng = np.random.default_rng(3)
+    point = np.array([0.25, -0.5])
+    verts = rng.uniform(-1.0, 1.0, (12, 3, 2))
+    verts[np.arange(12), np.arange(12) % 3] = point  # local position 0, 1, 2
+    expected = verts.copy()
+    for m in range(len(verts)):
+        k = int(np.flatnonzero((verts[m] == point).all(axis=1))[0])
+        expected[m] = np.roll(verts[m], -k, axis=0)
+    rotated = _rotate_singular_first(verts, point)
+    assert np.array_equal(rotated, expected)
+    assert np.array_equal(rotated[:, 0], np.broadcast_to(point, (12, 2)))
 
 
 def test_error_norms_requires_exact_solution():
