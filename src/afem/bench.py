@@ -145,62 +145,49 @@ def _rotate_singular_first(verts, point):
     return np.take_along_axis(verts, order[:, :, None], axis=1)
 
 
-def error_norms(mixed, instance, mesh):
+def error_norms(mixed, instance):
     """L2 errors (e_u, e_p, e_div) of a mixed solution against the exact one.
 
     e_div compares the elementwise divergence f_h - gamma_h u_M with the
-    analytic div p = f - gamma u.
+    analytic div p = f - gamma u. One pass integrates the three squared
+    errors together, each point evaluating the exact u once.
     """
-    if instance.exact is None:
+    ex, cf = instance.exact, instance.field
+    if ex is None:
         raise NoExactSolution(f"benchmark {instance.name!r} has no exact solution")
-    return tuple(
-        float(np.sqrt(_per_element(mesh, mixed, instance, which).sum()))
-        for which in ("u", "p", "div")
-    )
-
-
-def _per_element(mesh, mixed, instance, which):
-    ex = instance.exact
-    cf = instance.field
+    mesh = mixed.mesh
     verts = mesh.triangle_vertices()
     sing = _singular_mask(mesh, instance.singular_point)
-    out = np.zeros(mesh.num_triangles)
-
-    def block(idx, tri_verts, areas, dyadic):
-        consts = mixed.flux_const[idx]
-        slopes = mixed.flux_slope[idx]
-        u_m = mixed.u[idx]
-        div_m = 2.0 * slopes
-        m = len(idx)
+    q = len(quadrature.DEGREE5[1])
+    sq = np.zeros((3, mesh.num_triangles))
+    for idx, depth in (
+        (np.flatnonzero(~sing), 0),
+        (np.flatnonzero(sing), SINGULAR_QUAD_DEPTH),
+    ):
+        if len(idx) == 0:
+            continue
+        tri = verts[idx]
+        if depth:
+            tri = _rotate_singular_first(tri, instance.singular_point)
+        # the mixed solution repeated over the q points of each triangle
+        u_m = np.repeat(mixed.u[idx], q)
+        consts = np.repeat(mixed.flux_const[idx], q, axis=0)
+        slopes = np.repeat(mixed.flux_slope[idx], q)[:, None]
+        div_m = np.repeat(2.0 * mixed.flux_slope[idx], q)
 
         def integrand(x, y):
-            per = np.size(x) // m
-            if which == "u":
-                return (ex.u(x, y) - np.repeat(u_m, per)) ** 2
-            if which == "p":
-                pts = np.stack([x, y], axis=-1)
-                p_m = np.repeat(consts, per, axis=0) + np.repeat(slopes, per)[
-                    :, None
-                ] * pts
-                diff = ex.p(x, y) - p_m
-                return np.einsum("nd,nd->n", diff, diff)
-            div_exact = cf.f(x, y) - cf.gamma(x, y) * ex.u(x, y)
-            return (div_exact - np.repeat(div_m, per)) ** 2
+            u = ex.u(x, y)
+            diff = ex.p(x, y) - (consts + slopes * np.stack([x, y], axis=-1))
+            return np.stack([
+                (u - u_m) ** 2,
+                np.einsum("nd,nd->n", diff, diff),
+                (cf.f(x, y) - cf.gamma(x, y) * u - div_m) ** 2,
+            ])
 
-        if dyadic:
-            return quadrature.integrate_dyadic(
-                integrand, tri_verts, areas, SINGULAR_QUAD_DEPTH
-            )
-        return quadrature.integrate(integrand, tri_verts, areas)
-
-    reg = np.flatnonzero(~sing)
-    if len(reg):
-        out[reg] = block(reg, verts[reg], mesh.area[reg], dyadic=False)
-    sng = np.flatnonzero(sing)
-    if len(sng):
-        rot = _rotate_singular_first(verts[sng], instance.singular_point)
-        out[sng] = block(sng, rot, mesh.area[sng], dyadic=True)
-    return out
+        sq[:, idx] = quadrature.integrate_dyadic(
+            integrand, tri, mesh.area[idx], depth
+        )
+    return tuple(float(np.sqrt(row.sum())) for row in sq)
 
 
 def convergence_rate(history):
@@ -260,6 +247,8 @@ class ExperimentConfig:
             raise ConfigError(f"theta must lie in (0, 1], got {self.theta}")
         if self.max_ndof < 1:
             raise ConfigError("max-ndof must be positive")
+        if self.gamma is not None and self.problem != "eigen_sweep":
+            raise ConfigError("gamma applies to eigen_sweep only")
         if self.gamma is not None and not math.isfinite(self.gamma):
             raise ConfigError("gamma must be finite")
         return self
@@ -376,21 +365,17 @@ def _combined_sweep_csv(histories):
 
     The exact solution of the sweep problem is unknown, so the C_rel
     columns of the figures are replaced by the estimator columns here.
+    The ndof cell is empty where the sweep values' dof counts differ, as
+    adaptive meshes do.
     """
     keys = sorted(histories)
-    depth = max(len(histories[k].records) for k in keys)
+    recs = [histories[k].records for k in keys]
     header = ["level", "ndof"] + [f"eta_{k.split('gamma')[-1]}" for k in keys]
     lines = [",".join(header)]
-    for lev in range(depth):
-        ndof = ""
-        cells = []
-        for k in keys:
-            recs = histories[k].records
-            if lev < len(recs):
-                ndof = str(recs[lev].ndof)
-                cells.append(_fmt(recs[lev].eta))
-            else:
-                cells.append("")
+    for lev in range(max(map(len, recs))):
+        ndofs = {r[lev].ndof for r in recs if lev < len(r)}
+        ndof = str(ndofs.pop()) if len(ndofs) == 1 else ""
+        cells = [_fmt(r[lev].eta) if lev < len(r) else "" for r in recs]
         lines.append(",".join([str(lev), ndof] + cells))
     return "\n".join(lines) + "\n"
 

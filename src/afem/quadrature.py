@@ -48,15 +48,17 @@ def physical_points(verts):
 
 
 def integrate(fn, verts, areas):
-    """Integrate ``fn(x, y) -> (M, Q)-compatible array`` over a triangle batch.
+    """Integrate ``fn(x, y)`` over a triangle batch.
 
-    fn receives flattened coordinate arrays and must evaluate pointwise.
-    Returns the (M,) vector of element integrals.
+    fn receives the M*Q flattened coordinates and evaluates pointwise,
+    returning (M*Q,) values or (K, M*Q) for K stacked integrands. Returns
+    the (M,) or (K, M) element integrals; each stacked row is summed
+    exactly as a call with that row alone would be.
     """
     pts = physical_points(verts)
     m, q = pts.shape[0], pts.shape[1]
     vals = np.asarray(fn(pts[..., 0].ravel(), pts[..., 1].ravel()))
-    vals = vals.reshape(m, q)
+    vals = vals.reshape(vals.shape[:-1] + (m, q))
     return areas * (vals @ DEGREE5[1])
 
 
@@ -65,8 +67,9 @@ def integrate_dyadic(fn, verts, areas, depth):
 
     Each triangle is split through its edge midpoints; the child containing
     vertex 0 is recursed ``depth`` more times while the remaining three
-    children use the plain rule. Used for integrands with a point
-    singularity at vertex 0.
+    children use the plain rule; depth 0 is :func:`integrate` itself, and
+    stacked integrands are taken as there. Used for integrands with a
+    point singularity at vertex 0.
     """
     if depth == 0:
         return integrate(fn, verts, areas)
@@ -75,7 +78,7 @@ def integrate_dyadic(fn, verts, areas, depth):
     m12 = 0.5 * (v1 + v2)
     m20 = 0.5 * (v2 + v0)
     quarter = 0.25 * areas
-    total = np.zeros(len(verts))
+    total = 0.0
     for child in (
         np.stack([m01, v1, m12], axis=1),
         np.stack([m20, m12, v2], axis=1),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from afem import quadrature
 from afem.adapt import adaptive_loop
 from afem.assembly import MixedSolution
 from afem.bench import (
@@ -27,6 +28,7 @@ from afem.problem import (
     constant_vector,
     project_p0,
 )
+from afem.refine import uniform_red_refine
 from afem.solver import solve_mixed_via_equivalence
 
 from oracles import integrate_triangle
@@ -57,7 +59,7 @@ def test_error_norms_zero_when_solution_in_space():
     )
     pw = project_p0(field, mesh)
     mixed, _ = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=field.u_dirichlet)
-    e_u, e_p, e_div = error_norms(mixed, inst, mesh)
+    e_u, e_p, e_div = error_norms(mixed, inst)
     assert max(e_u, e_p, e_div) < 1e-10
 
 
@@ -73,7 +75,7 @@ def test_error_norms_zero_discrete_solution_against_oracle():
         u=np.zeros(mesh.num_triangles),
         edge_flux=np.zeros(mesh.num_edges),
     )
-    e_u, _, _ = error_norms(zero, inst, mesh)
+    e_u, _, _ = error_norms(zero, inst)
 
     def u_sq(x, y):
         return inst.exact.u(x, y) ** 2
@@ -103,6 +105,51 @@ def test_rotate_singular_first_matches_roll_loop():
     assert np.array_equal(rotated[:, 0], np.broadcast_to(point, (12, 2)))
 
 
+@pytest.mark.parametrize("depth", [0, 3])
+@pytest.mark.parametrize("m", [7, 1000])
+def test_integrate_dyadic_stacked_rows_equal_scalar_calls(m, depth):
+    rng = np.random.default_rng(m + depth)
+    verts = rng.uniform(-1.0, 1.0, (m, 3, 2))
+    e1, e2 = verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]
+    cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    verts[cross < 0] = verts[cross < 0][:, [0, 2, 1]]  # counter-clockwise
+    areas = 0.5 * np.abs(cross)
+    parts = (
+        lambda x, y: np.sin(3.0 * x) * y,
+        lambda x, y: np.exp(x - y),
+        lambda x, y: np.hypot(x, y) ** (2.0 / 3.0),
+    )
+    stacked = quadrature.integrate_dyadic(
+        lambda x, y: np.stack([g(x, y) for g in parts]), verts, areas, depth
+    )
+    assert stacked.shape == (3, m)
+    for row, g in zip(stacked, parts):
+        assert np.array_equal(row, quadrature.integrate_dyadic(g, verts, areas, depth))
+
+
+# error_norms on uniform meshes, frozen bit for bit from the three-pass
+# implementation the fused pass replaced (float.hex of e_u, e_p, e_div)
+@pytest.mark.parametrize(
+    "name, levels, expected",
+    [
+        ("lshape", 2, ("0x1.4dc5c6c869836p-5", "0x1.ed789bd4e7823p-4",
+                       "0x1.c608612804a76p-4")),
+        ("crack", 1, ("0x1.ca82af8f12fd9p-5", "0x1.5c9888f190372p-2",
+                      "0x1.0f94425ee4fd3p-2")),
+    ],
+)
+def test_error_norms_frozen_values(name, levels, expected):
+    inst = benchmark(name)
+    mesh = inst.start_mesh()
+    for _ in range(levels):
+        mesh = uniform_red_refine(mesh)
+    pw = project_p0(inst.field, mesh)
+    mixed, _ = solve_mixed_via_equivalence(
+        mesh, pw, u_dirichlet=inst.field.u_dirichlet
+    )
+    assert error_norms(mixed, inst) == tuple(float.fromhex(h) for h in expected)
+
+
 def test_error_norms_requires_exact_solution():
     inst = benchmark("eigen_sweep", gamma=8.0)
     mesh = inst.start_mesh()
@@ -111,7 +158,7 @@ def test_error_norms_requires_exact_solution():
         mesh, pw, u_dirichlet=inst.field.u_dirichlet
     )
     with pytest.raises(NoExactSolution):
-        error_norms(mixed, inst, mesh)
+        error_norms(mixed, inst)
 
 
 def test_lshape_level0_full_pipeline_error():
@@ -121,7 +168,7 @@ def test_lshape_level0_full_pipeline_error():
     mixed, _ = solve_mixed_via_equivalence(
         mesh, pw, u_dirichlet=inst.field.u_dirichlet
     )
-    e_u, e_p, e_div = error_norms(mixed, inst, mesh)
+    e_u, e_p, e_div = error_norms(mixed, inst)
     assert e_u == pytest.approx(0.16656920, rel=0.20)
 
 

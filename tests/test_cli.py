@@ -122,6 +122,49 @@ def test_eigen_sweep_default_grid(tmp_path):
     assert len(header) == 10
 
 
+def test_adaptive_sweep_combined_ndof_matches_per_gamma(tmp_path):
+    code = main(
+        [
+            "run", "--problem", "eigen_sweep", "--mode", "adaptive",
+            "--max-ndof", "600", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    combined = (tmp_path / "eigen_sweep_adaptive_combined.csv").read_text()
+    header, *rows = [ln.split(",") for ln in combined.splitlines()]
+    per_gamma = {}
+    for col in header[2:]:
+        path = tmp_path / f"eigen_sweep_gamma{col[4:]}_adaptive.csv"
+        head, *lines = path.read_text().splitlines()
+        eta = head.split(",").index("eta")
+        per_gamma[col] = [
+            (ln.split(",")[1], ln.split(",")[eta])
+            for ln in lines if not ln.startswith("#")
+        ]
+    assert len(rows) == max(map(len, per_gamma.values()))
+    for lev, row in enumerate(rows):
+        assert row[0] == str(lev)
+        at_level = [recs[lev] for recs in per_gamma.values() if lev < len(recs)]
+        ndofs = {ndof for ndof, _ in at_level}
+        assert row[1] == (ndofs.pop() if len(ndofs) == 1 else "")
+        for col, cell in zip(header[2:], row[2:]):
+            recs = per_gamma[col]
+            assert cell == (recs[lev][1] if lev < len(recs) else "")
+    # the adaptive meshes of the sweep values diverge within this budget
+    assert any(row[1] == "" for row in rows)
+
+
+def test_gamma_outside_eigen_sweep_is_config_error(tmp_path, capsys):
+    args = ["run", "--mode", "uniform", "--max-ndof", "80", "--out", str(tmp_path)]
+    assert main(args + ["--problem", "lshape", "--gamma", "5"]) == 1
+    assert "gamma applies to eigen_sweep only" in capsys.readouterr().err
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("problem = crack\ngamma = 5\n")
+    assert main(args + ["--config", str(cfg)]) == 1
+    assert "gamma applies to eigen_sweep only" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_custom_mesh_flag(tmp_path, capsys):
     square = build_mesh(
         np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
