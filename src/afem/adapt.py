@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bench, quadrature
-from .errors import BadTheta, EquivalenceViolation, MeshMismatch, SingularMatrix
+from .errors import (
+    BadTheta, ConfigError, EquivalenceViolation, MeshMismatch, SingularMatrix
+)
 from .problem import project_p0
 from .refine import rgb_refine, uniform_red_refine
 from .solver import (
@@ -184,11 +186,17 @@ def adaptive_loop(
     the modified nonconforming solve and cross-checked against the direct
     saddle-point solve; disagreement beyond EQUIVALENCE_TOL aborts. A
     singular factorization ends the run early with the partial history
-    recorded (indefinite problems on coarse meshes).
+    recorded (indefinite problems on coarse meshes). After each level it
+    calls ``on_level(pw, mixed, u_tilde, report, record)``; ``pw.mesh`` is
+    the level's mesh.
     """
     if mode not in ("adaptive", "uniform"):
-        raise ValueError(f"mode must be 'adaptive' or 'uniform', got {mode!r}")
+        raise ConfigError(f"mode must be 'adaptive' or 'uniform', got {mode!r}")
     mesh = start_mesh if start_mesh is not None else instance.start_mesh()
+    if mesh.ndof_mixed > max_ndof:
+        raise ConfigError(
+            f"max-ndof {max_ndof} < {mesh.ndof_mixed} mixed dofs of the start mesh"
+        )
     history = bench.ConvergenceHistory(
         problem=instance.name, mode=mode, theta=theta, params=dict(instance.params)
     )
@@ -222,7 +230,7 @@ def adaptive_loop(
         record.finalize()
         history.records.append(record)
         if on_level is not None:
-            on_level(mesh, mixed, u_tilde, report, record)
+            on_level(pw, mixed, u_tilde, report, record)
         if mode == "uniform":
             # red refinement gives E' = 2E + 3T edges and T' = 4T triangles;
             # never build a mesh the budget would reject

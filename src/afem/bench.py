@@ -13,7 +13,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import quadrature
-from .errors import ConfigError, InsufficientLevels, NoExactSolution
+from .errors import AfemError, ConfigError, InsufficientLevels, NoExactSolution
 
 SINGULAR_QUAD_DEPTH = 3
 
@@ -280,7 +280,7 @@ def run_experiment(config, echo=print):
     if config.mesh_path:
         try:
             start_mesh = read_mesh_file(config.mesh_path)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, OverflowError, AfemError) as exc:
             raise ConfigError(
                 f"cannot read mesh file {config.mesh_path!r}: {exc}"
             ) from None
@@ -385,18 +385,16 @@ def _system_dumper(out_dir, instance):
     import os
 
     from .assembly import assemble_mixed_direct, assemble_modified_ncfem
-    from .problem import project_p0
 
     sysdir = os.path.join(out_dir, "systems")
     os.makedirs(sysdir, exist_ok=True)
 
-    def dump(mesh, mixed, u_tilde, report, record):
-        pw = project_p0(instance.field, mesh)
+    def dump(pw, mixed, u_tilde, report, record):
         u_d = instance.field.u_dirichlet
-        assemble_modified_ncfem(mesh, pw, u_dirichlet=u_d).dump_triplets(
+        assemble_modified_ncfem(pw.mesh, pw, u_dirichlet=u_d).dump_triplets(
             os.path.join(sysdir, f"level{record.level}_modified_nc.txt")
         )
-        assemble_mixed_direct(mesh, pw, u_dirichlet=u_d).dump_triplets(
+        assemble_mixed_direct(pw.mesh, pw, u_dirichlet=u_d).dump_triplets(
             os.path.join(sysdir, f"level{record.level}_mixed.txt")
         )
 

@@ -63,17 +63,14 @@ class Triangulation:
         normal on that edge coincides with the canonical nu_E
     edge_tris : (E, 2) int array, [T_plus, T_minus] with -1 when absent;
         T_plus is the triangle whose outward normal is nu_E
-    boundary_edges : (K,) int array of edge indices
-    edge_tags : (E,) int array, boundary tag or -1 for interior edges
+    boundary_edges : (K,) int array, the edges with one triangle (u = u_D)
     green_flag : (T,) int array, 0 plain, 1 green child, 2 blue child
     rgb : refinement state of :func:`afem.refine.rgb_refine`, or None
     area, h_t, centroid : per-triangle geometry
     edge_length, edge_mid, edge_normal : per-edge geometry
     """
 
-    def __init__(
-        self, vertices, triangles, boundary_spec=None, green_flag=None, rgb=None
-    ):
+    def __init__(self, vertices, triangles, green_flag=None, rgb=None):
         # own copies: every array is frozen at the end of construction
         self.vertices = np.array(vertices, dtype=float, order="C")
         self.triangles = np.array(triangles, dtype=np.int64, order="C")
@@ -109,8 +106,7 @@ class Triangulation:
         # +1 iff the triangle traverses the edge from higher to lower index
         self.triangle_edge_signs = np.where(start > end, 1, -1).astype(np.int64)
 
-        ne = len(self.edges)
-        self.edge_tris = np.full((ne, 2), -1, dtype=np.int64)
+        self.edge_tris = np.full((len(self.edges), 2), -1, dtype=np.int64)
         tri_ids = np.repeat(np.arange(len(t)), 3)
         side = np.where(self.triangle_edge_signs.ravel() > 0, 0, 1)
         self.edge_tris[inverse, side] = tri_ids
@@ -127,10 +123,6 @@ class Triangulation:
             )
 
         self.boundary_edges = np.flatnonzero(counts == 1)
-        self.edge_tags = np.full(ne, -1, dtype=np.int64)
-        self.edge_tags[self.boundary_edges] = 0
-        if boundary_spec is not None and len(boundary_spec):
-            self._apply_tags(np.asarray(boundary_spec, dtype=np.int64))
 
         self.green_flag = (
             np.zeros(len(t), dtype=np.int64)
@@ -153,17 +145,6 @@ class Triangulation:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
-    def _apply_tags(self, spec):
-        """Tag boundary edges from ``(i, j, tag)`` rows."""
-        bnd = self.boundary_edges
-        hit = find_keys(self.edge_keys[bnd], edge_key(spec[:, 0], spec[:, 1]))
-        if np.any(hit < 0):
-            i, j = spec[int(np.argmax(hit < 0)), :2]
-            raise DanglingBoundaryTag(
-                f"tagged edge {_pair(sorted((i, j)))} is not a boundary edge"
-            )
-        self.edge_tags[bnd[hit]] = spec[:, 2]
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -180,7 +161,7 @@ class Triangulation:
 
     @property
     def interior_edges(self):
-        return np.flatnonzero(self.edge_tags < 0)
+        return np.flatnonzero((self.edge_tris >= 0).all(axis=1))
 
     @property
     def ndof_mixed(self):
@@ -222,14 +203,8 @@ def _pair(edge):
     return (int(edge[0]), int(edge[1]))
 
 
-def build_mesh(
-    vertices, triangles, boundary_spec=None, strict=None, green_flag=None, rgb=None
-):
+def build_mesh(vertices, triangles, strict=None, green_flag=None, rgb=None):
     """Assemble and validate a :class:`Triangulation`.
-
-    boundary_spec, when given, lists ``(i, j, tag)`` for boundary edges;
-    untagged boundary edges default to tag 0. Entries that do not match an
-    actual boundary edge raise :class:`DanglingBoundaryTag`.
 
     strict toggles the O(V*E) vertex-on-edge overlap scan; by default it
     runs for meshes up to a few thousand triangles and whenever the mesh
@@ -242,12 +217,14 @@ def build_mesh(
     nv = len(np.asarray(vertices))
     if nv >= 1 << (_KEY_BITS - 1):
         raise ValueError(f"{nv} vertices exceed the edge-key range")
-    if tri_arr.size and (tri_arr.min() < 0 or tri_arr.max() >= nv):
+    if not tri_arr.size:
+        raise ValueError("a mesh needs at least one triangle")
+    if tri_arr.min() < 0 or tri_arr.max() >= nv:
         bad = tri_arr[(tri_arr < 0) | (tri_arr >= nv)][0]
         raise ValueError(
             f"triangle references vertex {int(bad)} but only {nv} vertices given"
         )
-    mesh = Triangulation(vertices, tri_arr, boundary_spec, green_flag, rgb)
+    mesh = Triangulation(vertices, tri_arr, green_flag, rgb)
     if strict is None:
         strict = mesh.num_triangles <= _STRICT_SCAN_LIMIT
     if strict:
@@ -290,7 +267,7 @@ def write_mesh_file(mesh, path):
 
     Header ``vertices N / triangles M / boundary K`` followed by N vertex
     lines ``x y``, M triangle lines ``i j k`` and K boundary lines
-    ``i j tag`` (0-based indices, ``#`` comments).
+    ``i j tag`` (0-based indices, tag 0, ``#`` comments).
     """
     lines = [
         f"vertices {mesh.num_vertices} / triangles {mesh.num_triangles}"
@@ -300,15 +277,18 @@ def write_mesh_file(mesh, path):
         lines.append(f"{float(x)!r} {float(y)!r}")
     for i, j, k in mesh.triangles:
         lines.append(f"{i} {j} {k}")
-    for e in mesh.boundary_edges:
-        i, j = mesh.edges[e]
-        lines.append(f"{i} {j} {int(mesh.edge_tags[e])}")
+    for i, j in mesh.edges[mesh.boundary_edges]:
+        lines.append(f"{i} {j} 0")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_mesh_file(path_or_file):
-    """Read the plain-text mesh format written by :func:`write_mesh_file`."""
+    """Read the plain-text mesh format written by :func:`write_mesh_file`.
+
+    Boundary lines must name boundary edges, in either orientation, or
+    :class:`DanglingBoundaryTag` is raised; their tags are dropped.
+    """
     if hasattr(path_or_file, "read"):
         text = path_or_file.read()
     else:
@@ -343,4 +323,11 @@ def read_mesh_file(path_or_file):
     tris = np.array(data[ofs : ofs + 3 * nt], dtype=int).reshape(nt, 3)
     ofs += 3 * nt
     bnd = np.array(data[ofs:], dtype=int).reshape(nb, 3)
-    return build_mesh(verts, tris, [tuple(row) for row in bnd])
+    mesh = build_mesh(verts, tris)
+    keys = edge_key(bnd[:, 0], bnd[:, 1])
+    dangling = find_keys(mesh.edge_keys[mesh.boundary_edges], keys) < 0
+    dangling |= (bnd[:, :2] >= nv).any(axis=1)  # would alias another key
+    if dangling.any():
+        i, j = bnd[np.argmax(dangling), :2]
+        raise DanglingBoundaryTag(f"tagged edge ({i}, {j}) is not a boundary edge")
+    return mesh

@@ -25,9 +25,8 @@ from .mesh import build_mesh, edge_key, find_keys, key_vertices
 
 def uniform_red_refine(mesh):
     """Split every triangle into four similar children via edge midpoints."""
-    nv = mesh.num_vertices
     new_vertices = np.vstack([mesh.vertices, mesh.edge_mid])
-    mid = nv + mesh.triangle_edges  # (T, 3) midpoint of edge opposite vertex k
+    mid = mesh.num_vertices + mesh.triangle_edges  # (T, 3) midpoint opposite vertex k
     t = mesh.triangles
     children = np.concatenate(
         [
@@ -37,19 +36,7 @@ def uniform_red_refine(mesh):
             np.stack([mid[:, 0], mid[:, 1], mid[:, 2]], axis=1),
         ]
     )
-    bnd = mesh.boundary_edges
-    spec = _split_boundary(mesh.edges[bnd], nv + bnd, mesh.edge_tags[bnd])
-    return build_mesh(new_vertices, children, spec, strict=False)
-
-
-def _split_boundary(edges, mids, tags):
-    """Boundary spec rows (a, m, tag), (m, b, tag) for each split edge (a, b)."""
-    a, b = edges[:, 0], edges[:, 1]
-    halves = np.stack(
-        [np.stack([a, mids, tags], axis=1), np.stack([mids, b, tags], axis=1)],
-        axis=1,
-    )
-    return halves.reshape(-1, 3)
+    return build_mesh(new_vertices, children, strict=False)
 
 
 def _local_edge_keys(tris):
@@ -198,20 +185,6 @@ def rgb_refine(mesh, marked):
         counts, (plain, [new_skeleton[plain]]), (gr, green), (bl, blue)
     )
 
-    # a boundary edge lies in one skeleton triangle, so it is split only when
-    # that triangle turns red, which removes it: edges with a midpoint are
-    # halved, all others carry over
-    bnd = mesh.boundary_edges
-    bpos = find_keys(mid_keys, mesh.edge_keys[bnd])
-    halved = bpos >= 0
-    tags = mesh.edge_tags[bnd]
-    edges = mesh.edges[bnd]
-    spec = np.concatenate(
-        [
-            np.column_stack([edges[~halved], tags[~halved]]),
-            _split_boundary(edges[halved], mid_vals[bpos[halved]], tags[halved]),
-        ]
-    )
     state = _RgbState(
         new_skeleton,
         new_split,
@@ -221,7 +194,6 @@ def rgb_refine(mesh, marked):
     return build_mesh(
         coords,
         published,
-        spec,
         strict=False,
         green_flag=np.repeat(n, counts),
         rgb=state,

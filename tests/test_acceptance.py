@@ -81,12 +81,11 @@ def run_with_diagnostics(instance, mode, theta, max_ndof):
     div_resid = []
     mesh_digests = []
 
-    def spy(mesh, mixed, u_tilde, est_report, record):
-        pw = project_p0(instance.field, mesh)
+    def spy(pw, mixed, u_tilde, est_report, record):
         target = pw.f_h - pw.gamma_h * mixed.u
         scale = max(1.0, float(np.abs(target).max()))
         div_resid.append(float(np.abs(mixed.div() - target).max()) / scale)
-        mesh_digests.append(mesh_digest(mesh))
+        mesh_digests.append(mesh_digest(pw.mesh))
 
     start = time.perf_counter()
     history = adaptive_loop(

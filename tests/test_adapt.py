@@ -328,8 +328,8 @@ def test_adaptive_crack_grades_toward_tip():
     inst = benchmark("crack")
     meshes = []
 
-    def spy(mesh, *args):
-        meshes.append(mesh)
+    def spy(pw, *args):
+        meshes.append(pw.mesh)
 
     hist = adaptive_loop(inst, theta=0.5, max_ndof=8000, mode="adaptive", on_level=spy)
     ndofs = [r.ndof for r in hist.records]

@@ -211,8 +211,21 @@ def test_missing_mesh_file_is_config_error(tmp_path, capsys):
     [
         "vertices 3 / triangles 1 / boundary 0\n0 0\n1 0\n0 1\n0 1 5\n",
         "vertices 3 / triangles 1 / boundary\n",
+        "vertices 1 / triangles 0 / boundary 0\n0 0\n",
+        "vertices 4 / triangles 2 / boundary 1\n"
+        "0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n0 2 0\n",
+        "vertices 3 / triangles 1 / boundary 0\n0 0\n1 0\n0 1\n0 2 1\n",
+        "vertices 3 / triangles 1 / boundary 0\n0 0\n1 0\n0 1\n"
+        "0 1 99999999999999999999\n",
     ],
-    ids=["index_out_of_range", "header_cut_short"],
+    ids=[
+        "index_out_of_range",
+        "header_cut_short",
+        "no_triangles",
+        "interior_boundary_line",
+        "clockwise_triangle",
+        "index_overflow",
+    ],
 )
 def test_malformed_mesh_file_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "bad.mesh"
@@ -223,6 +236,17 @@ def test_malformed_mesh_file_is_config_error(tmp_path, capsys, text):
     assert code == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and str(path) in err
+
+
+@pytest.mark.parametrize("problem", ["lshape", "eigen_sweep"])
+def test_budget_below_start_mesh_is_config_error(tmp_path, capsys, problem):
+    code = main(
+        ["run", "--problem", problem, "--max-ndof", "10", "--out", str(tmp_path)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "68" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_config_dump_systems_takes_only_switch_words(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -92,17 +94,25 @@ def test_overlapping_triangles_rejected():
         build_mesh(verts, tris, strict=False)
 
 
-def test_dangling_boundary_tag():
-    with pytest.raises(DanglingBoundaryTag):
-        build_mesh(*SQUARE, boundary_spec=[(0, 2, 7)])  # diagonal is interior
+def _square_file(tmp_path, boundary_lines):
+    verts, tris = SQUARE
+    lines = [f"vertices 4 / triangles 2 / boundary {len(boundary_lines)}"]
+    lines += [f"{x} {y}" for x, y in verts]
+    lines += [f"{i} {j} {k}" for i, j, k in tris]
+    path = tmp_path / "square.mesh"
+    path.write_text("\n".join(lines + boundary_lines) + "\n")
+    return path
 
 
-def test_boundary_tags_applied():
-    mesh = build_mesh(*SQUARE, boundary_spec=[(0, 1, 3)])
-    bottom = [
-        e for e in mesh.boundary_edges if set(mesh.edges[e]) == {0, 1}
-    ]
-    assert mesh.edge_tags[bottom[0]] == 3
+def test_dangling_boundary_tag(tmp_path):
+    # every boundary edge, reversed and shuffled, with arbitrary tags
+    path = _square_file(tmp_path, ["0 3 4", "2 1 0", "3 2 9", "1 0 -2"])
+    mesh = read_mesh_file(path)
+    assert mesh.edges[mesh.interior_edges].tolist() == [[0, 2]]
+    # the diagonal is interior; (1, 2**32 + 2) has the edge key of (1, 2)
+    for line in ["0 2 7", "1 4294967298 0"]:
+        with pytest.raises(DanglingBoundaryTag, match="is not a boundary edge"):
+            read_mesh_file(_square_file(tmp_path, ["0 1 0", line]))
 
 
 def test_h_t_is_longest_edge():
@@ -226,14 +236,19 @@ def test_crack_mesh_slit_is_duplicated():
 
 def test_mesh_file_roundtrip(tmp_path):
     mesh = crack_start_mesh()
+    for _ in range(4):  # grade toward the slit tip at the origin
+        nearest = np.argsort(np.hypot(*mesh.centroid.T), kind="stable")
+        mesh = rgb_refine(mesh, nearest[: mesh.num_triangles // 5])
     path = tmp_path / "crack.mesh"
     write_mesh_file(mesh, path)
     back = read_mesh_file(path)
     assert np.array_equal(back.triangles, mesh.triangles)
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(
-        back.edge_tags[back.boundary_edges], mesh.edge_tags[mesh.boundary_edges]
+        back.edges[back.boundary_edges], mesh.edges[mesh.boundary_edges]
     )
+    digest = hashlib.sha1(path.read_bytes()).hexdigest()
+    assert digest == "8d8b66e874e6109dba24ed0931d8ac6e2216738c"
 
 
 def test_mesh_file_comments_and_slashes(tmp_path):
@@ -258,28 +273,21 @@ def test_negative_vertex_index_reported():
         build_mesh(REF[0], np.array([[0, 1, -1]]))
 
 
-def _reference_edge_table(triangles, spec):
-    """Edge table through np.unique over (min, max) row pairs and dicts."""
+def _reference_edge_table(triangles):
+    """Edge table through np.unique over (min, max) row pairs."""
     t = np.asarray(triangles)
     raw = np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1)
     pairs = np.sort(raw, axis=2).reshape(-1, 2)
-    edges, inverse, counts = np.unique(
-        pairs, axis=0, return_inverse=True, return_counts=True
-    )
+    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
     signs = np.where(raw[:, :, 0] > raw[:, :, 1], 1, -1)
     edge_tris = np.full((len(edges), 2), -1)
     for row, (e, s) in enumerate(zip(inverse.ravel(), signs.ravel())):
         edge_tris[e, 0 if s > 0 else 1] = row // 3
-    tags = np.where(counts == 1, 0, -1)
-    index = {tuple(e): i for i, e in enumerate(edges.tolist())}
-    for i, j, tag in spec:
-        tags[index[(min(i, j), max(i, j))]] = tag
     return {
         "edges": edges,
         "triangle_edges": inverse.reshape(-1, 3),
         "triangle_edge_signs": signs,
         "edge_tris": edge_tris,
-        "edge_tags": tags,
     }
 
 
@@ -297,18 +305,9 @@ def _rgb_mesh_with_green_and_blue():
 )
 def test_edge_table_matches_unique_pairs_reference(make):
     source = make()
-    # tag every boundary edge distinctly, listed reversed and shuffled
-    rng = np.random.default_rng(5)
-    bnd = rng.permutation(source.boundary_edges)
-    spec = [
-        (int(source.edges[e, 1]), int(source.edges[e, 0]), 10 + k)
-        for k, e in enumerate(bnd)
-    ]
-    for given in ([], spec):
-        mesh = build_mesh(source.vertices, source.triangles, given)
-        ref = _reference_edge_table(source.triangles, given)
-        for name, expected in ref.items():
-            assert np.array_equal(getattr(mesh, name), expected), name
+    mesh = build_mesh(source.vertices, source.triangles)
+    for name, expected in _reference_edge_table(source.triangles).items():
+        assert np.array_equal(getattr(mesh, name), expected), name
 
 
 def test_mesh_is_read_only():
