@@ -13,16 +13,20 @@ Conventions
 A Triangulation is immutable after construction: everything it carries,
 including the green/blue flags and the red-green-blue refinement state
 that :mod:`afem.refine` keeps behind an adaptively refined mesh, is passed
-to the constructor, and refinement always returns a new mesh.
+to the constructor or, like the edge order, derived from it once, and
+refinement always returns a new mesh.
 
 An undirected edge (a, b) is identified by one int64 key,
 ``min(a, b) << 32 | max(a, b)`` (:func:`edge_key`); sorting the keys sorts
 the edges lexicographically by (min, max).
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DanglingBoundaryTag, HangingNode, NonPositiveArea
+from .ordering import nested_dissection
 
 _STRICT_SCAN_LIMIT = 2000  # O(V*E) overlap scan only for small meshes
 _KEY_BITS = 32  # vertex indices must stay below 2**31 for int64 keys
@@ -68,6 +72,7 @@ class Triangulation:
     rgb : refinement state of :func:`afem.refine.rgb_refine`, or None
     area, h_t, centroid : per-triangle geometry
     edge_length, edge_mid, edge_normal : per-edge geometry
+    edge_order : (E,) int array, :func:`afem.ordering.nested_dissection`
     """
 
     def __init__(self, vertices, triangles, green_flag=None, rgb=None):
@@ -163,6 +168,14 @@ class Triangulation:
     def interior_edges(self):
         return np.flatnonzero((self.edge_tris >= 0).all(axis=1))
 
+    @cached_property
+    def edge_order(self):
+        """Nested-dissection order of the edges, computed on first use; both
+        sparse factorizations of a level share it."""
+        order = nested_dissection(self)
+        order.flags.writeable = False
+        return order
+
     @property
     def ndof_mixed(self):
         """Unknowns of the mixed system: all edge fluxes plus all triangles."""
@@ -215,6 +228,8 @@ def build_mesh(vertices, triangles, strict=None, green_flag=None, rgb=None):
     """
     tri_arr = np.asarray(triangles, dtype=np.int64)
     nv = len(np.asarray(vertices))
+    if not np.isfinite(vertices).all():
+        raise ValueError("vertex coordinates must be finite numbers")
     if nv >= 1 << (_KEY_BITS - 1):
         raise ValueError(f"{nv} vertices exceed the edge-key range")
     if not tri_arr.size:

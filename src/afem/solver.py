@@ -5,7 +5,9 @@ system, forms the scalar part from the S_T-weighted average of the element
 means and lifts the broken gradient to a conforming flux; the direct route
 factors the saddle-point system. Their agreement to solver precision is
 the package's strongest correctness oracle and is asserted on every level
-of every benchmark run.
+of every benchmark run. Systems of ``ORDERED_MIN_UNKNOWNS`` or more
+unknowns are factored in the mesh's nested-dissection order
+(:mod:`afem.ordering`).
 """
 
 from dataclasses import dataclass
@@ -25,11 +27,15 @@ from .assembly import (
     s_mean,
 )
 from .errors import MeshMismatch, SingularMatrix
+from .ordering import restrict, saddle_order
 from .quadrature import affine_sq_l2
 
 
 RESIDUAL_TOL = 1e-10  # relative residual contract of solve_sparse
 PIVOT_FLOOR = 1e-14   # pivot / max-pivot ratio treated as singular
+# systems with fewer unknowns factor as fast with COLAMD alone as with the
+# mesh's ordering plus the factorization
+ORDERED_MIN_UNKNOWNS = 32768
 
 
 @dataclass
@@ -40,8 +46,15 @@ class LinearSolveReport:
     max_pivot: float
 
 
-def solve_sparse(system):
-    """Direct sparse LU solve with partial pivoting and residual check."""
+def solve_sparse(system, order=None):
+    """Direct sparse LU solve with a pivot floor and a residual check.
+
+    Without ``order``, SuperLU orders the columns by COLAMD and pivots
+    partially. ``order``, a fill-reducing permutation of the unknowns, has
+    ``A[order][:, order]`` factored in that order on its diagonal (static
+    pivots); should a diagonal pivot vanish, or the pivot floor or the
+    residual check trip, the matrix is factored once more the first way.
+    """
     n = len(system.rhs)
     if n == 0:
         return LinearSolveReport(
@@ -51,10 +64,38 @@ def solve_sparse(system):
             max_pivot=np.inf,
         )
     matrix = system.matrix.tocsc()
+    if order is not None:
+        try:
+            y, *stats = _lu_solve(
+                matrix[order][:, order], system.rhs[order], static=True
+            )
+        except SingularMatrix:
+            pass  # a leading block is (nearly) singular; pivot partially
+        else:
+            x = np.empty(n)
+            x[order] = y
+            return LinearSolveReport(system.full_solution(x), *stats)
+    x, *stats = _lu_solve(matrix, system.rhs)
+    return LinearSolveReport(system.full_solution(x), *stats)
+
+
+def _lu_solve(matrix, rhs, static=False):
+    """``(x, residual, min_pivot, max_pivot)``: factor, check the pivots,
+    solve, and refine once if the residual is large.
+
+    ``static`` factors the columns in their given order with diagonal
+    pivots. SuperLU takes any nonzero diagonal then, but swaps rows where a
+    diagonal is exactly zero, that is, where a leading block is singular.
+    """
     try:
-        lu = spla.splu(matrix)
+        if static:
+            lu = spla.splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        else:
+            lu = spla.splu(matrix)
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularMatrix(str(exc)) from None
+    if static and np.any(lu.perm_r != lu.perm_c):
+        raise SingularMatrix("zero diagonal pivot: a leading block is singular")
     pivots = np.abs(lu.U.diagonal())
     max_pivot, min_pivot = float(pivots.max()), float(pivots.min())
     if max_pivot == 0.0 or min_pivot < PIVOT_FLOOR * max_pivot:
@@ -62,25 +103,26 @@ def solve_sparse(system):
             f"pivot ratio {min_pivot:.3e} / {max_pivot:.3e} below floor;"
             " reaction coefficient near a discrete eigenvalue or mesh too coarse"
         )
-    x = lu.solve(system.rhs)
+    x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("factorization produced non-finite values")
-    scale = max(float(np.linalg.norm(system.rhs)), 1e-300)
-    residual = float(np.linalg.norm(matrix @ x - system.rhs)) / scale
+    scale = max(float(np.linalg.norm(rhs)), 1e-300)
+    residual = float(np.linalg.norm(matrix @ x - rhs)) / scale
     if residual > RESIDUAL_TOL:
         # one step of iterative refinement before declaring breakdown
-        x = x + lu.solve(system.rhs - matrix @ x)
-        residual = float(np.linalg.norm(matrix @ x - system.rhs)) / scale
+        x = x + lu.solve(rhs - matrix @ x)
+        residual = float(np.linalg.norm(matrix @ x - rhs)) / scale
     if residual > RESIDUAL_TOL or not np.all(np.isfinite(x)):
         raise SingularMatrix(
             f"relative residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
-    return LinearSolveReport(
-        solution=system.full_solution(x),
-        residual=residual,
-        min_pivot=min_pivot,
-        max_pivot=max_pivot,
-    )
+    return x, residual, min_pivot, max_pivot
+
+
+def _fill_order(system, make_order):
+    """``make_order()`` for systems of ``ORDERED_MIN_UNKNOWNS`` or more
+    unknowns, None (COLAMD) for smaller ones."""
+    return make_order() if len(system.rhs) >= ORDERED_MIN_UNKNOWNS else None
 
 
 def solve_ncfem(mesh, field):
@@ -123,14 +165,15 @@ def solve_mixed_via_equivalence(mesh, pw, u_dirichlet=None):
 
         u_dirichlet = constant_scalar(0.0)
     system = assemble_modified_ncfem(mesh, pw, u_dirichlet=u_dirichlet)
-    u_tilde = CRSolution(mesh=mesh, edge_values=solve_sparse(system).solution)
+    order = _fill_order(system, lambda: restrict(mesh.edge_order, system.free))
+    u_tilde = CRSolution(mesh=mesh, edge_values=solve_sparse(system, order).solution)
     return reconstruct_mixed(pw, u_tilde), u_tilde
 
 
 def solve_mixed_direct(mesh, pw, u_dirichlet=None):
     """Mixed solution from the direct saddle-point factorization."""
     system = assemble_mixed_direct(mesh, pw, u_dirichlet=u_dirichlet)
-    report = solve_sparse(system)
+    report = solve_sparse(system, _fill_order(system, lambda: saddle_order(mesh)))
     ne = mesh.num_edges
     return mixed_from_edge_flux(mesh, report.solution[:ne], report.solution[ne:])
 

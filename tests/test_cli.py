@@ -217,6 +217,8 @@ def test_missing_mesh_file_is_config_error(tmp_path, capsys):
         "vertices 3 / triangles 1 / boundary 0\n0 0\n1 0\n0 1\n0 2 1\n",
         "vertices 3 / triangles 1 / boundary 0\n0 0\n1 0\n0 1\n"
         "0 1 99999999999999999999\n",
+        "vertices 3 / triangles 1 / boundary 0\nnan 1\n1 0\n0 1\n0 1 2\n",
+        "vertices 3 / triangles 1 / boundary 0\ninf 0\n1 0\n0 1\n0 1 2\n",
     ],
     ids=[
         "index_out_of_range",
@@ -225,6 +227,8 @@ def test_missing_mesh_file_is_config_error(tmp_path, capsys):
         "interior_boundary_line",
         "clockwise_triangle",
         "index_overflow",
+        "nan_vertex",
+        "inf_vertex",
     ],
 )
 def test_malformed_mesh_file_is_config_error(tmp_path, capsys, text):

@@ -1,0 +1,152 @@
+"""The mesh's fill-reducing orders and the statically pivoted factorization."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
+
+from afem import solver
+from afem.assembly import assemble_mixed_direct, assemble_modified_ncfem
+from afem.ordering import restrict, saddle_order
+from afem.problem import benchmark, crack_start_mesh, lshape_start_mesh, project_p0
+from afem.refine import uniform_red_refine
+
+from test_mesh import _rgb_mesh_with_green_and_blue
+
+
+def _lshape_twice_refined():
+    return uniform_red_refine(uniform_red_refine(lshape_start_mesh()))
+
+
+def _unlinked_patches(mesh, tri_done, edge_done):
+    """Patches of eliminated triangles, connected through eliminated edges,
+    that have no eliminated edge to the boundary or to a live triangle."""
+    nt = mesh.num_triangles
+    et = mesh.edge_tris
+    side_done = np.where(et >= 0, tri_done[np.maximum(et, 0)], False)
+    link = edge_done & side_done.all(axis=1)
+    graph = sp.coo_matrix((np.ones(link.sum()), (et[link, 0], et[link, 1])), (nt, nt))
+    _, patch = connected_components(graph, directed=False)
+    outlet = edge_done & (side_done.sum(axis=1) == 1)
+    inside = np.where(side_done[outlet, 0], et[outlet, 0], et[outlet, 1])
+    outlets = np.bincount(patch[inside], minlength=nt)
+    return set(patch[tri_done & (outlets[patch] == 0)].tolist())
+
+
+@pytest.mark.parametrize(
+    "make", [_lshape_twice_refined, crack_start_mesh, _rgb_mesh_with_green_and_blue]
+)
+def test_saddle_order_keeps_every_patch_linked(make):
+    mesh = make()
+    ne, nt = mesh.num_edges, mesh.num_triangles
+    order = saddle_order(mesh)
+    assert np.array_equal(np.sort(order), np.arange(ne + nt))
+    assert np.array_equal(order[order < ne], mesh.edge_order)
+    position = np.empty(ne + nt, dtype=np.int64)
+    position[order] = np.arange(ne + nt)
+    # each triangle follows at least one of its edges
+    first_edge = position[mesh.triangle_edges].min(axis=1)
+    assert np.all(position[ne:] > first_edge)
+    # edges only add outlets or join linked patches, so checking after each
+    # triangle checks every prefix
+    for i in np.flatnonzero(order >= ne):
+        done = position <= i
+        assert not _unlinked_patches(mesh, done[ne:], done[:ne]), i
+
+
+def _spy_splu(monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def spy(matrix, **options):
+        calls.append((matrix.shape[0], options))
+        return splu(matrix, **options)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return calls
+
+
+def test_routes_factor_in_the_mesh_orders(monkeypatch):
+    mesh = _lshape_twice_refined()
+    inst = benchmark("lshape")
+    pw = project_p0(inst.field, mesh)
+    orders = []
+    solve_sparse = solver.solve_sparse
+
+    def capture(system, order=None):
+        orders.append((system, order))
+        return solve_sparse(system, order)
+
+    monkeypatch.setattr(solver, "ORDERED_MIN_UNKNOWNS", 0)
+    monkeypatch.setattr(solver, "solve_sparse", capture)
+    mixed, _ = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet)
+    direct = solver.solve_mixed_direct(mesh, pw, inst.field.u_dirichlet)
+    (recon, recon_order), (_, direct_order) = orders
+
+    edge_order = mesh.edge_order
+    assert np.array_equal(np.sort(edge_order), np.arange(mesh.num_edges))
+    assert np.array_equal(np.sort(recon_order), np.arange(len(recon.free)))
+    kept = edge_order[np.isin(edge_order, recon.free)]
+    assert np.array_equal(recon.free[recon_order], kept)
+    assert np.array_equal(direct_order, saddle_order(mesh))
+    assert max(solver.equivalence_residual(direct, mixed)) < 1e-10
+
+
+def _crack_saddle_system(levels):
+    inst = benchmark("crack")
+    mesh = crack_start_mesh()
+    for _ in range(levels):
+        mesh = uniform_red_refine(mesh)
+    pw = project_p0(inst.field, mesh)
+    assert not pw.gamma_h.any()  # zero reaction block
+    return mesh, assemble_mixed_direct(mesh, pw, inst.field.u_dirichlet)
+
+
+def test_static_pivots_on_crack_match_colamd(monkeypatch):
+    mesh, system = _crack_saddle_system(3)
+    expected = solver.solve_sparse(system).solution
+    calls = _spy_splu(monkeypatch)
+    report = solver.solve_sparse(system, saddle_order(mesh))
+    assert calls == [(len(system.rhs), {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0})]
+    assert report.min_pivot > solver.PIVOT_FLOOR * report.max_pivot
+    err = np.linalg.norm(report.solution - expected)
+    assert err <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_singular_leading_block_falls_back_to_colamd(monkeypatch):
+    # triangles first: with a zero reaction block the first pivot is zero
+    mesh, system = _crack_saddle_system(1)
+    ne, nt = mesh.num_edges, mesh.num_triangles
+    expected = solver.solve_sparse(system).solution
+    calls = _spy_splu(monkeypatch)
+    order = np.r_[np.arange(ne, ne + nt), np.arange(ne)]
+    report = solver.solve_sparse(system, order)
+    assert [options for _, options in calls] == [
+        {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0},
+        {},
+    ]
+    assert np.array_equal(report.solution, expected)
+
+
+def test_mesh_orders_need_less_fill_than_colamd():
+    # George's nested dissection bounds the fill of a regular mesh by
+    # O(n log n); on 15,488 L-shape dofs both orders beat COLAMD
+    mesh = lshape_start_mesh()
+    for _ in range(4):
+        mesh = uniform_red_refine(mesh)
+    inst = benchmark("lshape")
+    pw = project_p0(inst.field, mesh)
+    direct = assemble_mixed_direct(mesh, pw, inst.field.u_dirichlet)
+    recon = assemble_modified_ncfem(mesh, pw, inst.field.u_dirichlet)
+    for system, order in (
+        (direct, saddle_order(mesh)),
+        (recon, restrict(mesh.edge_order, recon.free)),
+    ):
+        matrix = system.matrix.tocsc()
+        colamd = spla.splu(matrix)
+        ordered = spla.splu(
+            matrix[order][:, order], permc_spec="NATURAL", diag_pivot_thresh=0.0
+        )
+        fill = ordered.L.nnz + ordered.U.nnz
+        assert fill < 0.95 * (colamd.L.nnz + colamd.U.nnz)

@@ -6,8 +6,9 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg as spla
 
-from afem import adapt, bench
+from afem import adapt, bench, solver
 from afem import problem as afem_problem
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -59,3 +60,40 @@ def test_level_clock_sees_one_projection_per_level(
     (history,) = bench.run_experiment(config, echo=lambda *_: None).histories.values()
     assert len(history.records) >= 3
     assert seen == history.ndofs
+
+
+def test_every_level_factors_twice_in_order_above_cutoff(tmp_path, monkeypatch):
+    # two splu calls per level, the mesh's order (NATURAL column order) for
+    # systems at or above the cutoff only, and the benchmark's tracer sees
+    # every factorization and its fill
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    calls = []
+    splu = spla.splu
+
+    def spy(matrix, **options):
+        calls.append((matrix.shape[0], options.get("permc_spec")))
+        return splu(matrix, **options)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    config = bench.ExperimentConfig(
+        problem="lshape", mode="uniform", max_ndof=62000, out=str(tmp_path)
+    )
+    tracer = spans.Tracer("test")
+    tracer.install()
+    try:
+        result = bench.run_experiment(config, echo=lambda *_: None)
+    finally:
+        tracer.uninstall()
+    (history,) = result.histories.values()
+    levels = len(history.records)
+    assert history.ndofs[-1] == 61696
+    assert len(calls) == 2 * levels
+    ordered = [permc == "NATURAL" for _, permc in calls]
+    assert ordered == [n >= solver.ORDERED_MIN_UNKNOWNS for n, _ in calls]
+    assert any(ordered)
+    metrics = tracer.metrics()
+    assert metrics["solver.factorizations"] == 2 * levels
+    assert metrics["solver.nnz_lu_direct"] > 0
+    assert metrics["solver.nnz_lu_recon"] > 0
