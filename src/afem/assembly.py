@@ -83,13 +83,12 @@ class CRSolution:
 
 @dataclass
 class MixedSolution:
-    """Per-triangle affine flux c + d*x, scalar P0 part, and edge fluxes."""
+    """Per-triangle affine flux c + d*x and scalar P0 part."""
 
     mesh: object
     flux_const: np.ndarray  # (T, 2)
     flux_slope: np.ndarray  # (T,)
     u: np.ndarray           # (T,)
-    edge_flux: np.ndarray   # (E,) normal flux w.r.t. the canonical normal
 
     def flux_at(self, points):
         """Evaluate the flux at per-triangle points of shape (T, Q, 2)."""
@@ -110,19 +109,7 @@ def mixed_from_edge_flux(mesh, edge_flux, u):
     coef = edge_flux[mesh.triangle_edges] * s
     slope = coef.sum(axis=1)
     const = -np.einsum("tk,tkd->td", coef, mesh.triangle_vertices())
-    return MixedSolution(
-        mesh=mesh, flux_const=const, flux_slope=slope, u=u, edge_flux=edge_flux
-    )
-
-
-def edge_flux_of(mesh, flux_const, flux_slope):
-    """Normal flux on each edge w.r.t. nu_E, taken from the T_plus side
-    (falls back to T_minus on boundary edges oriented the other way)."""
-    t_of_edge = np.where(
-        mesh.edge_tris[:, 0] >= 0, mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
-    )
-    val = flux_const[t_of_edge] + flux_slope[t_of_edge, None] * mesh.edge_mid
-    return np.einsum("ed,ed->e", val, mesh.edge_normal)
+    return MixedSolution(mesh=mesh, flux_const=const, flux_slope=slope, u=u)
 
 
 def _coerce_pw(mesh, pw_or_field):

@@ -75,29 +75,6 @@ class ConvergenceHistory:
             lines.append(f"# aborted: {self.failure}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != CSV_HEADER:
-            raise ValueError("unrecognized convergence CSV header")
-        hist = cls()
-        for ln in lines[1:]:
-            if ln.startswith("#"):
-                hist.failure = ln.lstrip("# ").removeprefix("aborted: ")
-                continue
-            cells = ln.split(",")
-            vals = [_parse(c) for c in cells[2:]]
-            hist.records.append(
-                LevelRecord(
-                    level=int(cells[0]),
-                    ndof=int(cells[1]),
-                    e_u=vals[0], rate_u=vals[1], e_p=vals[2], rate_p=vals[3],
-                    e_div=vals[4], eta=vals[5], rate_eta=vals[6],
-                    c_rel=vals[7], efficiency=vals[8],
-                )
-            )
-        return hist
-
     def summary_table(self):
         """Aligned text table mirroring the convergence tables."""
         cols = ["N", "e_u", "CR(e_u)", "e_p", "CR(e_p)", "eta", "CR(eta)",
@@ -121,10 +98,6 @@ class ConvergenceHistory:
 
 def _fmt(v):
     return "" if (isinstance(v, float) and math.isnan(v)) else repr(float(v))
-
-
-def _parse(cell):
-    return math.nan if cell == "" else float(cell)
 
 
 def _tab(v):
@@ -205,8 +178,7 @@ def convergence_rate(history):
 
 def sensitivity_event(history):
     """Flag the near-eigenvalue signatures of a reaction sweep run: a
-    singular factorization, an estimator that grows under refinement, or a
-    coarse-level estimator spike."""
+    singular factorization or an estimator that grows under refinement."""
     if history.failure:
         return history.failure
     etas = [r.eta for r in history.records]
@@ -215,8 +187,6 @@ def sensitivity_event(history):
             f"large-error: estimator grew under refinement"
             f" ({etas[0]:.3g} -> {etas[-1]:.3g})"
         )
-    if len(etas) >= 2 and etas[0] >= 5.0 * etas[1]:
-        return f"large-error: coarse-level estimator spike ({etas[0]:.3g} vs {etas[1]:.3g})"
     return None
 
 

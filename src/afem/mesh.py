@@ -21,6 +21,7 @@ An undirected edge (a, b) is identified by one int64 key,
 the edges lexicographically by (min, max).
 """
 
+import itertools
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +29,6 @@ import numpy as np
 from .errors import DanglingBoundaryTag, HangingNode, NonPositiveArea
 from .ordering import nested_dissection
 
-_STRICT_SCAN_LIMIT = 2000  # O(V*E) overlap scan only for small meshes
 _KEY_BITS = 32  # vertex indices must stay below 2**31 for int64 keys
 _KEY_MASK = (1 << _KEY_BITS) - 1
 
@@ -71,7 +71,7 @@ class Triangulation:
     green_flag : (T,) int array, 0 plain, 1 green child, 2 blue child
     rgb : refinement state of :func:`afem.refine.rgb_refine`, or None
     area, h_t, centroid : per-triangle geometry
-    edge_length, edge_mid, edge_normal : per-edge geometry
+    edge_length, edge_mid : per-edge geometry
     edge_order : (E,) int array, :func:`afem.ordering.nested_dissection`
     """
 
@@ -141,9 +141,6 @@ class Triangulation:
         ev = v[self.edges[:, 1]] - v[self.edges[:, 0]]
         self.edge_length = np.hypot(ev[:, 0], ev[:, 1])
         self.edge_mid = 0.5 * (v[self.edges[:, 0]] + v[self.edges[:, 1]])
-        self.edge_normal = (
-            np.stack([-ev[:, 1], ev[:, 0]], axis=1) / self.edge_length[:, None]
-        )
         te = self.edge_length[self.triangle_edges]
         self.h_t = np.maximum(np.maximum(te[:, 0], te[:, 1]), te[:, 2])
         for value in vars(self).values():
@@ -216,12 +213,11 @@ def _pair(edge):
     return (int(edge[0]), int(edge[1]))
 
 
-def build_mesh(vertices, triangles, strict=None, green_flag=None, rgb=None):
+def build_mesh(vertices, triangles, strict=True, green_flag=None, rgb=None):
     """Assemble and validate a :class:`Triangulation`.
 
-    strict toggles the O(V*E) vertex-on-edge overlap scan; by default it
-    runs for meshes up to a few thousand triangles and whenever the mesh
-    carries no duplicated (slit) vertices.
+    strict runs the vertex-on-edge overlap scan; the refinements and the
+    L-shape start mesh, conforming by construction, turn it off.
 
     green_flag and rgb are the refinement state that
     :func:`afem.refine.rgb_refine` hands to the new mesh.
@@ -240,8 +236,6 @@ def build_mesh(vertices, triangles, strict=None, green_flag=None, rgb=None):
             f"triangle references vertex {int(bad)} but only {nv} vertices given"
         )
     mesh = Triangulation(vertices, tri_arr, green_flag, rgb)
-    if strict is None:
-        strict = mesh.num_triangles <= _STRICT_SCAN_LIMIT
     if strict:
         _scan_for_hanging_nodes(mesh)
     return mesh
@@ -250,6 +244,8 @@ def build_mesh(vertices, triangles, strict=None, green_flag=None, rgb=None):
 def _scan_for_hanging_nodes(mesh):
     """Flag vertices lying strictly inside an edge (partial overlap).
 
+    Every vertex is tested against every edge it could lie on: those whose
+    midpoint ball, widened by the collinearity tolerance, contains it.
     Skipped for slit meshes (coordinate-duplicated vertices make a purely
     geometric scan ambiguous); topological checks still apply there.
     """
@@ -257,21 +253,26 @@ def _scan_for_hanging_nodes(mesh):
     rounded = np.round(v, 12)
     if len(np.unique(rounded, axis=0)) < len(v):
         return
-    a = v[mesh.edges[:, 0]]
-    b = v[mesh.edges[:, 1]]
-    ab = b - a  # (E, 2)
-    ll = np.einsum("ij,ij->i", ab, ab)
+    # imported here, so that the start meshes (unscanned or slit) skip it
+    from scipy.spatial import cKDTree
+
     scale = max(float(np.abs(v).max()), 1.0)
-    for k in range(len(v)):
-        ap = v[k] - a
-        t = np.einsum("ij,ij->i", ap, ab) / ll
-        cross = np.abs(ap[:, 0] * ab[:, 1] - ap[:, 1] * ab[:, 0])
-        on_edge = (cross <= 1e-12 * scale**2) & (t > 1e-12) & (t < 1 - 1e-12)
-        if np.any(on_edge):
-            e = int(np.flatnonzero(on_edge)[0])
-            raise HangingNode(
-                f"vertex {k} lies inside edge {tuple(mesh.edges[e])}"
-            )
+    tol = 1e-12 * scale**2
+    # |p - mid E| <= |E|/2 + dist(p, line E) for p projecting inside E;
+    # the relative slack covers the rounding of the tree's distances
+    radius = (0.5 + 1e-9) * mesh.edge_length + tol / mesh.edge_length
+    near = cKDTree(v).query_ball_point(mesh.edge_mid, radius)
+    edge = np.repeat(np.arange(len(near)), [len(hits) for hits in near])
+    vert = np.fromiter(itertools.chain.from_iterable(near), np.int64, len(edge))
+    a = v[mesh.edges[edge, 0]]
+    ab = v[mesh.edges[edge, 1]] - a
+    ap = v[vert] - a
+    t = np.einsum("ij,ij->i", ap, ab) / np.einsum("ij,ij->i", ab, ab)
+    cross = np.abs(ap[:, 0] * ab[:, 1] - ap[:, 1] * ab[:, 0])
+    on_edge = (cross <= tol) & (t > 1e-12) & (t < 1 - 1e-12)
+    if np.any(on_edge):
+        k, e = min(zip(vert[on_edge].tolist(), edge[on_edge].tolist()))
+        raise HangingNode(f"vertex {k} lies inside edge {_pair(mesh.edges[e])}")
 
 
 # -- plain-text mesh files -------------------------------------------------

@@ -163,7 +163,7 @@ def lshape_start_mesh():
             else:
                 tris.append((p00, p10, p01))
                 tris.append((p10, p11, p01))
-    return build_mesh(np.array(verts), np.array(tris))
+    return build_mesh(np.array(verts), np.array(tris), strict=False)
 
 
 def crack_start_mesh():

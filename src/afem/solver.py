@@ -22,7 +22,6 @@ from .assembly import (
     assemble_modified_ncfem,
     assemble_ncfem,
     condensation_factors,
-    edge_flux_of,
     mixed_from_edge_flux,
     s_mean,
 )
@@ -149,28 +148,18 @@ def reconstruct_mixed(pw, u_cr_tilde):
         - u_m[:, None] * pw.b_h
         - slope[:, None] * mesh.centroid
     )
-    return MixedSolution(
-        mesh=mesh,
-        flux_const=const,
-        flux_slope=slope,
-        u=u_m,
-        edge_flux=edge_flux_of(mesh, const, slope),
-    )
+    return MixedSolution(mesh=mesh, flux_const=const, flux_slope=slope, u=u_m)
 
 
-def solve_mixed_via_equivalence(mesh, pw, u_dirichlet=None):
+def solve_mixed_via_equivalence(mesh, pw, u_dirichlet):
     """Mixed solution by reconstruction; returns ``(mixed, u_cr_tilde)``."""
-    if u_dirichlet is None:
-        from .problem import constant_scalar
-
-        u_dirichlet = constant_scalar(0.0)
     system = assemble_modified_ncfem(mesh, pw, u_dirichlet=u_dirichlet)
     order = _fill_order(system, lambda: restrict(mesh.edge_order, system.free))
     u_tilde = CRSolution(mesh=mesh, edge_values=solve_sparse(system, order).solution)
     return reconstruct_mixed(pw, u_tilde), u_tilde
 
 
-def solve_mixed_direct(mesh, pw, u_dirichlet=None):
+def solve_mixed_direct(mesh, pw, u_dirichlet):
     """Mixed solution from the direct saddle-point factorization."""
     system = assemble_mixed_direct(mesh, pw, u_dirichlet=u_dirichlet)
     report = solve_sparse(system, _fill_order(system, lambda: saddle_order(mesh)))

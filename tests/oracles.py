@@ -8,7 +8,9 @@ spectrum it reports is that of the very matrix the package solves, so it
 takes that matrix from the package's mixed assembly and guards the result
 with its own eigen-residual check instead. :func:`normal_jumps` and
 :func:`residual_of_exact` are consistency diagnostics of a mixed solution
-and of the benchmarks' exact data.
+and of the benchmarks' exact data. :func:`vertices_inside_edges` tests every
+vertex against every edge; :func:`red_split_without_closure` builds the
+meshes it is run on.
 """
 
 import numpy as np
@@ -137,10 +139,39 @@ def normal_jumps(mixed):
     tp = mesh.edge_tris[inner, 0]
     tm = mesh.edge_tris[inner, 1]
     mid = mesh.edge_mid[inner]
-    nu = mesh.edge_normal[inner]
+    # canonical direction (min -> max vertex) rotated 90 degrees CCW
+    ev = mesh.vertices[mesh.edges[inner, 1]] - mesh.vertices[mesh.edges[inner, 0]]
+    nu = np.stack([-ev[:, 1], ev[:, 0]], axis=1) / mesh.edge_length[inner, None]
     val_p = mixed.flux_const[tp] + mixed.flux_slope[tp, None] * mid
     val_m = mixed.flux_const[tm] + mixed.flux_slope[tm, None] * mid
     return np.einsum("ed,ed->e", val_p - val_m, nu)
+
+
+def vertices_inside_edges(vertices, edges):
+    """All (vertex, edge) pairs with the vertex strictly inside the edge,
+    sorted; every pair is tested, with the package's tolerances."""
+    v = np.asarray(vertices, dtype=float)
+    a = v[edges[:, 0]][None, :, :]
+    ab = v[edges[:, 1]][None, :, :] - a
+    ap = v[:, None, :] - a  # (V, E, 2)
+    t = (ap * ab).sum(axis=2) / (ab * ab).sum(axis=2)
+    cross = np.abs(ap[..., 0] * ab[..., 1] - ap[..., 1] * ab[..., 0])
+    scale = max(float(np.abs(v).max()), 1.0)
+    hit = (cross <= 1e-12 * scale**2) & (t > 1e-12) & (t < 1 - 1e-12)
+    return sorted(zip(*(idx.tolist() for idx in np.nonzero(hit))))
+
+
+def red_split_without_closure(mesh, t):
+    """(vertices, triangles) of ``mesh`` with triangle ``t`` split into four
+    through its edge midpoints and no neighbour closed: each interior edge
+    of ``t`` leaves a hanging node."""
+    v = mesh.vertices
+    a, b, c = (int(k) for k in mesh.triangles[t])
+    ma, mb, mc = len(v), len(v) + 1, len(v) + 2
+    mids = 0.5 * np.array([v[b] + v[c], v[c] + v[a], v[a] + v[b]])
+    kids = [[a, mc, mb], [mc, b, ma], [mb, ma, c], [ma, mb, mc]]
+    tris = np.concatenate([np.delete(mesh.triangles, t, axis=0), kids])
+    return np.concatenate([v, mids]), tris
 
 
 def residual_of_exact(instance, x, y, h=1e-5):

@@ -410,7 +410,7 @@ def test_criterion_9_property_suites():
     )
     mesh = lshape_start_mesh()
     pw0 = project_p0(zero_field, mesh)
-    mixed0, u0 = solve_mixed_via_equivalence(mesh, pw0)
+    mixed0, u0 = solve_mixed_via_equivalence(mesh, pw0, constant_scalar(0.0))
     if estimate_mixed(mesh, mixed0, u0, zero_field, pw0).eta != 0.0:
         failures.append("estimator zero problem")
 

@@ -73,7 +73,6 @@ def test_error_norms_zero_discrete_solution_against_oracle():
         flux_const=np.zeros((mesh.num_triangles, 2)),
         flux_slope=np.zeros(mesh.num_triangles),
         u=np.zeros(mesh.num_triangles),
-        edge_flux=np.zeros(mesh.num_edges),
     )
     e_u, _, _ = error_norms(zero, inst)
 
@@ -202,11 +201,22 @@ def test_convergence_rate_needs_two_levels():
 
 
 def test_csv_roundtrip_bit_for_text():
+    # every numeric cell reads back to its record's value exactly, and the
+    # empty cells are exactly the NaN fields
     inst = benchmark("lshape")
     hist = adaptive_loop(inst, mode="uniform", max_ndof=300)
-    text = hist.to_csv()
-    back = ConvergenceHistory.from_csv(text)
-    assert back.to_csv() == text
+    header, *rows = hist.to_csv().splitlines()
+    names = header.split(",")
+    assert len(rows) == len(hist.records) == 2
+    for row, record in zip(rows, hist.records):
+        cells = row.split(",")
+        assert len(cells) == len(names)
+        for name, cell in zip(names, cells):
+            value = getattr(record, name)
+            if cell == "":
+                assert math.isnan(value), name
+            else:
+                assert float(cell) == value, name
 
 
 def test_ratio_columns_are_consistent():
@@ -226,8 +236,8 @@ def test_run_experiment_writes_csv(tmp_path):
     assert result.exit_code == 0
     path = tmp_path / "lshape_uniform.csv"
     assert path.exists()
-    hist = ConvergenceHistory.from_csv(path.read_text())
-    assert [r.ndof for r in hist.records] == [68, 256]
+    rows = path.read_text().splitlines()[1:]
+    assert [int(row.split(",")[1]) for row in rows] == [68, 256]
 
 
 def test_run_experiment_config_errors():
@@ -276,7 +286,5 @@ def test_sensitivity_event_rules():
     assert "grew" in sensitivity_event(hist)
     hist.records[1].eta = 2.0  # ordinary decay: no event
     assert sensitivity_event(hist) is None
-    hist.records[1].eta = 0.5  # an 8x drop flags a coarse-level spike
-    assert "spike" in sensitivity_event(hist)
     hist.failure = "SingularMatrix at level 1: boom"
     assert "SingularMatrix" in sensitivity_event(hist)

@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from afem import problem
 from afem.cli import main
 from afem.mesh import build_mesh, write_mesh_file
+from afem.refine import uniform_red_refine
+from oracles import red_split_without_closure
 
 
 def test_run_lshape_exit_zero(tmp_path, capsys):
@@ -240,6 +244,32 @@ def test_malformed_mesh_file_is_config_error(tmp_path, capsys, text):
     assert code == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and str(path) in err
+
+
+def test_large_mesh_file_with_hanging_node_is_config_error(tmp_path, capsys):
+    # uniform L-shape level 4 with one interior triangle red-split and not
+    # closed: three hanging nodes in a file of 6,147 triangles
+    mesh = problem.lshape_start_mesh()
+    for _ in range(4):
+        mesh = uniform_red_refine(mesh)
+    interior = np.flatnonzero(
+        np.isin(mesh.triangle_edges, mesh.interior_edges).all(axis=1)
+    )
+    verts, tris = red_split_without_closure(mesh, interior[len(interior) // 2])
+    assert len(tris) == 6147
+    path = tmp_path / "hanging.mesh"
+    write_mesh_file(build_mesh(verts, tris, strict=False), path)
+    code = main(
+        [
+            "run", "--problem", "lshape", "--mode", "uniform",
+            "--max-ndof", "30000", "--mesh", str(path), "--out", str(tmp_path),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert re.search(r"lies inside edge \(\d+, \d+\)", err), err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("problem", ["lshape", "eigen_sweep"])

@@ -1,12 +1,17 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import afem
 from afem.errors import DanglingBoundaryTag, HangingNode, InvalidMark, NonPositiveArea
 from afem.mesh import build_mesh, read_mesh_file, write_mesh_file
 from afem.problem import crack_start_mesh, lshape_start_mesh
 from afem.refine import rgb_refine, uniform_red_refine
+from oracles import red_split_without_closure, vertices_inside_edges
 
 REF = (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
 SQUARE = (
@@ -24,8 +29,6 @@ def check_invariants(mesh, polygon_area=None):
     assert np.all(mesh.area > 0)
     if polygon_area is not None:
         assert abs(mesh.area.sum() - polygon_area) <= 1e-12 * polygon_area
-    norms = np.hypot(mesh.edge_normal[:, 0], mesh.edge_normal[:, 1])
-    assert np.abs(norms - 1.0).max() < 1e-14
 
 
 def test_reference_triangle():
@@ -83,6 +86,55 @@ def test_vertex_inside_edge_rejected():
     tris = np.array([[0, 1, 2], [0, 4, 3], [3, 4, 5], [3, 5, 1]])
     with pytest.raises(HangingNode):
         build_mesh(verts, tris)
+
+
+@pytest.mark.parametrize("level, pick", [(0, 0), (1, 5), (2, 40), (2, 97)])
+def test_hanging_node_scan_matches_all_pairs_oracle(level, pick):
+    # the scan reports the smallest (vertex, edge) pair that the all-pairs
+    # oracle finds; on the closed meshes both find none
+    mesh = lshape_start_mesh()
+    for _ in range(level):
+        mesh = uniform_red_refine(mesh)
+    build_mesh(mesh.vertices, mesh.triangles)
+    assert vertices_inside_edges(mesh.vertices, mesh.edges) == []
+    verts, tris = red_split_without_closure(mesh, pick)
+    loose = build_mesh(verts, tris, strict=False)
+    hits = vertices_inside_edges(loose.vertices, loose.edges)
+    assert hits
+    k, e = hits[0]
+    i, j = (int(x) for x in loose.edges[e])
+    with pytest.raises(HangingNode, match=rf"^vertex {k} lies inside edge \({i}, {j}\)$"):
+        build_mesh(verts, tris)
+
+
+@pytest.mark.parametrize("s", [0.01, 0.25, 0.999])
+def test_vertex_off_midpoint_inside_edge_rejected(s):
+    # vertex 3 sits at the fraction s of edge (0, 1) of the top triangle
+    verts = np.array(
+        [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [2.0 * s, 0.0], [0.0, -1.0], [2.0, -1.0]]
+    )
+    tris = np.array([[0, 1, 2], [0, 4, 3], [3, 4, 5], [3, 5, 1]])
+    assert vertices_inside_edges(verts, build_mesh(verts, tris, strict=False).edges)
+    with pytest.raises(HangingNode, match=r"^vertex 3 lies inside edge \(0, 1\)$"):
+        build_mesh(verts, tris)
+
+
+def test_start_meshes_do_not_import_the_scan_tree():
+    # the overlap scan imports scipy.spatial only for meshes it scans: the
+    # L-shape start mesh is not scanned and the crack mesh is a slit mesh
+    code = (
+        "import sys, afem; afem.lshape_start_mesh(); afem.crack_start_mesh();"
+        " print('scipy.spatial' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(afem.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_overlapping_triangles_rejected():

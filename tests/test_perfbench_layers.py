@@ -1,8 +1,11 @@
 """The benchmark tracer wraps afem functions by module attribute; every
-layer it names must still exist, or ``perfbench/run.py --trace 1`` breaks."""
+layer it names must still exist, or ``perfbench/run.py --trace 1`` breaks.
+Likewise the benchmark's summary and CSV checks read the histories and CSVs
+that ``bench.run_experiment`` leaves."""
 
 import importlib
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -11,19 +14,51 @@ import scipy.sparse.linalg as spla
 from afem import adapt, bench, solver
 from afem import problem as afem_problem
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench(name):
+    """A ``perfbench`` script loaded by path, as a module."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_layers_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_perfbench("spans")
     missing = [
         f"{module}.{attr}"
         for module, attr, _ in spans.LAYERS
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert spans.LAYERS and not missing
+
+
+def test_benchmark_summary_reads_resolve(tmp_path):
+    # perfbench/child.py summarises the run; perfbench/run.py attaches the
+    # CSV texts and perfbench/checks.py compares them with the summary
+    child = _load_perfbench("child")
+    checks = _load_perfbench("checks")
+    config = bench.ExperimentConfig(
+        problem="lshape", mode="uniform", max_ndof=4000, out=str(tmp_path)
+    )
+    sample = child._summary(bench.run_experiment(config, echo=lambda *_: None))
+    sample["csv_text"] = {
+        os.path.basename(path): Path(path).read_text()
+        for path in sample["csv_paths"]
+    }
+    res = checks.CheckResult()
+    checks._check_csvs(sample, config.mode, res)
+    assert res.problems == []
+    assert list(sample["histories"]) == ["lshape"]
+    for hist in sample["histories"].values():
+        lengths = {
+            len(hist[name]) for name in ("ndof", "eta", "e_u", "e_p", "equivalence")
+        }
+        assert lengths == {4}
 
 
 @pytest.mark.parametrize(
@@ -66,9 +101,7 @@ def test_every_level_factors_twice_in_order_above_cutoff(tmp_path, monkeypatch):
     # two splu calls per level, the mesh's order (NATURAL column order) for
     # systems at or above the cutoff only, and the benchmark's tracer sees
     # every factorization and its fill
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_perfbench("spans")
     calls = []
     splu = spla.splu
 

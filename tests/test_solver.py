@@ -124,7 +124,7 @@ def test_mixed_patch_test_both_routes():
 def test_mixed_zero_data():
     mesh = lshape_start_mesh()
     pw = project_p0(laplace_instance(constant_scalar(0.0)), mesh)
-    recon, u_tilde = solve_mixed_via_equivalence(mesh, pw)
+    recon, u_tilde = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
     assert np.abs(recon.u).max() == 0.0
     assert np.abs(recon.flux_const).max() == 0.0
     assert np.abs(u_tilde.edge_values).max() == 0.0
@@ -171,7 +171,7 @@ def test_equivalence_on_benchmarks(name, kwargs):
             assert np.abs(resid).max() <= 1e-12 * scale
         # normal-component continuity of the reconstruction
         jump = np.abs(normal_jumps(recon)).max()
-        assert jump <= 1e-10 * max(np.abs(recon.edge_flux).max(), 1.0)
+        assert jump <= 1e-10 * max(np.abs(recon.flux_const).max(), 1.0)
         mesh = uniform_red_refine(mesh)
 
 
