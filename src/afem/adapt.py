@@ -84,6 +84,13 @@ def grad_p1(mesh, nodal):
     return np.einsum("tk,tkd->td", vals, mesh.grad_bary())
 
 
+def _inv_2x2(m):
+    """Inverses of a stack of 2x2 matrices by the adjugate formula."""
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    det = a * d - b * c
+    return np.stack([d, -b, -c, a], axis=-1).reshape(m.shape) / det[..., None, None]
+
+
 def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
     """Residual estimator for the mixed solution.
 
@@ -110,8 +117,12 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
 
     # r = A_h^-1 p_M + u_M b*_h, affine per triangle; exact on edge midpoints
     p_at_mids = mixed.flux_at(mids)
+    # einsum("tde,tqe->tqd", a_h_inv, p) up to the sign of zero entries,
+    # which the squares below cannot see
+    a_inv = pw.a_h_inv[:, None, :, :]
     r = (
-        np.einsum("tde,tqe->tqd", pw.a_h_inv, p_at_mids)
+        a_inv[..., 0] * p_at_mids[..., 0, None]
+        + a_inv[..., 1] * p_at_mids[..., 1, None]
         + (mixed.u[:, None] * pw.b_star_h)[:, None, :]
     )
     volume_sq = mesh.h_t**2 * quadrature.affine_sq_l2(mesh.area, r)
@@ -123,7 +134,7 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
     # coefficient approximation terms, degree-2 rule on the midpoints
     xm, ym = mids[..., 0].ravel(), mids[..., 1].ravel()
     a_pts = np.asarray(coeffs.a(xm, ym), dtype=float).reshape(-1, 3, 2, 2)
-    a_inv_pts = np.linalg.inv(a_pts)
+    a_inv_pts = _inv_2x2(a_pts)
     diff_a = np.einsum(
         "tqde,tqe->tqd", a_inv_pts - pw.a_h_inv[:, None, :, :], p_at_mids
     )

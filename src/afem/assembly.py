@@ -131,13 +131,27 @@ def _cr_triplets(mesh, local):
 
 
 def _compress(rows, cols, vals, shape):
-    # deterministic assembly: sort triplets before summing duplicates
-    order = np.lexsort((rows, cols))
-    m = sp.coo_matrix(
-        (vals[order], (rows[order], cols[order])), shape=shape
-    ).tocsc()
+    # No entry of either system gets more than two triplets: an edge lies in
+    # at most two triangles and two distinct edges share at most one. A sum
+    # of two floats does not depend on their order, so neither do the bits.
+    m = sp.csc_matrix((vals, (rows, cols)), shape=shape)
     m.sum_duplicates()
     return m
+
+
+def _diffusion(area, a, grad):
+    """Element diffusion blocks |T| (A grad_j) . grad_i, shape (T, 3, 3).
+
+    The products and their sum order (d, then e, onto +0.0) are those of
+    ``einsum("t,tde,tje,tid->tij", area, a, grad, grad)``, bit for bit.
+    """
+    scaled = area[:, None, None] * a
+    out = np.zeros((len(area), 3, 3))
+    for d in range(2):
+        for e in range(2):
+            term = scaled[:, d, e, None, None] * grad[:, None, :, e]
+            out += term * grad[:, :, d, None]
+    return out
 
 
 def _cr_system(mesh, pw, grad_psi, conv_weight, react, local_rhs, u_dirichlet):
@@ -149,25 +163,26 @@ def _cr_system(mesh, pw, grad_psi, conv_weight, react, local_rhs, u_dirichlet):
     element loads.
     """
     area = mesh.area
-    diff = np.einsum("t,tde,tje,tid->tij", area, pw.a_h, grad_psi, grad_psi)
+    ne = mesh.num_edges
+    diff = _diffusion(area, pw.a_h, grad_psi)
     conv = np.einsum("t,td,tid->ti", conv_weight * area / 3.0, pw.b_h, grad_psi)
-    conv = np.repeat(conv[:, :, None], 3, axis=2)
-    rows, cols, vals = _cr_triplets(mesh, diff + conv + react)
-    matrix = _compress(rows, cols, vals, (mesh.num_edges, mesh.num_edges))
+    rows, cols, vals = _cr_triplets(mesh, diff + conv[:, :, None] + react)
+    matrix = _compress(rows, cols, vals, (ne, ne))
 
-    rhs = np.zeros(mesh.num_edges)
+    rhs = np.zeros(ne)
     np.add.at(rhs, mesh.triangle_edges.ravel(), local_rhs.ravel())
-    dofs = np.arange(mesh.num_edges)
     if u_dirichlet is None:
-        return SparseSystem(matrix, rhs, ndofs=len(dofs), free=dofs)
+        return SparseSystem(matrix, rhs, ndofs=ne, free=np.arange(ne))
     # essential data: fix boundary dofs to u_D(mid E), move their columns
     bnd = mesh.boundary_edges
     values = _boundary_values(mesh, u_dirichlet)
-    free = np.setdiff1d(dofs, bnd)
+    is_free = np.ones(ne, dtype=bool)
+    is_free[bnd] = False
+    free = np.flatnonzero(is_free)
     return SparseSystem(
         matrix=matrix[np.ix_(free, free)].tocsc(),
         rhs=rhs[free] - matrix[np.ix_(free, bnd)] @ values,
-        ndofs=len(dofs),
+        ndofs=ne,
         free=free,
         fixed=bnd,
         fixed_values=values,
@@ -266,7 +281,12 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
     mids = 0.5 * (pv + np.roll(pv, -1, axis=1))  # edge midpoints, (T, 3, 2)
     # basis values at the quadrature (edge mid) points: (T, k_basis, q, 2)
     vals = scale[:, :, None, None] * (mids[:, None, :, :] - pv[:, :, None, :])
-    a_inv_vals = np.einsum("tde,tkqe->tkqd", pw.a_h_inv, vals)
+    # einsum("tde,tkqe->tkqd", a_h_inv, vals) up to the sign of zero
+    # entries, which the mass sum (onto +0.0, like einsum) cannot see
+    a_inv = pw.a_h_inv[:, None, None, :, :]
+    a_inv_vals = (
+        a_inv[..., 0] * vals[..., 0, None] + a_inv[..., 1] * vals[..., 1, None]
+    )
     mass = np.einsum("t,tiqd,tjqd->tij", mesh.area / 3.0, a_inv_vals, vals)
 
     rows, cols, data = _cr_triplets(mesh, mass)

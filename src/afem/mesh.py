@@ -138,6 +138,8 @@ class Triangulation:
 
         # geometry cache
         self.centroid = (p0 + p1 + p2) / 3.0  # bitwise v[t].mean(axis=1)
+        self._triangle_vertices = np.stack((p0, p1, p2), axis=1)  # v[t]
+        self._grad_bary = _grad_bary(self._triangle_vertices, signed)
         ev = v[self.edges[:, 1]] - v[self.edges[:, 0]]
         self.edge_length = np.hypot(ev[:, 0], ev[:, 1])
         self.edge_mid = 0.5 * (v[self.edges[:, 0]] + v[self.edges[:, 1]])
@@ -179,21 +181,13 @@ class Triangulation:
         return self.num_edges + self.num_triangles
 
     def triangle_vertices(self):
-        """Vertex coordinates per triangle, shape (T, 3, 2)."""
-        return self.vertices[self.triangles]
+        """Vertex coordinates per triangle, shape (T, 3, 2), read-only."""
+        return self._triangle_vertices
 
     def grad_bary(self):
-        """Gradients of the barycentric coordinate functions, shape (T, 3, 2).
-
-        grad lambda_k = rot_{-90}(P_{k+1} - P_{k+2}) / (2|T|), indices cyclic.
-        """
-        pv = self.triangle_vertices()
-        out = np.empty_like(pv)
-        for k in range(3):
-            d = pv[:, (k + 1) % 3] - pv[:, (k + 2) % 3]
-            out[:, k, 0] = d[:, 1]
-            out[:, k, 1] = -d[:, 0]
-        return out / (2.0 * self.area)[:, None, None]
+        """Gradients of the barycentric coordinate functions, shape (T, 3, 2),
+        read-only."""
+        return self._grad_bary
 
     def min_angle(self):
         """Smallest interior angle over all triangles, in radians."""
@@ -209,6 +203,16 @@ class Triangulation:
         return float(worst)
 
 
+def _grad_bary(pv, area):
+    """grad lambda_k = rot_{-90}(P_{k+1} - P_{k+2}) / (2|T|), indices cyclic."""
+    out = np.empty_like(pv)
+    for k in range(3):
+        d = pv[:, (k + 1) % 3] - pv[:, (k + 2) % 3]
+        out[:, k, 0] = d[:, 1]
+        out[:, k, 1] = -d[:, 0]
+    return out / (2.0 * area)[:, None, None]
+
+
 def _pair(edge):
     return (int(edge[0]), int(edge[1]))
 
@@ -216,8 +220,9 @@ def _pair(edge):
 def build_mesh(vertices, triangles, strict=True, green_flag=None, rgb=None):
     """Assemble and validate a :class:`Triangulation`.
 
-    strict runs the vertex-on-edge overlap scan; the refinements and the
-    L-shape start mesh, conforming by construction, turn it off.
+    strict rejects vertices that no triangle uses and runs the
+    vertex-on-edge overlap scan; the refinements and the two start meshes,
+    conforming by construction, turn it off.
 
     green_flag and rgb are the refinement state that
     :func:`afem.refine.rgb_refine` hands to the new mesh.
@@ -235,25 +240,54 @@ def build_mesh(vertices, triangles, strict=True, green_flag=None, rgb=None):
         raise ValueError(
             f"triangle references vertex {int(bad)} but only {nv} vertices given"
         )
+    if strict:
+        unused = np.bincount(tri_arr.ravel(), minlength=nv) == 0
+        if unused.any():
+            raise ValueError(
+                f"vertex {int(np.argmax(unused))} belongs to no triangle"
+            )
     mesh = Triangulation(vertices, tri_arr, green_flag, rgb)
     if strict:
         _scan_for_hanging_nodes(mesh)
     return mesh
 
 
+def _slit_vertices(mesh):
+    """Mask of the vertices on the two sides of a slit: pairs with the same
+    coordinates (to 12 digits) that no edge joins and that both lie on the
+    boundary."""
+    rounded = np.round(mesh.vertices, 12)
+    _, group, size = np.unique(
+        rounded, axis=0, return_inverse=True, return_counts=True
+    )
+    paired = np.flatnonzero(size[group] == 2)
+    a, b = paired[np.argsort(group[paired], kind="stable")].reshape(-1, 2).T
+    on_boundary = np.zeros(mesh.num_vertices, dtype=bool)
+    on_boundary[mesh.edges[mesh.boundary_edges]] = True
+    slit = (
+        (find_keys(mesh.edge_keys, edge_key(a, b)) < 0)
+        & on_boundary[a]
+        & on_boundary[b]
+    )
+    mask = np.zeros(mesh.num_vertices, dtype=bool)
+    mask[a[slit]] = mask[b[slit]] = True
+    return mask
+
+
 def _scan_for_hanging_nodes(mesh):
     """Flag vertices lying strictly inside an edge (partial overlap).
 
-    Every vertex is tested against every edge it could lie on: those whose
-    midpoint ball, widened by the collinearity tolerance, contains it.
-    Skipped for slit meshes (coordinate-duplicated vertices make a purely
-    geometric scan ambiguous); topological checks still apply there.
+    Every vertex but the slit pairs (:func:`_slit_vertices`) is tested
+    against every edge it could lie on: those whose midpoint ball, widened
+    by the collinearity tolerance, contains it. A slit vertex is left out
+    because its twin, a rounding away, could pass for an inner point of the
+    edges ending at the twin. A hit across a slit (:func:`_across_slit`)
+    is no hanging node either.
     """
     v = mesh.vertices
-    rounded = np.round(v, 12)
-    if len(np.unique(rounded, axis=0)) < len(v):
-        return
-    # imported here, so that the start meshes (unscanned or slit) skip it
+    slit = _slit_vertices(mesh)
+    scanned = np.flatnonzero(~slit)
+    # imported here, so that the unscanned start meshes skip it
     from scipy.spatial import cKDTree
 
     scale = max(float(np.abs(v).max()), 1.0)
@@ -261,18 +295,70 @@ def _scan_for_hanging_nodes(mesh):
     # |p - mid E| <= |E|/2 + dist(p, line E) for p projecting inside E;
     # the relative slack covers the rounding of the tree's distances
     radius = (0.5 + 1e-9) * mesh.edge_length + tol / mesh.edge_length
-    near = cKDTree(v).query_ball_point(mesh.edge_mid, radius)
+    near = cKDTree(v[scanned]).query_ball_point(mesh.edge_mid, radius)
     edge = np.repeat(np.arange(len(near)), [len(hits) for hits in near])
-    vert = np.fromiter(itertools.chain.from_iterable(near), np.int64, len(edge))
+    vert = scanned[
+        np.fromiter(itertools.chain.from_iterable(near), np.int64, len(edge))
+    ]
     a = v[mesh.edges[edge, 0]]
     ab = v[mesh.edges[edge, 1]] - a
     ap = v[vert] - a
     t = np.einsum("ij,ij->i", ap, ab) / np.einsum("ij,ij->i", ab, ab)
     cross = np.abs(ap[:, 0] * ab[:, 1] - ap[:, 1] * ab[:, 0])
     on_edge = (cross <= tol) & (t > 1e-12) & (t < 1 - 1e-12)
-    if np.any(on_edge):
-        k, e = min(zip(vert[on_edge].tolist(), edge[on_edge].tolist()))
+    vert, edge = vert[on_edge], edge[on_edge]
+    hanging = ~_across_slit(mesh, slit, vert, edge, tol)
+    if np.any(hanging):
+        k, e = min(zip(vert[hanging].tolist(), edge[hanging].tolist()))
         raise HangingNode(f"vertex {k} lies inside edge {_pair(mesh.edges[e])}")
+
+
+def _across_slit(mesh, slit, vert, edge, tol):
+    """Which hits (vert[i] strictly inside edge[i]) lie across a slit.
+
+    Refining one side of a slit and not the other leaves a vertex of the
+    finer side inside a boundary edge of the coarser side, although the
+    mesh is conforming. Locally that is a hanging node whose edge has lost
+    its triangle on the vertex's side; only the slit's twins tell the two
+    apart. A hit lies across a slit if the edge is a boundary edge, every
+    triangle at the vertex lies in the closed half-plane of the edge's line
+    away from the edge's own triangle (none of them overlaps it), and the
+    boundary edges along that line on the vertex's side reach one end of
+    the edge at the end's slit twin: the vertex's side is the other side.
+    """
+    across = np.zeros(len(vert), dtype=bool)
+    ends = mesh.edges[edge]
+    # a boundary edge across a slit ends at a slit pair
+    cand = np.flatnonzero(
+        (mesh.edge_tris[edge] < 0).any(axis=1) & slit[ends].any(axis=1)
+    )
+    if not len(cand):
+        return across
+    v = mesh.vertices
+    rounded = np.round(v, 12)  # the coordinates that pair slit twins
+    touching = mesh.triangles[np.isin(mesh.triangles, vert[cand]).any(axis=1)]
+    bnd = mesh.edges[mesh.boundary_edges]
+    bnd_side = mesh.centroid[mesh.edge_tris[mesh.boundary_edges].max(axis=1)]
+    for i in cand:
+        a, b = v[ends[i]]
+        own = np.sign(_side(a, b, mesh.centroid[mesh.edge_tris[edge[i]].max()]))
+        at_vertex = touching[(touching == vert[i]).any(axis=1)]
+        if np.any(own * _side(a, b, v[at_vertex]) > tol):
+            continue  # a triangle at the vertex overlaps the edge's triangle
+        along = (np.abs(_side(a, b, v[bnd])) <= tol).all(axis=1) & (
+            own * _side(a, b, bnd_side) < 0
+        )
+        reach = np.unique(bnd[along])
+        at_end = (rounded[reach][:, None] == rounded[ends[i]]).all(axis=2)
+        twins = reach[at_end.any(axis=1) & ~np.isin(reach, ends[i])]
+        across[i] = slit[twins].any()
+    return across
+
+
+def _side(a, b, p):
+    """Cross product (b - a) x (p - a): positive left of the line a -> b."""
+    ab = b - a
+    return ab[0] * (p[..., 1] - a[1]) - ab[1] * (p[..., 0] - a[0])
 
 
 # -- plain-text mesh files -------------------------------------------------
@@ -299,11 +385,12 @@ def write_mesh_file(mesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_mesh_file(path_or_file):
+def read_mesh_file(path_or_file, strict=True):
     """Read the plain-text mesh format written by :func:`write_mesh_file`.
 
     Boundary lines must name boundary edges, in either orientation, or
     :class:`DanglingBoundaryTag` is raised; their tags are dropped.
+    ``strict`` is passed on to :func:`build_mesh`.
     """
     if hasattr(path_or_file, "read"):
         text = path_or_file.read()
@@ -339,7 +426,7 @@ def read_mesh_file(path_or_file):
     tris = np.array(data[ofs : ofs + 3 * nt], dtype=int).reshape(nt, 3)
     ofs += 3 * nt
     bnd = np.array(data[ofs:], dtype=int).reshape(nb, 3)
-    mesh = build_mesh(verts, tris)
+    mesh = build_mesh(verts, tris, strict=strict)
     keys = edge_key(bnd[:, 0], bnd[:, 1])
     dangling = find_keys(mesh.edge_keys[mesh.boundary_edges], keys) < 0
     dangling |= (bnd[:, :2] >= nv).any(axis=1)  # would alias another key

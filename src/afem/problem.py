@@ -167,10 +167,14 @@ def lshape_start_mesh():
 
 
 def crack_start_mesh():
-    """Sixteen-gon approximation of the slit unit disc, read from package data."""
+    """Sixteen-gon approximation of the slit unit disc, read from package data.
+
+    The shipped file is conforming, so it is read without the overlap scan,
+    which would import scipy.spatial at start-up.
+    """
     ref = resources.files("afem").joinpath("data/crack0.mesh")
     with ref.open("r") as fh:
-        return read_mesh_file(fh)
+        return read_mesh_file(fh, strict=False)
 
 
 def _polar(x, y):

@@ -42,9 +42,19 @@ def affine_sq_l2(areas, value_at_mids):
 def physical_points(verts):
     """Map the degree-5 rule's points onto a batch of triangles.
 
-    verts: (M, 3, 2) vertex coordinates; returns (M, 7, 2).
+    verts: (M, 3, 2) vertex coordinates; returns (M, 7, 2), a view of a
+    coordinate-major array, so that ``pts[..., d]`` is contiguous. The
+    products and their sum order are those of
+    ``einsum("qi,mid->mqd", DEGREE5[0], verts)``, bit for bit: einsum adds
+    onto +0.0, which differs only for three products -0.0, and the three
+    vertices of a triangle never share a coordinate -0.0.
     """
-    return np.einsum("qi,mid->mqd", DEGREE5[0], verts)
+    bary = DEGREE5[0]
+    out = np.empty((2, len(verts), len(bary)))
+    for d in range(2):
+        x = verts[:, :, d, None]
+        out[d] = x[:, 0] * bary[:, 0] + x[:, 1] * bary[:, 1] + x[:, 2] * bary[:, 2]
+    return out.transpose(1, 2, 0)
 
 
 def integrate(fn, verts, areas):

@@ -6,7 +6,10 @@ triangle integration goes through a Duffy-transformed Gauss-Legendre grid.
 The one exception is :func:`mixed_dirichlet_eigenvalue`: the discrete
 spectrum it reports is that of the very matrix the package solves, so it
 takes that matrix from the package's mixed assembly and guards the result
-with its own eigen-residual check instead. :func:`normal_jumps` and
+with its own eigen-residual check instead. :func:`reference_modified_ncfem`
+and :func:`reference_mixed_direct` are the lexsort-and-einsum formulation of
+the two assemblies, which the package's array kernels must reproduce bit for
+bit. :func:`normal_jumps` and
 :func:`residual_of_exact` are consistency diagnostics of a mixed solution
 and of the benchmarks' exact data. :func:`vertices_inside_edges` tests every
 vertex against every edge; :func:`red_split_without_closure` builds the
@@ -224,3 +227,95 @@ def mixed_dirichlet_eigenvalue(mesh, shift):
             f" nu = {nu[0]}"
         )
     return float(lam)
+
+
+# -- reference assemblies: triplets lexsorted, element integrals by einsum ----
+
+
+def _reference_compress(rows, cols, vals, shape):
+    order = np.lexsort((rows, cols))
+    m = sp.coo_matrix(
+        (vals[order], (rows[order], cols[order])), shape=shape
+    ).tocsc()
+    m.sum_duplicates()
+    return m
+
+
+def _reference_grad_bary(mesh):
+    pv = mesh.vertices[mesh.triangles]
+    out = np.empty_like(pv)
+    for k in range(3):
+        d = pv[:, (k + 1) % 3] - pv[:, (k + 2) % 3]
+        out[:, k, 0] = d[:, 1]
+        out[:, k, 1] = -d[:, 0]
+    return out / (2.0 * mesh.area)[:, None, None]
+
+
+def reference_modified_ncfem(mesh, pw, u_dirichlet):
+    """(matrix, rhs) of the condensed modified CR system over the free
+    edges; ``pw`` is the level's piecewise data."""
+    area = mesh.area
+    ne = mesh.num_edges
+    s_mean = pw.s_t / area
+    kappa = 1.0 / (1.0 + pw.gamma_h * s_mean / 4.0)
+    grad_psi = -2.0 * _reference_grad_bary(mesh)
+    react = (pw.gamma_h * kappa * area / 9.0)[:, None, None] * np.ones((1, 3, 3))
+    correction = kappa * s_mean / 4.0 * pw.f_h
+    local_rhs = (
+        (pw.f_h * area / 3.0)[:, None]
+        - np.einsum("t,td,tid->ti", correction * area, pw.b_h, grad_psi)
+        - (pw.gamma_h * correction * area / 3.0)[:, None]
+    )
+    diff = np.einsum("t,tde,tje,tid->tij", area, pw.a_h, grad_psi, grad_psi)
+    conv = np.einsum("t,td,tid->ti", kappa * area / 3.0, pw.b_h, grad_psi)
+    local = diff + np.repeat(conv[:, :, None], 3, axis=2) + react
+    te = mesh.triangle_edges
+    matrix = _reference_compress(
+        np.repeat(te, 3, axis=1).ravel(), np.tile(te, (1, 3)).ravel(),
+        local.ravel(), (ne, ne),
+    )
+    rhs = np.zeros(ne)
+    np.add.at(rhs, te.ravel(), local_rhs.ravel())
+    bnd = mesh.boundary_edges
+    mid = mesh.edge_mid[bnd]
+    values = np.asarray(u_dirichlet(mid[:, 0], mid[:, 1]), dtype=float).ravel()
+    free = np.setdiff1d(np.arange(ne), bnd)
+    return (
+        matrix[np.ix_(free, free)].tocsc(),
+        rhs[free] - matrix[np.ix_(free, bnd)] @ values,
+    )
+
+
+def reference_mixed_direct(mesh, pw, u_dirichlet):
+    """(matrix, rhs) of the saddle-point system, edge fluxes first."""
+    ne, nt = mesh.num_edges, mesh.num_triangles
+    te = mesh.triangle_edges
+    pv = mesh.vertices[mesh.triangles]
+    sig = mesh.triangle_edge_signs.astype(float)
+    scale = sig * mesh.edge_length[te] / (2.0 * mesh.area[:, None])
+    mids = 0.5 * (pv + np.roll(pv, -1, axis=1))
+    vals = scale[:, :, None, None] * (mids[:, None, :, :] - pv[:, :, None, :])
+    a_inv_vals = np.einsum("tde,tkqe->tkqd", pw.a_h_inv, vals)
+    mass = np.einsum("t,tiqd,tjqd->tij", mesh.area / 3.0, a_inv_vals, vals)
+    div_coef = sig * mesh.edge_length[te]
+    w = np.einsum(
+        "t,td,tkd->tk", mesh.area, pw.b_star_h, mesh.centroid[:, None, :] - pv
+    ) * scale
+    tri_ids = ne + np.repeat(np.arange(nt), 3)
+    rows = [np.repeat(te, 3, axis=1).ravel(), tri_ids, te.ravel(),
+            ne + np.arange(nt)]
+    cols = [np.tile(te, (1, 3)).ravel(), te.ravel(), tri_ids, ne + np.arange(nt)]
+    data = [mass.ravel(), div_coef.ravel(), (w - div_coef).ravel(),
+            pw.gamma_h * mesh.area]
+    matrix = _reference_compress(
+        np.concatenate(rows), np.concatenate(cols), np.concatenate(data),
+        (ne + nt, ne + nt),
+    )
+    rhs = np.zeros(ne + nt)
+    rhs[ne:] = pw.f_h * mesh.area
+    bnd = mesh.boundary_edges
+    sigma = np.where(mesh.edge_tris[bnd, 0] >= 0, 1.0, -1.0)
+    mid = mesh.edge_mid[bnd]
+    values = np.asarray(u_dirichlet(mid[:, 0], mid[:, 1]), dtype=float).ravel()
+    rhs[bnd] -= sigma * mesh.edge_length[bnd] * values
+    return matrix, rhs

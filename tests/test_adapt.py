@@ -29,6 +29,8 @@ from afem.problem import (
 from afem.refine import rgb_refine, uniform_red_refine
 from afem.solver import solve_mixed_via_equivalence
 
+from oracles import random_spd_matrix
+
 SQUARE = (
     np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
     np.array([[0, 1, 2], [0, 2, 3]]),
@@ -187,6 +189,23 @@ def test_coefficient_terms_match_independent_recomputation():
             acc_b += mesh.area[t] / 3.0 * float(db @ db)
         assert report.term_sq["coeff_a"][t] == pytest.approx(acc_a, rel=1e-12)
         assert report.term_sq["coeff_b"][t] == pytest.approx(acc_b, rel=1e-12)
+
+
+def test_closed_form_inverse_matches_lapack_on_spd_fields():
+    rng = np.random.default_rng(5)
+    mats = np.array([random_spd_matrix(rng) for _ in range(3000)]).reshape(
+        1000, 3, 2, 2
+    )
+    inv = adapt._inv_2x2(mats)
+    ref = np.linalg.inv(mats)
+    rel = np.abs(inv - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
+    assert rel.max() <= 1e-14
+    assert np.abs(inv @ mats - np.eye(2)).max() < 1e-13
+
+
+def test_closed_form_inverse_exact_for_identity():
+    eye = np.broadcast_to(np.eye(2), (7, 3, 2, 2))
+    assert np.array_equal(adapt._inv_2x2(eye), eye)
 
 
 # -- marking ------------------------------------------------------------------

@@ -21,13 +21,15 @@ from afem.problem import (
     lshape_start_mesh,
     project_p0,
 )
-from afem.refine import uniform_red_refine
+from afem.refine import rgb_refine, uniform_red_refine
 
 from oracles import (
     cr_local_stiffness,
     mixed_dirichlet_eigenvalue,
     random_spd_matrix,
     random_triangle,
+    reference_mixed_direct,
+    reference_modified_ncfem,
 )
 from test_mesh import _rgb_mesh_with_green_and_blue
 
@@ -264,3 +266,67 @@ def test_dump_triplets(tmp_path):
     assert (n, m) == system.matrix.shape
     assert nnz == system.matrix.nnz
     assert len(lines) == 1 + nnz + len(system.rhs)
+
+
+def _variable_field(rng):
+    # A = A0 + x A1 + y A2 stays SPD on the unit disc: the eigenvalues of
+    # A0 are at least 1.2 and |x A1 + y A2| is at most 0.7
+    a0 = random_spd_matrix(rng) + 1.0 * np.eye(2)
+    a1, a2 = (0.35 * m / np.linalg.norm(m, 2)
+              for m in (random_spd_matrix(rng) - np.eye(2) for _ in range(2)))
+    c = rng.uniform(-1.0, 1.0, 6)
+
+    def a(x, y):
+        x = np.asarray(x, dtype=float)[:, None, None]
+        y = np.asarray(y, dtype=float)[:, None, None]
+        return a0 + x * a1 + y * a2
+
+    def b(x, y):
+        return np.stack([c[0] + c[1] * np.asarray(y, dtype=float),
+                         c[2] * np.asarray(x, dtype=float)], axis=-1)
+
+    return CoefficientField(
+        a=a,
+        b=b,
+        gamma=lambda x, y: c[3] - 3.0 * np.asarray(x, dtype=float) ** 2,
+        f=lambda x, y: np.sin(3.0 * np.asarray(x, dtype=float)) + c[4] * y,
+        u_dirichlet=lambda x, y: c[5] + np.asarray(x, dtype=float) * y,
+    )
+
+
+def _is_canonical_csc(m):
+    """Row indices strictly increasing within every column."""
+    steps = np.diff(m.indices)
+    inner = np.ones(len(steps), dtype=bool)
+    inner[m.indptr[1:-1][m.indptr[1:-1] > 0] - 1] = False
+    return m.format == "csc" and bool(np.all(steps[inner] > 0))
+
+
+def test_assembly_bit_identical_to_lexsort_einsum_reference():
+    rng = np.random.default_rng(11)
+    mesh = crack_start_mesh()
+    for _ in range(4):
+        marked = rng.choice(mesh.num_triangles, mesh.num_triangles // 3,
+                            replace=False)
+        mesh = rgb_refine(mesh, np.sort(marked))
+    assert (mesh.green_flag > 0).any()
+    field = _variable_field(rng)
+    pw = project_p0(field, mesh)
+    assert np.ptp(pw.a_h[:, 0, 1]) > 0 and np.abs(pw.b_h).max() > 0
+    for assemble, reference in (
+        (assemble_modified_ncfem, reference_modified_ncfem),
+        (assemble_mixed_direct, reference_mixed_direct),
+    ):
+        system = assemble(mesh, pw, u_dirichlet=field.u_dirichlet)
+        ref_matrix, ref_rhs = reference(mesh, pw, field.u_dirichlet)
+        assert _is_canonical_csc(system.matrix)
+        assert _is_canonical_csc(ref_matrix)
+        for name in ("indices", "indptr"):
+            assert np.array_equal(
+                getattr(system.matrix, name), getattr(ref_matrix, name)
+            ), (assemble.__name__, name)
+        # bit patterns, so that -0.0 and +0.0 count as different
+        assert np.array_equal(
+            system.matrix.data.view(np.int64), ref_matrix.data.view(np.int64)
+        ), assemble.__name__
+        assert np.array_equal(system.rhs.view(np.int64), ref_rhs.view(np.int64))

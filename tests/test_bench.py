@@ -104,6 +104,16 @@ def test_rotate_singular_first_matches_roll_loop():
     assert np.array_equal(rotated[:, 0], np.broadcast_to(point, (12, 2)))
 
 
+def test_physical_points_bit_identical_to_einsum():
+    rng = np.random.default_rng(4)
+    verts = rng.uniform(-1.0, 1.0, (500, 3, 2))
+    verts[:5, :, 0] = 0.0  # zero products
+    verts[5:10, :2, 1] = -0.0  # two of three products -0.0
+    expected = np.einsum("qi,mid->mqd", quadrature.DEGREE5[0], verts)
+    points = np.ascontiguousarray(quadrature.physical_points(verts))
+    assert np.array_equal(points.view(np.int64), expected.view(np.int64))
+
+
 @pytest.mark.parametrize("depth", [0, 3])
 @pytest.mark.parametrize("m", [7, 1000])
 def test_integrate_dyadic_stacked_rows_equal_scalar_calls(m, depth):

@@ -6,7 +6,7 @@ import pytest
 from afem import problem
 from afem.cli import main
 from afem.mesh import build_mesh, write_mesh_file
-from afem.refine import uniform_red_refine
+from afem.refine import rgb_refine, uniform_red_refine
 from oracles import red_split_without_closure
 
 
@@ -246,7 +246,7 @@ def test_malformed_mesh_file_is_config_error(tmp_path, capsys, text):
     assert "configuration error" in err and str(path) in err
 
 
-def test_large_mesh_file_with_hanging_node_is_config_error(tmp_path, capsys):
+def _hanging_lshape_file(path, unused_copy=False):
     # uniform L-shape level 4 with one interior triangle red-split and not
     # closed: three hanging nodes in a file of 6,147 triangles
     mesh = problem.lshape_start_mesh()
@@ -257,8 +257,14 @@ def test_large_mesh_file_with_hanging_node_is_config_error(tmp_path, capsys):
     )
     verts, tris = red_split_without_closure(mesh, interior[len(interior) // 2])
     assert len(tris) == 6147
-    path = tmp_path / "hanging.mesh"
+    if unused_copy:
+        verts = np.vstack([verts, verts[:1]])
     write_mesh_file(build_mesh(verts, tris, strict=False), path)
+
+
+def test_large_mesh_file_with_hanging_node_is_config_error(tmp_path, capsys):
+    path = tmp_path / "hanging.mesh"
+    _hanging_lshape_file(path)
     code = main(
         [
             "run", "--problem", "lshape", "--mode", "uniform",
@@ -270,6 +276,75 @@ def test_large_mesh_file_with_hanging_node_is_config_error(tmp_path, capsys):
     assert str(path) in err
     assert re.search(r"lies inside edge \(\d+, \d+\)", err), err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_unused_copy_of_a_vertex_does_not_hide_hanging_nodes(tmp_path, capsys):
+    # a copy of vertex 0 that no triangle uses once switched the scan off
+    path = tmp_path / "hanging.mesh"
+    _hanging_lshape_file(path, unused_copy=True)
+    code = main(
+        [
+            "run", "--problem", "lshape", "--mode", "uniform",
+            "--max-ndof", "30000", "--mesh", str(path), "--out", str(tmp_path),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "belongs to no triangle" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_mesh_file_with_unused_vertex_is_config_error(tmp_path, capsys):
+    path = tmp_path / "unused.mesh"
+    path.write_text(
+        "vertices 4 / triangles 1 / boundary 0\n0 0\n1 0\n0 1\n5 5\n0 1 2\n"
+    )
+    code = main(
+        ["run", "--problem", "lshape", "--mesh", str(path), "--out", str(tmp_path)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "vertex 3 belongs to no triangle" in err
+
+
+def test_slit_mesh_file_runs(tmp_path, capsys):
+    # the shipped slit disc, read as a user file, passes the overlap scan
+    path = tmp_path / "crack.mesh"
+    write_mesh_file(problem.crack_start_mesh(), path)
+    code = main(
+        [
+            "run", "--problem", "crack", "--mode", "adaptive", "--max-ndof",
+            "2000", "--mesh", str(path), "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    ref = tmp_path / "ref"
+    assert main(
+        [
+            "run", "--problem", "crack", "--mode", "adaptive", "--max-ndof",
+            "2000", "--out", str(ref),
+        ]
+    ) == 0
+    assert (tmp_path / "crack_adaptive.csv").read_bytes() == (
+        ref / "crack_adaptive.csv"
+    ).read_bytes()
+
+
+def test_one_sided_slit_mesh_file_runs(tmp_path, capsys):
+    # refining one side of the slit only leaves vertices without a twin on
+    # the other side; the file is conforming and must run
+    mesh = problem.crack_start_mesh()
+    c = mesh.centroid
+    mesh = rgb_refine(mesh, np.flatnonzero((c[:, 1] > 0) & (np.hypot(*c.T) < 0.6)))
+    path = tmp_path / "one_sided.mesh"
+    write_mesh_file(mesh, path)
+    code = main(
+        [
+            "run", "--problem", "crack", "--mode", "adaptive", "--max-ndof",
+            "1500", "--mesh", str(path), "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("problem", ["lshape", "eigen_sweep"])

@@ -8,7 +8,7 @@ import pytest
 
 import afem
 from afem.errors import DanglingBoundaryTag, HangingNode, InvalidMark, NonPositiveArea
-from afem.mesh import build_mesh, read_mesh_file, write_mesh_file
+from afem.mesh import _slit_vertices, build_mesh, read_mesh_file, write_mesh_file
 from afem.problem import crack_start_mesh, lshape_start_mesh
 from afem.refine import rgb_refine, uniform_red_refine
 from oracles import red_split_without_closure, vertices_inside_edges
@@ -120,8 +120,8 @@ def test_vertex_off_midpoint_inside_edge_rejected(s):
 
 
 def test_start_meshes_do_not_import_the_scan_tree():
-    # the overlap scan imports scipy.spatial only for meshes it scans: the
-    # L-shape start mesh is not scanned and the crack mesh is a slit mesh
+    # the overlap scan imports scipy.spatial only for meshes it scans, and
+    # neither start mesh is scanned
     code = (
         "import sys, afem; afem.lshape_start_mesh(); afem.crack_start_mesh();"
         " print('scipy.spatial' in sys.modules)"
@@ -135,6 +135,101 @@ def test_start_meshes_do_not_import_the_scan_tree():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_unused_vertex_rejected():
+    verts, tris = SQUARE
+    with pytest.raises(ValueError, match=r"^vertex 4 belongs to no triangle$"):
+        build_mesh(np.vstack([verts, [[0.5, 0.5]]]), tris)
+    build_mesh(np.vstack([verts, [[0.5, 0.5]]]), tris, strict=False)
+
+
+def test_slit_pairs_are_the_doubled_slit_vertices():
+    mesh = crack_start_mesh()
+    slit = mesh.vertices[_slit_vertices(mesh)]
+    assert sorted(map(tuple, slit.tolist())) == [(0.5, 0.0)] * 2 + [(1.0, 0.0)] * 2
+    build_mesh(mesh.vertices, mesh.triangles)  # scanned, and conforming
+    # a copy of vertex 0 (the slit tip) that no triangle uses is no slit
+    # pair: neither it nor vertex 0 is left out of the scan
+    copy = np.vstack([mesh.vertices, mesh.vertices[:1]])
+    mask = _slit_vertices(build_mesh(copy, mesh.triangles, strict=False))
+    assert not mask[0] and not mask[-1] and mask.sum() == 4
+
+
+def test_hanging_node_in_slit_mesh_rejected():
+    mesh = uniform_red_refine(uniform_red_refine(crack_start_mesh()))
+    build_mesh(mesh.vertices, mesh.triangles)
+    interior = np.flatnonzero(
+        np.isin(mesh.triangle_edges, mesh.interior_edges).all(axis=1)
+    )
+    verts, tris = red_split_without_closure(mesh, interior[0])
+    assert _slit_vertices(build_mesh(verts, tris, strict=False)).sum() == 16
+    with pytest.raises(HangingNode, match="lies inside edge"):
+        build_mesh(verts, tris)
+
+
+def one_sided_slit_mesh():
+    """The slit disc with only the triangles above the slit refined near
+    the tip: (0.125, 0), (0.25, 0) and (0.375, 0) have no twin below."""
+    mesh = crack_start_mesh()
+    for _ in range(2):
+        c = mesh.centroid
+        mesh = rgb_refine(mesh, np.flatnonzero((c[:, 1] > 0) & (np.hypot(*c.T) < 0.6)))
+    return mesh
+
+
+def test_one_sided_slit_refinement_roundtrips(tmp_path):
+    mesh = one_sided_slit_mesh()
+    on_slit = mesh.vertices[(mesh.vertices[:, 1] == 0) & (mesh.vertices[:, 0] > 0)]
+    xs, counts = np.unique(on_slit[:, 0], return_counts=True)
+    assert dict(zip(xs.tolist(), counts.tolist())) == {
+        0.125: 1, 0.25: 1, 0.375: 1, 0.5: 2, 1.0: 2,
+    }
+    path = tmp_path / "one_sided.mesh"
+    write_mesh_file(mesh, path)
+    back = read_mesh_file(path)  # scanned: each untwinned vertex lies
+    # inside the lower boundary edge from the tip to (0.5, 0)
+    assert np.array_equal(back.triangles, mesh.triangles)
+    assert np.array_equal(back.vertices, mesh.vertices)
+
+
+def test_overlap_across_slit_rejected():
+    # a triangle at the untwinned (0.25, 0) that reaches below the slit
+    # overlaps the lower side: its vertex is a hanging node again
+    mesh = one_sided_slit_mesh()
+    v = mesh.vertices
+    (k,) = np.flatnonzero((v[:, 0] == 0.25) & (v[:, 1] == 0))
+    (a,) = np.flatnonzero(np.isclose(v, [0.0, -0.5]).all(axis=1))
+    (b,) = np.flatnonzero(np.isclose(v, [0.5**1.5, -(0.5**1.5)]).all(axis=1))
+    tris = np.vstack([mesh.triangles, [[k, a, b]]])
+    with pytest.raises(HangingNode, match=rf"^vertex {k} lies inside edge \(0, "):
+        build_mesh(v, tris)
+
+
+def test_hanging_node_at_slit_pair_rejected():
+    # red-split an upper triangle on the slit without closing it: the
+    # midpoint of its slit edge lies across the slit, as in a one-sided
+    # refinement, but its other two edges end at slit pairs and leave
+    # hanging nodes all the same
+    mesh = uniform_red_refine(crack_start_mesh())
+    slit = _slit_vertices(mesh)
+    on_slit = slit[mesh.triangles].sum(axis=1) == 2
+    (t,) = np.flatnonzero(on_slit & (mesh.centroid[:, 1] > 0))[:1]
+    verts, tris = red_split_without_closure(mesh, t)
+    with pytest.raises(HangingNode, match="lies inside edge"):
+        build_mesh(verts, tris)
+
+
+def test_non_matching_interface_without_slit_rejected():
+    # the left half of the square has one edge on x = 0.5, the right half
+    # two: the triangles on both sides of (0.5, 0.5) do not overlap, but
+    # the edge ends at no slit pair, so the vertex is a hanging node
+    verts = np.array(
+        [[0, 0], [0.5, 0], [1, 0], [1, 1], [0.5, 1], [0, 1], [0.5, 0.5]]
+    )
+    tris = np.array([[0, 1, 4], [0, 4, 5], [1, 2, 6], [2, 3, 6], [3, 4, 6]])
+    with pytest.raises(HangingNode, match=r"^vertex 6 lies inside edge \(1, 4\)$"):
+        build_mesh(verts, tris)
 
 
 def test_overlapping_triangles_rejected():
@@ -368,6 +463,14 @@ def test_mesh_is_read_only():
         mesh.triangles[0, 0] = 1
     with pytest.raises(ValueError):
         mesh.green_flag[:] = 0
+    # the per-triangle geometry is computed once and handed out read-only
+    assert mesh.triangle_vertices() is mesh.triangle_vertices()
+    assert mesh.grad_bary() is mesh.grad_bary()
+    with pytest.raises(ValueError):
+        mesh.triangle_vertices()[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        mesh.grad_bary()[:] = 0.0
+    assert np.array_equal(mesh.triangle_vertices(), mesh.vertices[mesh.triangles])
 
 
 def test_mesh_file_malformed(tmp_path):
