@@ -13,6 +13,8 @@ of a regular finite element mesh") orders both:
 """
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 ND_LEAF = 16  # subdomains of at most this many edges are not split further
 
@@ -84,89 +86,31 @@ def saddle_order(mesh):
     eliminated edge (an "outlet") to the boundary or to a triangle not yet
     eliminated: otherwise the divergence rows of the patch sum to zero on the
     eliminated edges, and with a zero reaction block the block is singular.
-    Each triangle goes right after the first of its edges at which
-    eliminating it keeps that true; one that fails when its last edge goes
-    waits until it passes. Patches are tracked by union-find with an outlet
-    count per root, in one sweep over the edges.
+
+    The dual graph has a node per triangle, one for the boundary, and a link
+    per edge weighted by its step in the edge order (a triangle keeps only
+    its earliest boundary edge). Its minimum spanning tree (Kruskal 1956)
+    is rooted at the boundary, and each triangle goes right after the link
+    to its parent. The triangle of a patch nearest the root then has its
+    tree edge eliminated, and that edge leads out of the patch: a parent
+    inside it would be nearer the root.
     """
     ne, nt = mesh.num_edges, mesh.num_triangles
-    edge_order = mesh.edge_order
     step = np.empty(ne, dtype=np.int64)
-    step[edge_order] = np.arange(ne)
-    # the two sides of each edge in elimination order; nt is the boundary
-    sides = np.where(mesh.edge_tris >= 0, mesh.edge_tris, nt)[edge_order]
-    t_steps = np.sort(step[mesh.triangle_edges], axis=1)
-    t_sides = sides[t_steps]  # (T, 3, 2)
-    on_b = t_sides[:, :, 1] == np.arange(nt)[:, None]
-    # rank[i, s]: how many edges of side s of step i went before it
-    rank = np.zeros((ne, 2), dtype=np.int64)
-    rank[t_steps, on_b.astype(np.int64)] = np.arange(3)
-    # the side across each triangle's edges, in step order, flat (3T,)
-    across = np.where(on_b, t_sides[:, :, 0], t_sides[:, :, 1]).ravel().tolist()
-
-    done = [False] * (nt + 1)  # the boundary is never eliminated
-    parent = list(range(nt + 1))
-    outlets = [0] * (nt + 1)
-    placed = []  # flat (step, triangle) pairs in placement order
-    waiting = []
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    def place(t, k):
-        """Eliminate t after its first k edges if its merged patch keeps an
-        outlet."""
-        total = 0
-        touching = {}
-        for s in across[3 * t : 3 * t + k]:
-            if done[s]:
-                r = find(s)
-                touching[r] = touching.get(r, 0) + 1
-            else:
-                total += 1
-        for r, m in touching.items():
-            total += outlets[r] - m
-        if total <= 0:
-            return False
-        done[t] = True
-        for r in touching:
-            parent[r] = t
-        outlets[t] = total
-        return True
-
-    side_a, side_b = sides[:, 0].tolist(), sides[:, 1].tolist()
-    rank_a, rank_b = rank[:, 0].tolist(), rank[:, 1].tolist()
-    for i in range(ne):
-        a, b = side_a[i], side_b[i]
-        if done[a]:
-            ra = find(a)
-            if not done[b]:
-                outlets[ra] += 1
-            elif ra != (rb := find(b)):
-                parent[rb] = ra
-                outlets[ra] += outlets[rb]
-        elif done[b]:
-            outlets[find(b)] += 1
-        for t, k in ((a, rank_a[i]), (b, rank_b[i])):
-            if t == nt or done[t]:
-                continue
-            if place(t, k + 1):
-                placed += (i, t)
-            elif k == 2:
-                waiting.append(t)
-        if waiting:
-            still = []
-            for t in waiting:
-                if place(t, 3):
-                    placed += (i, t)
-                else:
-                    still.append(t)
-            waiting = still
-    placed = np.array(placed, dtype=np.int64).reshape(-1, 2)
-    after, tri = placed[:, 0], placed[:, 1]
-    order = np.empty(ne + nt, dtype=np.int64)
-    order[after + 1 + np.arange(nt)] = ne + tri
-    order[np.arange(ne) + np.searchsorted(after, np.arange(ne))] = edge_order
-    return order
+    step[mesh.edge_order] = np.arange(ne)
+    # the two sides of each edge; nt is the boundary
+    sides = np.where(mesh.edge_tris >= 0, mesh.edge_tris, nt)
+    a, b = sides.min(axis=1), sides.max(axis=1)
+    # csr_matrix sums duplicate links: keep a triangle's earliest boundary edge
+    bnd = np.flatnonzero(b == nt)
+    bnd = bnd[np.argsort(step[bnd])]
+    _, first = np.unique(a[bnd], return_index=True)
+    keep = np.r_[np.flatnonzero(b < nt), bnd[first]]
+    # zero weights are no links to minimum_spanning_tree
+    graph = sp.csr_matrix((step[keep] + 1.0, (a[keep], b[keep])), (nt + 1, nt + 1))
+    tree = minimum_spanning_tree(graph).tocoo()
+    _, parent = breadth_first_order(tree, nt, directed=False, return_predecessors=True)
+    child = np.where(parent[tree.row] == tree.col, tree.row, tree.col)
+    after = np.empty(nt, dtype=np.int64)
+    after[child] = tree.data.astype(np.int64) - 1
+    return np.argsort(np.r_[2 * step, 2 * after + 1])

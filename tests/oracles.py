@@ -13,7 +13,8 @@ bit. :func:`normal_jumps` and
 :func:`residual_of_exact` are consistency diagnostics of a mixed solution
 and of the benchmarks' exact data. :func:`vertices_inside_edges` tests every
 vertex against every edge; :func:`red_split_without_closure` builds the
-meshes it is run on.
+meshes it is run on. :func:`kruskal_tree_edges` is the textbook Kruskal
+with a union-find, for the saddle-point order's spanning tree.
 """
 
 import numpy as np
@@ -175,6 +176,42 @@ def red_split_without_closure(mesh, t):
     kids = [[a, mc, mb], [mc, b, ma], [mb, ma, c], [ma, mb, mc]]
     tris = np.concatenate([np.delete(mesh.triangles, t, axis=0), kids])
     return np.concatenate([v, mids]), tris
+
+
+def kruskal_tree_edges(mesh):
+    """Edge joining each triangle to its parent in the minimum spanning tree
+    of the dual graph, rooted at the boundary.
+
+    The dual graph has a node per triangle and one for the boundary, and a
+    link per edge, taken in the order ``mesh.edge_order``; a link joins two
+    trees of a union-find or closes a cycle and is dropped.
+    """
+    nt = mesh.num_triangles
+    parent = list(range(nt + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    links = {s: [] for s in range(nt + 1)}  # node -> [(edge, other node)]
+    for e in mesh.edge_order.tolist():
+        a, b = (int(s) if s >= 0 else nt for s in mesh.edge_tris[e])
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            links[a].append((e, b))
+            links[b].append((e, a))
+    tree_edge = [-1] * nt
+    stack, seen = [nt], {nt}
+    while stack:
+        node = stack.pop()
+        for e, other in links[node]:
+            if other not in seen:
+                seen.add(other)
+                tree_edge[other] = e
+                stack.append(other)
+    return np.array(tree_edge, dtype=np.int64)
 
 
 def residual_of_exact(instance, x, y, h=1e-5):

@@ -6,12 +6,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from afem import solver
+from afem import bench, solver
 from afem.assembly import assemble_mixed_direct, assemble_modified_ncfem
+from afem.mesh import build_mesh
 from afem.ordering import restrict, saddle_order
 from afem.problem import benchmark, crack_start_mesh, lshape_start_mesh, project_p0
 from afem.refine import uniform_red_refine
 
+from oracles import kruskal_tree_edges
+from test_assembly import make_field
 from test_mesh import _rgb_mesh_with_green_and_blue
 
 
@@ -53,6 +56,59 @@ def test_saddle_order_keeps_every_patch_linked(make):
     for i in np.flatnonzero(order >= ne):
         done = position <= i
         assert not _unlinked_patches(mesh, done[ne:], done[:ne]), i
+
+
+@pytest.mark.parametrize(
+    "make", [_lshape_twice_refined, crack_start_mesh, _rgb_mesh_with_green_and_blue]
+)
+def test_saddle_order_follows_the_kruskal_tree(make):
+    mesh = make()
+    ne, nt = mesh.num_edges, mesh.num_triangles
+    order = saddle_order(mesh)
+    position = np.empty(ne + nt, dtype=np.int64)
+    position[order] = np.arange(ne + nt)
+    tree_edge = kruskal_tree_edges(mesh)
+    assert np.array_equal(position[ne:], position[tree_edge] + 1)
+    # each triangle's tree edge leads to its parent; nt is the boundary
+    sides = np.where(mesh.edge_tris >= 0, mesh.edge_tris, nt)[tree_edge]
+    parent = np.r_[np.where(sides[:, 0] == np.arange(nt), sides[:, 1], sides[:, 0]), nt]
+    node = np.arange(nt)
+    for _ in range(nt):
+        node = parent[node]
+    assert np.all(node == nt)
+
+
+STATIC = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
+
+
+@pytest.mark.parametrize(
+    "vertices, triangles",
+    [
+        ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]]),
+        ([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]]),
+        (
+            [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [3, 0], [2, 1]],
+            [[0, 1, 2], [0, 2, 3], [4, 5, 6]],
+        ),
+    ],
+    ids=["one-triangle", "square", "two-components"],
+)
+def test_saddle_order_on_tiny_meshes(monkeypatch, vertices, triangles):
+    mesh = build_mesh(np.array(vertices, dtype=float), np.array(triangles))
+    ne, nt = mesh.num_edges, mesh.num_triangles
+    order = saddle_order(mesh)
+    assert np.array_equal(np.sort(order), np.arange(ne + nt))
+    position = np.empty(ne + nt, dtype=np.int64)
+    position[order] = np.arange(ne + nt)
+    for i in range(ne + nt):
+        done = position <= i
+        assert not _unlinked_patches(mesh, done[ne:], done[:ne]), i
+    pw = project_p0(make_field(f=1.0), mesh)
+    assert not pw.gamma_h.any()  # zero reaction block
+    system = assemble_mixed_direct(mesh, pw, make_field().u_dirichlet)
+    calls = _spy_splu(monkeypatch)
+    solver.solve_sparse(system, order)
+    assert calls == [(ne + nt, STATIC)]
 
 
 def _spy_splu(monkeypatch):
@@ -150,3 +206,18 @@ def test_mesh_orders_need_less_fill_than_colamd():
         )
         fill = ordered.L.nnz + ordered.U.nnz
         assert fill < 0.95 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_crack_adaptive_factors_twice_in_order_above_cutoff(tmp_path, monkeypatch):
+    # the zero reaction block of crack, ordered statically at its first
+    # level of 32,768 unknowns or more
+    calls = _spy_splu(monkeypatch)
+    config = bench.ExperimentConfig(
+        problem="crack", mode="adaptive", max_ndof=41536, out=str(tmp_path)
+    )
+    (history,) = bench.run_experiment(config, echo=lambda *_: None).histories.values()
+    assert history.ndofs[-1] == 41536
+    assert len(calls) == 2 * len(history.records)
+    ordered = [options == STATIC for _, options in calls]
+    assert ordered == [n >= solver.ORDERED_MIN_UNKNOWNS for n, _ in calls]
+    assert ordered[-2:] == [False, True]  # the modified-CR system is smaller
