@@ -17,7 +17,7 @@ from . import bench, quadrature
 from .errors import (
     BadTheta, ConfigError, EquivalenceViolation, MeshMismatch, SingularMatrix
 )
-from .problem import project_p0
+from .problem import inv_2x2, project_p0
 from .refine import rgb_refine, uniform_red_refine
 from .solver import (
     equivalence_residual,
@@ -84,13 +84,6 @@ def grad_p1(mesh, nodal):
     return np.einsum("tk,tkd->td", vals, mesh.grad_bary())
 
 
-def _inv_2x2(m):
-    """Inverses of a stack of 2x2 matrices by the adjugate formula."""
-    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    det = a * d - b * c
-    return np.stack([d, -b, -c, a], axis=-1).reshape(m.shape) / det[..., None, None]
-
-
 def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
     """Residual estimator for the mixed solution.
 
@@ -134,7 +127,7 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
     # coefficient approximation terms, degree-2 rule on the midpoints
     xm, ym = mids[..., 0].ravel(), mids[..., 1].ravel()
     a_pts = np.asarray(coeffs.a(xm, ym), dtype=float).reshape(-1, 3, 2, 2)
-    a_inv_pts = _inv_2x2(a_pts)
+    a_inv_pts = inv_2x2(a_pts)
     diff_a = np.einsum(
         "tqde,tqe->tqd", a_inv_pts - pw.a_h_inv[:, None, :, :], p_at_mids
     )
@@ -164,7 +157,10 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
 
 def dorfler_mark(eta_sq_per_triangle, theta):
     """Greedy bulk marking: smallest prefix of the descending-sorted
-    contributions reaching the theta fraction; ties broken by index."""
+    contributions reaching the theta fraction; ties broken by index.
+
+    The sort compares contributions rounded to 30 mantissa bits, so values
+    equal up to roundoff tie; the prefix sums use the unrounded values."""
     if not (0.0 < theta <= 1.0):
         raise BadTheta(f"theta must lie in (0, 1], got {theta}")
     eta_sq = np.asarray(eta_sq_per_triangle, dtype=float)
@@ -173,7 +169,9 @@ def dorfler_mark(eta_sq_per_triangle, theta):
     total = eta_sq.sum()
     if total <= 0.0:
         return MarkedSet(indices=np.empty(0, dtype=int), achieved_fraction=1.0)
-    order = np.lexsort((np.arange(len(eta_sq)), -eta_sq))
+    mantissa, exponent = np.frexp(eta_sq)
+    key = np.ldexp(np.rint(np.ldexp(mantissa, 30)), exponent - 30)
+    order = np.lexsort((np.arange(len(eta_sq)), -key))
     accum = np.cumsum(eta_sq[order])
     k = int(np.searchsorted(accum, theta * total - 1e-14 * total)) + 1
     chosen = order[:k]

@@ -104,6 +104,13 @@ def s_of_t(mesh, a_h_inv):
     return mesh.area / 3.0 * np.einsum("tkd,tde,tke->t", mids, a_h_inv, mids)
 
 
+def inv_2x2(m):
+    """Inverses of a stack of 2x2 matrices by the adjugate formula."""
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    det = a * d - b * c
+    return np.stack([d, -b, -c, a], axis=-1).reshape(m.shape) / det[..., None, None]
+
+
 def project_p0(coeffs, mesh):
     """Centroid projection of the coefficient field onto piecewise constants."""
     cx, cy = mesh.centroid[:, 0], mesh.centroid[:, 1]
@@ -111,7 +118,7 @@ def project_p0(coeffs, mesh):
     asym = np.abs(a_h[:, 0, 1] - a_h[:, 1, 0])
     spd = (
         (a_h[:, 0, 0] > 0)
-        & (np.linalg.det(a_h) > 0)
+        & (a_h[:, 0, 0] * a_h[:, 1, 1] - a_h[:, 0, 1] * a_h[:, 1, 0] > 0)
         & (asym <= 1e-12 * np.abs(a_h).max())
     )
     if not np.all(spd):
@@ -119,7 +126,7 @@ def project_p0(coeffs, mesh):
         raise NotPositiveDefinite(
             f"A at centroid of triangle {bad} is not symmetric positive definite"
         )
-    a_h_inv = np.linalg.inv(a_h)
+    a_h_inv = inv_2x2(a_h)
     b_h = np.asarray(coeffs.b(cx, cy), dtype=float).reshape(-1, 2)
     b_star_h = np.einsum("tde,te->td", a_h_inv, b_h)
     return PiecewiseData(

@@ -5,9 +5,8 @@ system, forms the scalar part from the S_T-weighted average of the element
 means and lifts the broken gradient to a conforming flux; the direct route
 factors the saddle-point system. Their agreement to solver precision is
 the package's strongest correctness oracle and is asserted on every level
-of every benchmark run. Systems of ``ORDERED_MIN_UNKNOWNS`` or more
-unknowns are factored in the mesh's nested-dissection order
-(:mod:`afem.ordering`).
+of every benchmark run. Both systems are factored in orders computed once
+per mesh (:mod:`afem.ordering`).
 """
 
 from dataclasses import dataclass
@@ -32,9 +31,6 @@ from .quadrature import affine_sq_l2
 
 RESIDUAL_TOL = 1e-10  # relative residual contract of solve_sparse
 PIVOT_FLOOR = 1e-14   # pivot / max-pivot ratio treated as singular
-# systems with fewer unknowns factor as fast with COLAMD alone as with the
-# mesh's ordering plus the factorization
-ORDERED_MIN_UNKNOWNS = 32768
 
 
 @dataclass
@@ -118,12 +114,6 @@ def _lu_solve(matrix, rhs, static=False):
     return x, residual, min_pivot, max_pivot
 
 
-def _fill_order(system, make_order):
-    """``make_order()`` for systems of ``ORDERED_MIN_UNKNOWNS`` or more
-    unknowns, None (COLAMD) for smaller ones."""
-    return make_order() if len(system.rhs) >= ORDERED_MIN_UNKNOWNS else None
-
-
 def solve_ncfem(mesh, field):
     """Solve the plain nonconforming method; returns a :class:`CRSolution`."""
     system = assemble_ncfem(mesh, field, u_dirichlet=field.u_dirichlet)
@@ -154,7 +144,7 @@ def reconstruct_mixed(pw, u_cr_tilde):
 def solve_mixed_via_equivalence(mesh, pw, u_dirichlet):
     """Mixed solution by reconstruction; returns ``(mixed, u_cr_tilde)``."""
     system = assemble_modified_ncfem(mesh, pw, u_dirichlet=u_dirichlet)
-    order = _fill_order(system, lambda: restrict(mesh.edge_order, system.free))
+    order = restrict(mesh.edge_order, system.free)
     u_tilde = CRSolution(mesh=mesh, edge_values=solve_sparse(system, order).solution)
     return reconstruct_mixed(pw, u_tilde), u_tilde
 
@@ -162,7 +152,7 @@ def solve_mixed_via_equivalence(mesh, pw, u_dirichlet):
 def solve_mixed_direct(mesh, pw, u_dirichlet):
     """Mixed solution from the direct saddle-point factorization."""
     system = assemble_mixed_direct(mesh, pw, u_dirichlet=u_dirichlet)
-    report = solve_sparse(system, _fill_order(system, lambda: saddle_order(mesh)))
+    report = solve_sparse(system, saddle_order(mesh))
     ne = mesh.num_edges
     return mixed_from_edge_flux(mesh, report.solution[:ne], report.solution[ne:])
 

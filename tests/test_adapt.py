@@ -23,6 +23,7 @@ from afem.problem import (
     constant_scalar,
     constant_vector,
     crack_start_mesh,
+    inv_2x2,
     lshape_start_mesh,
     project_p0,
 )
@@ -196,7 +197,7 @@ def test_closed_form_inverse_matches_lapack_on_spd_fields():
     mats = np.array([random_spd_matrix(rng) for _ in range(3000)]).reshape(
         1000, 3, 2, 2
     )
-    inv = adapt._inv_2x2(mats)
+    inv = inv_2x2(mats)
     ref = np.linalg.inv(mats)
     rel = np.abs(inv - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
     assert rel.max() <= 1e-14
@@ -205,7 +206,7 @@ def test_closed_form_inverse_matches_lapack_on_spd_fields():
 
 def test_closed_form_inverse_exact_for_identity():
     eye = np.broadcast_to(np.eye(2), (7, 3, 2, 2))
-    assert np.array_equal(adapt._inv_2x2(eye), eye)
+    assert np.array_equal(inv_2x2(eye), eye)
 
 
 # -- marking ------------------------------------------------------------------
@@ -252,6 +253,22 @@ def test_dorfler_subnormal_matches_normal_scale():
     tiny = dorfler_mark(np.full(5, 5e-324), 0.5)
     assert tiny.indices.tolist() == dorfler_mark(np.ones(5), 0.5).indices.tolist()
     assert tiny.achieved_fraction >= 0.5
+
+
+def test_dorfler_ties_within_roundoff_go_by_index():
+    # one ulp apart, straddling the cut: the lower index is marked either way
+    one, above = 1.0, np.nextafter(1.0, 2.0)
+    for values in ([one, above], [above, one]):
+        marked = dorfler_mark(np.array(values), 0.5)
+        assert marked.indices.tolist() == [0]
+        assert marked.achieved_fraction == values[0] / sum(values)
+
+
+def test_dorfler_marks_by_value_beyond_the_rounding():
+    # 2**-28 relative is more than the 30 mantissa bits the sort keeps
+    apart = 1.0 + 2.0**-28
+    for values, larger in (([1.0, apart], 1), ([apart, 1.0], 0)):
+        assert dorfler_mark(np.array(values), 0.5).indices.tolist() == [larger]
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from afem import bench, solver
+from afem.adapt import adaptive_loop
 from afem.assembly import assemble_mixed_direct, assemble_modified_ncfem
 from afem.mesh import build_mesh
 from afem.ordering import restrict, saddle_order
@@ -134,7 +135,6 @@ def test_routes_factor_in_the_mesh_orders(monkeypatch):
         orders.append((system, order))
         return solve_sparse(system, order)
 
-    monkeypatch.setattr(solver, "ORDERED_MIN_UNKNOWNS", 0)
     monkeypatch.setattr(solver, "solve_sparse", capture)
     mixed, _ = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet)
     direct = solver.solve_mixed_direct(mesh, pw, inst.field.u_dirichlet)
@@ -185,6 +185,24 @@ def test_singular_leading_block_falls_back_to_colamd(monkeypatch):
     assert np.array_equal(report.solution, expected)
 
 
+def test_zero_pivot_of_a_reaction_block_falls_back_to_colamd(monkeypatch):
+    # saddle_order keeps a zero reaction block nonsingular, not every
+    # reaction: with gamma = 12 on the start mesh, a leading block of the
+    # eigen sweep's saddle system is exactly singular
+    inst = benchmark("eigen_sweep", gamma=12.0)
+    mesh = inst.start_mesh()
+    pw = project_p0(inst.field, mesh)
+    system = assemble_mixed_direct(mesh, pw, inst.field.u_dirichlet)
+    expected = solver.solve_sparse(system).solution
+    calls = _spy_splu(monkeypatch)
+    report = solver.solve_sparse(system, saddle_order(mesh))
+    assert calls == [(mesh.ndof_mixed, STATIC), (mesh.ndof_mixed, {})]
+    assert np.array_equal(report.solution, expected)
+    history = adaptive_loop(inst, mode="uniform", max_ndof=mesh.ndof_mixed)
+    assert history.failure is None
+    assert history.ndofs == [mesh.ndof_mixed]
+
+
 def test_mesh_orders_need_less_fill_than_colamd():
     # George's nested dissection bounds the fill of a regular mesh by
     # O(n log n); on 15,488 L-shape dofs both orders beat COLAMD
@@ -208,9 +226,8 @@ def test_mesh_orders_need_less_fill_than_colamd():
         assert fill < 0.95 * (colamd.L.nnz + colamd.U.nnz)
 
 
-def test_crack_adaptive_factors_twice_in_order_above_cutoff(tmp_path, monkeypatch):
-    # the zero reaction block of crack, ordered statically at its first
-    # level of 32,768 unknowns or more
+def test_crack_adaptive_factors_twice_in_order(tmp_path, monkeypatch):
+    # the zero reaction block of crack, ordered statically on every level
     calls = _spy_splu(monkeypatch)
     config = bench.ExperimentConfig(
         problem="crack", mode="adaptive", max_ndof=41536, out=str(tmp_path)
@@ -218,6 +235,4 @@ def test_crack_adaptive_factors_twice_in_order_above_cutoff(tmp_path, monkeypatc
     (history,) = bench.run_experiment(config, echo=lambda *_: None).histories.values()
     assert history.ndofs[-1] == 41536
     assert len(calls) == 2 * len(history.records)
-    ordered = [options == STATIC for _, options in calls]
-    assert ordered == [n >= solver.ORDERED_MIN_UNKNOWNS for n, _ in calls]
-    assert ordered[-2:] == [False, True]  # the modified-CR system is smaller
+    assert all(options == STATIC for _, options in calls)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 import scipy.sparse.linalg as spla
 
-from afem import adapt, bench, solver
+from afem import adapt, bench
 from afem import problem as afem_problem
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -97,10 +97,10 @@ def test_level_clock_sees_one_projection_per_level(
     assert seen == history.ndofs
 
 
-def test_every_level_factors_twice_in_order_above_cutoff(tmp_path, monkeypatch):
-    # two splu calls per level, the mesh's order (NATURAL column order) for
-    # systems at or above the cutoff only, and the benchmark's tracer sees
-    # every factorization and its fill
+def test_every_level_factors_twice_in_order(tmp_path, monkeypatch):
+    # two splu calls per level, both in the mesh's order (NATURAL column
+    # order), and the benchmark's tracer sees every factorization and its
+    # fill
     spans = _load_perfbench("spans")
     calls = []
     splu = spla.splu
@@ -123,9 +123,7 @@ def test_every_level_factors_twice_in_order_above_cutoff(tmp_path, monkeypatch):
     levels = len(history.records)
     assert history.ndofs[-1] == 61696
     assert len(calls) == 2 * levels
-    ordered = [permc == "NATURAL" for _, permc in calls]
-    assert ordered == [n >= solver.ORDERED_MIN_UNKNOWNS for n, _ in calls]
-    assert any(ordered)
+    assert all(permc == "NATURAL" for _, permc in calls)
     metrics = tracer.metrics()
     assert metrics["solver.factorizations"] == 2 * levels
     assert metrics["solver.nnz_lu_direct"] > 0
