@@ -202,6 +202,7 @@ def adaptive_loop(
     if mode not in ("adaptive", "uniform"):
         raise ConfigError(f"mode must be 'adaptive' or 'uniform', got {mode!r}")
     mesh = start_mesh if start_mesh is not None else instance.start_mesh()
+    del start_mesh  # the red children kept on it would keep every level alive
     if mesh.ndof_mixed > max_ndof:
         raise ConfigError(
             f"max-ndof {max_ndof} < {mesh.ndof_mixed} mixed dofs of the start mesh"

@@ -246,10 +246,13 @@ def run_experiment(config, echo=print):
 
     config.validate()
     os.makedirs(config.out, exist_ok=True)
-    start_mesh = None
-    if config.mesh_path:
+
+    def start_mesh():
+        """The ``--mesh`` file's mesh, or None for the problem's own."""
+        if not config.mesh_path:
+            return None
         try:
-            start_mesh = read_mesh_file(config.mesh_path)
+            return read_mesh_file(config.mesh_path)
         except (OSError, ValueError, OverflowError, AfemError) as exc:
             raise ConfigError(
                 f"cannot read mesh file {config.mesh_path!r}: {exc}"
@@ -261,6 +264,13 @@ def run_experiment(config, echo=print):
         )
     else:
         gammas = [None]
+    # the histories of a sweep start from one mesh, so a uniform sweep walks
+    # one hierarchy (each red child is kept on its parent, each order on its
+    # mesh); a single history holds no start mesh and frees its coarse levels
+    sweep = len(gammas) > 1
+    shared = None
+    if sweep:
+        shared = start_mesh() or benchmark(config.problem).start_mesh()
 
     histories = {}
     events = {}
@@ -269,18 +279,19 @@ def run_experiment(config, echo=print):
     for g in gammas:
         params = {} if g is None else {"gamma": g}
         instance = benchmark(config.problem, **params)
-        on_level = (
-            _system_dumper(config.out, instance) if config.dump_systems else None
-        )
+        key = config.problem if g is None else f"{config.problem}_gamma{g:g}"
+        on_level = None
+        if config.dump_systems:
+            prefix = f"{key}_" if sweep else ""
+            on_level = _system_dumper(config.out, instance, prefix)
         hist = adapt.adaptive_loop(
             instance,
             theta=config.theta,
             max_ndof=config.max_ndof,
             mode=config.mode,
-            start_mesh=start_mesh,
+            start_mesh=shared or start_mesh(),
             on_level=on_level,
         )
-        key = config.problem if g is None else f"{config.problem}_gamma{g:g}"
         histories[key] = hist
         event = sensitivity_event(hist) if config.problem == "eigen_sweep" else (
             hist.failure
@@ -350,8 +361,9 @@ def _combined_sweep_csv(histories):
     return "\n".join(lines) + "\n"
 
 
-def _system_dumper(out_dir, instance):
-    """on_level callback writing both assembled systems per level."""
+def _system_dumper(out_dir, instance, prefix):
+    """on_level callback writing both assembled systems per level, to
+    ``systems/<prefix>level<N>_<kind>.txt``."""
     import os
 
     from .assembly import assemble_mixed_direct, assemble_modified_ncfem
@@ -362,10 +374,10 @@ def _system_dumper(out_dir, instance):
     def dump(pw, mixed, u_tilde, report, record):
         u_d = instance.field.u_dirichlet
         assemble_modified_ncfem(pw.mesh, pw, u_dirichlet=u_d).dump_triplets(
-            os.path.join(sysdir, f"level{record.level}_modified_nc.txt")
+            os.path.join(sysdir, f"{prefix}level{record.level}_modified_nc.txt")
         )
         assemble_mixed_direct(pw.mesh, pw, u_dirichlet=u_d).dump_triplets(
-            os.path.join(sysdir, f"level{record.level}_mixed.txt")
+            os.path.join(sysdir, f"{prefix}level{record.level}_mixed.txt")
         )
 
     return dump

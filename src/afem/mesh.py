@@ -13,8 +13,12 @@ Conventions
 A Triangulation is immutable after construction: everything it carries,
 including the green/blue flags and the red-green-blue refinement state
 that :mod:`afem.refine` keeps behind an adaptively refined mesh, is passed
-to the constructor or, like the edge order, derived from it once, and
-refinement always returns a new mesh.
+to the constructor or, like the edge order, the saddle-point order and the
+uniform red child, derived from it once, and refinement always returns a
+new mesh. The red child is kept on its parent
+(:func:`afem.refine.uniform_red_refine`), so all histories that refine one
+mesh uniformly walk one hierarchy, and the orders of each level are
+computed once however many histories solve on it.
 
 An undirected edge (a, b) is identified by one int64 key,
 ``min(a, b) << 32 | max(a, b)`` (:func:`edge_key`); sorting the keys sorts
@@ -26,8 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import ordering
 from .errors import DanglingBoundaryTag, HangingNode, NonPositiveArea
-from .ordering import nested_dissection
 
 _KEY_BITS = 32  # vertex indices must stay below 2**31 for int64 keys
 _KEY_MASK = (1 << _KEY_BITS) - 1
@@ -73,6 +77,7 @@ class Triangulation:
     area, h_t, centroid : per-triangle geometry
     edge_length, edge_mid : per-edge geometry
     edge_order : (E,) int array, :func:`afem.ordering.nested_dissection`
+    saddle_order : (E + T,) int array, :func:`afem.ordering.saddle_order`
     """
 
     def __init__(self, vertices, triangles, green_flag=None, rgb=None):
@@ -171,7 +176,15 @@ class Triangulation:
     def edge_order(self):
         """Nested-dissection order of the edges, computed on first use; both
         sparse factorizations of a level share it."""
-        order = nested_dissection(self)
+        order = ordering.nested_dissection(self)
+        order.flags.writeable = False
+        return order
+
+    @cached_property
+    def saddle_order(self):
+        """Order of the saddle-point unknowns, computed on first use and
+        shared by every reaction coefficient solved on this mesh."""
+        order = ordering.saddle_order(self)
         order.flags.writeable = False
         return order
 

@@ -24,7 +24,13 @@ from .mesh import build_mesh, edge_key, find_keys, key_vertices
 
 
 def uniform_red_refine(mesh):
-    """Split every triangle into four similar children via edge midpoints."""
+    """Split every triangle into four similar children via edge midpoints.
+
+    The child is built once per mesh and kept on it: refining the same mesh
+    again returns the same object, with the orders it has computed."""
+    child = getattr(mesh, "_red_child", None)
+    if child is not None:
+        return child
     new_vertices = np.vstack([mesh.vertices, mesh.edge_mid])
     mid = mesh.num_vertices + mesh.triangle_edges  # (T, 3) midpoint opposite vertex k
     t = mesh.triangles
@@ -36,7 +42,8 @@ def uniform_red_refine(mesh):
             np.stack([mid[:, 0], mid[:, 1], mid[:, 2]], axis=1),
         ]
     )
-    return build_mesh(new_vertices, children, strict=False)
+    mesh._red_child = build_mesh(new_vertices, children, strict=False)
+    return mesh._red_child
 
 
 def _local_edge_keys(tris):

@@ -6,7 +6,7 @@ means and lifts the broken gradient to a conforming flux; the direct route
 factors the saddle-point system. Their agreement to solver precision is
 the package's strongest correctness oracle and is asserted on every level
 of every benchmark run. Both systems are factored in orders computed once
-per mesh (:mod:`afem.ordering`).
+per mesh (:mod:`afem.ordering`) and kept on it.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ from .assembly import (
     s_mean,
 )
 from .errors import MeshMismatch, SingularMatrix
-from .ordering import restrict, saddle_order
+from .ordering import restrict
 from .quadrature import affine_sq_l2
 
 
@@ -152,7 +152,7 @@ def solve_mixed_via_equivalence(mesh, pw, u_dirichlet):
 def solve_mixed_direct(mesh, pw, u_dirichlet):
     """Mixed solution from the direct saddle-point factorization."""
     system = assemble_mixed_direct(mesh, pw, u_dirichlet=u_dirichlet)
-    report = solve_sparse(system, saddle_order(mesh))
+    report = solve_sparse(system, mesh.saddle_order)
     ne = mesh.num_edges
     return mixed_from_edge_flux(mesh, report.solution[:ne], report.solution[ne:])
 

@@ -200,6 +200,48 @@ def test_dump_systems_flag(tmp_path):
     assert (sysdir / "level0_mixed.txt").exists()
 
 
+def _triplets(path):
+    """{(row, col): value} of a ``--dump-systems`` file; the values are
+    written as NumPy scalar reprs, ``np.float64(...)``."""
+    lines = path.read_text().splitlines()
+    nnz = int(lines[1].split()[2])
+    return {
+        (int(i), int(j)): float(v.removeprefix("np.float64(").rstrip(")"))
+        for i, j, v in (line.split() for line in lines[2 : 2 + nnz])
+    }
+
+
+def test_dump_systems_of_a_sweep_name_each_value(tmp_path):
+    # 8 sweep values x 3 levels x 2 systems, none overwriting another
+    code = main(
+        [
+            "run", "--problem", "eigen_sweep", "--mode", "uniform",
+            "--max-ndof", "1000", "--out", str(tmp_path), "--dump-systems",
+        ]
+    )
+    assert code == 0
+    files = sorted(p.name for p in (tmp_path / "systems").iterdir())
+    assert len(files) == 48
+    assert "eigen_sweep_gamma9.63_level2_mixed.txt" in files
+    assert "eigen_sweep_gamma12_level0_modified_nc.txt" in files
+    # the two values' saddle systems differ only in the reaction block
+    # C = diag(gamma_h |T|), by the ratio of the values
+    ne = problem.lshape_start_mesh().num_edges
+    sys8, sys9 = (
+        _triplets(tmp_path / "systems" / f"eigen_sweep_gamma{g}_level0_mixed.txt")
+        for g in (8, 9)
+    )
+    assert sys8.keys() == sys9.keys()
+    reaction = [ij for ij in sys8 if min(ij) >= ne]
+    assert reaction and all(i == j for i, j in reaction)
+    for ij in sys8:
+        if ij in reaction:
+            assert sys9[ij] == pytest.approx(sys8[ij] * 9 / 8, rel=1e-14)
+            assert sys9[ij] != sys8[ij]
+        else:
+            assert sys9[ij] == sys8[ij]
+
+
 def test_missing_mesh_file_is_config_error(tmp_path, capsys):
     path = tmp_path / "missing.mesh"
     code = main(

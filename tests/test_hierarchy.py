@@ -1,0 +1,105 @@
+"""One mesh hierarchy per run: a uniform red child is built once per parent
+and kept on it, each mesh computes its orders once, and the histories of a
+sweep all start from one mesh. A run with a single history must still free
+its coarse levels as it refines."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from afem import bench, mesh, ordering, problem, refine
+from afem.mesh import write_mesh_file
+from afem.problem import lshape_start_mesh
+from afem.refine import uniform_red_refine
+
+_ORDERS = ("edge_order", "saddle_order")
+
+
+def _arrays(m):
+    return {k: v for k, v in vars(m).items() if isinstance(v, np.ndarray)}
+
+
+def test_red_child_is_built_once_and_equals_a_fresh_one():
+    parent = lshape_start_mesh()
+    child = uniform_red_refine(parent)
+    assert uniform_red_refine(parent) is child
+    assert uniform_red_refine(child) is uniform_red_refine(child)
+    fresh = uniform_red_refine(lshape_start_mesh())
+    assert fresh is not child
+    ours, theirs = _arrays(child), _arrays(fresh)
+    assert ours.keys() == theirs.keys()
+    for name in [*ours, *_ORDERS]:
+        assert np.array_equal(getattr(child, name), getattr(fresh, name)), name
+
+
+def test_orders_are_computed_once_per_mesh_and_frozen():
+    m = lshape_start_mesh()
+    for name in _ORDERS:
+        order = getattr(m, name)
+        assert getattr(m, name) is order
+        assert not order.flags.writeable
+    assert np.array_equal(m.saddle_order, ordering.saddle_order(m))
+
+
+def test_eigen_sweep_builds_each_level_and_its_orders_once(tmp_path, monkeypatch):
+    calls = {"build_mesh": 0, "nested_dissection": 0, "saddle_order": 0}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    build = spy("build_mesh", mesh.build_mesh)
+    for module in (mesh, problem, refine):
+        monkeypatch.setattr(module, "build_mesh", build)
+    for name in ("nested_dissection", "saddle_order"):
+        monkeypatch.setattr(ordering, name, spy(name, getattr(ordering, name)))
+
+    config = bench.ExperimentConfig(
+        problem="eigen_sweep", mode="uniform", max_ndof=4000, out=str(tmp_path)
+    )
+    result = bench.run_experiment(config, echo=lambda *_: None)
+    assert len(result.histories) == 8
+    ndofs = {tuple(h.ndofs) for h in result.histories.values()}
+    assert ndofs == {(68, 256, 992, 3904)}
+    # one call per distinct level, where each sweep value used to build its own
+    assert calls == {
+        "build_mesh": 4, "nested_dissection": 4, "saddle_order": 4,
+    }
+
+
+def _watch_level_zero(monkeypatch):
+    """Make the per-level callback of ``--dump-systems`` hold the level-0
+    mesh by a weakref only; returns ``(level, level-0 mesh alive)`` per
+    level. A wrapper of ``adaptive_loop`` would hold the start mesh itself."""
+    seen = []
+    refs = []
+
+    def on_level(pw, mixed, u_tilde, report, record):
+        if record.level == 0:
+            refs.append(weakref.ref(pw.mesh))
+        gc.collect()
+        seen.append((record.level, refs[-1]() is not None))
+
+    monkeypatch.setattr(bench, "_system_dumper", lambda *_: on_level)
+    return seen
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["builtin", "mesh-file"])
+def test_single_history_frees_its_coarse_levels(tmp_path, monkeypatch, from_file):
+    mesh_path = None
+    if from_file:
+        mesh_path = str(tmp_path / "lshape.mesh")
+        write_mesh_file(lshape_start_mesh(), mesh_path)
+    seen = _watch_level_zero(monkeypatch)
+    config = bench.ExperimentConfig(
+        problem="lshape", mode="uniform", max_ndof=4000, out=str(tmp_path),
+        mesh_path=mesh_path, dump_systems=True,
+    )
+    bench.run_experiment(config, echo=lambda *_: None)
+    assert [level for level, _ in seen] == [0, 1, 2, 3]
+    assert [alive for level, alive in seen if level >= 2] == [False, False]

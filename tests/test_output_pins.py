@@ -1,10 +1,11 @@
-"""SHA-1 digests of the files written by two small runs.
+"""SHA-1 digests of the files written by three small runs.
 
 The kernels behind every output (assembly, estimator, quadrature, mesh
 geometry) may be rewritten only if the arithmetic stays the same, bit for
 bit. The system digests were taken before the array kernels replaced the
 lexsort and einsum formulations, the CSV digests once every system was
-factored in the mesh order; a change to any of them is a change of output.
+factored in the mesh order, the eigen-sweep digests before its histories
+shared one mesh hierarchy; a change to any of them is a change of output.
 """
 
 import contextlib
@@ -29,13 +30,26 @@ CRACK_ADAPTIVE_15000 = {
     "crack_adaptive.csv": "7a2211f5e774a6a4299a69e18b4e7690644a9af3",
 }
 
+EIGEN_SWEEP_UNIFORM_4000 = {
+    "eigen_sweep_gamma8_uniform.csv": "e0ed1e4b9a210277f6cf5cf23ce43279a638f9b6",
+    "eigen_sweep_gamma9_uniform.csv": "6042137defbb9172c2a6e997396fcab23221aa04",
+    "eigen_sweep_gamma9.5_uniform.csv": "3959013023851caf26cc07f61dcb0f000371ae38",
+    "eigen_sweep_gamma9.63_uniform.csv": "e7fda2572c9747dcc1eb907c3d511ac732693902",
+    "eigen_sweep_gamma9.64_uniform.csv": "f785365f009cf8309f802b0acd353250a9691cf4",
+    "eigen_sweep_gamma9.7_uniform.csv": "433b2c3e607527dc7a39d198a33234ffa313dffd",
+    "eigen_sweep_gamma10_uniform.csv": "959aef5aca05e6f73291d5b9671b71698b049ef9",
+    "eigen_sweep_gamma12_uniform.csv": "32f132db5c1f9547f7b4d503f9b63b9e2b9cf42e",
+    "eigen_sweep_uniform_combined.csv": "589922b3f77772b7a74f10f7517c84d1d798b48b",
+}
+EIGEN_SWEEP_UNIFORM_4000_STDOUT = "89c1cb7445d4bd8971cdfdc4c3eb811dc76db3bf"
+
 
 def _digests(out, names):
     return {n: hashlib.sha1((out / n).read_bytes()).hexdigest() for n in names}
 
 
-def _run(out, *args):
-    with contextlib.redirect_stdout(io.StringIO()):
+def _run(out, *args, stdout=None):
+    with contextlib.redirect_stdout(stdout or io.StringIO()):
         return main(["run", *args, "--out", str(out)])
 
 
@@ -58,3 +72,17 @@ def test_crack_adaptive_csv_bytes_pinned(tmp_path):
     )
     assert code == 0
     assert _digests(tmp_path, CRACK_ADAPTIVE_15000) == CRACK_ADAPTIVE_15000
+
+
+def test_eigen_sweep_uniform_bytes_pinned(tmp_path):
+    stdout = io.StringIO()
+    code = _run(
+        tmp_path, "--problem", "eigen_sweep", "--mode", "uniform",
+        "--max-ndof", "4000", stdout=stdout,
+    )
+    assert code == 0
+    files = sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert files == sorted(EIGEN_SWEEP_UNIFORM_4000)
+    assert _digests(tmp_path, EIGEN_SWEEP_UNIFORM_4000) == EIGEN_SWEEP_UNIFORM_4000
+    digest = hashlib.sha1(stdout.getvalue().encode()).hexdigest()
+    assert digest == EIGEN_SWEEP_UNIFORM_4000_STDOUT

@@ -67,15 +67,20 @@ def test_benchmark_summary_reads_resolve(tmp_path):
         ("lshape", "uniform", 4000, False),
         ("crack", "adaptive", 1500, False),
         ("lshape", "uniform", 4000, True),
+        ("eigen_sweep", "uniform", 4000, False),
     ],
-    ids=["lshape-uniform-4000", "crack-adaptive-1500", "lshape-uniform-4000-dump"],
+    ids=[
+        "lshape-uniform-4000", "crack-adaptive-1500", "lshape-uniform-4000-dump",
+        "eigen-sweep-uniform-4000",
+    ],
 )
 def test_level_clock_sees_one_projection_per_level(
     tmp_path, monkeypatch, problem, mode, max_ndof, dump_systems
 ):
     # perfbench/child.py timestamps every level at adapt.project_p0, and
     # perfbench/spans.py opens a level span at each problem.project_p0
-    # called under the loop, so no level may project twice
+    # called under the loop, so no level may project twice, nor a level
+    # that a sweep's histories share be projected once for all of them
     seen = []
     project_p0 = afem_problem.project_p0
 
@@ -92,9 +97,9 @@ def test_level_clock_sees_one_projection_per_level(
         out=str(tmp_path),
         dump_systems=dump_systems,
     )
-    (history,) = bench.run_experiment(config, echo=lambda *_: None).histories.values()
-    assert len(history.records) >= 3
-    assert seen == history.ndofs
+    histories = bench.run_experiment(config, echo=lambda *_: None).histories
+    assert all(len(h.records) >= 3 for h in histories.values())
+    assert seen == [n for h in histories.values() for n in h.ndofs]
 
 
 def test_every_level_factors_twice_in_order(tmp_path, monkeypatch):
