@@ -52,7 +52,7 @@ class SparseSystem:
                      f" {coo.nnz} entries\n")
             fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
             for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {v!r}\n")
+                fh.write(f"{i} {j} {float(v)!r}\n")
             fh.write(f"% rhs {len(self.rhs)}\n")
             for v in self.rhs:
                 fh.write(f"{float(v)!r}\n")

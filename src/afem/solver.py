@@ -76,7 +76,7 @@ def solve_sparse(system, order=None):
 
 def _lu_solve(matrix, rhs, static=False):
     """``(x, residual, min_pivot, max_pivot)``: factor, check the pivots,
-    solve, and refine once if the residual is large.
+    solve, refine once and check the residual.
 
     ``static`` factors the columns in their given order with diagonal
     pivots. SuperLU takes any nonzero diagonal then, but swaps rows where a
@@ -99,15 +99,14 @@ def _lu_solve(matrix, rhs, static=False):
             " reaction coefficient near a discrete eigenvalue or mesh too coarse"
         )
     x = lu.solve(rhs)
+    # one step of iterative refinement, on which static pivots rely (Li &
+    # Demmel 1998)
+    x = x + lu.solve(rhs - matrix @ x)
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("factorization produced non-finite values")
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
     residual = float(np.linalg.norm(matrix @ x - rhs)) / scale
     if residual > RESIDUAL_TOL:
-        # one step of iterative refinement before declaring breakdown
-        x = x + lu.solve(rhs - matrix @ x)
-        residual = float(np.linalg.norm(matrix @ x - rhs)) / scale
-    if residual > RESIDUAL_TOL or not np.all(np.isfinite(x)):
         raise SingularMatrix(
             f"relative residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )

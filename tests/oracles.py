@@ -14,7 +14,9 @@ bit. :func:`normal_jumps` and
 and of the benchmarks' exact data. :func:`vertices_inside_edges` tests every
 vertex against every edge; :func:`red_split_without_closure` builds the
 meshes it is run on. :func:`kruskal_tree_edges` is the textbook Kruskal
-with a union-find, for the saddle-point order's spanning tree.
+with a union-find, for the saddle-point order's spanning tree, and
+:func:`kuhn_matching_size` the augmenting-path matching, for the size of
+the nested dissection's separators.
 """
 
 import numpy as np
@@ -212,6 +214,26 @@ def kruskal_tree_edges(mesh):
                 tree_edge[other] = e
                 stack.append(other)
     return np.array(tree_edge, dtype=np.int64)
+
+
+def kuhn_matching_size(low, up):
+    """Size of a maximum matching of the bipartite graph with links
+    ``low[k] -> up[k]``, by Kuhn's augmenting paths (1955)."""
+    links = {}
+    for u, v in zip(low.tolist(), up.tolist()):
+        links.setdefault(u, []).append(v)
+    mate = {}  # upper end -> its lower end
+
+    def augment(u, seen):
+        for v in links[u]:
+            if v not in seen:
+                seen.add(v)
+                if v not in mate or augment(mate[v], seen):
+                    mate[v] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in links)
 
 
 def residual_of_exact(instance, x, y, h=1e-5):

@@ -201,12 +201,11 @@ def test_dump_systems_flag(tmp_path):
 
 
 def _triplets(path):
-    """{(row, col): value} of a ``--dump-systems`` file; the values are
-    written as NumPy scalar reprs, ``np.float64(...)``."""
+    """{(row, col): value} of a ``--dump-systems`` file."""
     lines = path.read_text().splitlines()
     nnz = int(lines[1].split()[2])
     return {
-        (int(i), int(j)): float(v.removeprefix("np.float64(").rstrip(")"))
+        (int(i), int(j)): float(v)
         for i, j, v in (line.split() for line in lines[2 : 2 + nnz])
     }
 

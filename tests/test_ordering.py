@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from afem import bench, solver
+from afem import bench, ordering, solver
 from afem.adapt import adaptive_loop
 from afem.assembly import assemble_mixed_direct, assemble_modified_ncfem
 from afem.mesh import build_mesh
@@ -14,13 +14,46 @@ from afem.ordering import restrict, saddle_order
 from afem.problem import benchmark, crack_start_mesh, lshape_start_mesh, project_p0
 from afem.refine import uniform_red_refine
 
-from oracles import kruskal_tree_edges
+from oracles import kruskal_tree_edges, kuhn_matching_size
 from test_assembly import make_field
 from test_mesh import _rgb_mesh_with_green_and_blue
 
 
 def _lshape_twice_refined():
     return uniform_red_refine(uniform_red_refine(lshape_start_mesh()))
+
+
+def _adaptive_crack_mesh():
+    meshes = []
+    adaptive_loop(
+        benchmark("crack"), mode="adaptive", max_ndof=3000,
+        on_level=lambda pw, *_: meshes.append(pw.mesh),
+    )
+    assert meshes[-1].green_flag.any()
+    return meshes[-1]
+
+
+@pytest.mark.parametrize(
+    "make", [_lshape_twice_refined, _adaptive_crack_mesh, _rgb_mesh_with_green_and_blue]
+)
+def test_separators_are_minimum_vertex_covers(monkeypatch, make):
+    mesh = make()
+    splits = []
+    cover = ordering._minimum_cover
+
+    def spy(low, up):
+        sep = cover(low, up)
+        splits.append((low, up, sep))
+        return sep
+
+    monkeypatch.setattr(ordering, "_minimum_cover", spy)
+    order = ordering.nested_dissection(mesh)
+    assert np.array_equal(np.sort(order), np.arange(mesh.num_edges))
+    assert sum(len(low) for low, _, _ in splits) > 0
+    # one call per depth covers the cut pairs of every split of that depth
+    for low, up, sep in splits:
+        assert np.all(np.isin(low, sep) | np.isin(up, sep))
+        assert len(np.unique(sep)) == len(sep) == kuhn_matching_size(low, up)
 
 
 def _unlinked_patches(mesh, tri_done, edge_done):
@@ -224,6 +257,27 @@ def test_mesh_orders_need_less_fill_than_colamd():
         )
         fill = ordered.L.nnz + ordered.U.nnz
         assert fill < 0.95 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_eigen_sweep_mesh_order_fills_less_than_colamd():
+    # the modified nonconforming systems of the gamma = 8 uniform sweep,
+    # levels 0-4 (at most 9,088 unknowns); the upper ends of the cut pairs
+    # as separators filled 0.95 of COLAMD here
+    inst = benchmark("eigen_sweep", gamma=8.0)
+    mesh = inst.start_mesh()
+    ordered = colamd = 0
+    for _ in range(5):
+        system = assemble_modified_ncfem(
+            mesh, project_p0(inst.field, mesh), inst.field.u_dirichlet
+        )
+        matrix = system.matrix.tocsc()
+        order = restrict(mesh.edge_order, system.free)
+        lu = spla.splu(matrix[order][:, order], **STATIC)
+        ordered += lu.L.nnz + lu.U.nnz
+        lu = spla.splu(matrix)
+        colamd += lu.L.nnz + lu.U.nnz
+        mesh = uniform_red_refine(mesh)
+    assert ordered < 0.8 * colamd
 
 
 def test_crack_adaptive_factors_twice_in_order(tmp_path, monkeypatch):

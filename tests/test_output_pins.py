@@ -2,10 +2,13 @@
 
 The kernels behind every output (assembly, estimator, quadrature, mesh
 geometry) may be rewritten only if the arithmetic stays the same, bit for
-bit. The system digests were taken before the array kernels replaced the
-lexsort and einsum formulations, the CSV digests once every system was
-factored in the mesh order, the eigen-sweep digests before its histories
-shared one mesh hierarchy; a change to any of them is a change of output.
+bit. The system files hold the bytes that the lexsort and einsum
+formulations wrote, with plain float reprs for the matrix entries. The CSV
+and stdout digests were taken once every system was factored in the mesh
+order with minimum vertex separators and every solve took one refinement
+step; the last bits of the CSV values, and one rounded digit of the sweep's
+stdout, move with the factorization's roundoff. A change to any of them is
+a change of output.
 """
 
 import contextlib
@@ -15,33 +18,33 @@ import io
 from afem.cli import main
 
 LSHAPE_UNIFORM_4000 = {
-    "lshape_uniform.csv": "95d4045e64afb024c9e0dfddbc5a8416eafe788e",
-    "systems/level0_mixed.txt": "a53bae53b8f3945633690e1d91f488cc4ac3f3b0",
-    "systems/level0_modified_nc.txt": "2038ecaf4fbe58d5a0a31892369ecda0b6a27e41",
-    "systems/level1_mixed.txt": "81179b31d30b229316128c24a8c85b72aead22e4",
-    "systems/level1_modified_nc.txt": "80a55cc379f0a4b8681d6b57de11c28e3f712711",
-    "systems/level2_mixed.txt": "e25f529fe27bdc5e75899cca5adc7f2da811242b",
-    "systems/level2_modified_nc.txt": "d94c318a9bc2b0514cdb16aa1b41f3336b7a97ad",
-    "systems/level3_mixed.txt": "b86cf38803437c3bd246473d57a290263f953829",
-    "systems/level3_modified_nc.txt": "679500597c473257bf42f90cbf5b31e9566a05c0",
+    "lshape_uniform.csv": "741ed2466d588921bd4abaa495ca48d0e364a18c",
+    "systems/level0_mixed.txt": "e3093c15fe41ba4f406d440a8b3c06f4b16a24d9",
+    "systems/level0_modified_nc.txt": "2e44b12513100f20e9ddb41d05dc821da078d949",
+    "systems/level1_mixed.txt": "72c204fc92ee2110a525442f943f7fc67549b353",
+    "systems/level1_modified_nc.txt": "afcf3d8a0897d1617d76f22fabd51c9d622d7265",
+    "systems/level2_mixed.txt": "285dfe31fffd912c259c6a528d9c1f762b79a889",
+    "systems/level2_modified_nc.txt": "2729d6df81c29260120792d5d871fa7fc70f6639",
+    "systems/level3_mixed.txt": "af04fd8c50976df5fc83cee79bfd823b6b2b25ff",
+    "systems/level3_modified_nc.txt": "bf7a97cc6b1b6c30e7412312f154aa0fa3618602",
 }
 
 CRACK_ADAPTIVE_15000 = {
-    "crack_adaptive.csv": "7a2211f5e774a6a4299a69e18b4e7690644a9af3",
+    "crack_adaptive.csv": "2d9357aa927453c057a3f03eaeb4315e94cec311",
 }
 
 EIGEN_SWEEP_UNIFORM_4000 = {
-    "eigen_sweep_gamma8_uniform.csv": "e0ed1e4b9a210277f6cf5cf23ce43279a638f9b6",
-    "eigen_sweep_gamma9_uniform.csv": "6042137defbb9172c2a6e997396fcab23221aa04",
-    "eigen_sweep_gamma9.5_uniform.csv": "3959013023851caf26cc07f61dcb0f000371ae38",
-    "eigen_sweep_gamma9.63_uniform.csv": "e7fda2572c9747dcc1eb907c3d511ac732693902",
-    "eigen_sweep_gamma9.64_uniform.csv": "f785365f009cf8309f802b0acd353250a9691cf4",
-    "eigen_sweep_gamma9.7_uniform.csv": "433b2c3e607527dc7a39d198a33234ffa313dffd",
-    "eigen_sweep_gamma10_uniform.csv": "959aef5aca05e6f73291d5b9671b71698b049ef9",
-    "eigen_sweep_gamma12_uniform.csv": "32f132db5c1f9547f7b4d503f9b63b9e2b9cf42e",
-    "eigen_sweep_uniform_combined.csv": "589922b3f77772b7a74f10f7517c84d1d798b48b",
+    "eigen_sweep_gamma8_uniform.csv": "efada681b2240718e71664d2cbc6de0cdd6a880a",
+    "eigen_sweep_gamma9_uniform.csv": "56778d36b6c27bfee2ce0c786ad9f1231f1fbda0",
+    "eigen_sweep_gamma9.5_uniform.csv": "79f08dce3068ac9f9e5b0aebbde8eca87852e518",
+    "eigen_sweep_gamma9.63_uniform.csv": "d2a6b97e2b5c018fe96ad3fc9b7e3cb8681ae1c8",
+    "eigen_sweep_gamma9.64_uniform.csv": "4441af398547492b19b632e6f7b1d72856c4fc26",
+    "eigen_sweep_gamma9.7_uniform.csv": "d033155cb0bb761434ee2ad4934c08c575c027b3",
+    "eigen_sweep_gamma10_uniform.csv": "6da57d1ad0219ef07e2e6de19ab52b155e02e8ee",
+    "eigen_sweep_gamma12_uniform.csv": "4b4bbd98f3663975f2770ed38f76445410ce5361",
+    "eigen_sweep_uniform_combined.csv": "349f7da451e902fdb50adaa19d1264b50166dd31",
 }
-EIGEN_SWEEP_UNIFORM_4000_STDOUT = "89c1cb7445d4bd8971cdfdc4c3eb811dc76db3bf"
+EIGEN_SWEEP_UNIFORM_4000_STDOUT = "2d7201cd9280141bf04d9afce5b8916c97a86c76"
 
 
 def _digests(out, names):
