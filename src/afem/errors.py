@@ -35,8 +35,10 @@ class SingularLocalFactor(AfemError):
 
 
 class SingularMatrix(AfemError):
-    """Direct factorization broke down; the discrete problem is singular
-    at this mesh size (e.g. reaction coefficient at a discrete eigenvalue)."""
+    """A direct solve broke down or lost more than half the working digits
+    (its refinement correction exceeds ``solver.FORWARD_TOL``); the discrete
+    problem is taken as singular at this mesh size (e.g. reaction
+    coefficient at a discrete eigenvalue)."""
 
 
 class MeshMismatch(AfemError):

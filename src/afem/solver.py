@@ -6,7 +6,9 @@ means and lifts the broken gradient to a conforming flux; the direct route
 factors the saddle-point system. Their agreement to solver precision is
 the package's strongest correctness oracle and is asserted on every level
 of every benchmark run. Both systems are factored in orders computed once
-per mesh (:mod:`afem.ordering`) and kept on it.
+per mesh (:mod:`afem.ordering`) and kept on it. A solve is trusted by one
+test: the correction of its refinement step, relative to the solution, is
+at most ``FORWARD_TOL``; otherwise the matrix counts as singular.
 """
 
 from dataclasses import dataclass
@@ -29,39 +31,32 @@ from .ordering import restrict
 from .quadrature import affine_sq_l2
 
 
-RESIDUAL_TOL = 1e-10  # relative residual contract of solve_sparse
-PIVOT_FLOOR = 1e-14   # pivot / max-pivot ratio treated as singular
+# largest trusted relative correction ||dx|| / ||x||: half the working digits
+FORWARD_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass
 class LinearSolveReport:
     solution: np.ndarray       # full dof vector, fixed dofs filled in
-    residual: float            # ||Ax - b|| / max(||b||, eps)
-    min_pivot: float
-    max_pivot: float
+    correction: float          # ||dx|| / ||x|| of the refinement step
 
 
 def solve_sparse(system, order=None):
-    """Direct sparse LU solve with a pivot floor and a residual check.
+    """Direct sparse LU solve, refined once and trusted by its correction.
 
     Without ``order``, SuperLU orders the columns by COLAMD and pivots
     partially. ``order``, a fill-reducing permutation of the unknowns, has
     ``A[order][:, order]`` factored in that order on its diagonal (static
-    pivots); should a diagonal pivot vanish, or the pivot floor or the
-    residual check trip, the matrix is factored once more the first way.
+    pivots); should a diagonal pivot vanish or the solve not be trusted
+    (see :func:`_lu_solve`), the matrix is factored once more the first way.
     """
     n = len(system.rhs)
     if n == 0:
-        return LinearSolveReport(
-            solution=system.full_solution(np.empty(0)),
-            residual=0.0,
-            min_pivot=np.inf,
-            max_pivot=np.inf,
-        )
+        return LinearSolveReport(system.full_solution(np.empty(0)), 0.0)
     matrix = system.matrix.tocsc()
     if order is not None:
         try:
-            y, *stats = _lu_solve(
+            y, correction = _lu_solve(
                 matrix[order][:, order], system.rhs[order], static=True
             )
         except SingularMatrix:
@@ -69,18 +64,22 @@ def solve_sparse(system, order=None):
         else:
             x = np.empty(n)
             x[order] = y
-            return LinearSolveReport(system.full_solution(x), *stats)
-    x, *stats = _lu_solve(matrix, system.rhs)
-    return LinearSolveReport(system.full_solution(x), *stats)
+            return LinearSolveReport(system.full_solution(x), correction)
+    x, correction = _lu_solve(matrix, system.rhs)
+    return LinearSolveReport(system.full_solution(x), correction)
 
 
 def _lu_solve(matrix, rhs, static=False):
-    """``(x, residual, min_pivot, max_pivot)``: factor, check the pivots,
-    solve, refine once and check the residual.
+    """``(x, correction)``: factor, solve and refine once, ``x = x0 + dx``
+    with ``dx`` the solve of the residual of ``x0``.
 
-    ``static`` factors the columns in their given order with diagonal
-    pivots. SuperLU takes any nonzero diagonal then, but swaps rows where a
-    diagonal is exactly zero, that is, where a leading block is singular.
+    ``correction = ||dx|| / ||x||`` estimates the forward error of ``x0``
+    (Higham 2002, ch. 12; Demmel et al. 2006). The solve is trusted when it
+    is at most ``FORWARD_TOL``; otherwise, or when ``x`` is not finite, the
+    matrix is taken as singular. ``static`` factors the columns in their
+    given order with diagonal pivots. SuperLU takes any nonzero diagonal
+    then, but swaps rows where a diagonal is exactly zero, that is, where a
+    leading block is singular.
     """
     try:
         if static:
@@ -91,26 +90,21 @@ def _lu_solve(matrix, rhs, static=False):
         raise SingularMatrix(str(exc)) from None
     if static and np.any(lu.perm_r != lu.perm_c):
         raise SingularMatrix("zero diagonal pivot: a leading block is singular")
-    pivots = np.abs(lu.U.diagonal())
-    max_pivot, min_pivot = float(pivots.max()), float(pivots.min())
-    if max_pivot == 0.0 or min_pivot < PIVOT_FLOOR * max_pivot:
-        raise SingularMatrix(
-            f"pivot ratio {min_pivot:.3e} / {max_pivot:.3e} below floor;"
-            " reaction coefficient near a discrete eigenvalue or mesh too coarse"
-        )
     x = lu.solve(rhs)
     # one step of iterative refinement, on which static pivots rely (Li &
     # Demmel 1998)
-    x = x + lu.solve(rhs - matrix @ x)
+    dx = lu.solve(rhs - matrix @ x)
+    x = x + dx
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("factorization produced non-finite values")
-    scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    residual = float(np.linalg.norm(matrix @ x - rhs)) / scale
-    if residual > RESIDUAL_TOL:
+    correction = float(np.linalg.norm(dx) / np.linalg.norm(x)) if dx.any() else 0.0
+    if correction > FORWARD_TOL:
         raise SingularMatrix(
-            f"relative residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
+            f"refinement correction ||dx||/||x|| = {correction:.3e} exceeds"
+            f" {FORWARD_TOL:.1e}; reaction coefficient near a discrete"
+            " eigenvalue or mesh too coarse"
         )
-    return x, residual, min_pivot, max_pivot
+    return x, correction
 
 
 def solve_ncfem(mesh, field):

@@ -98,14 +98,15 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 
 def test_singular_sweep_exits_two(tmp_path, capsys):
+    # gamma is the discrete mixed eigenvalue lambda_h,0 of the start mesh
     code = main(
         [
-            "run", "--problem", "eigen_sweep", "--gamma", "9.63",
-            "--mode", "uniform", "--max-ndof", "20000", "--out", str(tmp_path),
+            "run", "--problem", "eigen_sweep", "--gamma", "8.729895749288895",
+            "--mode", "uniform", "--max-ndof", "300", "--out", str(tmp_path),
         ]
     )
     assert code == 2
-    text = (tmp_path / "eigen_sweep_gamma9.63_uniform.csv").read_text()
+    text = (tmp_path / "eigen_sweep_gamma8.7299_uniform.csv").read_text()
     assert "aborted" in text  # partial CSV carries the failure marker
     assert "event:" in capsys.readouterr().out
 

@@ -198,9 +198,30 @@ def test_static_pivots_on_crack_match_colamd(monkeypatch):
     calls = _spy_splu(monkeypatch)
     report = solver.solve_sparse(system, saddle_order(mesh))
     assert calls == [(len(system.rhs), {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0})]
-    assert report.min_pivot > solver.PIVOT_FLOOR * report.max_pivot
+    assert report.correction <= solver.FORWARD_TOL
     err = np.linalg.norm(report.solution - expected)
     assert err <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_near_resonant_level_is_trusted_on_static_pivots(monkeypatch):
+    # gamma = 9.63 on uniform level 4: lambda_h = 9.618 is 0.012 away, so the
+    # system is ill-conditioned but well posed, and its static solve accurate
+    inst = benchmark("eigen_sweep", gamma=9.63)
+    mesh = inst.start_mesh()
+    for _ in range(4):
+        mesh = uniform_red_refine(mesh)
+    pw = project_p0(inst.field, mesh)
+    system = assemble_modified_ncfem(mesh, pw, inst.field.u_dirichlet)
+    expected = solver.solve_sparse(system).solution
+    calls = _spy_splu(monkeypatch)
+    report = solver.solve_sparse(system, restrict(mesh.edge_order, system.free))
+    assert calls == [(9088, {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0})]
+    assert report.correction <= solver.FORWARD_TOL
+    err = np.linalg.norm(report.solution - expected)
+    assert err <= 1e-10 * np.linalg.norm(expected)
+    history = adaptive_loop(inst, mode="uniform", max_ndof=16000)
+    assert history.failure is None
+    assert [rec.ndof for rec in history.records] == [68, 256, 992, 3904, 15488]
 
 
 def test_singular_leading_block_falls_back_to_colamd(monkeypatch):

@@ -43,7 +43,7 @@ def test_solve_identity():
     r = np.array([3.0, -1.0, 2.0])
     report = solve_sparse(plain_system(np.eye(3), r))
     assert np.allclose(report.solution, r)
-    assert report.residual <= 1e-10
+    assert report.correction == 0.0
 
 
 def test_solve_small_system():
@@ -56,9 +56,20 @@ def test_zero_matrix_is_singular():
         solve_sparse(plain_system(np.zeros((2, 2)), [1.0, 0.0]))
 
 
-def test_tiny_pivot_is_singular():
-    with pytest.raises(SingularMatrix):
-        solve_sparse(plain_system([[1.0, 0.0], [0.0, 1e-30]], [1.0, 1.0]))
+def test_tiny_pivot_is_solved_exactly():
+    # a small pivot is not a singular matrix: the solve is exact
+    report = solve_sparse(plain_system([[1.0, 0.0], [0.0, 1e-30]], [1.0, 1.0]))
+    assert np.array_equal(report.solution, [1.0, 1.0 / 1e-30])
+    assert report.correction == 0.0
+
+
+def test_hilbert_12_is_singular():
+    # cond ~ 1.7e16: the refinement step moves x by far more than FORWARD_TOL
+    n = 12
+    i = np.arange(n)
+    hilbert = 1.0 / (i[:, None] + i[None, :] + 1.0)
+    with pytest.raises(SingularMatrix, match="refinement correction"):
+        solve_sparse(plain_system(hilbert, hilbert.sum(axis=1)))
 
 
 def laplace_instance(u_d):
