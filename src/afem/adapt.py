@@ -174,6 +174,8 @@ def dorfler_mark(eta_sq_per_triangle, theta):
     order = np.lexsort((np.arange(len(eta_sq)), -key))
     accum = np.cumsum(eta_sq[order])
     k = int(np.searchsorted(accum, theta * total - 1e-14 * total)) + 1
+    # the sequential prefix sums may end short of the pairwise total (theta = 1)
+    k = min(k, len(order))
     chosen = order[:k]
     return MarkedSet(
         indices=np.sort(chosen),

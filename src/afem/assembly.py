@@ -24,7 +24,8 @@ from .errors import MeshMismatch, SingularLocalFactor
 
 @dataclass
 class SparseSystem:
-    """Triplet-assembled sparse system over the ``free`` dofs.
+    """Triplet-assembled sparse system over the ``free`` dofs, numbered in
+    the order of elimination: row and column ``i`` are dof ``free[i]``.
 
     Eliminated Dirichlet dofs are listed in ``fixed`` with their values;
     :meth:`full_solution` puts them back. ``kind`` labels the dump only.
@@ -44,17 +45,24 @@ class SparseSystem:
         out[self.fixed] = self.fixed_values
         return out
 
+    def in_dof_order(self):
+        """``(matrix, rhs)`` with rows and columns in ascending dof order;
+        the matrix as CSC with sorted row indices."""
+        rank = np.argsort(self.free)
+        return self.matrix[np.ix_(rank, rank)].sorted_indices(), self.rhs[rank]
+
     def dump_triplets(self, path):
-        """Matrix-market style triplet text dump for offline inspection."""
-        coo = self.matrix.tocoo()
+        """Matrix-market style triplet text dump, in ascending dof order."""
+        matrix, rhs = self.in_dof_order()
+        coo = matrix.tocoo()
         with open(path, "w") as fh:
             fh.write(f"% {self.kind} system, {coo.shape[0]} x {coo.shape[1]},"
                      f" {coo.nnz} entries\n")
             fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
             for i, j, v in zip(coo.row, coo.col, coo.data):
                 fh.write(f"{i} {j} {float(v)!r}\n")
-            fh.write(f"% rhs {len(self.rhs)}\n")
-            for v in self.rhs:
+            fh.write(f"% rhs {len(rhs)}\n")
+            for v in rhs:
                 fh.write(f"{float(v)!r}\n")
 
 
@@ -122,9 +130,9 @@ def _coerce_pw(mesh, pw_or_field):
     return project_p0(pw_or_field, mesh)
 
 
-def _cr_triplets(mesh, local):
-    """Scatter (T, 3, 3) local matrices into COO triplets over edge dofs."""
-    te = mesh.triangle_edges
+def _cr_triplets(te, local):
+    """Scatter (T, 3, 3) local matrices into COO triplets over the (T, 3)
+    edge dofs ``te``."""
     rows = np.repeat(te, 3, axis=1).ravel()
     cols = np.tile(te, (1, 3)).ravel()
     return rows, cols, local.ravel()
@@ -160,31 +168,33 @@ def _cr_system(mesh, pw, grad_psi, conv_weight, react, local_rhs, u_dirichlet):
     Element matrix: diffusion (A_h grad psi_j, grad psi_i) plus the
     convection row (conv_weight b_h psi_j, grad psi_i), int_T psi_j = |T|/3,
     plus the (T, 3, 3) reaction block; ``local_rhs`` holds the (T, 3)
-    element loads.
+    element loads. The free edges are numbered in ``mesh.edge_order``.
     """
     area = mesh.area
     ne = mesh.num_edges
+    # dofs numbered first: the mesh's orders, built on first use, outlive the
+    # level, and built among the triplet temporaries they fragment the heap
+    fixed, values = np.empty(0, dtype=int), np.empty(0)
+    if u_dirichlet is not None:
+        # essential data: fix boundary dofs to u_D(mid E), move their columns
+        fixed, values = mesh.boundary_edges, _boundary_values(mesh, u_dirichlet)
+    is_free = np.ones(ne, dtype=bool)
+    is_free[fixed] = False
+    free = mesh.edge_order[is_free[mesh.edge_order]]
+
     diff = _diffusion(area, pw.a_h, grad_psi)
     conv = np.einsum("t,td,tid->ti", conv_weight * area / 3.0, pw.b_h, grad_psi)
-    rows, cols, vals = _cr_triplets(mesh, diff + conv[:, :, None] + react)
+    te = mesh.triangle_edges
+    rows, cols, vals = _cr_triplets(te, diff + conv[:, :, None] + react)
     matrix = _compress(rows, cols, vals, (ne, ne))
-
     rhs = np.zeros(ne)
-    np.add.at(rhs, mesh.triangle_edges.ravel(), local_rhs.ravel())
-    if u_dirichlet is None:
-        return SparseSystem(matrix, rhs, ndofs=ne, free=np.arange(ne))
-    # essential data: fix boundary dofs to u_D(mid E), move their columns
-    bnd = mesh.boundary_edges
-    values = _boundary_values(mesh, u_dirichlet)
-    is_free = np.ones(ne, dtype=bool)
-    is_free[bnd] = False
-    free = np.flatnonzero(is_free)
+    np.add.at(rhs, te.ravel(), local_rhs.ravel())
     return SparseSystem(
-        matrix=matrix[np.ix_(free, free)].tocsc(),
-        rhs=rhs[free] - matrix[np.ix_(free, bnd)] @ values,
+        matrix=matrix[np.ix_(free, free)],
+        rhs=rhs[free] - matrix[np.ix_(free, fixed)] @ values,
         ndofs=ne,
         free=free,
-        fixed=bnd,
+        fixed=fixed,
         fixed_values=values,
     )
 
@@ -264,14 +274,19 @@ def assemble_modified_ncfem(mesh, pw, u_dirichlet=None):
 def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
     """Saddle-point system of the lowest-order mixed method.
 
-    Dof order: edge fluxes (canonical edge index), then triangle scalars.
-    Block structure [[M, W - B^T], [B, C]] with the flux mass matrix M
+    Dofs: edge fluxes (canonical edge index), then triangle scalars, with
+    block structure [[M, W - B^T], [B, C]]: the flux mass matrix M
     (edge-midpoint rule, exact), the convection coupling W, the divergence
-    block B and C = diag(gamma_h |T|).
+    block B and C = diag(gamma_h |T|). Rows and columns are numbered in
+    ``mesh.saddle_order``, the order of elimination.
     """
     pw = _coerce_pw(mesh, pw)
     ne, nt = mesh.num_edges, mesh.num_triangles
     n = ne + nt
+    # dofs numbered first (see _cr_system); dof d is row position[d]
+    position = np.empty(n, dtype=np.int64)
+    position[mesh.saddle_order] = np.arange(n)
+    te, tri = position[mesh.triangle_edges], position[ne:]
     pv = mesh.triangle_vertices()
     sig = mesh.triangle_edge_signs.astype(float)
     scale = sig * mesh.edge_length[mesh.triangle_edges] / (
@@ -289,16 +304,16 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
     )
     mass = np.einsum("t,tiqd,tjqd->tij", mesh.area / 3.0, a_inv_vals, vals)
 
-    rows, cols, data = _cr_triplets(mesh, mass)
+    rows, cols, data = _cr_triplets(te, mass)
     rows = [rows]
     cols = [cols]
     data = [data]
 
     # divergence of the signed basis is sigma |E| / |T|; (div p, 1)_T = sigma |E|
     div_coef = sig * mesh.edge_length[mesh.triangle_edges]  # (T, 3)
-    tri_ids = np.repeat(np.arange(nt), 3)
-    rows.append(ne + tri_ids)
-    cols.append(mesh.triangle_edges.ravel())
+    tri_ids = np.repeat(tri, 3)
+    rows.append(tri_ids)
+    cols.append(te.ravel())
     data.append(div_coef.ravel())
 
     # (u b*_h, q)_T - (div q, u)_T couples each triangle dof to its edges
@@ -308,23 +323,23 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
         pw.b_star_h,
         mesh.centroid[:, None, :] - pv,
     ) * scale
-    rows.append(mesh.triangle_edges.ravel())
-    cols.append(ne + tri_ids)
+    rows.append(te.ravel())
+    cols.append(tri_ids)
     data.append((w - div_coef).ravel())
 
-    rows.append(ne + np.arange(nt))
-    cols.append(ne + np.arange(nt))
+    rows.append(tri)
+    cols.append(tri)
     data.append(pw.gamma_h * mesh.area)
 
     matrix = _compress(
         np.concatenate(rows), np.concatenate(cols), np.concatenate(data), (n, n)
     )
     rhs = np.zeros(n)
-    rhs[ne:] = pw.f_h * mesh.area
+    rhs[tri] = pw.f_h * mesh.area
     if u_dirichlet is not None:
         # natural data -sigma |E| u_D(mid E); T_plus (column 0) has sigma = +1
         bnd = mesh.boundary_edges
         sigma = np.where(mesh.edge_tris[bnd, 0] >= 0, 1.0, -1.0)
         values = _boundary_values(mesh, u_dirichlet)
-        rhs[bnd] -= sigma * mesh.edge_length[bnd] * values
-    return SparseSystem(matrix, rhs, ndofs=n, free=np.arange(n), kind="mixed")
+        rhs[position[bnd]] -= sigma * mesh.edge_length[bnd] * values
+    return SparseSystem(matrix, rhs, ndofs=n, free=mesh.saddle_order, kind="mixed")

@@ -92,7 +92,7 @@ class Triangulation:
         d1 = p1 - p0
         d2 = p2 - p0
         signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        scale = max(float(np.abs(v).max()), 1.0)
+        scale = float(np.abs(v).max())
         if np.any(signed <= 1e-14 * scale**2):
             bad = int(np.argmin(signed))
             raise NonPositiveArea(
@@ -303,7 +303,7 @@ def _scan_for_hanging_nodes(mesh):
     # imported here, so that the unscanned start meshes skip it
     from scipy.spatial import cKDTree
 
-    scale = max(float(np.abs(v).max()), 1.0)
+    scale = float(np.abs(v).max())
     tol = 1e-12 * scale**2
     # |p - mid E| <= |E|/2 + dist(p, line E) for p projecting inside E;
     # the relative slack covers the rounding of the tree's distances

@@ -7,11 +7,11 @@ of a regular finite element mesh") orders both:
 
 * :func:`nested_dissection` orders the edges, with minimum vertex
   separators taken from the cut neighbour pairs of each geometric split;
-  the modified nonconforming system takes it restricted to its free edges
-  (:func:`restrict`);
+  the nonconforming systems number their free edges in it;
 * :func:`saddle_order` inserts each triangle's scalar unknown into it so
   that every leading block of the saddle-point matrix stays nonsingular,
-  which lets it be factored with diagonal (static) pivots.
+  which lets the matrix, assembled in this order, be factored with
+  diagonal (static) pivots.
 """
 
 import numpy as np
@@ -106,15 +106,6 @@ def _minimum_cover(low, up):
     seen = np.zeros(source + 1, dtype=bool)
     seen[breadth_first_order(paths, source, return_predecessors=False)] = True
     return np.r_[lows[~seen[:nl]], ups[seen[nl:source]]]
-
-
-def restrict(order, free):
-    """``order`` of all dofs restricted to the ``free`` ones, as positions in
-    ``free``."""
-    position = np.full(len(order), -1, dtype=np.int64)
-    position[free] = np.arange(len(free))
-    kept = position[order]
-    return kept[kept >= 0]
 
 
 def saddle_order(mesh):

@@ -5,10 +5,11 @@ system, forms the scalar part from the S_T-weighted average of the element
 means and lifts the broken gradient to a conforming flux; the direct route
 factors the saddle-point system. Their agreement to solver precision is
 the package's strongest correctness oracle and is asserted on every level
-of every benchmark run. Both systems are factored in orders computed once
-per mesh (:mod:`afem.ordering`) and kept on it. A solve is trusted by one
-test: the correction of its refinement step, relative to the solution, is
-at most ``FORWARD_TOL``; otherwise the matrix counts as singular.
+of every benchmark run. Every system is assembled in the order in which it
+is factored, computed once per mesh (:mod:`afem.ordering`) and kept on it,
+and its diagonal supplies the pivots. A solve is trusted by one test: the
+correction of its refinement step, relative to the solution, is at most
+``FORWARD_TOL``; otherwise the matrix counts as singular.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from .assembly import (
     s_mean,
 )
 from .errors import MeshMismatch, SingularMatrix
-from .ordering import restrict
 from .quadrature import affine_sq_l2
 
 
@@ -41,31 +41,19 @@ class LinearSolveReport:
     correction: float          # ||dx|| / ||x|| of the refinement step
 
 
-def solve_sparse(system, order=None):
+def solve_sparse(system):
     """Direct sparse LU solve, refined once and trusted by its correction.
 
-    Without ``order``, SuperLU orders the columns by COLAMD and pivots
-    partially. ``order``, a fill-reducing permutation of the unknowns, has
-    ``A[order][:, order]`` factored in that order on its diagonal (static
-    pivots); should a diagonal pivot vanish or the solve not be trusted
-    (see :func:`_lu_solve`), the matrix is factored once more the first way.
+    ``system.matrix`` is factored in its own row order, which assembly makes
+    the fill-reducing order of the mesh, with its diagonal as the pivots
+    (static pivots). Should a diagonal pivot vanish or the solve not be
+    trusted (see :func:`_lu_solve`), it is factored once more with COLAMD
+    column order and partial pivoting.
     """
-    n = len(system.rhs)
-    if n == 0:
-        return LinearSolveReport(system.full_solution(np.empty(0)), 0.0)
-    matrix = system.matrix.tocsc()
-    if order is not None:
-        try:
-            y, correction = _lu_solve(
-                matrix[order][:, order], system.rhs[order], static=True
-            )
-        except SingularMatrix:
-            pass  # a leading block is (nearly) singular; pivot partially
-        else:
-            x = np.empty(n)
-            x[order] = y
-            return LinearSolveReport(system.full_solution(x), correction)
-    x, correction = _lu_solve(matrix, system.rhs)
+    try:
+        x, correction = _lu_solve(system.matrix, system.rhs, static=True)
+    except SingularMatrix:  # a leading block is (nearly) singular
+        x, correction = _lu_solve(system.matrix, system.rhs)
     return LinearSolveReport(system.full_solution(x), correction)
 
 
@@ -137,15 +125,14 @@ def reconstruct_mixed(pw, u_cr_tilde):
 def solve_mixed_via_equivalence(mesh, pw, u_dirichlet):
     """Mixed solution by reconstruction; returns ``(mixed, u_cr_tilde)``."""
     system = assemble_modified_ncfem(mesh, pw, u_dirichlet=u_dirichlet)
-    order = restrict(mesh.edge_order, system.free)
-    u_tilde = CRSolution(mesh=mesh, edge_values=solve_sparse(system, order).solution)
+    u_tilde = CRSolution(mesh=mesh, edge_values=solve_sparse(system).solution)
     return reconstruct_mixed(pw, u_tilde), u_tilde
 
 
 def solve_mixed_direct(mesh, pw, u_dirichlet):
     """Mixed solution from the direct saddle-point factorization."""
     system = assemble_mixed_direct(mesh, pw, u_dirichlet=u_dirichlet)
-    report = solve_sparse(system, mesh.saddle_order)
+    report = solve_sparse(system)
     ne = mesh.num_edges
     return mixed_from_edge_flux(mesh, report.solution[:ne], report.solution[ne:])
 

@@ -162,7 +162,7 @@ def vertices_inside_edges(vertices, edges):
     ap = v[:, None, :] - a  # (V, E, 2)
     t = (ap * ab).sum(axis=2) / (ab * ab).sum(axis=2)
     cross = np.abs(ap[..., 0] * ab[..., 1] - ap[..., 1] * ab[..., 0])
-    scale = max(float(np.abs(v).max()), 1.0)
+    scale = float(np.abs(v).max())
     hit = (cross <= 1e-12 * scale**2) & (t > 1e-12) & (t < 1 - 1e-12)
     return sorted(zip(*(idx.tolist() for idx in np.nonzero(hit))))
 
@@ -268,7 +268,7 @@ def mixed_dirichlet_eigenvalue(mesh, shift):
         f=constant_scalar(0.0),
         u_dirichlet=constant_scalar(0.0),
     )
-    k0 = assemble_mixed_direct(mesh, laplace).matrix.tocsc()
+    k0 = assemble_mixed_direct(mesh, laplace).in_dof_order()[0]
     weight = np.concatenate([np.zeros(mesh.num_edges), mesh.area])
     lu = spla.splu((k0 - shift * sp.diags(weight)).tocsc())
     op = spla.LinearOperator(

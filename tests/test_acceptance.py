@@ -374,7 +374,7 @@ def test_criterion_9_property_suites():
             ),
         )
         te = m1.triangle_edges[0]
-        local = system.matrix.toarray()[np.ix_(te, te)]
+        local = system.in_dof_order()[0].toarray()[np.ix_(te, te)]
         oracle = cr_local_stiffness(tri, a, b, gamma)
         if np.abs(local - oracle).max() > 1e-13 * np.abs(oracle).max():
             failures.append("CR stiffness oracle")
@@ -533,9 +533,10 @@ def test_published_meshes_do_not_depend_on_solver_arithmetic(monkeypatch):
     # estimator values equal up to roundoff; with COLAMD and partial
     # pivoting in place of the mesh orders the meshes must not move.
     # Levels 0-6 include the near-ties of levels 1 and 3.
-    solve_sparse = solver.solve_sparse
-    monkeypatch.setattr(
-        solver, "solve_sparse", lambda system, order=None: solve_sparse(system)
-    )
+    def colamd(system):
+        x, correction = solver._lu_solve(system.matrix, system.rhs)
+        return solver.LinearSolveReport(system.full_solution(x), correction)
+
+    monkeypatch.setattr(solver, "solve_sparse", colamd)
     diag = run_with_diagnostics(benchmark("lshape"), "adaptive", 0.5, 2600)
     assert diag.mesh_digests == PINNED_LSHAPE_ADAPTIVE[:7]

@@ -255,6 +255,24 @@ def test_dorfler_subnormal_matches_normal_scale():
     assert tiny.achieved_fraction >= 0.5
 
 
+def test_dorfler_theta_one_stops_at_the_last_triangle():
+    # the sequential prefix sums lose the small contributions that the
+    # pairwise total keeps, so they can end below theta * total - 1e-14 total
+    marked = dorfler_mark(np.r_[1.0, np.full(1000, 1e-16)], 1.0)
+    assert marked.indices.tolist() == list(range(1001))
+    assert marked.achieved_fraction >= 1.0 - 1e-12
+    rng = np.random.default_rng(17)
+    short = 0
+    for _ in range(200):
+        eta_sq = rng.permutation(np.r_[1.0, 10.0 ** rng.uniform(-18, -15, 1000)])
+        accum = np.cumsum(np.sort(eta_sq)[::-1])
+        short += accum[-1] < eta_sq.sum() * (1.0 - 1e-14)
+        marked = dorfler_mark(eta_sq, 1.0)
+        assert np.array_equal(marked.indices, np.unique(marked.indices))
+        assert eta_sq[marked.indices].sum() >= (1.0 - 1e-12) * eta_sq.sum()
+    assert short > 0
+
+
 def test_dorfler_ties_within_roundoff_go_by_index():
     # one ulp apart, straddling the cut: the lower index is marked either way
     one, above = 1.0, np.nextafter(1.0, 2.0)

@@ -188,6 +188,39 @@ def test_custom_mesh_flag(tmp_path, capsys):
     assert text.splitlines()[1].split(",")[1] == "7"  # 5 edges + 2 triangles
 
 
+def test_mesh_file_below_unit_size_runs(tmp_path, capsys):
+    # the twice-refined L-shape scaled by 1e-6: its smallest area, 7.8e-15,
+    # is no degenerate triangle at that size
+    mesh = uniform_red_refine(uniform_red_refine(problem.lshape_start_mesh()))
+    path = tmp_path / "small.mesh"
+    write_mesh_file(build_mesh(1e-6 * mesh.vertices, mesh.triangles), path)
+    code = main(
+        [
+            "run", "--problem", "lshape", "--mode", "uniform",
+            "--max-ndof", "4000", "--mesh", str(path), "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    rows = (tmp_path / "lshape_uniform.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["992", "3904"]
+
+
+def test_adaptive_run_with_theta_one(tmp_path):
+    # at 24,576 triangles the sequential prefix sums of the contributions
+    # end below the marking target; every triangle is marked instead
+    code = main(
+        [
+            "run", "--problem", "lshape", "--mode", "adaptive", "--theta", "1",
+            "--max-ndof", "61696", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    rows = (tmp_path / "lshape_adaptive.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == [
+        "68", "256", "992", "3904", "15488", "61696"
+    ]
+
+
 def test_dump_systems_flag(tmp_path):
     code = main(
         [

@@ -71,6 +71,14 @@ def test_clockwise_triangle_rejected():
         build_mesh(REF[0], np.array([[0, 2, 1]]))
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6])
+def test_sliver_rejected_at_every_scale(scale):
+    # area 5e-16 scale^2, below the tolerance 1e-14 max|v|^2 at any size
+    verts = scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-15]])
+    with pytest.raises(NonPositiveArea):
+        build_mesh(verts, np.array([[0, 1, 2]]))
+
+
 def test_overused_edge_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.5]])
     tris = np.array([[0, 1, 2], [1, 3, 2], [0, 2, 4], [0, 1, 2]])
@@ -88,16 +96,25 @@ def test_vertex_inside_edge_rejected():
         build_mesh(verts, tris)
 
 
-@pytest.mark.parametrize("level, pick", [(0, 0), (1, 5), (2, 40), (2, 97)])
-def test_hanging_node_scan_matches_all_pairs_oracle(level, pick):
+SPLITS = [(0, 0), (1, 5), (2, 40), (2, 97)]
+
+
+@pytest.mark.parametrize(
+    "level, pick, scale",
+    [(*split, 1.0) for split in SPLITS] + [(*split, 1e-6) for split in SPLITS],
+    ids=[f"{a}-{b}" for a, b in SPLITS] + [f"{a}-{b}-1e-06" for a, b in SPLITS],
+)
+def test_hanging_node_scan_matches_all_pairs_oracle(level, pick, scale):
     # the scan reports the smallest (vertex, edge) pair that the all-pairs
-    # oracle finds; on the closed meshes both find none
+    # oracle finds; on the closed meshes both find none. The tolerances
+    # scale with the mesh: a mesh below unit size is no degenerate one
     mesh = lshape_start_mesh()
     for _ in range(level):
         mesh = uniform_red_refine(mesh)
-    build_mesh(mesh.vertices, mesh.triangles)
-    assert vertices_inside_edges(mesh.vertices, mesh.edges) == []
+    build_mesh(scale * mesh.vertices, mesh.triangles)
+    assert vertices_inside_edges(scale * mesh.vertices, mesh.edges) == []
     verts, tris = red_split_without_closure(mesh, pick)
+    verts = scale * verts
     loose = build_mesh(verts, tris, strict=False)
     hits = vertices_inside_edges(loose.vertices, loose.edges)
     assert hits

@@ -10,7 +10,8 @@ from afem import bench, ordering, solver
 from afem.adapt import adaptive_loop
 from afem.assembly import assemble_mixed_direct, assemble_modified_ncfem
 from afem.mesh import build_mesh
-from afem.ordering import restrict, saddle_order
+from afem.assembly import SparseSystem
+from afem.ordering import saddle_order
 from afem.problem import benchmark, crack_start_mesh, lshape_start_mesh, project_p0
 from afem.refine import uniform_red_refine
 
@@ -140,8 +141,9 @@ def test_saddle_order_on_tiny_meshes(monkeypatch, vertices, triangles):
     pw = project_p0(make_field(f=1.0), mesh)
     assert not pw.gamma_h.any()  # zero reaction block
     system = assemble_mixed_direct(mesh, pw, make_field().u_dirichlet)
+    assert np.array_equal(system.free, order)
     calls = _spy_splu(monkeypatch)
-    solver.solve_sparse(system, order)
+    solver.solve_sparse(system)
     assert calls == [(ne + nt, STATIC)]
 
 
@@ -157,28 +159,46 @@ def _spy_splu(monkeypatch):
     return calls
 
 
+def _colamd_solution(system):
+    x, _ = solver._lu_solve(system.matrix, system.rhs)
+    return system.full_solution(x)
+
+
 def test_routes_factor_in_the_mesh_orders(monkeypatch):
+    # every system is assembled in its elimination order and factored as it
+    # is: both mixed routes and the plain nonconforming solve
     mesh = _lshape_twice_refined()
     inst = benchmark("lshape")
     pw = project_p0(inst.field, mesh)
-    orders = []
+    systems, factored = [], []
     solve_sparse = solver.solve_sparse
+    splu = spla.splu
 
-    def capture(system, order=None):
-        orders.append((system, order))
-        return solve_sparse(system, order)
+    def capture(system):
+        systems.append(system)
+        return solve_sparse(system)
+
+    def spy(matrix, **options):
+        factored.append((matrix, options))
+        return splu(matrix, **options)
 
     monkeypatch.setattr(solver, "solve_sparse", capture)
+    monkeypatch.setattr(spla, "splu", spy)
     mixed, _ = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet)
     direct = solver.solve_mixed_direct(mesh, pw, inst.field.u_dirichlet)
-    (recon, recon_order), (_, direct_order) = orders
+    solver.solve_ncfem(mesh, inst.field)
+    assert len(factored) == len(systems) == 3
+    for (matrix, options), system in zip(factored, systems):
+        assert matrix is system.matrix
+        assert options == STATIC
+    recon, saddle, plain = systems
 
     edge_order = mesh.edge_order
     assert np.array_equal(np.sort(edge_order), np.arange(mesh.num_edges))
-    assert np.array_equal(np.sort(recon_order), np.arange(len(recon.free)))
-    kept = edge_order[np.isin(edge_order, recon.free)]
-    assert np.array_equal(recon.free[recon_order], kept)
-    assert np.array_equal(direct_order, saddle_order(mesh))
+    interior = edge_order[np.isin(edge_order, mesh.interior_edges)]
+    assert np.array_equal(recon.free, interior)
+    assert np.array_equal(plain.free, interior)
+    assert np.array_equal(saddle.free, saddle_order(mesh))
     assert max(solver.equivalence_residual(direct, mixed)) < 1e-10
 
 
@@ -194,10 +214,10 @@ def _crack_saddle_system(levels):
 
 def test_static_pivots_on_crack_match_colamd(monkeypatch):
     mesh, system = _crack_saddle_system(3)
-    expected = solver.solve_sparse(system).solution
+    expected = _colamd_solution(system)
     calls = _spy_splu(monkeypatch)
-    report = solver.solve_sparse(system, saddle_order(mesh))
-    assert calls == [(len(system.rhs), {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0})]
+    report = solver.solve_sparse(system)
+    assert calls == [(len(system.rhs), STATIC)]
     assert report.correction <= solver.FORWARD_TOL
     err = np.linalg.norm(report.solution - expected)
     assert err <= 1e-10 * np.linalg.norm(expected)
@@ -212,10 +232,10 @@ def test_near_resonant_level_is_trusted_on_static_pivots(monkeypatch):
         mesh = uniform_red_refine(mesh)
     pw = project_p0(inst.field, mesh)
     system = assemble_modified_ncfem(mesh, pw, inst.field.u_dirichlet)
-    expected = solver.solve_sparse(system).solution
+    expected = _colamd_solution(system)
     calls = _spy_splu(monkeypatch)
-    report = solver.solve_sparse(system, restrict(mesh.edge_order, system.free))
-    assert calls == [(9088, {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0})]
+    report = solver.solve_sparse(system)
+    assert calls == [(9088, STATIC)]
     assert report.correction <= solver.FORWARD_TOL
     err = np.linalg.norm(report.solution - expected)
     assert err <= 1e-10 * np.linalg.norm(expected)
@@ -226,17 +246,21 @@ def test_near_resonant_level_is_trusted_on_static_pivots(monkeypatch):
 
 def test_singular_leading_block_falls_back_to_colamd(monkeypatch):
     # triangles first: with a zero reaction block the first pivot is zero
-    mesh, system = _crack_saddle_system(1)
+    mesh, saddle = _crack_saddle_system(1)
     ne, nt = mesh.num_edges, mesh.num_triangles
-    expected = solver.solve_sparse(system).solution
-    calls = _spy_splu(monkeypatch)
+    matrix, rhs = saddle.in_dof_order()
     order = np.r_[np.arange(ne, ne + nt), np.arange(ne)]
-    report = solver.solve_sparse(system, order)
-    assert [options for _, options in calls] == [
-        {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0},
-        {},
-    ]
+    system = SparseSystem(
+        matrix[np.ix_(order, order)], rhs[order], ndofs=ne + nt, free=order
+    )
+    expected = _colamd_solution(system)
+    calls = _spy_splu(monkeypatch)
+    report = solver.solve_sparse(system)
+    assert calls == [(ne + nt, STATIC), (ne + nt, {})]
     assert np.array_equal(report.solution, expected)
+    reference = solver.solve_sparse(saddle).solution
+    err = np.linalg.norm(report.solution - reference)
+    assert err <= 1e-10 * np.linalg.norm(reference)
 
 
 def test_zero_pivot_of_a_reaction_block_falls_back_to_colamd(monkeypatch):
@@ -247,9 +271,9 @@ def test_zero_pivot_of_a_reaction_block_falls_back_to_colamd(monkeypatch):
     mesh = inst.start_mesh()
     pw = project_p0(inst.field, mesh)
     system = assemble_mixed_direct(mesh, pw, inst.field.u_dirichlet)
-    expected = solver.solve_sparse(system).solution
+    expected = _colamd_solution(system)
     calls = _spy_splu(monkeypatch)
-    report = solver.solve_sparse(system, saddle_order(mesh))
+    report = solver.solve_sparse(system)
     assert calls == [(mesh.ndof_mixed, STATIC), (mesh.ndof_mixed, {})]
     assert np.array_equal(report.solution, expected)
     history = adaptive_loop(inst, mode="uniform", max_ndof=mesh.ndof_mixed)
@@ -267,15 +291,9 @@ def test_mesh_orders_need_less_fill_than_colamd():
     pw = project_p0(inst.field, mesh)
     direct = assemble_mixed_direct(mesh, pw, inst.field.u_dirichlet)
     recon = assemble_modified_ncfem(mesh, pw, inst.field.u_dirichlet)
-    for system, order in (
-        (direct, saddle_order(mesh)),
-        (recon, restrict(mesh.edge_order, recon.free)),
-    ):
-        matrix = system.matrix.tocsc()
-        colamd = spla.splu(matrix)
-        ordered = spla.splu(
-            matrix[order][:, order], permc_spec="NATURAL", diag_pivot_thresh=0.0
-        )
+    for system in (direct, recon):
+        colamd = spla.splu(system.in_dof_order()[0])
+        ordered = spla.splu(system.matrix, **STATIC)
         fill = ordered.L.nnz + ordered.U.nnz
         assert fill < 0.95 * (colamd.L.nnz + colamd.U.nnz)
 
@@ -291,11 +309,9 @@ def test_eigen_sweep_mesh_order_fills_less_than_colamd():
         system = assemble_modified_ncfem(
             mesh, project_p0(inst.field, mesh), inst.field.u_dirichlet
         )
-        matrix = system.matrix.tocsc()
-        order = restrict(mesh.edge_order, system.free)
-        lu = spla.splu(matrix[order][:, order], **STATIC)
+        lu = spla.splu(system.matrix, **STATIC)
         ordered += lu.L.nnz + lu.U.nnz
-        lu = spla.splu(matrix)
+        lu = spla.splu(system.in_dof_order()[0])
         colamd += lu.L.nnz + lu.U.nnz
         mesh = uniform_red_refine(mesh)
     assert ordered < 0.8 * colamd

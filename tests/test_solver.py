@@ -267,6 +267,16 @@ def test_equivalence_with_variable_coefficients():
         mesh = uniform_red_refine(mesh)
 
 
+def test_single_triangle_has_no_unknowns():
+    # every edge is a Dirichlet edge: the 0 x 0 system is solved as it is
+    inst = benchmark("lshape")
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    mesh = build_mesh(tri, np.array([[0, 1, 2]]))
+    mid = mesh.edge_mid
+    sol = solve_ncfem(mesh, inst.field)
+    assert np.array_equal(sol.edge_values, inst.field.u_dirichlet(mid[:, 0], mid[:, 1]))
+
+
 def test_galerkin_residual_of_cr_solve():
     inst = benchmark("lshape")
     mesh = inst.start_mesh()
