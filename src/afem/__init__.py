@@ -43,6 +43,7 @@ from .errors import (
     InvalidMark,
     MeshMismatch,
     NoExactSolution,
+    NonFiniteCoefficient,
     NonPositiveArea,
     NotPositiveDefinite,
     SingularLocalFactor,

@@ -71,11 +71,10 @@ def average_cr(u_cr):
     """
     mesh = u_cr.mesh
     traces = u_cr.vertex_traces()
-    sums = np.zeros(mesh.num_vertices)
-    counts = np.zeros(mesh.num_vertices)
-    np.add.at(sums, mesh.triangles.ravel(), traces.ravel())
-    np.add.at(counts, mesh.triangles.ravel(), 1.0)
-    return sums / np.maximum(counts, 1.0)
+    corners = mesh.triangles.ravel()
+    sums = np.bincount(corners, weights=traces.ravel(), minlength=mesh.num_vertices)
+    counts = np.bincount(corners, minlength=mesh.num_vertices)
+    return sums / np.maximum(counts, 1)
 
 
 def grad_p1(mesh, nodal):

@@ -9,6 +9,11 @@ quadrature and exact integration of the polynomial element integrands:
   edge-flux dofs (normal component on the canonical edge normal) followed
   by one scalar dof per triangle.
 
+Each system is a (T, k, k) block of element matrices over a (T, k) array
+of dofs: a triangle's three edges (k = 3), plus its scalar in the
+saddle-point system (k = 4). One scatter (:func:`_scatter`) numbers the
+dofs in the order of elimination and sums the blocks into CSC form.
+
 Dirichlet data enters by elimination (nonconforming) or through the
 natural boundary term of the first mixed equation, approximated with the
 one-point edge rule |E| u_D(mid E).
@@ -24,8 +29,8 @@ from .errors import MeshMismatch, SingularLocalFactor
 
 @dataclass
 class SparseSystem:
-    """Triplet-assembled sparse system over the ``free`` dofs, numbered in
-    the order of elimination: row and column ``i`` are dof ``free[i]``.
+    """Sparse system over the ``free`` dofs, scattered from element blocks
+    in the order of elimination: row and column ``i`` are dof ``free[i]``.
 
     Eliminated Dirichlet dofs are listed in ``fixed`` with their values;
     :meth:`full_solution` puts them back. ``kind`` labels the dump only.
@@ -130,21 +135,38 @@ def _coerce_pw(mesh, pw_or_field):
     return project_p0(pw_or_field, mesh)
 
 
-def _cr_triplets(te, local):
-    """Scatter (T, 3, 3) local matrices into COO triplets over the (T, 3)
-    edge dofs ``te``."""
-    rows = np.repeat(te, 3, axis=1).ravel()
-    cols = np.tile(te, (1, 3)).ravel()
-    return rows, cols, local.ravel()
+def _scatter(n, dofs, local, load, free, fixed, values, kind="cr"):
+    """Sparse system of the (T, k, k) element blocks ``local`` and (T, k)
+    loads ``load`` over the (T, k) dofs ``dofs`` of an ``n``-dof space.
 
-
-def _compress(rows, cols, vals, shape):
-    # No entry of either system gets more than two triplets: an edge lies in
-    # at most two triangles and two distinct edges share at most one. A sum
-    # of two floats does not depend on their order, so neither do the bits.
-    m = sp.csc_matrix((vals, (rows, cols)), shape=shape)
-    m.sum_duplicates()
-    return m
+    Dof ``free[i]`` is row and column ``i``; the ``fixed`` dofs, set to
+    ``values``, are numbered after them, so their rows are dropped and
+    their columns move to the right-hand side in ``fixed`` order. No entry
+    gets more than two triplets: a dof lies in at most two triangles, and
+    two distinct dofs share at most one. A sum of two floats does not
+    depend on their order, so the triplets are not sorted first; each load
+    is one sequential sum from 0.0 in triangle order.
+    """
+    nf, k = len(free), dofs.shape[1]
+    # int32 positions are SuperLU's index type: scipy keeps them as they are
+    position = np.empty(n, dtype=np.int32)
+    position[free] = np.arange(nf, dtype=np.int32)
+    position[fixed] = np.arange(nf, n, dtype=np.int32)
+    pos = position[dofs]
+    rows = np.repeat(pos, k, axis=1).ravel()
+    cols = np.tile(pos, (1, k)).ravel()
+    vals = local.ravel()
+    if len(fixed):  # a fixed dof's row holds no equation
+        keep = rows < nf
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    matrix = sp.csc_matrix((vals, (rows, cols)), shape=(nf, n))
+    matrix.sum_duplicates()
+    rhs = np.bincount(pos.ravel(), weights=load.ravel(), minlength=n)[:nf]
+    if len(fixed):
+        rhs = rhs - matrix[:, nf:] @ values
+        matrix = matrix[:, :nf]
+    return SparseSystem(matrix, rhs, ndofs=n, free=free, fixed=fixed,
+                        fixed_values=values, kind=kind)
 
 
 def _diffusion(area, a, grad):
@@ -184,25 +206,20 @@ def _cr_system(mesh, pw, grad_psi, conv_weight, react, local_rhs, u_dirichlet):
 
     diff = _diffusion(area, pw.a_h, grad_psi)
     conv = np.einsum("t,td,tid->ti", conv_weight * area / 3.0, pw.b_h, grad_psi)
-    te = mesh.triangle_edges
-    rows, cols, vals = _cr_triplets(te, diff + conv[:, :, None] + react)
-    matrix = _compress(rows, cols, vals, (ne, ne))
-    rhs = np.zeros(ne)
-    np.add.at(rhs, te.ravel(), local_rhs.ravel())
-    return SparseSystem(
-        matrix=matrix[np.ix_(free, free)],
-        rhs=rhs[free] - matrix[np.ix_(free, fixed)] @ values,
-        ndofs=ne,
-        free=free,
-        fixed=fixed,
-        fixed_values=values,
-    )
+    local = diff + conv[:, :, None] + react
+    return _scatter(ne, mesh.triangle_edges, local, local_rhs, free, fixed, values)
 
 
 def _boundary_values(mesh, u_dirichlet):
     """u_D at the boundary-edge midpoints, in ``mesh.boundary_edges`` order."""
-    mid = mesh.edge_mid[mesh.boundary_edges]
-    return np.asarray(u_dirichlet(mid[:, 0], mid[:, 1]), dtype=float).ravel()
+    from .problem import require_finite
+
+    bnd = mesh.boundary_edges
+    mid = mesh.edge_mid[bnd]
+    values = np.asarray(u_dirichlet(mid[:, 0], mid[:, 1]), dtype=float).ravel()
+    return require_finite(
+        "u_D", values, "boundary midpoint", mesh.edge_tris[bnd].max(axis=1)
+    )
 
 
 def assemble_ncfem(mesh, pw_or_field, u_dirichlet=None):
@@ -277,21 +294,20 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
     Dofs: edge fluxes (canonical edge index), then triangle scalars, with
     block structure [[M, W - B^T], [B, C]]: the flux mass matrix M
     (edge-midpoint rule, exact), the convection coupling W, the divergence
-    block B and C = diag(gamma_h |T|). Rows and columns are numbered in
-    ``mesh.saddle_order``, the order of elimination.
+    block B and C = diag(gamma_h |T|). Each triangle contributes a 4 x 4
+    element matrix over its three edge fluxes and its scalar. Rows and
+    columns are numbered in ``mesh.saddle_order``, the order of elimination.
     """
     pw = _coerce_pw(mesh, pw)
     ne, nt = mesh.num_edges, mesh.num_triangles
-    n = ne + nt
-    # dofs numbered first (see _cr_system); dof d is row position[d]
-    position = np.empty(n, dtype=np.int64)
-    position[mesh.saddle_order] = np.arange(n)
-    te, tri = position[mesh.triangle_edges], position[ne:]
+    free = mesh.saddle_order  # dofs numbered first (see _cr_system)
+    te = mesh.triangle_edges
     pv = mesh.triangle_vertices()
     sig = mesh.triangle_edge_signs.astype(float)
-    scale = sig * mesh.edge_length[mesh.triangle_edges] / (
-        2.0 * mesh.area[:, None]
-    )  # (T, 3) coefficient of (x - P_k) in the signed local basis
+    # divergence of the signed basis is sigma |E| / |T|; (div p, 1)_T = sigma |E|
+    div_coef = sig * mesh.edge_length[te]  # (T, 3)
+    # (T, 3) coefficient of (x - P_k) in the signed local basis
+    scale = div_coef / (2.0 * mesh.area[:, None])
 
     mids = 0.5 * (pv + np.roll(pv, -1, axis=1))  # edge midpoints, (T, 3, 2)
     # basis values at the quadrature (edge mid) points: (T, k_basis, q, 2)
@@ -302,20 +318,11 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
     a_inv_vals = (
         a_inv[..., 0] * vals[..., 0, None] + a_inv[..., 1] * vals[..., 1, None]
     )
-    mass = np.einsum("t,tiqd,tjqd->tij", mesh.area / 3.0, a_inv_vals, vals)
-
-    rows, cols, data = _cr_triplets(te, mass)
-    rows = [rows]
-    cols = [cols]
-    data = [data]
-
-    # divergence of the signed basis is sigma |E| / |T|; (div p, 1)_T = sigma |E|
-    div_coef = sig * mesh.edge_length[mesh.triangle_edges]  # (T, 3)
-    tri_ids = np.repeat(tri, 3)
-    rows.append(tri_ids)
-    cols.append(te.ravel())
-    data.append(div_coef.ravel())
-
+    local = np.empty((nt, 4, 4))
+    local[:, :3, :3] = np.einsum(
+        "t,tiqd,tjqd->tij", mesh.area / 3.0, a_inv_vals, vals
+    )
+    local[:, 3, :3] = div_coef
     # (u b*_h, q)_T - (div q, u)_T couples each triangle dof to its edges
     w = np.einsum(
         "t,td,tkd->tk",
@@ -323,23 +330,18 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
         pw.b_star_h,
         mesh.centroid[:, None, :] - pv,
     ) * scale
-    rows.append(te.ravel())
-    cols.append(tri_ids)
-    data.append((w - div_coef).ravel())
+    local[:, :3, 3] = w - div_coef
+    local[:, 3, 3] = pw.gamma_h * mesh.area
 
-    rows.append(tri)
-    cols.append(tri)
-    data.append(pw.gamma_h * mesh.area)
-
-    matrix = _compress(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(data), (n, n)
-    )
-    rhs = np.zeros(n)
-    rhs[tri] = pw.f_h * mesh.area
+    load = np.zeros((nt, 4))
+    load[:, 3] = pw.f_h * mesh.area
     if u_dirichlet is not None:
-        # natural data -sigma |E| u_D(mid E); T_plus (column 0) has sigma = +1
+        # natural data -sigma |E| u_D(mid E) on the boundary edge's one
+        # triangle, whose sign on it is sigma
         bnd = mesh.boundary_edges
-        sigma = np.where(mesh.edge_tris[bnd, 0] >= 0, 1.0, -1.0)
-        values = _boundary_values(mesh, u_dirichlet)
-        rhs[position[bnd]] -= sigma * mesh.edge_length[bnd] * values
-    return SparseSystem(matrix, rhs, ndofs=n, free=mesh.saddle_order, kind="mixed")
+        flux = np.zeros(ne)
+        flux[bnd] = mesh.edge_length[bnd] * _boundary_values(mesh, u_dirichlet)
+        load[:, :3] = -sig * flux[te]
+    dofs = np.column_stack((te, np.arange(ne, ne + nt)))
+    return _scatter(ne + nt, dofs, local, load, free, np.empty(0, dtype=int),
+                    np.empty(0), kind="mixed")

@@ -26,6 +26,11 @@ class NotPositiveDefinite(AfemError):
     """The diffusion matrix fails the SPD check at a sampled point."""
 
 
+class NonFiniteCoefficient(AfemError):
+    """A coefficient or the Dirichlet data is NaN or infinite at a point
+    where the discretization evaluates it."""
+
+
 class UnknownBenchmark(AfemError):
     """Benchmark name not registered."""
 

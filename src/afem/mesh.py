@@ -33,6 +33,16 @@ import numpy as np
 from . import ordering
 from .errors import DanglingBoundaryTag, HangingNode, NonPositiveArea
 
+# A triangle is degenerate when its signed area is at most DEGENERATE times
+# its longest edge squared; a vertex lies on an edge E when its distance to
+# E's line is at most ON_LINE |E|. Both scale with the element tested, so a
+# mesh keeps its verdicts when it is scaled or moved. Neither goes below the
+# rounding of the coordinates, ROUNDING times their magnitude: a smaller
+# distance from a line cannot be told from zero there.
+DEGENERATE = 1e-14
+ON_LINE = 1e-12
+ROUNDING = 64 * float(np.finfo(float).eps)
+
 _KEY_BITS = 32  # vertex indices must stay below 2**31 for int64 keys
 _KEY_MASK = (1 << _KEY_BITS) - 1
 
@@ -92,9 +102,13 @@ class Triangulation:
         d1 = p1 - p0
         d2 = p2 - p0
         signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        scale = float(np.abs(v).max())
-        if np.any(signed <= 1e-14 * scale**2):
-            bad = int(np.argmin(signed))
+        longest = np.max([np.hypot(*d.T) for d in (d1, d2, p2 - p1)], axis=0)
+        # area DEGENERATE |E|^2, or a height over E within the rounding
+        tol = longest * np.maximum(
+            DEGENERATE * longest, 0.5 * ROUNDING * np.abs(p0).max(axis=1)
+        )
+        if np.any(signed <= tol):
+            bad = int(np.argmin(signed - tol))
             raise NonPositiveArea(
                 f"triangle {bad} has signed area {signed[bad]:.3e}"
             )
@@ -303,11 +317,10 @@ def _scan_for_hanging_nodes(mesh):
     # imported here, so that the unscanned start meshes skip it
     from scipy.spatial import cKDTree
 
-    scale = float(np.abs(v).max())
-    tol = 1e-12 * scale**2
+    dist = _on_line_distance(mesh)
     # |p - mid E| <= |E|/2 + dist(p, line E) for p projecting inside E;
     # the relative slack covers the rounding of the tree's distances
-    radius = (0.5 + 1e-9) * mesh.edge_length + tol / mesh.edge_length
+    radius = (0.5 + 1e-9) * mesh.edge_length + dist
     near = cKDTree(v[scanned]).query_ball_point(mesh.edge_mid, radius)
     edge = np.repeat(np.arange(len(near)), [len(hits) for hits in near])
     vert = scanned[
@@ -318,16 +331,26 @@ def _scan_for_hanging_nodes(mesh):
     ap = v[vert] - a
     t = np.einsum("ij,ij->i", ap, ab) / np.einsum("ij,ij->i", ab, ab)
     cross = np.abs(ap[:, 0] * ab[:, 1] - ap[:, 1] * ab[:, 0])
+    tol = dist[edge] * mesh.edge_length[edge]  # cross = dist(p, line E) |E|
     on_edge = (cross <= tol) & (t > 1e-12) & (t < 1 - 1e-12)
     vert, edge = vert[on_edge], edge[on_edge]
-    hanging = ~_across_slit(mesh, slit, vert, edge, tol)
+    hanging = ~_across_slit(mesh, slit, vert, edge, tol[on_edge])
     if np.any(hanging):
         k, e = min(zip(vert[hanging].tolist(), edge[hanging].tolist()))
         raise HangingNode(f"vertex {k} lies inside edge {_pair(mesh.edges[e])}")
 
 
+def _on_line_distance(mesh):
+    """Per edge E: the largest distance from E's line at which a point lies
+    on it, ON_LINE |E|, but no less than the rounding of E's coordinates."""
+    return np.maximum(
+        ON_LINE * mesh.edge_length, ROUNDING * np.abs(mesh.edge_mid).max(axis=1)
+    )
+
+
 def _across_slit(mesh, slit, vert, edge, tol):
-    """Which hits (vert[i] strictly inside edge[i]) lie across a slit.
+    """Which hits (vert[i] strictly inside edge[i]) lie across a slit;
+    ``tol[i]`` bounds :func:`_side` on the line of edge[i].
 
     Refining one side of a slit and not the other leaves a vertex of the
     finer side inside a boundary edge of the coarser side, although the
@@ -356,9 +379,9 @@ def _across_slit(mesh, slit, vert, edge, tol):
         a, b = v[ends[i]]
         own = np.sign(_side(a, b, mesh.centroid[mesh.edge_tris[edge[i]].max()]))
         at_vertex = touching[(touching == vert[i]).any(axis=1)]
-        if np.any(own * _side(a, b, v[at_vertex]) > tol):
+        if np.any(own * _side(a, b, v[at_vertex]) > tol[i]):
             continue  # a triangle at the vertex overlaps the edge's triangle
-        along = (np.abs(_side(a, b, v[bnd])) <= tol).all(axis=1) & (
+        along = (np.abs(_side(a, b, v[bnd])) <= tol[i]).all(axis=1) & (
             own * _side(a, b, bnd_side) < 0
         )
         reach = np.unique(bnd[along])

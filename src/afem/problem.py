@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, UnknownBenchmark
+from .errors import NonFiniteCoefficient, NotPositiveDefinite, UnknownBenchmark
 from .mesh import build_mesh, read_mesh_file
 
 # first Dirichlet-Laplace eigenvalue of the L-shaped domain
@@ -111,6 +111,20 @@ def inv_2x2(m):
     return np.stack([d, -b, -c, a], axis=-1).reshape(m.shape) / det[..., None, None]
 
 
+def require_finite(name, values, point, triangles=None):
+    """``values``, one row per point, unless a row is NaN or infinite: then
+    :class:`NonFiniteCoefficient` naming the coefficient, the ``point`` and
+    its triangle, ``triangles[row]`` or else the row itself."""
+    bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        t = i if triangles is None else int(triangles[i])
+        raise NonFiniteCoefficient(
+            f"{name} = {values[i]} at the {point} of triangle {t}"
+        )
+    return values
+
+
 def project_p0(coeffs, mesh):
     """Centroid projection of the coefficient field onto piecewise constants."""
     cx, cy = mesh.centroid[:, 0], mesh.centroid[:, 1]
@@ -127,7 +141,14 @@ def project_p0(coeffs, mesh):
             f"A at centroid of triangle {bad} is not symmetric positive definite"
         )
     a_h_inv = inv_2x2(a_h)
-    b_h = np.asarray(coeffs.b(cx, cy), dtype=float).reshape(-1, 2)
+
+    def at_centroids(name, fn, shape=(-1,)):
+        values = np.asarray(fn(cx, cy), dtype=float).reshape(shape)
+        return require_finite(name, values, "centroid")
+
+    b_h = at_centroids("b", coeffs.b, (-1, 2))
+    gamma_h = at_centroids("gamma", coeffs.gamma)
+    f_h = at_centroids("f", coeffs.f)
     b_star_h = np.einsum("tde,te->td", a_h_inv, b_h)
     return PiecewiseData(
         mesh=mesh,
@@ -135,8 +156,8 @@ def project_p0(coeffs, mesh):
         a_h_inv=a_h_inv,
         b_h=b_h,
         b_star_h=b_star_h,
-        gamma_h=np.asarray(coeffs.gamma(cx, cy), dtype=float).ravel(),
-        f_h=np.asarray(coeffs.f(cx, cy), dtype=float).ravel(),
+        gamma_h=gamma_h,
+        f_h=f_h,
         s_t=s_of_t(mesh, a_h_inv),
     )
 

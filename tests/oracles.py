@@ -6,15 +6,15 @@ triangle integration goes through a Duffy-transformed Gauss-Legendre grid.
 The one exception is :func:`mixed_dirichlet_eigenvalue`: the discrete
 spectrum it reports is that of the very matrix the package solves, so it
 takes that matrix from the package's mixed assembly and guards the result
-with its own eigen-residual check instead. :func:`reference_modified_ncfem`
-and :func:`reference_mixed_direct` are the lexsort-and-einsum formulation of
-the two assemblies, which the package's array kernels must reproduce bit for
-bit. :func:`normal_jumps` and
+with its own eigen-residual check instead. :func:`reference_ncfem`,
+:func:`reference_modified_ncfem` and :func:`reference_mixed_direct` are the
+lexsort-and-einsum formulation of the three assemblies, which the package's
+array kernels must reproduce bit for bit. :func:`normal_jumps` and
 :func:`residual_of_exact` are consistency diagnostics of a mixed solution
 and of the benchmarks' exact data. :func:`vertices_inside_edges` tests every
 vertex against every edge; :func:`red_split_without_closure` builds the
-meshes it is run on. :func:`kruskal_tree_edges` is the textbook Kruskal
-with a union-find, for the saddle-point order's spanning tree, and
+meshes it is run on, and :func:`graded_toward_corner` graded ones.
+:func:`kruskal_tree_edges` is the textbook Kruskal with a union-find, for the saddle-point order's spanning tree, and
 :func:`kuhn_matching_size` the augmenting-path matching, for the size of
 the nested dissection's separators.
 """
@@ -31,6 +31,7 @@ from afem.problem import (
     constant_scalar,
     constant_vector,
 )
+from afem.refine import rgb_refine
 
 
 def duffy_rule(order=12):
@@ -162,8 +163,10 @@ def vertices_inside_edges(vertices, edges):
     ap = v[:, None, :] - a  # (V, E, 2)
     t = (ap * ab).sum(axis=2) / (ab * ab).sum(axis=2)
     cross = np.abs(ap[..., 0] * ab[..., 1] - ap[..., 1] * ab[..., 0])
-    scale = float(np.abs(v).max())
-    hit = (cross <= 1e-12 * scale**2) & (t > 1e-12) & (t < 1 - 1e-12)
+    length = np.sqrt((ab * ab).sum(axis=2))
+    mid = np.abs(a + 0.5 * ab).max(axis=2)
+    dist = np.maximum(1e-12 * length, 64 * np.finfo(float).eps * mid)
+    hit = (cross <= dist * length) & (t > 1e-12) & (t < 1 - 1e-12)
     return sorted(zip(*(idx.tolist() for idx in np.nonzero(hit))))
 
 
@@ -178,6 +181,15 @@ def red_split_without_closure(mesh, t):
     kids = [[a, mc, mb], [mc, b, ma], [mb, ma, c], [ma, mb, mc]]
     tris = np.concatenate([np.delete(mesh.triangles, t, axis=0), kids])
     return np.concatenate([v, mids]), tris
+
+
+def graded_toward_corner(mesh, steps):
+    """``mesh`` after ``steps`` red-green-blue refinements of the triangles
+    at the origin (the L-shape's re-entrant corner)."""
+    for _ in range(steps):
+        at_corner = (mesh.vertices[mesh.triangles] == 0.0).all(axis=2).any(axis=1)
+        mesh = rgb_refine(mesh, np.flatnonzero(at_corner))
+    return mesh
 
 
 def kruskal_tree_edges(mesh):
@@ -310,23 +322,15 @@ def _reference_grad_bary(mesh):
     return out / (2.0 * mesh.area)[:, None, None]
 
 
-def reference_modified_ncfem(mesh, pw, u_dirichlet):
-    """(matrix, rhs) of the condensed modified CR system over the free
-    edges; ``pw`` is the level's piecewise data."""
+def _reference_cr(mesh, pw, conv_weight, react, local_rhs, u_dirichlet):
+    """(matrix, rhs) of a CR system with the element reaction block
+    ``react`` and loads ``local_rhs``: over the free edges in ascending
+    order, or over all edges when ``u_dirichlet`` is None."""
     area = mesh.area
     ne = mesh.num_edges
-    s_mean = pw.s_t / area
-    kappa = 1.0 / (1.0 + pw.gamma_h * s_mean / 4.0)
     grad_psi = -2.0 * _reference_grad_bary(mesh)
-    react = (pw.gamma_h * kappa * area / 9.0)[:, None, None] * np.ones((1, 3, 3))
-    correction = kappa * s_mean / 4.0 * pw.f_h
-    local_rhs = (
-        (pw.f_h * area / 3.0)[:, None]
-        - np.einsum("t,td,tid->ti", correction * area, pw.b_h, grad_psi)
-        - (pw.gamma_h * correction * area / 3.0)[:, None]
-    )
     diff = np.einsum("t,tde,tje,tid->tij", area, pw.a_h, grad_psi, grad_psi)
-    conv = np.einsum("t,td,tid->ti", kappa * area / 3.0, pw.b_h, grad_psi)
+    conv = np.einsum("t,td,tid->ti", conv_weight * area / 3.0, pw.b_h, grad_psi)
     local = diff + np.repeat(conv[:, :, None], 3, axis=2) + react
     te = mesh.triangle_edges
     matrix = _reference_compress(
@@ -335,6 +339,8 @@ def reference_modified_ncfem(mesh, pw, u_dirichlet):
     )
     rhs = np.zeros(ne)
     np.add.at(rhs, te.ravel(), local_rhs.ravel())
+    if u_dirichlet is None:
+        return matrix, rhs
     bnd = mesh.boundary_edges
     mid = mesh.edge_mid[bnd]
     values = np.asarray(u_dirichlet(mid[:, 0], mid[:, 1]), dtype=float).ravel()
@@ -345,8 +351,35 @@ def reference_modified_ncfem(mesh, pw, u_dirichlet):
     )
 
 
+def reference_ncfem(mesh, pw, u_dirichlet):
+    """(matrix, rhs) of the plain CR system; ``pw`` is the level's
+    piecewise data."""
+    area = mesh.area
+    react = (pw.gamma_h * area / 3.0)[:, None, None] * np.eye(3)[None, :, :]
+    load = np.repeat((pw.f_h * area / 3.0)[:, None], 3, axis=1)
+    return _reference_cr(mesh, pw, 1.0, react, load, u_dirichlet)
+
+
+def reference_modified_ncfem(mesh, pw, u_dirichlet):
+    """(matrix, rhs) of the condensed modified CR system; ``pw`` is the
+    level's piecewise data."""
+    area = mesh.area
+    s_mean = pw.s_t / area
+    kappa = 1.0 / (1.0 + pw.gamma_h * s_mean / 4.0)
+    grad_psi = -2.0 * _reference_grad_bary(mesh)
+    react = (pw.gamma_h * kappa * area / 9.0)[:, None, None] * np.ones((1, 3, 3))
+    correction = kappa * s_mean / 4.0 * pw.f_h
+    local_rhs = (
+        (pw.f_h * area / 3.0)[:, None]
+        - np.einsum("t,td,tid->ti", correction * area, pw.b_h, grad_psi)
+        - (pw.gamma_h * correction * area / 3.0)[:, None]
+    )
+    return _reference_cr(mesh, pw, kappa, react, local_rhs, u_dirichlet)
+
+
 def reference_mixed_direct(mesh, pw, u_dirichlet):
-    """(matrix, rhs) of the saddle-point system, edge fluxes first."""
+    """(matrix, rhs) of the saddle-point system, edge fluxes first; with
+    no boundary term when ``u_dirichlet`` is None."""
     ne, nt = mesh.num_edges, mesh.num_triangles
     te = mesh.triangle_edges
     pv = mesh.vertices[mesh.triangles]
@@ -372,6 +405,8 @@ def reference_mixed_direct(mesh, pw, u_dirichlet):
     )
     rhs = np.zeros(ne + nt)
     rhs[ne:] = pw.f_h * mesh.area
+    if u_dirichlet is None:
+        return matrix, rhs
     bnd = mesh.boundary_edges
     sigma = np.where(mesh.edge_tris[bnd, 0] >= 0, 1.0, -1.0)
     mid = mesh.edge_mid[bnd]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -30,6 +32,7 @@ from oracles import (
     random_triangle,
     reference_mixed_direct,
     reference_modified_ncfem,
+    reference_ncfem,
 )
 from test_mesh import _rgb_mesh_with_green_and_blue
 
@@ -315,12 +318,16 @@ def test_assembly_bit_identical_to_lexsort_einsum_reference():
     field = _variable_field(rng)
     pw = project_p0(field, mesh)
     assert np.ptp(pw.a_h[:, 0, 1]) > 0 and np.abs(pw.b_h).max() > 0
-    for assemble, reference in (
-        (assemble_modified_ncfem, reference_modified_ncfem),
-        (assemble_mixed_direct, reference_mixed_direct),
+    for (assemble, reference), u_dirichlet in itertools.product(
+        (
+            (assemble_modified_ncfem, reference_modified_ncfem),
+            (assemble_mixed_direct, reference_mixed_direct),
+            (assemble_ncfem, reference_ncfem),
+        ),
+        (field.u_dirichlet, None),
     ):
-        matrix, rhs = assemble(mesh, pw, u_dirichlet=field.u_dirichlet).in_dof_order()
-        ref_matrix, ref_rhs = reference(mesh, pw, field.u_dirichlet)
+        matrix, rhs = assemble(mesh, pw, u_dirichlet=u_dirichlet).in_dof_order()
+        ref_matrix, ref_rhs = reference(mesh, pw, u_dirichlet)
         assert _is_canonical_csc(matrix)
         assert _is_canonical_csc(ref_matrix)
         for name in ("indices", "indptr"):

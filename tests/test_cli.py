@@ -1,13 +1,15 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
+import afem
 from afem import problem
 from afem.cli import main
 from afem.mesh import build_mesh, write_mesh_file
 from afem.refine import rgb_refine, uniform_red_refine
-from oracles import red_split_without_closure
+from oracles import graded_toward_corner, red_split_without_closure
 
 
 def test_run_lshape_exit_zero(tmp_path, capsys):
@@ -74,6 +76,43 @@ def test_registered_problem_runs(tmp_path, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "lshape_plugin_uniform.csv").exists()
+
+
+def _nan_right_of(x, y):
+    return np.where(x > 0.3, np.nan, 1.0)
+
+
+@pytest.mark.parametrize(
+    "coefficient, value, where",
+    [
+        ("f", _nan_right_of, "f = nan at the centroid"),
+        ("gamma", _nan_right_of, "gamma = nan at the centroid"),
+        ("b", lambda x, y: np.stack([0 * x, _nan_right_of(x, y)], axis=1),
+         r"b = \[ 0\. nan\] at the centroid"),
+        ("u_dirichlet", _nan_right_of, "u_D = nan at the boundary midpoint"),
+    ],
+    ids=["f", "gamma", "b", "u_dirichlet"],
+)
+def test_non_finite_coefficient_is_input_error(
+    tmp_path, capsys, monkeypatch, coefficient, value, where
+):
+    # not a singular matrix (exit 2): the data is wrong, whatever the mesh
+    monkeypatch.setattr(problem, "_REGISTRY", dict(problem._REGISTRY))
+    lshape = problem.benchmark("lshape")
+    field = dataclasses.replace(lshape.field, **{coefficient: value})
+    afem.register_problem(
+        "nan_data", lambda **kw: dataclasses.replace(lshape, field=field)
+    )
+    code = main(
+        [
+            "run", "--problem", "nan_data", "--mode", "uniform",
+            "--max-ndof", "300", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.search(rf"^afem: error: {where} of triangle \d+$", err, re.M), err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -203,6 +242,22 @@ def test_mesh_file_below_unit_size_runs(tmp_path, capsys):
     assert code == 0
     rows = (tmp_path / "lshape_uniform.csv").read_text().splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["992", "3904"]
+
+
+def test_mesh_file_graded_toward_the_corner_runs(tmp_path, capsys):
+    # 19 corner refinements: vertex 242 lies 6.7e-7 from the line of edge
+    # (255, 257), 1.3e-6 long, which is no hanging node at that size
+    path = tmp_path / "graded.mesh"
+    write_mesh_file(graded_toward_corner(problem.lshape_start_mesh(), 19), path)
+    code = main(
+        [
+            "run", "--problem", "lshape", "--mode", "uniform",
+            "--max-ndof", "1300", "--mesh", str(path), "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0, capsys.readouterr().err
+    rows = (tmp_path / "lshape_uniform.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["1227"]
 
 
 def test_adaptive_run_with_theta_one(tmp_path):

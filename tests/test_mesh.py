@@ -11,7 +11,11 @@ from afem.errors import DanglingBoundaryTag, HangingNode, InvalidMark, NonPositi
 from afem.mesh import _slit_vertices, build_mesh, read_mesh_file, write_mesh_file
 from afem.problem import crack_start_mesh, lshape_start_mesh
 from afem.refine import rgb_refine, uniform_red_refine
-from oracles import red_split_without_closure, vertices_inside_edges
+from oracles import (
+    graded_toward_corner,
+    red_split_without_closure,
+    vertices_inside_edges,
+)
 
 REF = (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
 SQUARE = (
@@ -71,12 +75,65 @@ def test_clockwise_triangle_rejected():
         build_mesh(REF[0], np.array([[0, 2, 1]]))
 
 
-@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6])
-def test_sliver_rejected_at_every_scale(scale):
-    # area 5e-16 scale^2, below the tolerance 1e-14 max|v|^2 at any size
-    verts = scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-15]])
+SCALES = [1e-9, 1e-6, 1.0, 1e6]
+
+
+@pytest.mark.parametrize(
+    "scale, shift",
+    [(scale, 0.0) for scale in SCALES] + [(scale, 1e3) for scale in SCALES],
+    ids=[str(scale) for scale in SCALES] + [f"{scale}+1e3" for scale in SCALES],
+)
+def test_sliver_rejected_at_every_scale(scale, shift):
+    # area 5e-16 scale^2, below the tolerance 1e-14 (longest edge)^2 at any
+    # size and position
+    verts = scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-15]]) + shift
     with pytest.raises(NonPositiveArea):
         build_mesh(verts, np.array([[0, 1, 2]]))
+
+
+def test_rotated_sliver_far_from_origin_rejected():
+    # collinear up to rounding: at (1000, 1000) the rounding of the
+    # coordinates leaves it an area of 2.3e-14, above 1e-14 |E|^2 for
+    # |E| = 1, so only the rounding floor rejects it
+    d, n = np.array([0.6, 0.8]), np.array([-0.8, 0.6])
+    verts = np.array([0.0 * d, d, 0.5 * d + 1e-15 * n]) + 1e3
+    with pytest.raises(NonPositiveArea):
+        build_mesh(verts, np.array([[0, 1, 2]]))
+
+
+def test_meshes_graded_toward_the_corner_build():
+    # 19 corner refinements leave edges 1.3e-6 long with vertices 6.7e-7
+    # from their lines, none closer than a quarter of the edge; 22 leave
+    # well-shaped triangles of area 7.1e-15
+    mesh = graded_toward_corner(lshape_start_mesh(), 19)
+    assert mesh.num_triangles == 480 and mesh.min_angle() > 0.32
+    assert mesh.h_t.min() < 1.4e-6
+    build_mesh(mesh.vertices, mesh.triangles)
+    assert vertices_inside_edges(mesh.vertices, mesh.edges) == []
+    mesh = graded_toward_corner(mesh, 3)
+    assert mesh.area.min() < 1e-14 and mesh.min_angle() > 0.32
+
+
+def test_scaled_and_moved_mesh_keeps_its_verdicts():
+    mesh = uniform_red_refine(uniform_red_refine(lshape_start_mesh()))
+    build_mesh(1e-3 * mesh.vertices + 1e3, mesh.triangles)
+    verts, tris = red_split_without_closure(mesh, 40)
+    with pytest.raises(HangingNode):
+        build_mesh(1e-3 * verts + 1e3, tris)
+
+
+@pytest.mark.parametrize("s", [0.01, 0.25, 0.999])
+def test_vertex_inside_short_edge_far_from_origin_rejected(s):
+    # edge (0, 1) is 2e-5 long at (1, 1): vertex 3 is off its line by the
+    # rounding of the coordinates alone, more than 1e-12 |E|
+    turn = np.array([[np.cos(0.5), -np.sin(0.5)], [np.sin(0.5), np.cos(0.5)]])
+    verts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [0.0, -1.0], [2.0, -1.0]])
+    verts = 1e-5 * verts @ turn.T + 1.0
+    verts = np.insert(verts, 3, verts[0] + s * (verts[1] - verts[0]), axis=0)
+    tris = np.array([[0, 1, 2], [0, 4, 3], [3, 4, 5], [3, 5, 1]])
+    assert vertices_inside_edges(verts, build_mesh(verts, tris, strict=False).edges)
+    with pytest.raises(HangingNode, match=r"^vertex 3 lies inside edge \(0, 1\)$"):
+        build_mesh(verts, tris)
 
 
 def test_overused_edge_rejected():

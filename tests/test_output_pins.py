@@ -1,4 +1,4 @@
-"""SHA-1 digests of the files written by three small runs.
+"""SHA-1 digests of the files written by four small runs.
 
 The kernels behind every output (assembly, estimator, quadrature, mesh
 geometry) may be rewritten only if the arithmetic stays the same, bit for
@@ -27,6 +27,26 @@ LSHAPE_UNIFORM_4000 = {
     "systems/level2_modified_nc.txt": "2729d6df81c29260120792d5d871fa7fc70f6639",
     "systems/level3_mixed.txt": "af04fd8c50976df5fc83cee79bfd823b6b2b25ff",
     "systems/level3_modified_nc.txt": "bf7a97cc6b1b6c30e7412312f154aa0fa3618602",
+}
+
+# adaptive slit disc: the zero reaction block, green and blue closures and
+# the natural boundary term along both sides of the slit
+CRACK_ADAPTIVE_3000 = {
+    "crack_adaptive.csv": "5511df442cd84db8591584a0976404ec9efb2af8",
+    "systems/level0_mixed.txt": "5449eb8074cf17345f07c2391aa9188f29852bf5",
+    "systems/level0_modified_nc.txt": "e204242ffe9cfbb37387b391e34a2776aea38be6",
+    "systems/level1_mixed.txt": "8ffa53f1bf1a67a96c4dac980c90dd1ddb5acc7b",
+    "systems/level1_modified_nc.txt": "366a99d931f9cc83fc0d91545d85d92c9601d5a6",
+    "systems/level2_mixed.txt": "801d514b57d9fb3460857a6d7ab3eb297fe9b341",
+    "systems/level2_modified_nc.txt": "79c0da6ab229de4d0765f4f1284961fe52f90127",
+    "systems/level3_mixed.txt": "52722ba27c8ac5c8f901acd90786e8b650f44dfe",
+    "systems/level3_modified_nc.txt": "5c43d0c1df723dfb79271b3b3df538ee7ea89970",
+    "systems/level4_mixed.txt": "62e676f1427ccdd6235aad64a6a85ec173f60b55",
+    "systems/level4_modified_nc.txt": "ea7e17cffca8ff2be5d681b2d80e42ed10d395c0",
+    "systems/level5_mixed.txt": "c69e2fafce7674b2d485b6d83597f5abd9f921d4",
+    "systems/level5_modified_nc.txt": "63d55e35cda44134f120a87fafee230e7abb8f6e",
+    "systems/level6_mixed.txt": "9e60ba4730d90ab43b43acb165d84fc15e5d99dd",
+    "systems/level6_modified_nc.txt": "af0ee469693ef00bb29243455ff1cf05536d4d21",
 }
 
 CRACK_ADAPTIVE_15000 = {
@@ -75,6 +95,18 @@ def test_crack_adaptive_csv_bytes_pinned(tmp_path):
     )
     assert code == 0
     assert _digests(tmp_path, CRACK_ADAPTIVE_15000) == CRACK_ADAPTIVE_15000
+
+
+def test_crack_adaptive_dump_bytes_pinned(tmp_path):
+    code = _run(
+        tmp_path, "--problem", "crack", "--mode", "adaptive",
+        "--max-ndof", "3000", "--dump-systems",
+    )
+    assert code == 0
+    files = sorted(p.relative_to(tmp_path).as_posix()
+                   for p in tmp_path.rglob("*.*") if p.suffix != ".gp")
+    assert files == sorted(CRACK_ADAPTIVE_3000)
+    assert _digests(tmp_path, CRACK_ADAPTIVE_3000) == CRACK_ADAPTIVE_3000
 
 
 def test_eigen_sweep_uniform_bytes_pinned(tmp_path):
