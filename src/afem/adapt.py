@@ -6,7 +6,10 @@ mesh-weighted volume term, a nonconformity term in which the minimum over
 conforming functions is bounded through the nodal average of -u~_CR, and
 two coefficient-approximation terms. The driver runs
 solve / estimate / mark / refine, cross-checking the reconstruction
-against the direct saddle solve on every level.
+against the direct saddle solve on every level. The estimator evaluates f
+and gamma once per level, at the degree-5 points of every triangle; its
+report hands that data on to the error norms, and the driver drops it with
+the level, before the next level's solves.
 """
 
 from dataclasses import dataclass
@@ -37,12 +40,15 @@ class EstimatorReport:
     terms, which is the quantity the tables report and marking consumes.
     The remaining entries of ``term_sq`` (data oscillation and coefficient
     approximation) belong to the full reliability bound and are reported
-    alongside in :attr:`term_norms`.
+    alongside in :attr:`term_norms`. ``data`` holds the mesh's degree-5
+    points with f and gamma there, which the oscillation term used and
+    :func:`bench.error_norms` takes next.
     """
 
     term_sq: dict
     eta_terms: tuple
     diagnostics: dict
+    data: quadrature.Degree5Data
 
     @property
     def per_triangle_sq(self):
@@ -100,11 +106,8 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
 
     # oscillation of f - gamma u_M against its centroid value, degree 5
     resid = pw.f_h - pw.gamma_h * mixed.u
-    pts = quadrature.physical_points(pv)
-    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
-    g = np.asarray(coeffs.f(x, y), dtype=float).reshape(pts.shape[:2]) - np.asarray(
-        coeffs.gamma(x, y), dtype=float
-    ).reshape(pts.shape[:2]) * mixed.u[:, None]
+    data = quadrature.degree5_data(mesh, coeffs)
+    g = data.f - data.gamma * mixed.u[:, None]
     osc_sq = mesh.area * (((g - resid[:, None]) ** 2) @ quadrature.DEGREE5[1])
 
     # r = A_h^-1 p_M + u_M b*_h, affine per triangle; exact on edge midpoints
@@ -151,6 +154,7 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
         },
         eta_terms=("volume", "nonconformity"),
         diagnostics=diagnostics,
+        data=data,
     )
 
 
@@ -237,11 +241,15 @@ def adaptive_loop(
             equivalence=(rel_p, rel_u),
         )
         if instance.exact is not None:
-            record.e_u, record.e_p, record.e_div = bench.error_norms(mixed, instance)
+            record.e_u, record.e_p, record.e_div = bench.error_norms(
+                mixed, instance, report.data
+            )
         record.finalize()
         history.records.append(record)
         if on_level is not None:
             on_level(pw, mixed, u_tilde, report, record)
+        eta_sq = report.per_triangle_sq
+        del report  # with its degree-5 data, before the next level's solves
         if mode == "uniform":
             # red refinement gives E' = 2E + 3T edges and T' = 4T triangles;
             # never build a mesh the budget would reject
@@ -249,7 +257,7 @@ def adaptive_loop(
                 break
             mesh = uniform_red_refine(mesh)
         else:
-            marked = dorfler_mark(report.per_triangle_sq, theta)
+            marked = dorfler_mark(eta_sq, theta)
             if len(marked.indices) == 0:
                 break  # estimator vanished; nothing to refine
             mesh = rgb_refine(mesh, marked.indices)

@@ -3,7 +3,10 @@
 Rates follow the dof-based definition CR(e) = log(e_prev/e_cur) /
 log(N_cur/N_prev). Error integrals use the degree-5 rule with three levels
 of dyadic subdivision on triangles touching the singular vertex, which
-under-resolves nothing at the four-digit level the tables need.
+under-resolves nothing at the four-digit level the tables need. Off that
+vertex they take the level's degree-5 points, with f and gamma there, from
+the estimator (:class:`quadrature.Degree5Data`), and each point evaluates
+the exact solution's closed form once, for u and the flux together.
 """
 
 import math
@@ -104,61 +107,68 @@ def _tab(v):
     return "-" if (isinstance(v, float) and math.isnan(v)) else f"{v:.8f}"
 
 
-def _singular_mask(mesh, point, tol=1e-12):
+def _singular_corners(mesh, point, tol=1e-12):
+    """(T, 3) mask of the triangle corners at ``point``: the vertices within
+    ``tol`` of it in the max norm, looked up through ``mesh.triangles``."""
     if point is None:
-        return np.zeros(mesh.num_triangles, dtype=bool)
-    pv = mesh.triangle_vertices()
-    return (np.abs(pv - np.asarray(point)).max(axis=2) < tol).any(axis=1)
+        return np.zeros(mesh.triangles.shape, dtype=bool)
+    near = np.abs(mesh.vertices - np.asarray(point)).max(axis=1) < tol
+    return near[mesh.triangles]
 
 
-def _rotate_singular_first(verts, point):
-    """Reorder each triangle so the singular vertex is local vertex 0."""
-    hit = np.abs(verts - np.asarray(point)).max(axis=2) < 1e-12
-    order = (hit.argmax(axis=1)[:, None] + np.arange(3)) % 3
+def _rotate_singular_first(verts, corners):
+    """Reorder each triangle so its first singular corner (a True of the
+    (M, 3) ``corners`` mask) is local vertex 0."""
+    order = (corners.argmax(axis=1)[:, None] + np.arange(3)) % 3
     return np.take_along_axis(verts, order[:, :, None], axis=1)
 
 
-def error_norms(mixed, instance):
+def error_norms(mixed, instance, data):
     """L2 errors (e_u, e_p, e_div) of a mixed solution against the exact one.
 
     e_div compares the elementwise divergence f_h - gamma_h u_M with the
     analytic div p = f - gamma u. One pass integrates the three squared
-    errors together, each point evaluating the exact u once.
+    errors together, each point evaluating the exact solution once. Off the
+    singular vertex the points and their f and gamma values are ``data``,
+    the level's :class:`quadrature.Degree5Data` (the estimator report's
+    ``data``); the dyadic subdivision at the singular vertex evaluates the
+    callbacks at its own points.
     """
     ex, cf = instance.exact, instance.field
     if ex is None:
         raise NoExactSolution(f"benchmark {instance.name!r} has no exact solution")
     mesh = mixed.mesh
-    verts = mesh.triangle_vertices()
-    sing = _singular_mask(mesh, instance.singular_point)
+    corners = _singular_corners(mesh, instance.singular_point)
+    sing = corners.any(axis=1)
     q = len(quadrature.DEGREE5[1])
-    sq = np.zeros((3, mesh.num_triangles))
-    for idx, depth in (
-        (np.flatnonzero(~sing), 0),
-        (np.flatnonzero(sing), SINGULAR_QUAD_DEPTH),
-    ):
-        if len(idx) == 0:
-            continue
-        tri = verts[idx]
-        if depth:
-            tri = _rotate_singular_first(tri, instance.singular_point)
+
+    def squared_errors(idx, x, y, f, gamma):
         # the mixed solution repeated over the q points of each triangle
         u_m = np.repeat(mixed.u[idx], q)
         consts = np.repeat(mixed.flux_const[idx], q, axis=0)
         slopes = np.repeat(mixed.flux_slope[idx], q)[:, None]
         div_m = np.repeat(2.0 * mixed.flux_slope[idx], q)
+        u, p = ex.u_and_flux(x, y)
+        diff = p - (consts + slopes * np.stack([x, y], axis=-1))
+        return np.stack([
+            (u - u_m) ** 2,
+            np.einsum("nd,nd->n", diff, diff),
+            (f - gamma * u - div_m) ** 2,
+        ])
 
-        def integrand(x, y):
-            u = ex.u(x, y)
-            diff = ex.p(x, y) - (consts + slopes * np.stack([x, y], axis=-1))
-            return np.stack([
-                (u - u_m) ** 2,
-                np.einsum("nd,nd->n", diff, diff),
-                (cf.f(x, y) - cf.gamma(x, y) * u - div_m) ** 2,
-            ])
-
-        sq[:, idx] = quadrature.integrate_dyadic(
-            integrand, tri, mesh.area[idx], depth
+    sq = np.zeros((3, mesh.num_triangles))
+    off = np.flatnonzero(~sing)
+    if len(off):
+        values = squared_errors(
+            off, *(a[off].ravel() for a in (data.x, data.y, data.f, data.gamma))
+        )
+        sq[:, off] = quadrature.element_sums(values, mesh.area[off])
+    on = np.flatnonzero(sing)
+    if len(on):
+        tri = _rotate_singular_first(mesh.triangle_vertices()[on], corners[on])
+        sq[:, on] = quadrature.integrate_dyadic(
+            lambda x, y: squared_errors(on, x, y, cf.f(x, y), cf.gamma(x, y)),
+            tri, mesh.area[on], SINGULAR_QUAD_DEPTH,
         )
     return tuple(float(np.sqrt(row.sum())) for row in sq)
 

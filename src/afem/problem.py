@@ -36,9 +36,11 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class ExactSolution:
-    u: Callable
-    grad_u: Callable
-    p: Callable  # flux -(A grad u + u b)
+    """``u_and_flux(x, y) -> (u, p)``: the exact solution, shape (N,), and its
+    flux p = -(A grad u + u b), shape (N, 2), from one evaluation of the
+    closed form."""
+
+    u_and_flux: Callable
 
 
 @dataclass(frozen=True)
@@ -119,16 +121,21 @@ def require_finite(name, values, point, triangles=None):
     if bad.any():
         i = int(np.argmax(bad))
         t = i if triangles is None else int(triangles[i])
-        raise NonFiniteCoefficient(
-            f"{name} = {values[i]} at the {point} of triangle {t}"
-        )
+        shown = " ".join(str(values[i]).split())  # a matrix on one line
+        raise NonFiniteCoefficient(f"{name} = {shown} at the {point} of triangle {t}")
     return values
 
 
 def project_p0(coeffs, mesh):
     """Centroid projection of the coefficient field onto piecewise constants."""
     cx, cy = mesh.centroid[:, 0], mesh.centroid[:, 1]
-    a_h = np.asarray(coeffs.a(cx, cy), dtype=float).reshape(-1, 2, 2)
+
+    def at_centroids(name, fn, shape=(-1,)):
+        values = np.asarray(fn(cx, cy), dtype=float).reshape(shape)
+        return require_finite(name, values, "centroid")
+
+    # finite before the SPD test: one NaN would poison the symmetry scale
+    a_h = at_centroids("A", coeffs.a, (-1, 2, 2))
     asym = np.abs(a_h[:, 0, 1] - a_h[:, 1, 0])
     spd = (
         (a_h[:, 0, 0] > 0)
@@ -141,11 +148,6 @@ def project_p0(coeffs, mesh):
             f"A at centroid of triangle {bad} is not symmetric positive definite"
         )
     a_h_inv = inv_2x2(a_h)
-
-    def at_centroids(name, fn, shape=(-1,)):
-        values = np.asarray(fn(cx, cy), dtype=float).reshape(shape)
-        return require_finite(name, values, "centroid")
-
     b_h = at_centroids("b", coeffs.b, (-1, 2))
     gamma_h = at_centroids("gamma", coeffs.gamma)
     f_h = at_centroids("f", coeffs.f)
@@ -215,17 +217,9 @@ def _polar(x, y):
 def _lshape_instance():
     two_thirds = 2.0 / 3.0
 
-    def u(x, y):
+    def u(x, y):  # without the flux, for f and u_D
         r, t = _polar(x, y)
         return r**two_thirds * np.sin(two_thirds * t)
-
-    def grad_u(x, y):
-        r, t = _polar(x, y)
-        rad = two_thirds * r ** (two_thirds - 1.0)
-        ur = rad * np.sin(two_thirds * t)
-        ut = rad * np.cos(two_thirds * t)
-        ct, st = np.cos(t), np.sin(t)
-        return np.stack([ur * ct - ut * st, ur * st + ut * ct], axis=-1)
 
     def b(x, y):
         return np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)], axis=-1)
@@ -234,8 +228,15 @@ def _lshape_instance():
         # u is harmonic; div(u b) = b.grad u + 2u = (2/3)u + 2u by homogeneity
         return -20.0 / 3.0 * u(x, y)
 
-    def p(x, y):
-        return -(grad_u(x, y) + u(x, y)[..., None] * b(x, y))
+    def u_and_flux(x, y):
+        r, t = _polar(x, y)
+        s, c = np.sin(two_thirds * t), np.cos(two_thirds * t)
+        u = r**two_thirds * s
+        rad = two_thirds * r ** (two_thirds - 1.0)
+        ur, ut = rad * s, rad * c
+        ct, st = np.cos(t), np.sin(t)
+        grad_u = np.stack([ur * ct - ut * st, ur * st + ut * ct], axis=-1)
+        return u, -(grad_u + u[..., None] * b(x, y))
 
     coeffs = CoefficientField(
         a=constant_matrix(np.eye(2)),
@@ -248,25 +249,24 @@ def _lshape_instance():
         name="lshape",
         field=coeffs,
         start_mesh=lshape_start_mesh,
-        exact=ExactSolution(u=u, grad_u=grad_u, p=p),
+        exact=ExactSolution(u_and_flux=u_and_flux),
         singular_point=(0.0, 0.0),
     )
 
 
 def _crack_instance():
-    def u(x, y):
+    def u_and_grad(x, y):
         r, t = _polar(x, y)
-        return np.sqrt(r) * np.sin(0.5 * t) - 0.5 * np.asarray(y, dtype=float) ** 2
-
-    def grad_u(x, y):
-        r, t = _polar(x, y)
-        rad = 0.5 / np.sqrt(r)
-        ur = rad * np.sin(0.5 * t)
-        ut = rad * np.cos(0.5 * t)
+        y = np.asarray(y, dtype=float)
+        sqrt_r, s, c = np.sqrt(r), np.sin(0.5 * t), np.cos(0.5 * t)
+        u = sqrt_r * s - 0.5 * y**2
+        rad = 0.5 / sqrt_r
+        ur, ut = rad * s, rad * c
         ct, st = np.cos(t), np.sin(t)
-        gx = ur * ct - ut * st
-        gy = ur * st + ut * ct - np.asarray(y, dtype=float)
-        return np.stack([gx, gy], axis=-1)
+        return u, np.stack([ur * ct - ut * st, ur * st + ut * ct - y], axis=-1)
+
+    def u(x, y):
+        return u_and_grad(x, y)[0]
 
     def b(x, y):
         return np.stack(
@@ -276,12 +276,12 @@ def _crack_instance():
 
     def f(x, y):
         # -Laplace(u) = 1; gamma = 0, so f = 1 - b.grad u - u div b
-        g = grad_u(x, y)
-        bv = b(x, y)
-        return 1.0 - np.einsum("...d,...d->...", bv, g) - 2.0 * u(x, y)
+        u, g = u_and_grad(x, y)
+        return 1.0 - np.einsum("...d,...d->...", b(x, y), g) - 2.0 * u
 
-    def p(x, y):
-        return -(grad_u(x, y) + u(x, y)[..., None] * b(x, y))
+    def u_and_flux(x, y):
+        u, g = u_and_grad(x, y)
+        return u, -(g + u[..., None] * b(x, y))
 
     coeffs = CoefficientField(
         a=constant_matrix(np.eye(2)),
@@ -294,7 +294,7 @@ def _crack_instance():
         name="crack",
         field=coeffs,
         start_mesh=crack_start_mesh,
-        exact=ExactSolution(u=u, grad_u=grad_u, p=p),
+        exact=ExactSolution(u_and_flux=u_and_flux),
         singular_point=(0.0, 0.0),
     )
 

@@ -7,8 +7,11 @@ normalized to sum to one, so that
 
 The edge-midpoint rule (:func:`affine_sq_l2`) is exact for quadratic
 polynomials and is the rule used inside element integrals; the 7-point
-rule has degree 5 and serves data oscillation and error norms.
+rule has degree 5 and serves data oscillation and error norms, which share
+a level's points and load data through :class:`Degree5Data`.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,19 +60,49 @@ def physical_points(verts):
     return out.transpose(1, 2, 0)
 
 
+@dataclass(frozen=True)
+class Degree5Data:
+    """The degree-5 points of every triangle of a mesh, one (T, 7) array per
+    coordinate, with the load f and the reaction gamma evaluated there."""
+
+    x: np.ndarray
+    y: np.ndarray
+    f: np.ndarray
+    gamma: np.ndarray
+
+
+def degree5_data(mesh, coeffs):
+    """Map the degree-5 points onto every triangle of ``mesh`` and evaluate
+    the ``coeffs`` callbacks f and gamma there, once for all 7T points."""
+    pts = physical_points(mesh.triangle_vertices())
+    x, y = pts[..., 0], pts[..., 1]
+    f = np.asarray(coeffs.f(x.ravel(), y.ravel()), dtype=float)
+    gamma = np.asarray(coeffs.gamma(x.ravel(), y.ravel()), dtype=float)
+    return Degree5Data(x=x, y=y, f=f.reshape(x.shape), gamma=gamma.reshape(x.shape))
+
+
+def element_sums(vals, areas):
+    """The degree-5 rule's element integrals of pointwise values.
+
+    ``vals`` holds (M*Q,) values at the points of M triangles, Q per
+    triangle, or (K, M*Q) for K stacked integrands; returns the (M,) or
+    (K, M) integrals, each stacked row summed exactly as that row alone
+    would be.
+    """
+    vals = vals.reshape(vals.shape[:-1] + (len(areas), len(DEGREE5[1])))
+    return areas * (vals @ DEGREE5[1])
+
+
 def integrate(fn, verts, areas):
     """Integrate ``fn(x, y)`` over a triangle batch.
 
     fn receives the M*Q flattened coordinates and evaluates pointwise,
-    returning (M*Q,) values or (K, M*Q) for K stacked integrands. Returns
-    the (M,) or (K, M) element integrals; each stacked row is summed
-    exactly as a call with that row alone would be.
+    returning (M*Q,) values or (K, M*Q) for K stacked integrands, which
+    :func:`element_sums` weighs.
     """
     pts = physical_points(verts)
-    m, q = pts.shape[0], pts.shape[1]
     vals = np.asarray(fn(pts[..., 0].ravel(), pts[..., 1].ravel()))
-    vals = vals.reshape(vals.shape[:-1] + (m, q))
-    return areas * (vals @ DEGREE5[1])
+    return element_sums(vals, areas)
 
 
 def integrate_dyadic(fn, verts, areas, depth):

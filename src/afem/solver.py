@@ -12,6 +12,7 @@ correction of its refinement step, relative to the solution, is at most
 ``FORWARD_TOL``; otherwise the matrix counts as singular.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +139,9 @@ def solve_mixed_direct(mesh, pw, u_dirichlet):
 
 
 def equivalence_residual(direct, recon):
-    """Relative L2 discrepancies (flux, scalar) between the two routes."""
+    """L2 discrepancies (flux, scalar) between the two routes, each relative
+    to the L2 norm of the whole direct solution (p, u), which vanishes only
+    with the solution: a flux or a scalar part alone may be roundoff."""
     if direct.mesh is not recon.mesh:
         raise MeshMismatch("solutions live on different meshes")
     mesh = direct.mesh
@@ -151,7 +154,5 @@ def equivalence_residual(direct, recon):
     du = direct.u - recon.u
     num_u = float(np.sqrt(np.sum(mesh.area * du**2)))
     den_u = float(np.sqrt(np.sum(mesh.area * direct.u**2)))
-    return (
-        num_p / den_p if den_p > 0 else num_p,
-        num_u / den_u if den_u > 0 else num_u,
-    )
+    scale = math.hypot(den_p, den_u)
+    return (num_p / scale, num_u / scale) if scale > 0 else (num_p, num_u)

@@ -3,7 +3,10 @@
 Everything here is deliberately written without the package's own
 quadrature or assembly helpers so it can serve as an oracle for them:
 triangle integration goes through a Duffy-transformed Gauss-Legendre grid.
-The one exception is :func:`mixed_dirichlet_eigenvalue`: the discrete
+The exceptions are :func:`reference_estimate_mixed`, the estimator as it
+was before it shared a level's degree-5 data with the error norms, which
+the package must still reproduce bit for bit, and
+:func:`mixed_dirichlet_eigenvalue`: the discrete
 spectrum it reports is that of the very matrix the package solves, so it
 takes that matrix from the package's mixed assembly and guards the result
 with its own eigen-residual check instead. :func:`reference_ncfem`,
@@ -24,12 +27,18 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial.legendre import leggauss
 
+from afem import quadrature
+from afem.adapt import average_cr, grad_p1
 from afem.assembly import assemble_mixed_direct
 from afem.problem import (
     CoefficientField,
+    ExactSolution,
+    ProblemInstance,
     constant_matrix,
     constant_scalar,
     constant_vector,
+    inv_2x2,
+    lshape_start_mesh,
 )
 from afem.refine import rgb_refine
 
@@ -252,14 +261,78 @@ def residual_of_exact(instance, x, y, h=1e-5):
     """First-order-system residual div p + gamma u - f of the exact data,
     with the flux divergence taken by central differences (the flux already
     carries the sign, p = -(A grad u + u b))."""
-    ex = instance.exact
     cf = instance.field
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    div_p = (ex.p(x + h, y)[..., 0] - ex.p(x - h, y)[..., 0]) / (2 * h) + (
-        ex.p(x, y + h)[..., 1] - ex.p(x, y - h)[..., 1]
+
+    def flux(x, y):
+        return instance.exact.u_and_flux(x, y)[1]
+
+    div_p = (flux(x + h, y)[..., 0] - flux(x - h, y)[..., 0]) / (2 * h) + (
+        flux(x, y + h)[..., 1] - flux(x, y - h)[..., 1]
     ) / (2 * h)
-    return div_p + cf.gamma(x, y) * ex.u(x, y) - cf.f(x, y)
+    return div_p + cf.gamma(x, y) * instance.exact.u_and_flux(x, y)[0] - cf.f(x, y)
+
+
+def constant_instance():
+    """u = 1 on the L-shape: u_D = 1 and f = b = gamma = 0, so the exact
+    flux vanishes and both mixed routes' fluxes are roundoff."""
+    field = CoefficientField(
+        a=constant_matrix(np.eye(2)),
+        b=constant_vector((0.0, 0.0)),
+        gamma=constant_scalar(0.0),
+        f=constant_scalar(0.0),
+        u_dirichlet=constant_scalar(1.0),
+    )
+    return ProblemInstance(
+        name="constant",
+        field=field,
+        start_mesh=lshape_start_mesh,
+        exact=ExactSolution(
+            u_and_flux=lambda x, y: (np.ones(np.size(x)), np.zeros((np.size(x), 2)))
+        ),
+        singular_point=(0.0, 0.0),
+    )
+
+
+def reference_estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
+    """The estimator's five squared terms per triangle, each evaluating the
+    coefficient callbacks at its own points: the formulation before the
+    estimator and the error norms shared a level's degree-5 data."""
+    pv = mesh.triangle_vertices()
+    mids = 0.5 * (pv + np.roll(pv, -1, axis=1))
+    resid = pw.f_h - pw.gamma_h * mixed.u
+    pts = quadrature.physical_points(pv)
+    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
+    g = np.asarray(coeffs.f(x, y), dtype=float).reshape(pts.shape[:2]) - np.asarray(
+        coeffs.gamma(x, y), dtype=float
+    ).reshape(pts.shape[:2]) * mixed.u[:, None]
+    osc_sq = mesh.area * (((g - resid[:, None]) ** 2) @ quadrature.DEGREE5[1])
+    p_at_mids = mixed.flux_at(mids)
+    a_inv = pw.a_h_inv[:, None, :, :]
+    r = (
+        a_inv[..., 0] * p_at_mids[..., 0, None]
+        + a_inv[..., 1] * p_at_mids[..., 1, None]
+        + (mixed.u[:, None] * pw.b_star_h)[:, None, :]
+    )
+    volume_sq = mesh.h_t**2 * quadrature.affine_sq_l2(mesh.area, r)
+    gv = grad_p1(mesh, -average_cr(u_cr_tilde))
+    nonconf_sq = quadrature.affine_sq_l2(mesh.area, r - gv[:, None, :])
+    xm, ym = mids[..., 0].ravel(), mids[..., 1].ravel()
+    a_inv_pts = inv_2x2(np.asarray(coeffs.a(xm, ym), dtype=float).reshape(-1, 3, 2, 2))
+    diff_a = np.einsum(
+        "tqde,tqe->tqd", a_inv_pts - pw.a_h_inv[:, None, :, :], p_at_mids
+    )
+    b_pts = np.asarray(coeffs.b(xm, ym), dtype=float).reshape(-1, 3, 2)
+    b_star_pts = np.einsum("tqde,tqe->tqd", a_inv_pts, b_pts)
+    diff_b = mixed.u[:, None, None] * (b_star_pts - pw.b_star_h[:, None, :])
+    return {
+        "osc": osc_sq,
+        "volume": volume_sq,
+        "nonconformity": nonconf_sq,
+        "coeff_a": quadrature.affine_sq_l2(mesh.area, diff_a),
+        "coeff_b": quadrature.affine_sq_l2(mesh.area, diff_b),
+    }
 
 
 def mixed_dirichlet_eigenvalue(mesh, shift):

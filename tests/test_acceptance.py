@@ -429,7 +429,8 @@ def cr_errors(sol, instance):
     trace0 = sol.vertex_traces()[:, 0]
     grads = sol.gradients()
     ex = instance.exact
-    sing = bench._singular_mask(mesh, instance.singular_point)
+    corners = bench._singular_corners(mesh, instance.singular_point)
+    sing = corners.any(axis=1)
     totals = np.zeros(2)
     for idx, dyadic in ((np.flatnonzero(~sing), False), (np.flatnonzero(sing), True)):
         m = len(idx)
@@ -441,15 +442,20 @@ def cr_errors(sol, instance):
             u_cr = np.repeat(c, per) + np.einsum(
                 "nd,nd->n", np.repeat(g, per, axis=0), offset
             )
-            return (ex.u(x, y) - u_cr) ** 2
+            return (ex.u_and_flux(x, y)[0] - u_cr) ** 2
 
         def grad_err(x, y):
-            d = ex.grad_u(x, y) - np.repeat(g, np.size(x) // m, axis=0)
+            # grad u = -A^-1 (p + u b) from the exact flux
+            u, p = ex.u_and_flux(x, y)
+            flux_part = p + u[:, None] * instance.field.b(x, y)
+            a = instance.field.a(x, y)
+            grad_u = -np.linalg.solve(a, flux_part[..., None])[..., 0]
+            d = grad_u - np.repeat(g, np.size(x) // m, axis=0)
             return np.einsum("nd,nd->n", d, d)
 
         for k, fn in enumerate((u_err, grad_err)):
             if dyadic:
-                rot = bench._rotate_singular_first(pv[idx], instance.singular_point)
+                rot = bench._rotate_singular_first(pv[idx], corners[idx])
                 per_tri = quadrature.integrate_dyadic(
                     fn, rot, mesh.area[idx], bench.SINGULAR_QUAD_DEPTH
                 )

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -30,7 +31,8 @@ from afem.problem import (
 from afem.refine import rgb_refine, uniform_red_refine
 from afem.solver import solve_mixed_via_equivalence
 
-from oracles import random_spd_matrix
+from oracles import constant_instance, random_spd_matrix, reference_estimate_mixed
+from test_assembly import _variable_field
 
 SQUARE = (
     np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
@@ -108,6 +110,53 @@ def test_estimator_zero_on_zero_problem():
     report = estimate_mixed(mesh, mixed, u_tilde, zero, pw)
     assert report.eta == 0.0
     assert all(v.max() == 0.0 for v in report.term_sq.values())
+
+
+def test_constant_solution_passes_the_equivalence_check():
+    # u = 1: the flux of each route is roundoff (1.6e-16 direct, 1.2e-15
+    # reconstructed), so relative to the flux alone the routes "differed" by 7.6
+    history = adaptive_loop(constant_instance(), max_ndof=4000, mode="uniform")
+    assert len(history.records) == 4
+    assert max(max(r.equivalence) for r in history.records) < 1e-13
+    assert max(r.e_u for r in history.records) < 1e-13
+
+
+def _crack_adaptive_mesh(levels=4):
+    """The crack benchmark's adaptive meshes, theta = 0.5; with green and
+    blue closure children from the second refinement on."""
+    inst = benchmark("crack")
+    mesh = inst.start_mesh()
+    for _ in range(levels):
+        pw, mixed, u_tilde = run_pipeline(inst, mesh)
+        report = estimate_mixed(mesh, mixed, u_tilde, inst.field, pw)
+        mesh = rgb_refine(mesh, dorfler_mark(report.per_triangle_sq, 0.5).indices)
+    return mesh
+
+
+@pytest.mark.parametrize("case", ["variable", "crack"])
+def test_estimator_bit_identical_to_pointwise_reference(case):
+    # no CSV shows the oscillation and coefficient terms, so they are pinned
+    # here against the estimator that evaluated f and gamma on its own
+    mesh = _crack_adaptive_mesh()
+    assert {1, 2} <= set(mesh.green_flag.tolist())
+    if case == "variable":
+        inst = dataclasses.replace(
+            benchmark("crack"), field=_variable_field(np.random.default_rng(7))
+        )
+    else:
+        inst = benchmark("crack")
+    pw, mixed, u_tilde = run_pipeline(inst, mesh)
+    report = estimate_mixed(mesh, mixed, u_tilde, inst.field, pw)
+    expected = reference_estimate_mixed(mesh, mixed, u_tilde, inst.field, pw)
+    assert report.term_sq.keys() == expected.keys()
+    # crack's A is the identity, so only its coeff_a term vanishes
+    assert all(
+        v.max() > 0 for k, v in expected.items() if case == "variable" or k != "coeff_a"
+    )
+    for name, values in expected.items():
+        assert np.array_equal(
+            report.term_sq[name].view(np.int64), values.view(np.int64)
+        ), name
 
 
 def test_constant_data_kills_osc_and_coefficient_terms():

@@ -9,7 +9,7 @@ from afem import problem
 from afem.cli import main
 from afem.mesh import build_mesh, write_mesh_file
 from afem.refine import rgb_refine, uniform_red_refine
-from oracles import graded_toward_corner, red_split_without_closure
+from oracles import constant_instance, graded_toward_corner, red_split_without_closure
 
 
 def test_run_lshape_exit_zero(tmp_path, capsys):
@@ -113,6 +113,63 @@ def test_non_finite_coefficient_is_input_error(
     err = capsys.readouterr().err
     assert re.search(rf"^afem: error: {where} of triangle \d+$", err, re.M), err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def _diffusion_bad_at_triangle_3(kind):
+    """Identity A with a NaN matrix, or +inf in A[0, 0], at the centroid of
+    the L-shape start mesh's triangle 3."""
+    target = problem.lshape_start_mesh().centroid[3]
+
+    def a(x, y):
+        out = np.tile(np.eye(2), (np.size(x), 1, 1))
+        hit = (np.asarray(x) == target[0]) & (np.asarray(y) == target[1])
+        if kind == "nan":
+            out[hit] = np.nan
+        else:
+            out[hit, 0, 0] = np.inf
+        return out
+
+    return a
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf"])
+def test_non_finite_diffusion_names_its_triangle(
+    tmp_path, capsys, monkeypatch, kind
+):
+    # a NaN used to fail the symmetry test of every triangle (reported as
+    # triangle 0), and +inf passed the SPD test into a NaN inverse
+    monkeypatch.setattr(problem, "_REGISTRY", dict(problem._REGISTRY))
+    lshape = problem.benchmark("lshape")
+    field = dataclasses.replace(lshape.field, a=_diffusion_bad_at_triangle_3(kind))
+    afem.register_problem(
+        "bad_a", lambda **kw: dataclasses.replace(lshape, field=field)
+    )
+    with pytest.raises(afem.NonFiniteCoefficient, match=r"of triangle 3$"):
+        problem.project_p0(field, lshape.start_mesh())
+    code = main(
+        [
+            "run", "--problem", "bad_a", "--mode", "uniform",
+            "--max-ndof", "300", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.search(r"^afem: error: A = .* at the centroid of triangle 3$", err, re.M)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_constant_solution_runs(tmp_path, monkeypatch):
+    # u = 1: both routes' fluxes are roundoff, so the cross-check must not
+    # measure the flux discrepancy against the flux alone
+    monkeypatch.setitem(problem._REGISTRY, "constant", lambda **kw: constant_instance())
+    code = main(
+        [
+            "run", "--problem", "constant", "--mode", "uniform",
+            "--max-ndof", "4000", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    assert (tmp_path / "constant_uniform.csv").exists()
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -3,15 +3,19 @@ layer it names must still exist, or ``perfbench/run.py --trace 1`` breaks.
 Likewise the benchmark's summary and CSV checks read the histories and CSVs
 that ``bench.run_experiment`` leaves."""
 
+import dataclasses
 import importlib
 import importlib.util
+import itertools
 import os
+from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from afem import adapt, bench
+from afem import adapt, bench, quadrature
 from afem import problem as afem_problem
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -100,6 +104,81 @@ def test_level_clock_sees_one_projection_per_level(
     histories = bench.run_experiment(config, echo=lambda *_: None).histories
     assert all(len(h.records) >= 3 for h in histories.values())
     assert seen == [n for h in histories.values() for n in h.ndofs]
+
+
+@pytest.mark.parametrize(
+    "problem, mode, max_ndof",
+    [("lshape", "uniform", 4000), ("crack", "adaptive", 1500),
+     ("eigen_sweep", "uniform", 4000)],
+    ids=["lshape-uniform-4000", "crack-adaptive-1500", "eigen-sweep-uniform-4000"],
+)
+def test_each_level_evaluates_its_data_once(
+    tmp_path, monkeypatch, problem, mode, max_ndof
+):
+    # after the solves, f and gamma are evaluated once on the level's 7T
+    # degree-5 points, which the estimator and the error norms share, and
+    # the exact solution once per point; only the dyadic subdivision at the
+    # singular vertex evaluates all three again, at its own points
+    events = []  # ("level", mesh) at each projection, (callback, points) per call
+    project_p0 = afem_problem.project_p0
+
+    def counting_p0(coeffs, mesh):
+        events.append(("level", mesh))
+        return project_p0(coeffs, mesh)
+
+    def counting(name, fn):
+        def wrapped(x, y):
+            events.append((name, np.size(x)))
+            return fn(x, y)
+
+        return wrapped
+
+    original = afem_problem._REGISTRY[problem]
+
+    def factory(**params):
+        inst = original(**params)
+        field = dataclasses.replace(
+            inst.field,
+            f=counting("f", inst.field.f),
+            gamma=counting("gamma", inst.field.gamma),
+        )
+        exact = inst.exact and afem_problem.ExactSolution(
+            u_and_flux=counting("exact", inst.exact.u_and_flux)
+        )
+        return dataclasses.replace(inst, field=field, exact=exact)
+
+    monkeypatch.setattr(adapt, "project_p0", counting_p0)
+    monkeypatch.setitem(afem_problem._REGISTRY, problem, factory)
+    config = bench.ExperimentConfig(
+        problem=problem, mode=mode, max_ndof=max_ndof, out=str(tmp_path)
+    )
+    histories = bench.run_experiment(config, echo=lambda *_: None).histories
+    q = len(quadrature.DEGREE5[1])
+    dyadic_calls = 3 * bench.SINGULAR_QUAD_DEPTH + 1  # three children per depth
+    levels = 0
+    for i, (kind, mesh) in enumerate(events):
+        if kind != "level":
+            continue
+        levels += 1
+        calls = defaultdict(list)
+        for name, points in itertools.takewhile(
+            lambda event: event[0] != "level", events[i + 1:]
+        ):
+            calls[name].append(points)
+        t = mesh.num_triangles
+        if problem == "eigen_sweep":
+            s, exact = 0, []
+        else:
+            s = int(bench._singular_corners(mesh, (0.0, 0.0)).any(axis=1).sum())
+            assert s > 0
+            exact = [q * (t - s)] + [q * s] * dyadic_calls
+        # the centroids (project_p0), then the shared degree-5 points
+        data = [t, q * t] + [q * s] * (dyadic_calls if exact else 0)
+        expected = {"f": data, "gamma": data}
+        if exact:
+            expected["exact"] = exact
+        assert calls == expected
+    assert levels == sum(len(h.records) for h in histories.values()) >= 3
 
 
 def test_every_level_factors_twice_in_order(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -130,6 +132,21 @@ def test_mixed_patch_test_both_routes():
         assert np.abs(sol.u - mesh.centroid[:, 0]).max() < 1e-10
     rel = equivalence_residual(direct, recon)
     assert max(rel) < 1e-12
+
+
+def test_equivalence_residual_sees_a_flux_or_scalar_mismatch():
+    # the shared scale ||(p, u)|| keeps the check's power: a 1e-6 relative
+    # change of either part of the lshape solution is far above 1e-8
+    inst = benchmark("lshape")
+    mesh = uniform_red_refine(inst.start_mesh())
+    pw = project_p0(inst.field, mesh)
+    direct = solve_mixed_direct(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
+    recon, _ = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
+    assert max(equivalence_residual(direct, recon)) < 1e-12
+    flux = dataclasses.replace(recon, flux_const=recon.flux_const * (1.0 + 1e-6))
+    scalar = dataclasses.replace(recon, u=recon.u * (1.0 + 1e-6))
+    assert equivalence_residual(direct, flux)[0] > 1e-7
+    assert equivalence_residual(direct, scalar)[1] > 1e-7
 
 
 def test_mixed_zero_data():
