@@ -212,9 +212,7 @@ def adaptive_loop(
         raise ConfigError(
             f"max-ndof {max_ndof} < {mesh.ndof_mixed} mixed dofs of the start mesh"
         )
-    history = bench.ConvergenceHistory(
-        problem=instance.name, mode=mode, theta=theta, params=dict(instance.params)
-    )
+    history = bench.ConvergenceHistory()
     level = 0
     while mesh.ndof_mixed <= max_ndof:
         try:

@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshMismatch, SingularLocalFactor
+from .problem import PiecewiseData, project_p0, require_finite
 
 
 @dataclass
@@ -126,8 +127,6 @@ def mixed_from_edge_flux(mesh, edge_flux, u):
 
 
 def _coerce_pw(mesh, pw_or_field):
-    from .problem import PiecewiseData, project_p0
-
     if isinstance(pw_or_field, PiecewiseData):
         if pw_or_field.mesh is not mesh:
             raise MeshMismatch("piecewise data belongs to a different mesh")
@@ -212,8 +211,6 @@ def _cr_system(mesh, pw, grad_psi, conv_weight, react, local_rhs, u_dirichlet):
 
 def _boundary_values(mesh, u_dirichlet):
     """u_D at the boundary-edge midpoints, in ``mesh.boundary_edges`` order."""
-    from .problem import require_finite
-
     bnd = mesh.boundary_edges
     mid = mesh.edge_mid[bnd]
     values = np.asarray(u_dirichlet(mid[:, 0], mid[:, 1]), dtype=float).ravel()

@@ -7,20 +7,35 @@ under-resolves nothing at the four-digit level the tables need. Off that
 vertex they take the level's degree-5 points, with f and gamma there, from
 the estimator (:class:`quadrature.Degree5Data`), and each point evaluates
 the exact solution's closed form once, for u and the flux together.
+
+:data:`COLUMNS` gives the CSV, the summary table and the gnuplot columns.
+Every directory and file a run writes goes through :func:`_writing`, so a
+path that cannot be written is a :class:`ConfigError`.
 """
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from . import quadrature
+from . import problem, quadrature
+from .assembly import assemble_mixed_direct, assemble_modified_ncfem
 from .errors import AfemError, ConfigError, InsufficientLevels, NoExactSolution
+from .mesh import read_mesh_file
 
 SINGULAR_QUAD_DEPTH = 3
 
-CSV_HEADER = "level,ndof,e_u,rate_u,e_p,rate_p,e_div,eta,rate_eta,c_rel,efficiency"
+# (LevelRecord field, summary-table title or None), in CSV column order
+COLUMNS = (
+    ("level", None), ("ndof", "N"), ("e_u", "e_u"), ("rate_u", "CR(e_u)"),
+    ("e_p", "e_p"), ("rate_p", "CR(e_p)"), ("e_div", None), ("eta", "eta"),
+    ("rate_eta", "CR(eta)"), ("c_rel", "C_rel"), ("efficiency", "eta/e_p"),
+)
+# the fields the gnuplot script draws over ndof, titled as in the table
+PLOTTED = ("e_u", "e_p", "eta", "c_rel")
 
 
 @dataclass
@@ -49,10 +64,6 @@ class LevelRecord:
 
 @dataclass
 class ConvergenceHistory:
-    problem: str = ""
-    mode: str = ""
-    theta: float = math.nan
-    params: dict = field(default_factory=dict)
     records: List[LevelRecord] = field(default_factory=list)
     failure: Optional[str] = None
 
@@ -64,47 +75,31 @@ class ConvergenceHistory:
         return [getattr(r, name) for r in self.records]
 
     def to_csv(self):
-        lines = [CSV_HEADER]
-        for r in self.records:
-            cells = [str(r.level), str(r.ndof)] + [
-                _fmt(v)
-                for v in (
-                    r.e_u, r.rate_u, r.e_p, r.rate_p, r.e_div,
-                    r.eta, r.rate_eta, r.c_rel, r.efficiency,
-                )
-            ]
-            lines.append(",".join(cells))
-        if self.failure:
-            lines.append(f"# aborted: {self.failure}")
-        return "\n".join(lines) + "\n"
+        names = [name for name, _ in COLUMNS]
+        rows = [names] + [[_cell(getattr(r, n)) for n in names] for r in self.records]
+        tail = [f"# aborted: {self.failure}"] if self.failure else []
+        return "\n".join([",".join(row) for row in rows] + tail) + "\n"
 
     def summary_table(self):
         """Aligned text table mirroring the convergence tables."""
-        cols = ["N", "e_u", "CR(e_u)", "e_p", "CR(e_p)", "eta", "CR(eta)",
-                "C_rel", "eta/e_p"]
-        rows = []
-        for r in self.records:
-            rows.append([
-                str(r.ndof), _tab(r.e_u), _tab(r.rate_u), _tab(r.e_p),
-                _tab(r.rate_p), _tab(r.eta), _tab(r.rate_eta),
-                _tab(r.c_rel), _tab(r.efficiency),
-            ])
-        widths = [max(len(c), *(len(row[i]) for row in rows)) if rows else len(c)
-                  for i, c in enumerate(cols)]
-        out = ["  ".join(c.rjust(w) for c, w in zip(cols, widths))]
-        for row in rows:
-            out.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+        titled = [(name, title) for name, title in COLUMNS if title]
+        table = [[title for _, title in titled]] + [
+            [_cell(getattr(r, name), "-", ".8f") for name, _ in titled]
+            for r in self.records
+        ]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        out = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in table]
         if self.failure:
             out.append(f"aborted: {self.failure}")
         return "\n".join(out)
 
 
-def _fmt(v):
-    return "" if (isinstance(v, float) and math.isnan(v)) else repr(float(v))
-
-
-def _tab(v):
-    return "-" if (isinstance(v, float) and math.isnan(v)) else f"{v:.8f}"
+def _cell(v, nan="", spec=""):
+    """Output cell: a count as is, NaN as ``nan`` and any other float in the
+    format ``spec``; the default, str, round-trips."""
+    if not isinstance(v, float):
+        return str(v)
+    return nan if math.isnan(v) else format(float(v), spec)
 
 
 def _singular_corners(mesh, point, tol=1e-12):
@@ -147,7 +142,7 @@ def error_norms(mixed, instance, data):
         u_m = np.repeat(mixed.u[idx], q)
         consts = np.repeat(mixed.flux_const[idx], q, axis=0)
         slopes = np.repeat(mixed.flux_slope[idx], q)[:, None]
-        div_m = np.repeat(2.0 * mixed.flux_slope[idx], q)
+        div_m = np.repeat(mixed.div()[idx], q)
         u, p = ex.u_and_flux(x, y)
         diff = p - (consts + slopes * np.stack([x, y], axis=-1))
         return np.stack([
@@ -211,16 +206,13 @@ class ExperimentConfig:
     max_ndof: int = 50000
     gamma: Optional[float] = None  # eigen_sweep only; None runs the default grid
     out: str = "."
-    mesh_path: Optional[str] = None
+    mesh: Optional[str] = None
     dump_systems: bool = False
 
     def validate(self):
-        from .problem import _REGISTRY
-
-        if self.problem not in _REGISTRY:
-            raise ConfigError(
-                f"unknown problem {self.problem!r}; registered: {sorted(_REGISTRY)}"
-            )
+        if self.problem not in problem._REGISTRY:
+            known = sorted(problem._REGISTRY)
+            raise ConfigError(f"unknown problem {self.problem!r}; registered: {known}")
         if self.mode not in ("uniform", "adaptive"):
             raise ConfigError(f"mode must be uniform|adaptive, got {self.mode!r}")
         if not (0.0 < self.theta <= 1.0):
@@ -248,48 +240,50 @@ def run_experiment(config, echo=print):
     Returns an :class:`ExperimentResult`; exit_code 2 flags a run that hit
     a singular factorization (partial CSV still written).
     """
-    import os
-
-    from . import adapt
-    from .mesh import read_mesh_file
-    from .problem import DEFAULT_GAMMA_SWEEP, benchmark
+    from . import adapt  # not at the top: adapt imports bench
 
     config.validate()
-    os.makedirs(config.out, exist_ok=True)
+    with _writing(config.out):
+        os.makedirs(config.out, exist_ok=True)
 
     def start_mesh():
         """The ``--mesh`` file's mesh, or None for the problem's own."""
-        if not config.mesh_path:
+        if not config.mesh:
             return None
         try:
-            return read_mesh_file(config.mesh_path)
+            return read_mesh_file(config.mesh)
         except (OSError, ValueError, OverflowError, AfemError) as exc:
             raise ConfigError(
-                f"cannot read mesh file {config.mesh_path!r}: {exc}"
+                f"cannot read mesh file {config.mesh!r}: {exc}"
             ) from None
 
-    if config.problem == "eigen_sweep":
-        gammas = [config.gamma] if config.gamma is not None else list(
-            DEFAULT_GAMMA_SWEEP
-        )
-    else:
-        gammas = [None]
+    def write(name, text):
+        """Write ``text`` to the output file ``name``; returns its path."""
+        path = os.path.join(config.out, name)
+        with _writing(path), open(path, "w") as fh:
+            fh.write(text)
+        return path
+
+    # off the eigen sweep validate() leaves gamma None; the sweep without
+    # gamma runs the default grid, one history per value
+    eigen = config.problem == "eigen_sweep"
+    sweep = eigen and config.gamma is None
+    gammas = problem.DEFAULT_GAMMA_SWEEP if sweep else [config.gamma]
     # the histories of a sweep start from one mesh, so a uniform sweep walks
     # one hierarchy (each red child is kept on its parent, each order on its
     # mesh); a single history holds no start mesh and frees its coarse levels
-    sweep = len(gammas) > 1
     shared = None
     if sweep:
-        shared = start_mesh() or benchmark(config.problem).start_mesh()
+        shared = start_mesh() or problem.benchmark(config.problem).start_mesh()
 
     histories = {}
     events = {}
     csv_paths = []
-    singular = False
     for g in gammas:
-        params = {} if g is None else {"gamma": g}
-        instance = benchmark(config.problem, **params)
         key = config.problem if g is None else f"{config.problem}_gamma{g:g}"
+        stem = f"{key}_{config.mode}"
+        params = {} if g is None else {"gamma": g}
+        instance = problem.benchmark(config.problem, **params)
         on_level = None
         if config.dump_systems:
             prefix = f"{key}_" if sweep else ""
@@ -303,70 +297,72 @@ def run_experiment(config, echo=print):
             on_level=on_level,
         )
         histories[key] = hist
-        event = sensitivity_event(hist) if config.problem == "eigen_sweep" else (
-            hist.failure
-        )
+        event = sensitivity_event(hist) if eigen else hist.failure
         if event:
             events[key] = event
-        singular = singular or bool(hist.failure)
-        path = os.path.join(config.out, f"{key}_{config.mode}.csv")
-        with open(path, "w") as fh:
-            fh.write(hist.to_csv())
-        csv_paths.append(path)
-        with open(path[:-4] + ".gp", "w") as fh:
-            fh.write(_gnuplot_script(os.path.basename(path)))
+        csv_paths.append(write(stem + ".csv", hist.to_csv()))
+        write(stem + ".gp", _gnuplot_script(stem))
         echo(f"== {key} ({config.mode}, theta={config.theta}) ==")
         echo(hist.summary_table())
         if event:
             echo(f"event: {event}")
         echo("")
 
-    if config.problem == "eigen_sweep":
-        path = os.path.join(config.out, f"eigen_sweep_{config.mode}_combined.csv")
-        with open(path, "w") as fh:
-            fh.write(_combined_sweep_csv(histories))
-        csv_paths.append(path)
+    if eigen:
+        csv_paths.append(write(
+            f"eigen_sweep_{config.mode}_combined.csv",
+            _combined_sweep_csv(dict(zip(gammas, histories.values()))),
+        ))
 
-    return ExperimentResult(
-        histories=histories,
-        csv_paths=csv_paths,
-        events=events,
-        exit_code=2 if singular else 0,
+    singular = any(h.failure for h in histories.values())
+    return ExperimentResult(histories, csv_paths, events, 2 if singular else 0)
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError raised while writing ``path``, a directory or a file
+    of the run, into a :class:`ConfigError` naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
+def _gnuplot_script(stem):
+    """Companion gnuplot script of ``<stem>.csv``: the :data:`PLOTTED`
+    columns over ndof on log-log axes."""
+    col = {name: i for i, (name, _) in enumerate(COLUMNS, 1)}
+    curves = ", \\\n     ".join(
+        f"'{stem}.csv' using {col['ndof']}:{col[name]} with linespoints"
+        f" title '{dict(COLUMNS)[name]}'" for name in PLOTTED
     )
-
-
-def _gnuplot_script(csv_name):
-    """Companion gnuplot script: convergence history on log-log axes."""
-    stem = csv_name[:-4]
     return (
         "set datafile separator ','\n"
         "set logscale xy\n"
         "set xlabel 'Ndof'\n"
         "set key bottom left\n"
         f"set title '{stem}'\n"
-        f"plot '{csv_name}' using 2:3 with linespoints title 'e_u', \\\n"
-        f"     '{csv_name}' using 2:5 with linespoints title 'e_p', \\\n"
-        f"     '{csv_name}' using 2:8 with linespoints title 'eta', \\\n"
-        f"     '{csv_name}' using 2:10 with linespoints title 'C_rel'\n"
+        f"plot {curves}\n"
     )
 
 
 def _combined_sweep_csv(histories):
     """One row per level: ndof plus the estimator of every sweep value.
 
-    The exact solution of the sweep problem is unknown, so the C_rel
-    columns of the figures are replaced by the estimator columns here.
-    The ndof cell is empty where the sweep values' dof counts differ, as
-    adaptive meshes do.
+    ``histories`` maps each sweep value to its history; the columns sort
+    by the values' text, as their file names do. The exact solution of the
+    sweep problem is unknown, so the C_rel columns of the figures are
+    replaced by the estimator columns here. The ndof cell is empty where
+    the sweep values' dof counts differ, as adaptive meshes do.
     """
-    keys = sorted(histories)
-    recs = [histories[k].records for k in keys]
-    header = ["level", "ndof"] + [f"eta_{k.split('gamma')[-1]}" for k in keys]
+    texts = sorted((f"{g:g}", g) for g in histories)
+    recs = [histories[g].records for _, g in texts]
+    header = ["level", "ndof"] + [f"eta_{text}" for text, _ in texts]
     lines = [",".join(header)]
     for lev in range(max(map(len, recs))):
         ndofs = {r[lev].ndof for r in recs if lev < len(r)}
         ndof = str(ndofs.pop()) if len(ndofs) == 1 else ""
-        cells = [_fmt(r[lev].eta) if lev < len(r) else "" for r in recs]
+        cells = [_cell(r[lev].eta) if lev < len(r) else "" for r in recs]
         lines.append(",".join([str(lev), ndof] + cells))
     return "\n".join(lines) + "\n"
 
@@ -374,20 +370,17 @@ def _combined_sweep_csv(histories):
 def _system_dumper(out_dir, instance, prefix):
     """on_level callback writing both assembled systems per level, to
     ``systems/<prefix>level<N>_<kind>.txt``."""
-    import os
-
-    from .assembly import assemble_mixed_direct, assemble_modified_ncfem
-
     sysdir = os.path.join(out_dir, "systems")
-    os.makedirs(sysdir, exist_ok=True)
+    with _writing(sysdir):
+        os.makedirs(sysdir, exist_ok=True)
 
     def dump(pw, mixed, u_tilde, report, record):
         u_d = instance.field.u_dirichlet
-        assemble_modified_ncfem(pw.mesh, pw, u_dirichlet=u_d).dump_triplets(
-            os.path.join(sysdir, f"{prefix}level{record.level}_modified_nc.txt")
-        )
-        assemble_mixed_direct(pw.mesh, pw, u_dirichlet=u_d).dump_triplets(
-            os.path.join(sysdir, f"{prefix}level{record.level}_mixed.txt")
-        )
+        for kind, assemble in (
+            ("modified_nc", assemble_modified_ncfem), ("mixed", assemble_mixed_direct)
+        ):
+            path = os.path.join(sysdir, f"{prefix}level{record.level}_{kind}.txt")
+            with _writing(path):
+                assemble(pw.mesh, pw, u_dirichlet=u_d).dump_triplets(path)
 
     return dump

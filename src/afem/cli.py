@@ -3,9 +3,11 @@
     afem run --problem lshape --mode uniform --max-ndof 65000
     afem run --config sweep.cfg
 
-A config file holds ``key = value`` lines mirroring the flags (dashes or
-underscores); explicit flags override file values. Exit codes: 0 success,
-1 usage or configuration error, 2 solver singularity (partial CSV written).
+A config file holds ``key = value`` lines. Each option is named once, in
+``_OPTIONS``: its key is the file key (dashes or underscores), the flag
+``--<key with dashes>`` and the :class:`ExperimentConfig` field. Flags
+override file values. Exit codes: 0 success, 1 usage, configuration or
+output-path error, 2 solver singularity (partial CSV written).
 """
 
 import argparse
@@ -21,15 +23,16 @@ def _switch(text):
     return words.index(text.lower()) >= 4
 
 
-_CONFIG_KEYS = {
-    "problem": str,
-    "mode": str,
-    "theta": float,
-    "max_ndof": int,
-    "gamma": float,
-    "out": str,
-    "mesh": str,
-    "dump_systems": _switch,
+# key -> (parser of its value, help text); _switch keys are bare flags
+_OPTIONS = {
+    "problem": (str, "any registered problem"),
+    "mode": (str, "uniform or adaptive"),
+    "theta": (float, "bulk marking fraction (default 0.5)"),
+    "max_ndof": (int, "stop once the mixed dof count exceeds this"),
+    "gamma": (float, "single reaction magnitude for eigen_sweep"),
+    "out": (str, "output directory"),
+    "mesh": (str, "start from this mesh file instead of the built-in one"),
+    "dump_systems": (_switch, "write assembled systems as triplet text per level"),
 }
 
 
@@ -45,10 +48,10 @@ def _parse_config_file(path):
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, _, val = line.partition("=")
                 key = key.strip().replace("-", "_")
-                if key not in _CONFIG_KEYS:
+                if key not in _OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    values[key] = _CONFIG_KEYS[key](val.strip())
+                    values[key] = _OPTIONS[key][0](val.strip())
                 except ValueError:
                     raise ConfigError(
                         f"{path}:{lineno}: bad value for {key}: {val.strip()!r}"
@@ -71,19 +74,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a convergence experiment")
     run.add_argument("--config", help="key = value file mirroring the flags")
-    run.add_argument("--problem", default=None, help="any registered problem")
-    run.add_argument("--mode", default=None, help="uniform or adaptive")
-    run.add_argument("--theta", type=float, default=None,
-                     help="bulk marking fraction (default 0.5)")
-    run.add_argument("--max-ndof", type=int, default=None,
-                     help="stop once the mixed dof count exceeds this")
-    run.add_argument("--gamma", type=float, default=None,
-                     help="single reaction magnitude for eigen_sweep")
-    run.add_argument("--out", default=None, help="output directory")
-    run.add_argument("--mesh", default=None,
-                     help="start from this mesh file instead of the built-in one")
-    run.add_argument("--dump-systems", action="store_true", default=None,
-                     help="write assembled systems as triplet text per level")
+    for key, (parse, text) in _OPTIONS.items():
+        kind = {"action": "store_true"} if parse is _switch else {"type": parse}
+        run.add_argument("--" + key.replace("_", "-"), default=None, help=text, **kind)
     return parser
 
 
@@ -91,20 +84,14 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         values = _parse_config_file(args.config) if args.config else {}
-        for key in _CONFIG_KEYS:
-            flag = getattr(args, key)
-            if flag is not None:
-                values[key] = flag
+        flags = {key: getattr(args, key) for key in _OPTIONS}
+        values.update((key, v) for key, v in flags.items() if v is not None)
         if "problem" not in values:
             raise ConfigError("missing required option --problem")
-        if "mesh" in values:
-            values["mesh_path"] = values.pop("mesh")
         result = run_experiment(ExperimentConfig(**values))
-    except ConfigError as exc:
-        print(f"afem: configuration error: {exc}", file=sys.stderr)
-        return 1
     except AfemError as exc:
-        print(f"afem: error: {exc}", file=sys.stderr)
+        kind = "configuration error" if isinstance(exc, ConfigError) else "error"
+        print(f"afem: {kind}: {exc}", file=sys.stderr)
         return 1
     return result.exit_code
 

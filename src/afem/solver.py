@@ -28,7 +28,7 @@ from .assembly import (
     mixed_from_edge_flux,
     s_mean,
 )
-from .errors import MeshMismatch, SingularMatrix
+from .errors import ConfigError, MeshMismatch, SingularMatrix
 from .quadrature import affine_sq_l2
 
 
@@ -123,8 +123,16 @@ def reconstruct_mixed(pw, u_cr_tilde):
     return MixedSolution(mesh=mesh, flux_const=const, flux_slope=slope, u=u_m)
 
 
+def _require_dirichlet(u_dirichlet):
+    """Both mixed routes need u_D: with None the modified CR system keeps its
+    boundary dofs free while the saddle-point system imposes u_D = 0."""
+    if u_dirichlet is None:
+        raise ConfigError("u_dirichlet is None; for u_D = 0 pass constant_scalar(0.0)")
+
+
 def solve_mixed_via_equivalence(mesh, pw, u_dirichlet):
     """Mixed solution by reconstruction; returns ``(mixed, u_cr_tilde)``."""
+    _require_dirichlet(u_dirichlet)
     system = assemble_modified_ncfem(mesh, pw, u_dirichlet=u_dirichlet)
     u_tilde = CRSolution(mesh=mesh, edge_values=solve_sparse(system).solution)
     return reconstruct_mixed(pw, u_tilde), u_tilde
@@ -132,6 +140,7 @@ def solve_mixed_via_equivalence(mesh, pw, u_dirichlet):
 
 def solve_mixed_direct(mesh, pw, u_dirichlet):
     """Mixed solution from the direct saddle-point factorization."""
+    _require_dirichlet(u_dirichlet)
     system = assemble_mixed_direct(mesh, pw, u_dirichlet=u_dirichlet)
     report = solve_sparse(system)
     ne = mesh.num_edges

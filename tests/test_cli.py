@@ -557,3 +557,40 @@ def test_config_dump_systems_takes_only_switch_words(tmp_path, capsys):
     )
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "systems" / "level0_mixed.txt").exists()
+
+
+@pytest.mark.parametrize("out", ["/dev/null/x", ""], ids=["under-a-file", "empty"])
+def test_unwritable_output_directory_is_config_error(capsys, out):
+    code = main(["run", "--problem", "lshape", "--max-ndof", "300", "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"afem: configuration error: cannot write '.*': .+\n", err), err
+
+
+@pytest.mark.parametrize(
+    "args, blocked",
+    [
+        (["--problem", "lshape"], "lshape_uniform.csv"),
+        (["--problem", "lshape"], "lshape_uniform.gp"),
+        (["--problem", "eigen_sweep", "--gamma", "9"],
+         "eigen_sweep_uniform_combined.csv"),
+        (["--problem", "lshape", "--dump-systems"], "systems/level0_mixed.txt"),
+    ],
+    ids=["csv", "gp", "combined-csv", "system-dump"],
+)
+def test_unwritable_output_file_is_config_error(tmp_path, capsys, args, blocked):
+    # a directory stands where the run writes the file
+    (tmp_path / blocked).mkdir(parents=True)
+    code = main(["run", *args, "--max-ndof", "300", "--out", str(tmp_path)])
+    assert code == 1
+    expected = f"cannot write {str(tmp_path / blocked)!r}: Is a directory"
+    assert capsys.readouterr().err == f"afem: configuration error: {expected}\n"
+
+
+def test_systems_path_taken_by_a_file_is_config_error(tmp_path, capsys):
+    (tmp_path / "systems").write_text("")
+    code = main(
+        ["run", "--problem", "lshape", "--dump-systems", "--out", str(tmp_path)]
+    )
+    assert code == 1
+    assert "cannot write" in capsys.readouterr().err

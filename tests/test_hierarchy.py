@@ -98,7 +98,7 @@ def test_single_history_frees_its_coarse_levels(tmp_path, monkeypatch, from_file
     seen = _watch_level_zero(monkeypatch)
     config = bench.ExperimentConfig(
         problem="lshape", mode="uniform", max_ndof=4000, out=str(tmp_path),
-        mesh_path=mesh_path, dump_systems=True,
+        mesh=mesh_path, dump_systems=True,
     )
     bench.run_experiment(config, echo=lambda *_: None)
     assert [level for level, _ in seen] == [0, 1, 2, 3]

@@ -1,4 +1,4 @@
-"""SHA-1 digests of the files written by four small runs.
+"""SHA-1 digests of the files and text written by small runs.
 
 The kernels behind every output (assembly, estimator, quadrature, mesh
 geometry) may be rewritten only if the arithmetic stays the same, bit for
@@ -14,7 +14,11 @@ a change of output.
 import contextlib
 import hashlib
 import io
+from types import SimpleNamespace
 
+import pytest
+
+from afem import cli
 from afem.cli import main
 
 LSHAPE_UNIFORM_4000 = {
@@ -121,3 +125,82 @@ def test_eigen_sweep_uniform_bytes_pinned(tmp_path):
     assert _digests(tmp_path, EIGEN_SWEEP_UNIFORM_4000) == EIGEN_SWEEP_UNIFORM_4000
     digest = hashlib.sha1(stdout.getvalue().encode()).hexdigest()
     assert digest == EIGEN_SWEEP_UNIFORM_4000_STDOUT
+
+
+# front end: the help text, the gnuplot scripts and the summary tables
+RUN_HELP = "e4f1fbbda57d47d2f13cedfe0415f9a540e1f1b1"
+LSHAPE_UNIFORM_4000_FRONT = {
+    "lshape_uniform.csv": "741ed2466d588921bd4abaa495ca48d0e364a18c",
+    "lshape_uniform.gp": "2eab91ebb853f6792588576222e0376225371fb0",
+}
+LSHAPE_UNIFORM_4000_STDOUT = "cbb9bdab9a5229a251067f13766dbaf1f4744032"
+# one sweep value: the gamma in the key, the file names and the combined CSV
+EIGEN_SWEEP_964_ADAPTIVE_300 = {
+    "eigen_sweep_gamma9.64_adaptive.csv": "a9c79138503205a780689237d5bef4d6247f58eb",
+    "eigen_sweep_gamma9.64_adaptive.gp": "c09b5f93181680e70e86e16708c47071cff92caf",
+    "eigen_sweep_adaptive_combined.csv": "25264a1a14f2b8ba11edcb43c500acf9917c3421",
+}
+EIGEN_SWEEP_964_ADAPTIVE_300_STDOUT = "bf3c0390b5f907040fe6ab80098f6386b7187725"
+
+
+def test_run_help_bytes_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), pytest.raises(SystemExit) as done:
+        main(["run", "--help"])
+    assert done.value.code == 0
+    assert hashlib.sha1(stdout.getvalue().encode()).hexdigest() == RUN_HELP
+
+
+@pytest.mark.parametrize(
+    "args, pins, stdout_pin",
+    [
+        (["--problem", "lshape", "--mode", "uniform", "--max-ndof", "4000"],
+         LSHAPE_UNIFORM_4000_FRONT, LSHAPE_UNIFORM_4000_STDOUT),
+        (["--problem", "eigen_sweep", "--mode", "adaptive", "--gamma", "9.64",
+          "--max-ndof", "300"],
+         EIGEN_SWEEP_964_ADAPTIVE_300, EIGEN_SWEEP_964_ADAPTIVE_300_STDOUT),
+    ],
+    ids=["lshape-uniform-4000", "eigen-sweep-9.64-adaptive-300"],
+)
+def test_front_end_bytes_pinned(tmp_path, args, pins, stdout_pin):
+    stdout = io.StringIO()
+    assert _run(tmp_path, *args, stdout=stdout) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(pins)
+    assert _digests(tmp_path, pins) == pins
+    assert hashlib.sha1(stdout.getvalue().encode()).hexdigest() == stdout_pin
+
+
+# option key -> (its text on the command line or in a config file, the value)
+OPTION_SAMPLES = {
+    "problem": ("crack", "crack"),
+    "mode": ("adaptive", "adaptive"),
+    "theta": ("0.25", 0.25),
+    "max_ndof": ("123", 123),
+    "gamma": ("9.5", 9.5),
+    "out": ("results", "results"),
+    "mesh": ("start.mesh", "start.mesh"),
+    "dump_systems": ("yes", True),
+}
+
+
+@pytest.mark.parametrize("key", list(cli._OPTIONS))
+def test_option_reaches_the_config_as_flag_or_file_key(tmp_path, monkeypatch, key):
+    text, value = OPTION_SAMPLES[key]
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        return SimpleNamespace(exit_code=0)
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    flag = "--" + key.replace("_", "-")
+    base = [] if key == "problem" else ["--problem", "lshape"]
+    assert main(["run", *base, flag, *([] if key == "dump_systems" else [text])]) == 0
+    for spelling in (key, key.replace("_", "-")):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{spelling} = {text}\n")
+        assert main(["run", *base, "--config", str(cfg)]) == 0
+    from_flag, *from_files = seen
+    assert getattr(from_flag, key) == value
+    assert from_files == [from_flag, from_flag]

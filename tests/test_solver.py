@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from afem.assembly import SparseSystem, assemble_ncfem
-from afem.errors import MeshMismatch, SingularMatrix
+from afem.errors import ConfigError, MeshMismatch, SingularMatrix
 from afem.mesh import build_mesh
 from afem.problem import (
     CoefficientField,
@@ -215,6 +215,19 @@ def test_equivalence_residual_detects_perturbation():
     recon.flux_const[0, 0] += 1e-3
     rel_p, _ = equivalence_residual(direct, recon)
     assert rel_p >= 1e-4
+
+
+@pytest.mark.parametrize(
+    "route", [solve_mixed_via_equivalence, solve_mixed_direct], ids=["recon", "direct"]
+)
+def test_mixed_routes_reject_missing_dirichlet_data(route):
+    # with None the reconstruction would keep its boundary dofs free while
+    # the saddle-point system imposes u_D = 0: two different problems
+    inst = benchmark("lshape")
+    mesh = uniform_red_refine(inst.start_mesh())
+    pw = project_p0(inst.field, mesh)
+    with pytest.raises(ConfigError, match="u_dirichlet"):
+        route(mesh, pw, None)
 
 
 def test_equivalence_residual_mesh_mismatch():
