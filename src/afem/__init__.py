@@ -28,7 +28,6 @@ from .bench import (
     ConvergenceHistory,
     ExperimentConfig,
     LevelRecord,
-    convergence_rate,
     error_norms,
     run_experiment,
 )
@@ -39,7 +38,6 @@ from .errors import (
     DanglingBoundaryTag,
     EquivalenceViolation,
     HangingNode,
-    InsufficientLevels,
     InvalidMark,
     MeshMismatch,
     NoExactSolution,

@@ -20,7 +20,7 @@ from . import bench, quadrature
 from .errors import (
     BadTheta, ConfigError, EquivalenceViolation, MeshMismatch, SingularMatrix
 )
-from .problem import inv_2x2, project_p0
+from .problem import inv_2x2, project_p0, require_finite
 from .refine import rgb_refine, uniform_red_refine
 from .solver import (
     equivalence_residual,
@@ -128,15 +128,15 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
 
     # coefficient approximation terms, degree-2 rule on the midpoints
     xm, ym = mids[..., 0].ravel(), mids[..., 1].ravel()
-    a_pts = np.asarray(coeffs.a(xm, ym), dtype=float).reshape(-1, 3, 2, 2)
-    a_inv_pts = inv_2x2(a_pts)
+    a_pts = require_finite("A", coeffs.a(xm, ym), "edge midpoint", per_triangle=3)
+    a_inv_pts = inv_2x2(a_pts.reshape(-1, 3, 2, 2))
     diff_a = np.einsum(
         "tqde,tqe->tqd", a_inv_pts - pw.a_h_inv[:, None, :, :], p_at_mids
     )
     coeff_a_sq = quadrature.affine_sq_l2(mesh.area, diff_a)
 
-    b_pts = np.asarray(coeffs.b(xm, ym), dtype=float).reshape(-1, 3, 2)
-    b_star_pts = np.einsum("tqde,tqe->tqd", a_inv_pts, b_pts)
+    b_pts = require_finite("b", coeffs.b(xm, ym), "edge midpoint", per_triangle=3)
+    b_star_pts = np.einsum("tqde,tqe->tqd", a_inv_pts, b_pts.reshape(-1, 3, 2))
     diff_b = mixed.u[:, None, None] * (b_star_pts - pw.b_star_h[:, None, :])
     coeff_b_sq = quadrature.affine_sq_l2(mesh.area, diff_b)
 
@@ -201,11 +201,10 @@ def adaptive_loop(
     saddle-point solve; disagreement beyond EQUIVALENCE_TOL aborts. A
     singular factorization ends the run early with the partial history
     recorded (indefinite problems on coarse meshes). After each level it
-    calls ``on_level(pw, mixed, u_tilde, report, record)``; ``pw.mesh`` is
-    the level's mesh.
+    calls ``on_level(pw, mixed, u_tilde, report, record)`` with the level's
+    record complete, its rates included; ``pw.mesh`` is the level's mesh.
     """
-    if mode not in ("adaptive", "uniform"):
-        raise ConfigError(f"mode must be 'adaptive' or 'uniform', got {mode!r}")
+    bench.require_mode(mode)
     mesh = start_mesh if start_mesh is not None else instance.start_mesh()
     del start_mesh  # the red children kept on it would keep every level alive
     if mesh.ndof_mixed > max_ndof:
@@ -242,8 +241,7 @@ def adaptive_loop(
             record.e_u, record.e_p, record.e_div = bench.error_norms(
                 mixed, instance, report.data
             )
-        record.finalize()
-        history.records.append(record)
+        history.add(record)
         if on_level is not None:
             on_level(pw, mixed, u_tilde, report, record)
         eta_sq = report.per_triangle_sq
@@ -260,6 +258,4 @@ def adaptive_loop(
                 break  # estimator vanished; nothing to refine
             mesh = rgb_refine(mesh, marked.indices)
         level += 1
-    if len(history.records) >= 2:
-        bench.convergence_rate(history)
     return history

@@ -2,15 +2,20 @@
 
 Rates follow the dof-based definition CR(e) = log(e_prev/e_cur) /
 log(N_cur/N_prev). Error integrals use the degree-5 rule with three levels
-of dyadic subdivision on triangles touching the singular vertex, which
-under-resolves nothing at the four-digit level the tables need. Off that
-vertex they take the level's degree-5 points, with f and gamma there, from
-the estimator (:class:`quadrature.Degree5Data`), and each point evaluates
-the exact solution's closed form once, for u and the flux together.
+of dyadic subdivision on triangles touching the singular vertex. That depth
+under-resolves the flux error there: measured against depth 60, e_p is off
+by 3.0e-3 relative on the finest uniform L-shape level (246,272 dofs), and
+e_p and e_div by 1.9e-3 and 2.5e-3 on the adaptive slit disc at 41,536
+dofs; ROADMAP item 3 holds the measurements. Off that vertex they take the
+level's degree-5 points, with f and gamma there, from the estimator
+(:class:`quadrature.Degree5Data`), and each point evaluates the exact
+solution's closed form once, for u and the flux together.
 
 :data:`COLUMNS` gives the CSV, the summary table and the gnuplot columns.
-Every directory and file a run writes goes through :func:`_writing`, so a
-path that cannot be written is a :class:`ConfigError`.
+:meth:`ConvergenceHistory.add` fills a level's derived columns, and
+:func:`run_experiment` writes its CSV row as the level completes. Every
+directory and file a run writes goes through :func:`_writing`, so a path
+that cannot be written is a :class:`ConfigError`.
 """
 
 import contextlib
@@ -23,10 +28,11 @@ import numpy as np
 
 from . import problem, quadrature
 from .assembly import assemble_mixed_direct, assemble_modified_ncfem
-from .errors import AfemError, ConfigError, InsufficientLevels, NoExactSolution
+from .errors import AfemError, ConfigError, NoExactSolution
 from .mesh import read_mesh_file
 
 SINGULAR_QUAD_DEPTH = 3
+MODES = ("uniform", "adaptive")  # the refinements of adapt.adaptive_loop
 
 # (LevelRecord field, summary-table title or None), in CSV column order
 COLUMNS = (
@@ -53,14 +59,6 @@ class LevelRecord:
     efficiency: float = math.nan
     equivalence: tuple = (math.nan, math.nan)
 
-    def finalize(self):
-        """Fill the derived ratio columns from the primary ones."""
-        if not math.isnan(self.e_p) and self.eta > 0:
-            h_div = math.hypot(self.e_p, self.e_div)
-            self.c_rel = (h_div + self.e_u) / self.eta
-            self.efficiency = self.eta / self.e_p
-        return self
-
 
 @dataclass
 class ConvergenceHistory:
@@ -74,11 +72,21 @@ class ConvergenceHistory:
     def column(self, name):
         return [getattr(r, name) for r in self.records]
 
-    def to_csv(self):
-        names = [name for name, _ in COLUMNS]
-        rows = [names] + [[_cell(getattr(r, n)) for n in names] for r in self.records]
-        tail = [f"# aborted: {self.failure}"] if self.failure else []
-        return "\n".join([",".join(row) for row in rows] + tail) + "\n"
+    def add(self, record):
+        """Fill ``record``'s ratio columns and its rates against the previous
+        record (NaN on a first one), then append it."""
+        if record.eta > 0:
+            h_div = math.hypot(record.e_p, record.e_div)
+            record.c_rel = (h_div + record.e_u) / record.eta
+            record.efficiency = record.eta / record.e_p
+        if self.records:
+            prev = self.records[-1]
+            growth = math.log(record.ndof / prev.ndof)
+            for err, rate in (("e_u", "rate_u"), ("e_p", "rate_p"), ("eta", "rate_eta")):
+                e0, e1 = getattr(prev, err), getattr(record, err)
+                if e0 > 0 and e1 > 0:
+                    setattr(record, rate, math.log(e0 / e1) / growth)
+        self.records.append(record)
 
     def summary_table(self):
         """Aligned text table mirroring the convergence tables."""
@@ -161,24 +169,18 @@ def error_norms(mixed, instance, data):
     on = np.flatnonzero(sing)
     if len(on):
         tri = _rotate_singular_first(mesh.triangle_vertices()[on], corners[on])
+
+        def at_dyadic_points(x, y):
+            f, gamma = (
+                problem.require_finite(name, fn(x, y), "dyadic point", on, q)
+                for name, fn in (("f", cf.f), ("gamma", cf.gamma))
+            )
+            return squared_errors(on, x, y, f, gamma)
+
         sq[:, on] = quadrature.integrate_dyadic(
-            lambda x, y: squared_errors(on, x, y, cf.f(x, y), cf.gamma(x, y)),
-            tri, mesh.area[on], SINGULAR_QUAD_DEPTH,
+            at_dyadic_points, tri, mesh.area[on], SINGULAR_QUAD_DEPTH
         )
     return tuple(float(np.sqrt(row.sum())) for row in sq)
-
-
-def convergence_rate(history):
-    """Fill the CR(e) columns: log(e_prev/e_cur) / log(N_cur/N_prev)."""
-    if len(history.records) < 2:
-        raise InsufficientLevels("need at least two levels for rates")
-    for prev, cur in zip(history.records, history.records[1:]):
-        growth = math.log(cur.ndof / prev.ndof)
-        for err, rate in (("e_u", "rate_u"), ("e_p", "rate_p"), ("eta", "rate_eta")):
-            e0, e1 = getattr(prev, err), getattr(cur, err)
-            if e0 > 0 and e1 > 0 and not (math.isnan(e0) or math.isnan(e1)):
-                setattr(cur, rate, math.log(e0 / e1) / growth)
-    return history
 
 
 def sensitivity_event(history):
@@ -198,6 +200,12 @@ def sensitivity_event(history):
 # -- experiment orchestration ------------------------------------------------
 
 
+def require_mode(mode):
+    """ConfigError unless ``mode`` is one of :data:`MODES`."""
+    if mode not in MODES:
+        raise ConfigError(f"mode must be {'|'.join(MODES)}, got {mode!r}")
+
+
 @dataclass
 class ExperimentConfig:
     problem: str
@@ -213,8 +221,7 @@ class ExperimentConfig:
         if self.problem not in problem._REGISTRY:
             known = sorted(problem._REGISTRY)
             raise ConfigError(f"unknown problem {self.problem!r}; registered: {known}")
-        if self.mode not in ("uniform", "adaptive"):
-            raise ConfigError(f"mode must be uniform|adaptive, got {self.mode!r}")
+        require_mode(self.mode)
         if not (0.0 < self.theta <= 1.0):
             raise ConfigError(f"theta must lie in (0, 1], got {self.theta}")
         if self.max_ndof < 1:
@@ -235,16 +242,18 @@ class ExperimentResult:
 
 
 def run_experiment(config, echo=print):
-    """Execute one experiment configuration and emit CSV plus tables.
-
-    Returns an :class:`ExperimentResult`; exit_code 2 flags a run that hit
-    a singular factorization (partial CSV still written).
-    """
+    """Execute one experiment configuration: each level's CSV row, and its
+    systems with ``dump_systems``, as the level completes, the tables at the
+    end. exit_code 2 flags a singular factorization (partial CSV written)."""
     from . import adapt  # not at the top: adapt imports bench
 
     config.validate()
     with _writing(config.out):
         os.makedirs(config.out, exist_ok=True)
+    sysdir = os.path.join(config.out, "systems")
+    if config.dump_systems:
+        with _writing(sysdir):
+            os.makedirs(sysdir, exist_ok=True)
 
     def start_mesh():
         """The ``--mesh`` file's mesh, or None for the problem's own."""
@@ -256,13 +265,6 @@ def run_experiment(config, echo=print):
             raise ConfigError(
                 f"cannot read mesh file {config.mesh!r}: {exc}"
             ) from None
-
-    def write(name, text):
-        """Write ``text`` to the output file ``name``; returns its path."""
-        path = os.path.join(config.out, name)
-        with _writing(path), open(path, "w") as fh:
-            fh.write(text)
-        return path
 
     # off the eigen sweep validate() leaves gamma None; the sweep without
     # gamma runs the default grid, one history per value
@@ -282,26 +284,47 @@ def run_experiment(config, echo=print):
     for g in gammas:
         key = config.problem if g is None else f"{config.problem}_gamma{g:g}"
         stem = f"{key}_{config.mode}"
+        prefix = f"{key}_" if sweep else ""
         params = {} if g is None else {"gamma": g}
         instance = problem.benchmark(config.problem, **params)
-        on_level = None
-        if config.dump_systems:
-            prefix = f"{key}_" if sweep else ""
-            on_level = _system_dumper(config.out, instance, prefix)
-        hist = adapt.adaptive_loop(
-            instance,
-            theta=config.theta,
-            max_ndof=config.max_ndof,
-            mode=config.mode,
-            start_mesh=shared or start_mesh(),
-            on_level=on_level,
-        )
+        lines = []
+
+        def on_level(pw, mixed, u_tilde, report, record):
+            row = ",".join(_cell(getattr(record, name)) for name, _ in COLUMNS)
+            _append_csv(config.out, stem, lines, row)
+            if not config.dump_systems:
+                return
+            u_d = instance.field.u_dirichlet
+            for kind, assemble in (
+                ("modified_nc", assemble_modified_ncfem),
+                ("mixed", assemble_mixed_direct),
+            ):
+                path = os.path.join(sysdir, f"{prefix}level{record.level}_{kind}.txt")
+                with _writing(path):
+                    assemble(pw.mesh, pw, u_dirichlet=u_d).dump_triplets(path)
+
+        try:
+            hist = adapt.adaptive_loop(
+                instance,
+                theta=config.theta,
+                max_ndof=config.max_ndof,
+                mode=config.mode,
+                start_mesh=shared or start_mesh(),
+                on_level=on_level,
+            )
+        except BaseException as exc:
+            if lines:
+                reason = type(exc).__name__ + (f": {exc}" if str(exc) else "")
+                with contextlib.suppress(ConfigError):  # the CSV may be the fault
+                    _append_csv(config.out, stem, lines, f"# aborted: {reason}")
+            raise
+        if hist.failure:
+            _append_csv(config.out, stem, lines, f"# aborted: {hist.failure}")
         histories[key] = hist
+        csv_paths.append(os.path.join(config.out, stem + ".csv"))
         event = sensitivity_event(hist) if eigen else hist.failure
         if event:
             events[key] = event
-        csv_paths.append(write(stem + ".csv", hist.to_csv()))
-        write(stem + ".gp", _gnuplot_script(stem))
         echo(f"== {key} ({config.mode}, theta={config.theta}) ==")
         echo(hist.summary_table())
         if event:
@@ -309,10 +332,9 @@ def run_experiment(config, echo=print):
         echo("")
 
     if eigen:
-        csv_paths.append(write(
-            f"eigen_sweep_{config.mode}_combined.csv",
-            _combined_sweep_csv(dict(zip(gammas, histories.values()))),
-        ))
+        path = os.path.join(config.out, f"eigen_sweep_{config.mode}_combined.csv")
+        _write(path, _combined_sweep_csv(dict(zip(gammas, histories.values()))))
+        csv_paths.append(path)
 
     singular = any(h.failure for h in histories.values())
     return ExperimentResult(histories, csv_paths, events, 2 if singular else 0)
@@ -326,6 +348,24 @@ def _writing(path):
         yield
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
+def _write(path, text, mode="w"):
+    """Write, or with ``mode="a"`` append, ``text`` to the file ``path``."""
+    with _writing(path), open(path, mode) as fh:
+        fh.write(text)
+
+
+def _append_csv(out, stem, lines, line):
+    """Append ``line`` to ``<stem>.csv`` and to ``lines``, those written. The
+    first one writes the ``.gp`` and the header, replacing any old file; no
+    handle stays open across a solve."""
+    path = os.path.join(out, stem + ".csv")
+    if not lines:
+        _write(os.path.join(out, stem + ".gp"), _gnuplot_script(stem))
+        _write(path, ",".join(name for name, _ in COLUMNS) + "\n")
+    _write(path, line + "\n", "a")
+    lines.append(line)
 
 
 def _gnuplot_script(stem):
@@ -365,22 +405,3 @@ def _combined_sweep_csv(histories):
         cells = [_cell(r[lev].eta) if lev < len(r) else "" for r in recs]
         lines.append(",".join([str(lev), ndof] + cells))
     return "\n".join(lines) + "\n"
-
-
-def _system_dumper(out_dir, instance, prefix):
-    """on_level callback writing both assembled systems per level, to
-    ``systems/<prefix>level<N>_<kind>.txt``."""
-    sysdir = os.path.join(out_dir, "systems")
-    with _writing(sysdir):
-        os.makedirs(sysdir, exist_ok=True)
-
-    def dump(pw, mixed, u_tilde, report, record):
-        u_d = instance.field.u_dirichlet
-        for kind, assemble in (
-            ("modified_nc", assemble_modified_ncfem), ("mixed", assemble_mixed_direct)
-        ):
-            path = os.path.join(sysdir, f"{prefix}level{record.level}_{kind}.txt")
-            with _writing(path):
-                assemble(pw.mesh, pw, u_dirichlet=u_d).dump_triplets(path)
-
-    return dump

@@ -54,10 +54,6 @@ class NoExactSolution(AfemError):
     """Error norms were requested for a problem without exact solution."""
 
 
-class InsufficientLevels(AfemError):
-    """Convergence rates need at least two recorded levels."""
-
-
 class BadTheta(AfemError):
     """Marking fraction must satisfy 0 < theta <= 1."""
 

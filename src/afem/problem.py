@@ -113,14 +113,17 @@ def inv_2x2(m):
     return np.stack([d, -b, -c, a], axis=-1).reshape(m.shape) / det[..., None, None]
 
 
-def require_finite(name, values, point, triangles=None):
-    """``values``, one row per point, unless a row is NaN or infinite: then
-    :class:`NonFiniteCoefficient` naming the coefficient, the ``point`` and
-    its triangle, ``triangles[row]`` or else the row itself."""
-    bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
-    if bad.any():
+def require_finite(name, values, point, triangles=None, per_triangle=1):
+    """``values`` as a float array, one row per point, unless a row is NaN or
+    infinite: then :class:`NonFiniteCoefficient` naming the coefficient, the
+    kind of ``point`` and its triangle. Row ``i`` lies in triangle ``k = i //
+    per_triangle``, or in ``triangles[k]`` where they are given."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
         i = int(np.argmax(bad))
-        t = i if triangles is None else int(triangles[i])
+        k = i // per_triangle
+        t = k if triangles is None else int(triangles[k])
         shown = " ".join(str(values[i]).split())  # a matrix on one line
         raise NonFiniteCoefficient(f"{name} = {shown} at the {point} of triangle {t}")
     return values

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problem import require_finite
+
 _A1, _B1 = 0.059715871789770, 0.470142064105115
 _A2, _B2 = 0.797426985353087, 0.101286507323456
 _W1, _W2 = 0.132394152788506, 0.125939180544827
@@ -73,12 +75,18 @@ class Degree5Data:
 
 def degree5_data(mesh, coeffs):
     """Map the degree-5 points onto every triangle of ``mesh`` and evaluate
-    the ``coeffs`` callbacks f and gamma there, once for all 7T points."""
+    the ``coeffs`` callbacks f and gamma there, once for all 7T points;
+    a value that is not finite raises NonFiniteCoefficient."""
     pts = physical_points(mesh.triangle_vertices())
     x, y = pts[..., 0], pts[..., 1]
-    f = np.asarray(coeffs.f(x.ravel(), y.ravel()), dtype=float)
-    gamma = np.asarray(coeffs.gamma(x.ravel(), y.ravel()), dtype=float)
-    return Degree5Data(x=x, y=y, f=f.reshape(x.shape), gamma=gamma.reshape(x.shape))
+
+    def at_points(name, fn):
+        values = fn(x.ravel(), y.ravel())
+        values = require_finite(name, values, "degree-5 point", per_triangle=x.shape[1])
+        return values.reshape(x.shape)
+
+    f = at_points("f", coeffs.f)
+    return Degree5Data(x=x, y=y, f=f, gamma=at_points("gamma", coeffs.gamma))
 
 
 def element_sums(vals, areas):

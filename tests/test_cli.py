@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import afem
-from afem import problem
+from afem import adapt, bench, problem
 from afem.cli import main
 from afem.mesh import build_mesh, write_mesh_file
 from afem.refine import rgb_refine, uniform_red_refine
@@ -82,6 +82,18 @@ def _nan_right_of(x, y):
     return np.where(x > 0.3, np.nan, 1.0)
 
 
+def _nan_near(cx, cy, radius):
+    """NaN within ``radius`` of (cx, cy), one elsewhere. On the L-shape start
+    mesh no centroid or edge midpoint lies within 0.15 of (-1, -1), and
+    within 0.02 of the origin only the error norms' dyadic points do."""
+    return lambda x, y: np.where(np.hypot(x - cx, y - cy) < radius, np.nan, 1.0)
+
+
+# (-0.75, -0.75) is an edge midpoint of the L-shape start mesh, 0.12 from
+# the nearest centroid
+_nan_at_midpoint = _nan_near(-0.75, -0.75, 0.05)
+
+
 @pytest.mark.parametrize(
     "coefficient, value, where",
     [
@@ -90,8 +102,17 @@ def _nan_right_of(x, y):
         ("b", lambda x, y: np.stack([0 * x, _nan_right_of(x, y)], axis=1),
          r"b = \[ 0\. nan\] at the centroid"),
         ("u_dirichlet", _nan_right_of, "u_D = nan at the boundary midpoint"),
+        ("f", _nan_near(-1.0, -1.0, 0.15), "f = nan at the degree-5 point"),
+        ("gamma", _nan_near(0.0, 0.0, 0.02), "gamma = nan at the dyadic point"),
+        ("a", lambda x, y: _nan_at_midpoint(x, y)[:, None, None] * np.eye(2),
+         r"A = \[\[nan nan\] \[nan nan\]\] at the edge midpoint"),
+        ("b", lambda x, y: np.stack([np.ones_like(x), _nan_at_midpoint(x, y)], 1),
+         r"b = \[ 1\. nan\] at the edge midpoint"),
     ],
-    ids=["f", "gamma", "b", "u_dirichlet"],
+    ids=[
+        "f", "gamma", "b", "u_dirichlet", "f-degree-5-point", "gamma-dyadic-point",
+        "A-edge-midpoint", "b-edge-midpoint",
+    ],
 )
 def test_non_finite_coefficient_is_input_error(
     tmp_path, capsys, monkeypatch, coefficient, value, where
@@ -567,24 +588,99 @@ def test_unwritable_output_directory_is_config_error(capsys, out):
     assert re.fullmatch(r"afem: configuration error: cannot write '.*': .+\n", err), err
 
 
+def _count_levels(monkeypatch, csv=None):
+    """Spy on the P0 projection that starts every level; returns a list that
+    gets, per level, the rows of the CSV file ``csv`` on disk at its start
+    (None while there is no file)."""
+    levels = []
+    project = adapt.project_p0
+
+    def spy(coeffs, mesh):
+        rows = csv.read_text().splitlines()[1:] if csv and csv.exists() else None
+        levels.append(rows)
+        return project(coeffs, mesh)
+
+    monkeypatch.setattr(adapt, "project_p0", spy)
+    return levels
+
+
 @pytest.mark.parametrize(
-    "args, blocked",
+    "args, blocked, solved",
     [
-        (["--problem", "lshape"], "lshape_uniform.csv"),
-        (["--problem", "lshape"], "lshape_uniform.gp"),
+        (["--problem", "lshape"], "lshape_uniform.csv", 1),
+        (["--problem", "lshape"], "lshape_uniform.gp", 1),
         (["--problem", "eigen_sweep", "--gamma", "9"],
-         "eigen_sweep_uniform_combined.csv"),
-        (["--problem", "lshape", "--dump-systems"], "systems/level0_mixed.txt"),
+         "eigen_sweep_uniform_combined.csv", 2),
+        (["--problem", "lshape", "--dump-systems"], "systems/level0_mixed.txt", 1),
     ],
     ids=["csv", "gp", "combined-csv", "system-dump"],
 )
-def test_unwritable_output_file_is_config_error(tmp_path, capsys, args, blocked):
-    # a directory stands where the run writes the file
+def test_unwritable_output_file_is_config_error(
+    tmp_path, capsys, monkeypatch, args, blocked, solved
+):
+    # a directory stands where the run writes the file; a level's files are
+    # written as it completes, so the run stops after the first level that
+    # writes it (the combined CSV comes after both levels)
     (tmp_path / blocked).mkdir(parents=True)
+    levels = _count_levels(monkeypatch)
     code = main(["run", *args, "--max-ndof", "300", "--out", str(tmp_path)])
     assert code == 1
     expected = f"cannot write {str(tmp_path / blocked)!r}: Is a directory"
     assert capsys.readouterr().err == f"afem: configuration error: {expected}\n"
+    assert len(levels) == solved
+
+
+def test_rows_are_written_as_levels_complete(tmp_path, monkeypatch):
+    csv = tmp_path / "lshape_uniform.csv"
+    on_disk = _count_levels(monkeypatch, csv)
+    args = ["--problem", "lshape", "--max-ndof", "4000", "--out", str(tmp_path)]
+    assert main(["run", *args]) == 0
+    rows = csv.read_text().splitlines()[1:]
+    assert len(rows) == 4
+    # while level k + 1 is solved the file holds rows 0..k
+    assert on_disk == [None, rows[:1], rows[:2], rows[:3]]
+
+
+def test_equivalence_violation_leaves_rows_and_abort_line(
+    tmp_path, capsys, monkeypatch
+):
+    # the direct route's scalar perturbed by 1e-6 relative on level 2
+    solve = adapt.solve_mixed_direct
+
+    def perturbed(mesh, pw, **kwargs):
+        mixed = solve(mesh, pw, **kwargs)
+        if mesh.ndof_mixed == 992:
+            mixed = dataclasses.replace(mixed, u=mixed.u * (1 + 1e-6))
+        return mixed
+
+    monkeypatch.setattr(adapt, "solve_mixed_direct", perturbed)
+    args = ["--problem", "lshape", "--max-ndof", "4000", "--out", str(tmp_path)]
+    assert main(["run", *args]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"afem: error: level 2: routes differ by \(.+, .+\)\n", err)
+    header, *lines = (tmp_path / "lshape_uniform.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in lines[:2]] == [["0", "68"], ["1", "256"]]
+    reason = err.removeprefix("afem: error: ").rstrip("\n")
+    assert lines[2:] == [f"# aborted: EquivalenceViolation: {reason}"]
+
+
+def test_interrupt_leaves_rows_and_abort_line(tmp_path, monkeypatch):
+    # any exception out of the loop is marked in the CSV and raised unchanged
+    project = adapt.project_p0
+    interrupt = KeyboardInterrupt()
+
+    def project_until_level_2(coeffs, mesh):
+        if mesh.ndof_mixed == 992:
+            raise interrupt
+        return project(coeffs, mesh)
+
+    monkeypatch.setattr(adapt, "project_p0", project_until_level_2)
+    config = bench.ExperimentConfig("lshape", max_ndof=4000, out=str(tmp_path))
+    with pytest.raises(KeyboardInterrupt) as caught:
+        bench.run_experiment(config, echo=lambda *_: None)
+    assert caught.value is interrupt
+    lines = (tmp_path / "lshape_uniform.csv").read_text().splitlines()
+    assert len(lines) == 4 and lines[3] == "# aborted: KeyboardInterrupt"
 
 
 def test_systems_path_taken_by_a_file_is_config_error(tmp_path, capsys):

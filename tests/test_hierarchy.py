@@ -73,19 +73,22 @@ def test_eigen_sweep_builds_each_level_and_its_orders_once(tmp_path, monkeypatch
 
 
 def _watch_level_zero(monkeypatch):
-    """Make the per-level callback of ``--dump-systems`` hold the level-0
-    mesh by a weakref only; returns ``(level, level-0 mesh alive)`` per
-    level. A wrapper of ``adaptive_loop`` would hold the start mesh itself."""
+    """Make the first system that ``--dump-systems`` assembles per level hold
+    the level-0 mesh by a weakref only; returns ``(level, level-0 mesh
+    alive)`` per level. A wrapper of ``adaptive_loop`` would hold the start
+    mesh itself."""
     seen = []
     refs = []
+    assemble = bench.assemble_modified_ncfem
 
-    def on_level(pw, mixed, u_tilde, report, record):
-        if record.level == 0:
-            refs.append(weakref.ref(pw.mesh))
+    def spy(mesh, pw, **kwargs):
+        if not refs:
+            refs.append(weakref.ref(mesh))
         gc.collect()
-        seen.append((record.level, refs[-1]() is not None))
+        seen.append((len(seen), refs[0]() is not None))
+        return assemble(mesh, pw, **kwargs)
 
-    monkeypatch.setattr(bench, "_system_dumper", lambda *_: on_level)
+    monkeypatch.setattr(bench, "assemble_modified_ncfem", spy)
     return seen
 
 
