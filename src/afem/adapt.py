@@ -6,10 +6,14 @@ mesh-weighted volume term, a nonconformity term in which the minimum over
 conforming functions is bounded through the nodal average of -u~_CR, and
 two coefficient-approximation terms. The driver runs
 solve / estimate / mark / refine, cross-checking the reconstruction
-against the direct saddle solve on every level. The estimator evaluates f
-and gamma once per level, at the degree-5 points of every triangle; its
-report hands that data on to the error norms, and the driver drops it with
-the level, before the next level's solves.
+against the direct saddle solve on every level. The estimator evaluates
+gamma, and f or the exact solution with its load, once per level, at the
+degree-5 points of every triangle; its report hands that data on to the
+error norms, and the driver drops it with the level, before the next
+level's solves. Before refining, the driver tests the dof budget against
+:func:`refine.refined_ndof_bound`, so it never builds a mesh the budget
+rejects in uniform mode, nor one the bound already puts over it in
+adaptive mode.
 """
 
 from dataclasses import dataclass
@@ -21,7 +25,7 @@ from .errors import (
     BadTheta, ConfigError, EquivalenceViolation, MeshMismatch, SingularMatrix
 )
 from .problem import inv_2x2, project_p0, require_finite
-from .refine import rgb_refine, uniform_red_refine
+from .refine import refined_ndof_bound, rgb_refine, uniform_red_refine
 from .solver import (
     equivalence_residual,
     solve_mixed_direct,
@@ -89,7 +93,7 @@ def grad_p1(mesh, nodal):
     return np.einsum("tk,tkd->td", vals, mesh.grad_bary())
 
 
-def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
+def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw, exact=None):
     """Residual estimator for the mixed solution.
 
     Terms per triangle: osc ||(1-Pi0)(f - gamma u_M)||, volume
@@ -97,7 +101,9 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
     ||A_h^-1 p_M + u_M b*_h - grad v|| with v = -average(u~_CR), and
     coefficient terms ||(A^-1 - A_h^-1) p_M|| and ||u_M (b* - b*_h)||.
     ``pw`` is ``project_p0(coeffs, mesh)``; its centroid data is the
-    oscillation's reference value.
+    oscillation's reference value. With the problem's ``exact`` solution the
+    report's degree-5 data also holds u and p, and f comes from the same
+    evaluation (:func:`quadrature.degree5_data`).
     """
     if mixed.mesh is not mesh or u_cr_tilde.mesh is not mesh or pw.mesh is not mesh:
         raise MeshMismatch("estimator inputs live on different meshes")
@@ -106,7 +112,7 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw):
 
     # oscillation of f - gamma u_M against its centroid value, degree 5
     resid = pw.f_h - pw.gamma_h * mixed.u
-    data = quadrature.degree5_data(mesh, coeffs)
+    data = quadrature.degree5_data(mesh, coeffs, exact)
     g = data.f - data.gamma * mixed.u[:, None]
     osc_sq = mesh.area * (((g - resid[:, None]) ** 2) @ quadrature.DEGREE5[1])
 
@@ -203,6 +209,13 @@ def adaptive_loop(
     recorded (indefinite problems on coarse meshes). After each level it
     calls ``on_level(pw, mixed, u_tilde, report, record)`` with the level's
     record complete, its rates included; ``pw.mesh`` is the level's mesh.
+
+    The run keeps every level with at most ``max_ndof`` mixed dofs. It ends
+    before refining when :func:`refine.refined_ndof_bound` puts the next
+    mesh over the budget: in uniform mode that count is exact, so no mesh
+    over the budget is built; in adaptive mode it is a lower bound, and a
+    mesh that passes it but has more dofs than the budget is built and
+    dropped. An adaptive run also ends when no triangle is marked.
     """
     bench.require_mode(mode)
     mesh = start_mesh if start_mesh is not None else instance.start_mesh()
@@ -230,7 +243,9 @@ def adaptive_loop(
             raise EquivalenceViolation(
                 f"level {level}: routes differ by ({rel_p:.2e}, {rel_u:.2e})"
             )
-        report = estimate_mixed(mesh, mixed, u_tilde, instance.field, pw)
+        report = estimate_mixed(
+            mesh, mixed, u_tilde, instance.field, pw, instance.exact
+        )
         record = bench.LevelRecord(
             level=level,
             ndof=mesh.ndof_mixed,
@@ -246,16 +261,15 @@ def adaptive_loop(
             on_level(pw, mixed, u_tilde, report, record)
         eta_sq = report.per_triangle_sq
         del report  # with its degree-5 data, before the next level's solves
-        if mode == "uniform":
-            # red refinement gives E' = 2E + 3T edges and T' = 4T triangles;
-            # never build a mesh the budget would reject
-            if 2 * mesh.num_edges + 7 * mesh.num_triangles > max_ndof:
-                break
-            mesh = uniform_red_refine(mesh)
-        else:
-            marked = dorfler_mark(eta_sq, theta)
-            if len(marked.indices) == 0:
+        marked = None  # uniform: red-refine every triangle
+        if mode == "adaptive":
+            marked = dorfler_mark(eta_sq, theta).indices
+            if len(marked) == 0:
                 break  # estimator vanished; nothing to refine
-            mesh = rgb_refine(mesh, marked.indices)
+        # never build a mesh the budget rejects; the rgb bound may pass a
+        # mesh that the loop's test then rejects
+        if refined_ndof_bound(mesh, marked) > max_ndof:
+            break
+        mesh = uniform_red_refine(mesh) if marked is None else rgb_refine(mesh, marked)
         level += 1
     return history

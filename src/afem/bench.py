@@ -7,9 +7,11 @@ under-resolves the flux error there: measured against depth 60, e_p is off
 by 3.0e-3 relative on the finest uniform L-shape level (246,272 dofs), and
 e_p and e_div by 1.9e-3 and 2.5e-3 on the adaptive slit disc at 41,536
 dofs; ROADMAP item 3 holds the measurements. Off that vertex they take the
-level's degree-5 points, with f and gamma there, from the estimator
-(:class:`quadrature.Degree5Data`), and each point evaluates the exact
-solution's closed form once, for u and the flux together.
+level's degree-5 points, with gamma and the exact solution's u, flux and
+load there, from the estimator (:class:`quadrature.Degree5Data`); each
+point, there and at the singular vertex, evaluates the exact solution's
+closed form once, for all three together, and every value is checked to be
+finite.
 
 :data:`COLUMNS` gives the CSV, the summary table and the gnuplot columns.
 :meth:`ConvergenceHistory.add` fills a level's derived columns, and
@@ -131,27 +133,29 @@ def error_norms(mixed, instance, data):
 
     e_div compares the elementwise divergence f_h - gamma_h u_M with the
     analytic div p = f - gamma u. One pass integrates the three squared
-    errors together, each point evaluating the exact solution once. Off the
-    singular vertex the points and their f and gamma values are ``data``,
-    the level's :class:`quadrature.Degree5Data` (the estimator report's
-    ``data``); the dyadic subdivision at the singular vertex evaluates the
-    callbacks at its own points.
+    errors together. Off the singular vertex the points and the values of
+    u, p, f and gamma there are ``data``, the level's
+    :class:`quadrature.Degree5Data` built with ``instance.exact`` (the
+    estimator report's ``data``); the dyadic subdivision at the singular
+    vertex calls ``exact.u_flux_load`` and gamma once at its own points.
+    A value that is not finite raises NonFiniteCoefficient.
     """
     ex, cf = instance.exact, instance.field
     if ex is None:
         raise NoExactSolution(f"benchmark {instance.name!r} has no exact solution")
+    if data.u is None:
+        raise ValueError("data holds no exact solution: build it with instance.exact")
     mesh = mixed.mesh
     corners = _singular_corners(mesh, instance.singular_point)
     sing = corners.any(axis=1)
     q = len(quadrature.DEGREE5[1])
 
-    def squared_errors(idx, x, y, f, gamma):
+    def squared_errors(idx, x, y, u, p, f, gamma):
         # the mixed solution repeated over the q points of each triangle
         u_m = np.repeat(mixed.u[idx], q)
         consts = np.repeat(mixed.flux_const[idx], q, axis=0)
         slopes = np.repeat(mixed.flux_slope[idx], q)[:, None]
         div_m = np.repeat(mixed.div()[idx], q)
-        u, p = ex.u_and_flux(x, y)
         diff = p - (consts + slopes * np.stack([x, y], axis=-1))
         return np.stack([
             (u - u_m) ** 2,
@@ -162,20 +166,22 @@ def error_norms(mixed, instance, data):
     sq = np.zeros((3, mesh.num_triangles))
     off = np.flatnonzero(~sing)
     if len(off):
-        values = squared_errors(
-            off, *(a[off].ravel() for a in (data.x, data.y, data.f, data.gamma))
-        )
+        values = squared_errors(off, *(
+            a[off].reshape((-1,) + a.shape[2:])
+            for a in (data.x, data.y, data.u, data.p, data.f, data.gamma)
+        ))
         sq[:, off] = quadrature.element_sums(values, mesh.area[off])
     on = np.flatnonzero(sing)
     if len(on):
         tri = _rotate_singular_first(mesh.triangle_vertices()[on], corners[on])
 
         def at_dyadic_points(x, y):
-            f, gamma = (
-                problem.require_finite(name, fn(x, y), "dyadic point", on, q)
-                for name, fn in (("f", cf.f), ("gamma", cf.gamma))
-            )
-            return squared_errors(on, x, y, f, gamma)
+            u, p, f = ex.u_flux_load(x, y)
+            values = zip(("u", "p", "f", "gamma"), (u, p, f, cf.gamma(x, y)))
+            return squared_errors(on, x, y, *(
+                problem.require_finite(name, v, "dyadic point", on, q)
+                for name, v in values
+            ))
 
         sq[:, on] = quadrature.integrate_dyadic(
             at_dyadic_points, tri, mesh.area[on], SINGULAR_QUAD_DEPTH

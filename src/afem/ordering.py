@@ -98,14 +98,16 @@ def _minimum_cover(low, up):
     links = sp.csr_matrix((np.ones(len(lo)), (lo, hi)), (nl, nu))
     mate = maximum_bipartite_matching(links, perm_type="row")
     matched = np.flatnonzero(mate >= 0)
-    free = np.setdiff1d(np.arange(nl), mate)
+    is_free = np.ones(nl, dtype=bool)
+    is_free[mate[matched]] = False
+    free = np.flatnonzero(is_free)
     source = nl + nu
-    rows = np.r_[lo, nl + matched, np.full(len(free), source)]
-    cols = np.r_[nl + hi, mate[matched], free]
+    rows = np.concatenate([lo, nl + matched, np.full(len(free), source)])
+    cols = np.concatenate([nl + hi, mate[matched], free])
     paths = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), (source + 1, source + 1))
     seen = np.zeros(source + 1, dtype=bool)
     seen[breadth_first_order(paths, source, return_predecessors=False)] = True
-    return np.r_[lows[~seen[:nl]], ups[seen[nl:source]]]
+    return np.concatenate([lows[~seen[:nl]], ups[seen[nl:source]]])
 
 
 def saddle_order(mesh):

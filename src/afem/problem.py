@@ -4,7 +4,11 @@ Coefficient callbacks are vectorized: given flat arrays ``x, y`` of length
 N they return arrays of shape (N, 2, 2) for the diffusion matrix, (N, 2)
 for the convection field and (N,) for scalars. The piecewise-constant
 projection realizes the L2 projection by one-point (centroid) quadrature,
-which is also how every discrete system evaluates its coefficients.
+which is also how every discrete system evaluates its coefficients. A
+problem with a known solution carries an :class:`ExactSolution`, which
+gives u, the flux and the load from one evaluation of its closed form; the
+estimator and the error norms take the load at their quadrature points from
+it, so it must equal the field's ``f``.
 """
 
 from dataclasses import dataclass, field
@@ -36,11 +40,16 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """``u_and_flux(x, y) -> (u, p)``: the exact solution, shape (N,), and its
-    flux p = -(A grad u + u b), shape (N, 2), from one evaluation of the
-    closed form."""
+    """``u_flux_load(x, y) -> (u, p, f)``: the exact solution, shape (N,), its
+    flux p = -(A grad u + u b), shape (N, 2), and the load f = div p + gamma
+    u, shape (N,), from one evaluation of the closed form.
 
-    u_and_flux: Callable
+    The estimator and the error norms take f at their quadrature points from
+    here and the discrete systems take it at the centroids from the field's
+    ``f``, so the two must return the same values.
+    """
+
+    u_flux_load: Callable
 
 
 @dataclass(frozen=True)
@@ -220,18 +229,10 @@ def _polar(x, y):
 def _lshape_instance():
     two_thirds = 2.0 / 3.0
 
-    def u(x, y):  # without the flux, for f and u_D
-        r, t = _polar(x, y)
-        return r**two_thirds * np.sin(two_thirds * t)
-
     def b(x, y):
         return np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)], axis=-1)
 
-    def f(x, y):
-        # u is harmonic; div(u b) = b.grad u + 2u = (2/3)u + 2u by homogeneity
-        return -20.0 / 3.0 * u(x, y)
-
-    def u_and_flux(x, y):
+    def u_flux_load(x, y):
         r, t = _polar(x, y)
         s, c = np.sin(two_thirds * t), np.cos(two_thirds * t)
         u = r**two_thirds * s
@@ -239,26 +240,33 @@ def _lshape_instance():
         ur, ut = rad * s, rad * c
         ct, st = np.cos(t), np.sin(t)
         grad_u = np.stack([ur * ct - ut * st, ur * st + ut * ct], axis=-1)
-        return u, -(grad_u + u[..., None] * b(x, y))
+        # u is harmonic; div(u b) = b.grad u + 2u = (2/3)u + 2u by homogeneity
+        return u, -(grad_u + u[..., None] * b(x, y)), -20.0 / 3.0 * u
 
     coeffs = CoefficientField(
         a=constant_matrix(np.eye(2)),
         b=b,
         gamma=constant_scalar(-4.0),
-        f=f,
-        u_dirichlet=u,
+        f=lambda x, y: u_flux_load(x, y)[2],
+        u_dirichlet=lambda x, y: u_flux_load(x, y)[0],
     )
     return ProblemInstance(
         name="lshape",
         field=coeffs,
         start_mesh=lshape_start_mesh,
-        exact=ExactSolution(u_and_flux=u_and_flux),
+        exact=ExactSolution(u_flux_load=u_flux_load),
         singular_point=(0.0, 0.0),
     )
 
 
 def _crack_instance():
-    def u_and_grad(x, y):
+    def b(x, y):
+        return np.stack(
+            [np.asarray(x, dtype=float) - 1.0, np.asarray(y, dtype=float) + 1.0],
+            axis=-1,
+        )
+
+    def u_flux_load(x, y):
         r, t = _polar(x, y)
         y = np.asarray(y, dtype=float)
         sqrt_r, s, c = np.sqrt(r), np.sin(0.5 * t), np.cos(0.5 * t)
@@ -266,38 +274,24 @@ def _crack_instance():
         rad = 0.5 / sqrt_r
         ur, ut = rad * s, rad * c
         ct, st = np.cos(t), np.sin(t)
-        return u, np.stack([ur * ct - ut * st, ur * st + ut * ct - y], axis=-1)
-
-    def u(x, y):
-        return u_and_grad(x, y)[0]
-
-    def b(x, y):
-        return np.stack(
-            [np.asarray(x, dtype=float) - 1.0, np.asarray(y, dtype=float) + 1.0],
-            axis=-1,
-        )
-
-    def f(x, y):
+        g = np.stack([ur * ct - ut * st, ur * st + ut * ct - y], axis=-1)
+        bxy = b(x, y)
         # -Laplace(u) = 1; gamma = 0, so f = 1 - b.grad u - u div b
-        u, g = u_and_grad(x, y)
-        return 1.0 - np.einsum("...d,...d->...", b(x, y), g) - 2.0 * u
-
-    def u_and_flux(x, y):
-        u, g = u_and_grad(x, y)
-        return u, -(g + u[..., None] * b(x, y))
+        f = 1.0 - np.einsum("...d,...d->...", bxy, g) - 2.0 * u
+        return u, -(g + u[..., None] * bxy), f
 
     coeffs = CoefficientField(
         a=constant_matrix(np.eye(2)),
         b=b,
         gamma=constant_scalar(0.0),
-        f=f,
-        u_dirichlet=u,
+        f=lambda x, y: u_flux_load(x, y)[2],
+        u_dirichlet=lambda x, y: u_flux_load(x, y)[0],
     )
     return ProblemInstance(
         name="crack",
         field=coeffs,
         start_mesh=crack_start_mesh,
-        exact=ExactSolution(u_and_flux=u_and_flux),
+        exact=ExactSolution(u_flux_load=u_flux_load),
         singular_point=(0.0, 0.0),
     )
 

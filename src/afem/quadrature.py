@@ -12,6 +12,7 @@ a level's points and load data through :class:`Degree5Data`.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -65,28 +66,41 @@ def physical_points(verts):
 @dataclass(frozen=True)
 class Degree5Data:
     """The degree-5 points of every triangle of a mesh, one (T, 7) array per
-    coordinate, with the load f and the reaction gamma evaluated there."""
+    coordinate, with the load f and the reaction gamma evaluated there and,
+    for a problem with an exact solution, u (T, 7) and its flux p (T, 7, 2)
+    from the evaluation that gave f."""
 
     x: np.ndarray
     y: np.ndarray
     f: np.ndarray
     gamma: np.ndarray
+    u: Optional[np.ndarray] = None
+    p: Optional[np.ndarray] = None
 
 
-def degree5_data(mesh, coeffs):
+def degree5_data(mesh, coeffs, exact=None):
     """Map the degree-5 points onto every triangle of ``mesh`` and evaluate
-    the ``coeffs`` callbacks f and gamma there, once for all 7T points;
-    a value that is not finite raises NonFiniteCoefficient."""
+    the data there, once for all 7T points: gamma from ``coeffs``, and u, p
+    and f from one call of ``exact.u_flux_load`` where an exact solution is
+    given, else f from ``coeffs``. A value that is not finite raises
+    NonFiniteCoefficient."""
     pts = physical_points(mesh.triangle_vertices())
     x, y = pts[..., 0], pts[..., 1]
+    xs, ys = x.ravel(), y.ravel()
 
-    def at_points(name, fn):
-        values = fn(x.ravel(), y.ravel())
+    def checked(name, values):
         values = require_finite(name, values, "degree-5 point", per_triangle=x.shape[1])
-        return values.reshape(x.shape)
+        return values.reshape(x.shape + values.shape[1:])
 
-    f = at_points("f", coeffs.f)
-    return Degree5Data(x=x, y=y, f=f, gamma=at_points("gamma", coeffs.gamma))
+    u = p = None
+    if exact is None:
+        f = coeffs.f(xs, ys)
+    else:
+        u, p, f = exact.u_flux_load(xs, ys)
+        u, p = checked("u", u), checked("p", p)
+    f = checked("f", f)
+    gamma = checked("gamma", coeffs.gamma(xs, ys))
+    return Degree5Data(x=x, y=y, f=f, gamma=gamma, u=u, p=p)
 
 
 def element_sums(vals, areas):

@@ -65,6 +65,25 @@ def _fresh_state(mesh):
     return _RgbState(mesh.triangles, empty, empty, np.arange(mesh.num_triangles))
 
 
+def refined_ndof_bound(mesh, marked=None):
+    """Mixed dofs (edges plus triangles) of the mesh that refining ``mesh``
+    builds, or a lower bound on them, without building it.
+
+    With ``marked`` None, red refinement of every triangle: E' = 2E + 3T
+    edges and T' = 4T triangles, so exactly 2E + 7T. Otherwise
+    :func:`rgb_refine` of the ``marked`` triangle indices, whose mesh has at
+    least 5/2 (S + 3R) dofs, with S the skeleton size and R the number of
+    distinct skeleton parents of the marked set: each of those parents turns
+    red and adds three skeleton triangles, every skeleton triangle publishes
+    at least one triangle, and E' >= 3T'/2 for any mesh.
+    """
+    if marked is None:
+        return 2 * mesh.num_edges + 7 * mesh.num_triangles
+    state = mesh.rgb if mesh.rgb is not None else _fresh_state(mesh)
+    red = len(np.unique(state.parent_of[marked]))
+    return (5 * (len(state.skeleton) + 3 * red) + 1) // 2
+
+
 def rgb_refine(mesh, marked):
     """Red-refine the marked triangles and close with green/blue bisections.
 

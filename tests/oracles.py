@@ -19,7 +19,11 @@ vertex against every edge; :func:`red_split_without_closure` builds the
 meshes it is run on, and :func:`graded_toward_corner` graded ones.
 :func:`kruskal_tree_edges` is the textbook Kruskal with a union-find, for the saddle-point order's spanning tree, and
 :func:`kuhn_matching_size` the augmenting-path matching, for the size of
-the nested dissection's separators.
+the nested dissection's separators. :func:`reference_minimum_cover` is the
+separator step as it was written with ``np.setdiff1d`` and ``np.r_``, which
+the package's edge orders must reproduce exactly, and
+:func:`unchecked_adaptive_loop` the adaptive loop before it tested the dof
+budget ahead of refining.
 """
 
 import numpy as np
@@ -27,8 +31,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial.legendre import leggauss
 
+from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
+
 from afem import quadrature
-from afem.adapt import average_cr, grad_p1
+from afem.adapt import average_cr, dorfler_mark, estimate_mixed, grad_p1
 from afem.assembly import assemble_mixed_direct
 from afem.problem import (
     CoefficientField,
@@ -39,8 +45,10 @@ from afem.problem import (
     constant_vector,
     inv_2x2,
     lshape_start_mesh,
+    project_p0,
 )
 from afem.refine import rgb_refine
+from afem.solver import solve_mixed_via_equivalence
 
 
 def duffy_rule(order=12):
@@ -257,6 +265,52 @@ def kuhn_matching_size(low, up):
     return sum(augment(u, set()) for u in links)
 
 
+def reference_minimum_cover(low, up):
+    """Minimum vertex cover of the bipartite graph with links ``low -> up``
+    by König's construction, as ``afem.ordering._minimum_cover`` computed it
+    with ``np.setdiff1d`` for the free lower ends and ``np.r_``."""
+    lows, lo = np.unique(low, return_inverse=True)
+    ups, hi = np.unique(up, return_inverse=True)
+    nl, nu = len(lows), len(ups)
+    links = sp.csr_matrix((np.ones(len(lo)), (lo, hi)), (nl, nu))
+    mate = maximum_bipartite_matching(links, perm_type="row")
+    matched = np.flatnonzero(mate >= 0)
+    free = np.setdiff1d(np.arange(nl), mate)
+    source = nl + nu
+    rows = np.r_[lo, nl + matched, np.full(len(free), source)]
+    cols = np.r_[nl + hi, mate[matched], free]
+    paths = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), (source + 1, source + 1))
+    seen = np.zeros(source + 1, dtype=bool)
+    seen[breadth_first_order(paths, source, return_predecessors=False)] = True
+    return np.r_[lows[~seen[:nl]], ups[seen[nl:source]]]
+
+
+def unchecked_adaptive_loop(instance, max_ndof, theta=0.5):
+    """The meshes of ``adapt.adaptive_loop`` in adaptive mode as the loop
+    ran before it tested the budget ahead of refining: every level is
+    refined, and the ``while`` test rejects the mesh over the budget.
+
+    Only what decides the meshes runs (the reconstruction route, the
+    estimator and the marking). Returns ``(levels, rejected)``: one
+    ``(mesh, marked)`` per solved level, and the refined mesh the loop
+    built and rejected, or None where the estimator vanished.
+    """
+    mesh = instance.start_mesh()
+    levels = []
+    while mesh.ndof_mixed <= max_ndof:
+        pw = project_p0(instance.field, mesh)
+        mixed, u_tilde = solve_mixed_via_equivalence(
+            mesh, pw, u_dirichlet=instance.field.u_dirichlet
+        )
+        report = estimate_mixed(mesh, mixed, u_tilde, instance.field, pw)
+        marked = dorfler_mark(report.per_triangle_sq, theta).indices
+        levels.append((mesh, marked))
+        if len(marked) == 0:
+            return levels, None
+        mesh = rgb_refine(mesh, marked)
+    return levels, mesh
+
+
 def residual_of_exact(instance, x, y, h=1e-5):
     """First-order-system residual div p + gamma u - f of the exact data,
     with the flux divergence taken by central differences (the flux already
@@ -266,12 +320,12 @@ def residual_of_exact(instance, x, y, h=1e-5):
     y = np.asarray(y, dtype=float)
 
     def flux(x, y):
-        return instance.exact.u_and_flux(x, y)[1]
+        return instance.exact.u_flux_load(x, y)[1]
 
     div_p = (flux(x + h, y)[..., 0] - flux(x - h, y)[..., 0]) / (2 * h) + (
         flux(x, y + h)[..., 1] - flux(x, y - h)[..., 1]
     ) / (2 * h)
-    return div_p + cf.gamma(x, y) * instance.exact.u_and_flux(x, y)[0] - cf.f(x, y)
+    return div_p + cf.gamma(x, y) * instance.exact.u_flux_load(x, y)[0] - cf.f(x, y)
 
 
 def constant_instance():
@@ -289,7 +343,9 @@ def constant_instance():
         field=field,
         start_mesh=lshape_start_mesh,
         exact=ExactSolution(
-            u_and_flux=lambda x, y: (np.ones(np.size(x)), np.zeros((np.size(x), 2)))
+            u_flux_load=lambda x, y: (
+                np.ones(np.size(x)), np.zeros((np.size(x), 2)), np.zeros(np.size(x))
+            )
         ),
         singular_point=(0.0, 0.0),
     )

@@ -442,11 +442,11 @@ def cr_errors(sol, instance):
             u_cr = np.repeat(c, per) + np.einsum(
                 "nd,nd->n", np.repeat(g, per, axis=0), offset
             )
-            return (ex.u_and_flux(x, y)[0] - u_cr) ** 2
+            return (ex.u_flux_load(x, y)[0] - u_cr) ** 2
 
         def grad_err(x, y):
             # grad u = -A^-1 (p + u b) from the exact flux
-            u, p = ex.u_and_flux(x, y)
+            u, p, _ = ex.u_flux_load(x, y)
             flux_part = p + u[:, None] * instance.field.b(x, y)
             a = instance.field.a(x, y)
             grad_u = -np.linalg.solve(a, flux_part[..., None])[..., 0]

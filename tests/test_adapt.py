@@ -28,11 +28,18 @@ from afem.problem import (
     lshape_start_mesh,
     project_p0,
 )
-from afem.refine import rgb_refine, uniform_red_refine
+from afem.refine import refined_ndof_bound, rgb_refine, uniform_red_refine
 from afem.solver import solve_mixed_via_equivalence
 
-from oracles import constant_instance, random_spd_matrix, reference_estimate_mixed
+from oracles import (
+    constant_instance,
+    graded_toward_corner,
+    random_spd_matrix,
+    reference_estimate_mixed,
+    unchecked_adaptive_loop,
+)
 from test_assembly import _variable_field
+from test_mesh import _rgb_mesh_with_green_and_blue
 
 SQUARE = (
     np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
@@ -378,7 +385,74 @@ def test_loop_uniform_matches_mark_all():
 def test_red_refinement_dof_count_is_predicted(make):
     for mesh in (make(), rgb_refine(make(), [0, 3])):
         predicted = 2 * mesh.num_edges + 7 * mesh.num_triangles
+        assert refined_ndof_bound(mesh) == predicted
         assert uniform_red_refine(mesh).ndof_mixed == predicted
+
+
+def _bound_holds_on_every_refinement(levels, rejected, max_ndof):
+    for (mesh, marked), fine in zip(levels, [m for m, _ in levels[1:]] + [rejected]):
+        assert refined_ndof_bound(mesh, marked) <= fine.ndof_mixed
+    # and it is what ends the run: the checked loop never builds `rejected`
+    assert rejected.ndof_mixed > max_ndof
+    assert refined_ndof_bound(*levels[-1]) > max_ndof
+
+
+def test_rgb_bound_holds_on_crack_adaptive(crack_unchecked_120000):
+    levels, rejected = crack_unchecked_120000
+    assert len(levels) == 15 and rejected.ndof_mixed == 172400
+    _bound_holds_on_every_refinement(levels, rejected, 120000)
+
+
+def test_rgb_bound_holds_on_lshape_adaptive():
+    levels, rejected = unchecked_adaptive_loop(benchmark("lshape"), max_ndof=30000)
+    assert len(levels) == 12
+    _bound_holds_on_every_refinement(levels, rejected, 30000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rgb_bound_holds_for_drawn_marks(data):
+    # start meshes have no refinement state (rgb None); the others carry
+    # green and blue children, whose marks roll back to their parents
+    make = data.draw(st.sampled_from([
+        lshape_start_mesh,
+        crack_start_mesh,
+        _rgb_mesh_with_green_and_blue,
+        lambda: graded_toward_corner(lshape_start_mesh(), 2),
+    ]))
+    mesh = make()
+    marked = np.array(
+        data.draw(st.lists(st.integers(0, mesh.num_triangles - 1), max_size=12)),
+        dtype=np.int64,
+    )
+    assert refined_ndof_bound(mesh, marked) <= rgb_refine(mesh, marked).ndof_mixed
+
+
+def test_budget_check_keeps_the_dof_sequence(crack_unchecked_120000, monkeypatch):
+    levels, rejected = crack_unchecked_120000
+    unchecked = [mesh.ndof_mixed for mesh, _ in levels] + [rejected.ndof_mixed]
+    calls = []
+
+    def counted(mesh, marked):
+        calls.append(mesh.ndof_mixed)
+        return rgb_refine(mesh, marked)
+
+    monkeypatch.setattr(adapt, "rgb_refine", counted)
+    # budgets N_k, N_{k+1} - 1 and N_{k+1} for the levels below 7,000 dofs;
+    # the bound test above covers every refinement of the run. The unchecked
+    # loop's levels do not depend on its budget, so at a smaller budget it
+    # keeps a prefix of the levels it keeps at 120000
+    for k in range(8):
+        for budget in (unchecked[k], unchecked[k + 1] - 1, unchecked[k + 1]):
+            calls.clear()
+            hist = adaptive_loop(benchmark("crack"), max_ndof=budget)
+            kept = [n for n in unchecked if n <= budget]
+            assert hist.ndofs == kept
+            # the mesh over the budget is built only when the bound passes it
+            passed = refined_ndof_bound(*levels[len(kept) - 1]) <= budget
+            assert len(calls) == len(hist.records) - 1 + passed
+            if budget == unchecked[k]:
+                assert not passed
 
 
 def test_uniform_loop_builds_no_mesh_over_budget(monkeypatch):

@@ -41,7 +41,8 @@ SQUARE = (
 def norms(mixed, inst):
     """error_norms with the level's degree-5 data built as the estimator
     builds it."""
-    return error_norms(mixed, inst, quadrature.degree5_data(mixed.mesh, inst.field))
+    data = quadrature.degree5_data(mixed.mesh, inst.field, inst.exact)
+    return error_norms(mixed, inst, data)
 
 
 def test_error_norms_zero_when_solution_in_space():
@@ -55,7 +56,9 @@ def test_error_norms_zero_when_solution_in_space():
         u_dirichlet=constant_scalar(1.0),
     )
     exact = ExactSolution(
-        u_and_flux=lambda x, y: (np.ones(np.size(x)), np.zeros((np.size(x), 2)))
+        u_flux_load=lambda x, y: (
+            np.ones(np.size(x)), np.zeros((np.size(x), 2)), np.zeros(np.size(x))
+        )
     )
     inst = ProblemInstance(
         name="const", field=field, start_mesh=lambda: mesh, exact=exact
@@ -80,7 +83,7 @@ def test_error_norms_zero_discrete_solution_against_oracle():
     e_u, _, _ = norms(zero, inst)
 
     def u_sq(x, y):
-        return inst.exact.u_and_flux(x, y)[0] ** 2
+        return inst.exact.u_flux_load(x, y)[0] ** 2
 
     total = 0.0
     for tri in mesh.triangle_vertices():

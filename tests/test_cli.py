@@ -121,12 +121,58 @@ def test_non_finite_coefficient_is_input_error(
     monkeypatch.setattr(problem, "_REGISTRY", dict(problem._REGISTRY))
     lshape = problem.benchmark("lshape")
     field = dataclasses.replace(lshape.field, **{coefficient: value})
+    # a replaced f is no longer the exact solution's load, which the
+    # quadrature points would take in its place
+    exact = None if coefficient == "f" else lshape.exact
     afem.register_problem(
-        "nan_data", lambda **kw: dataclasses.replace(lshape, field=field)
+        "nan_data", lambda **kw: dataclasses.replace(lshape, field=field, exact=exact)
     )
     code = main(
         [
             "run", "--problem", "nan_data", "--mode", "uniform",
+            "--max-ndof", "300", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.search(rf"^afem: error: {where} of triangle \d+$", err, re.M), err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "output, near, where",
+    [
+        (0, (-1.0, -1.0, 0.15), "u = nan at the degree-5 point"),
+        (1, (-1.0, -1.0, 0.15), r"p = \[nan nan\] at the degree-5 point"),
+        (2, (-1.0, -1.0, 0.15), "f = nan at the degree-5 point"),
+        (0, (0.0, 0.0, 0.02), "u = nan at the dyadic point"),
+        (1, (0.0, 0.0, 0.02), r"p = \[nan nan\] at the dyadic point"),
+        (2, (0.0, 0.0, 0.02), "f = nan at the dyadic point"),
+    ],
+    ids=["u-degree-5", "p-degree-5", "f-degree-5", "u-dyadic", "p-dyadic", "f-dyadic"],
+)
+def test_non_finite_exact_solution_is_input_error(
+    tmp_path, capsys, monkeypatch, output, near, where
+):
+    # the error norms used to take u and p unchecked: NaN u near (-1, -1)
+    # gave e_u = c_rel = rate_u = nan on both levels and exit 0
+    lshape = problem.benchmark("lshape")
+    mask = _nan_near(*near)
+
+    def u_flux_load(x, y):
+        values = list(lshape.exact.u_flux_load(x, y))
+        nan = mask(x, y)
+        values[output] = values[output] * (nan[:, None] if output == 1 else nan)
+        return tuple(values)
+
+    inst = dataclasses.replace(lshape, exact=problem.ExactSolution(u_flux_load))
+    with pytest.raises(afem.NonFiniteCoefficient, match=where):
+        adapt.adaptive_loop(inst, mode="uniform", max_ndof=300)
+    monkeypatch.setattr(problem, "_REGISTRY", dict(problem._REGISTRY))
+    afem.register_problem("nan_exact", lambda **kw: inst)
+    code = main(
+        [
+            "run", "--problem", "nan_exact", "--mode", "uniform",
             "--max-ndof", "300", "--out", str(tmp_path),
         ]
     )

@@ -15,7 +15,7 @@ from afem.ordering import saddle_order
 from afem.problem import benchmark, crack_start_mesh, lshape_start_mesh, project_p0
 from afem.refine import uniform_red_refine
 
-from oracles import kruskal_tree_edges, kuhn_matching_size
+from oracles import kruskal_tree_edges, kuhn_matching_size, reference_minimum_cover
 from test_assembly import make_field
 from test_mesh import _rgb_mesh_with_green_and_blue
 
@@ -55,6 +55,27 @@ def test_separators_are_minimum_vertex_covers(monkeypatch, make):
     for low, up, sep in splits:
         assert np.all(np.isin(low, sep) | np.isin(up, sep))
         assert len(np.unique(sep)) == len(sep) == kuhn_matching_size(low, up)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lshape_start_mesh, crack_start_mesh, _lshape_twice_refined,
+     _adaptive_crack_mesh, _rgb_mesh_with_green_and_blue],
+)
+def test_edge_order_matches_reference_cover(monkeypatch, make):
+    mesh = make()
+    order = ordering.nested_dissection(mesh)
+    monkeypatch.setattr(ordering, "_minimum_cover", reference_minimum_cover)
+    assert np.array_equal(order, ordering.nested_dissection(mesh))
+
+
+def test_edge_order_matches_reference_cover_on_every_crack_level(
+    monkeypatch, crack_unchecked_120000
+):
+    levels, _ = crack_unchecked_120000
+    monkeypatch.setattr(ordering, "_minimum_cover", reference_minimum_cover)
+    for mesh, _ in levels:  # each edge_order was taken by the level's solve
+        assert np.array_equal(mesh.edge_order, ordering.nested_dissection(mesh))
 
 
 def _unlinked_patches(mesh, tri_done, edge_done):

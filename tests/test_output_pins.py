@@ -9,6 +9,10 @@ order with minimum vertex separators and every solve took one refinement
 step; the last bits of the CSV values, and one rounded digit of the sweep's
 stdout, move with the factorization's roundoff. A change to any of them is
 a change of output.
+
+The digests were taken with numpy 2.4.6 and scipy 1.17.1 on Python 3.11;
+another numpy or SuperLU may round differently, so the tier-1 workflow
+installs exactly those two versions, on Python 3.11 and 3.12.
 """
 
 import contextlib

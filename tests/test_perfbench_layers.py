@@ -115,10 +115,12 @@ def test_level_clock_sees_one_projection_per_level(
 def test_each_level_evaluates_its_data_once(
     tmp_path, monkeypatch, problem, mode, max_ndof
 ):
-    # after the solves, f and gamma are evaluated once on the level's 7T
-    # degree-5 points, which the estimator and the error norms share, and
-    # the exact solution once per point; only the dyadic subdivision at the
-    # singular vertex evaluates all three again, at its own points
+    # after the solves, gamma is evaluated once on the level's 7T degree-5
+    # points, which the estimator and the error norms share, and so is the
+    # exact solution, which gives the load there with u and p; without one,
+    # f is. The dyadic subdivision at the singular vertex evaluates gamma
+    # and the exact solution once at each of its own points. f itself is
+    # evaluated only at the centroids when an exact solution gives the load.
     events = []  # ("level", mesh) at each projection, (callback, points) per call
     project_p0 = afem_problem.project_p0
 
@@ -143,7 +145,7 @@ def test_each_level_evaluates_its_data_once(
             gamma=counting("gamma", inst.field.gamma),
         )
         exact = inst.exact and afem_problem.ExactSolution(
-            u_and_flux=counting("exact", inst.exact.u_and_flux)
+            u_flux_load=counting("exact", inst.exact.u_flux_load)
         )
         return dataclasses.replace(inst, field=field, exact=exact)
 
@@ -166,17 +168,16 @@ def test_each_level_evaluates_its_data_once(
         ):
             calls[name].append(points)
         t = mesh.num_triangles
+        # the centroids (project_p0), then the shared degree-5 points
         if problem == "eigen_sweep":
-            s, exact = 0, []
+            expected = {"f": [t, q * t], "gamma": [t, q * t]}
         else:
             s = int(bench._singular_corners(mesh, (0.0, 0.0)).any(axis=1).sum())
             assert s > 0
-            exact = [q * (t - s)] + [q * s] * dyadic_calls
-        # the centroids (project_p0), then the shared degree-5 points
-        data = [t, q * t] + [q * s] * (dyadic_calls if exact else 0)
-        expected = {"f": data, "gamma": data}
-        if exact:
-            expected["exact"] = exact
+            dyadic = [q * s] * dyadic_calls
+            expected = {
+                "f": [t], "gamma": [t, q * t] + dyadic, "exact": [q * t] + dyadic
+            }
         assert calls == expected
     assert levels == sum(len(h.records) for h in histories.values()) >= 3
 

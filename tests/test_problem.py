@@ -107,7 +107,7 @@ def test_s_of_t_against_quadrature_oracle():
 
 
 def exact_u(inst, x, y):
-    return inst.exact.u_and_flux(np.asarray(x), np.asarray(y))[0]
+    return inst.exact.u_flux_load(np.asarray(x), np.asarray(y))[0]
 
 
 def test_lshape_exact_values():
@@ -187,9 +187,11 @@ def test_flux_is_consistent_with_gradient(name):
     inst = benchmark(name)
     pts = _interior_samples(name, np.random.default_rng(11))
     x, y = pts[:, 0], pts[:, 1]
-    u, p = inst.exact.u_and_flux(x, y)
-    # one closed form: the fused u is the boundary data's u, bit for bit
+    u, p, f = inst.exact.u_flux_load(x, y)
+    # one closed form: the fused u is the boundary data's u and the fused
+    # load the field's f, bit for bit
     assert np.array_equal(u, inst.field.u_dirichlet(x, y))
+    assert np.array_equal(f, inst.field.f(x, y))
     a = inst.field.a(x, y)
     b = inst.field.b(x, y)
     g = polar_gradient(name, x, y)
