@@ -53,7 +53,6 @@ from .problem import (
     DEFAULT_GAMMA_SWEEP,
     LSHAPE_LAMBDA_1,
     CoefficientField,
-    ExactSolution,
     PiecewiseData,
     ProblemInstance,
     benchmark,

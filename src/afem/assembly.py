@@ -9,6 +9,9 @@ quadrature and exact integration of the polynomial element integrands:
   edge-flux dofs (normal component on the canonical edge normal) followed
   by one scalar dof per triangle.
 
+Each assembler takes ``pw = project_p0(field, mesh)``, the piecewise data of
+its mesh, which also holds the condensation factor ``pw.kappa``.
+
 Each system is a (T, k, k) block of element matrices over a (T, k) array
 of dofs: a triangle's three edges (k = 3), plus its scalar in the
 saddle-point system (k = 4). One scatter (:func:`_scatter`) numbers the
@@ -24,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import MeshMismatch, SingularLocalFactor
-from .problem import PiecewiseData, project_p0, require_finite
+from .errors import MeshMismatch
+from .problem import require_finite
 
 
 @dataclass
@@ -126,12 +129,9 @@ def mixed_from_edge_flux(mesh, edge_flux, u):
     return MixedSolution(mesh=mesh, flux_const=const, flux_slope=slope, u=u)
 
 
-def _coerce_pw(mesh, pw_or_field):
-    if isinstance(pw_or_field, PiecewiseData):
-        if pw_or_field.mesh is not mesh:
-            raise MeshMismatch("piecewise data belongs to a different mesh")
-        return pw_or_field
-    return project_p0(pw_or_field, mesh)
+def _require_mesh(mesh, pw):
+    if pw.mesh is not mesh:
+        raise MeshMismatch("piecewise data belongs to a different mesh")
 
 
 def _scatter(n, dofs, local, load, free, fixed, values, kind="cr"):
@@ -219,14 +219,14 @@ def _boundary_values(mesh, u_dirichlet):
     )
 
 
-def assemble_ncfem(mesh, pw_or_field, u_dirichlet=None):
+def assemble_ncfem(mesh, pw, u_dirichlet=None):
     """Nonconforming system for a_NC(u, v) = (f_h, v) over all edge dofs.
 
     Coefficients enter through their centroid values (the piecewise data);
     the remaining polynomial integrals are exact. With ``u_dirichlet``
     given, boundary dofs are fixed to u_D(mid E) and eliminated.
     """
-    pw = _coerce_pw(mesh, pw_or_field)
+    _require_mesh(mesh, pw)
     area = mesh.area
     react = (
         (pw.gamma_h * area / 3.0)[:, None, None] * np.eye(3)[None, :, :]
@@ -237,38 +237,16 @@ def assemble_ncfem(mesh, pw_or_field, u_dirichlet=None):
     )
 
 
-def s_mean(pw):
-    """Element mean of the second-moment form, S_T / |T| (scales like h^2).
-
-    The condensation machinery pairs the S-weighted data against piecewise
-    constants in L2, so it is the mean, not the integral, that multiplies
-    them; using the raw integral breaks the reconstruction identity by a
-    factor |T|.
-    """
-    return pw.s_t / pw.mesh.area
-
-
-def condensation_factors(pw):
-    """kappa_T = (1 + gamma_h (S_T/|T|) / 4)^(-1), guarded against blow-up."""
-    denom = 1.0 + pw.gamma_h * s_mean(pw) / 4.0
-    if np.any(np.abs(denom) < 1e-12):
-        bad = int(np.argmin(np.abs(denom)))
-        raise SingularLocalFactor(
-            f"1 + gamma_h S_T/(4|T|) = {denom[bad]:.3e} on triangle {bad};"
-            " refine the mesh"
-        )
-    return 1.0 / denom
-
-
 def assemble_modified_ncfem(mesh, pw, u_dirichlet=None):
     """Condensed modified nonconforming system.
 
     The zero-order couplings act on the elementwise mean of the trial
     function (one-point integration semantics), scaled by the condensation
-    factor kappa_T; the load carries the matching corrections.
+    factor ``pw.kappa``, first computed here; the load carries the matching
+    corrections.
     """
-    pw = _coerce_pw(mesh, pw)
-    kappa = condensation_factors(pw)
+    _require_mesh(mesh, pw)
+    kappa = pw.kappa
     grad_psi = -2.0 * mesh.grad_bary()
     area = mesh.area
     # (gamma_h kappa Pi0 u, Pi0 v): mean of a CR basis function is 1/3
@@ -276,7 +254,7 @@ def assemble_modified_ncfem(mesh, pw, u_dirichlet=None):
         (1, 3, 3)
     )
     load = pw.f_h * area / 3.0
-    correction = kappa * s_mean(pw) / 4.0 * pw.f_h
+    correction = kappa * pw.s_mean / 4.0 * pw.f_h
     local_rhs = (
         load[:, None]
         - np.einsum("t,td,tid->ti", correction * area, pw.b_h, grad_psi)
@@ -295,7 +273,7 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
     element matrix over its three edge fluxes and its scalar. Rows and
     columns are numbered in ``mesh.saddle_order``, the order of elimination.
     """
-    pw = _coerce_pw(mesh, pw)
+    _require_mesh(mesh, pw)
     ne, nt = mesh.num_edges, mesh.num_triangles
     free = mesh.saddle_order  # dofs numbered first (see _cr_system)
     te = mesh.triangle_edges

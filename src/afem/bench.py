@@ -137,7 +137,7 @@ def error_norms(mixed, instance, data):
     u, p, f and gamma there are ``data``, the level's
     :class:`quadrature.Degree5Data` built with ``instance.exact`` (the
     estimator report's ``data``); the dyadic subdivision at the singular
-    vertex calls ``exact.u_flux_load`` and gamma once at its own points.
+    vertex calls ``instance.exact`` and gamma once at its own points.
     A value that is not finite raises NonFiniteCoefficient.
     """
     ex, cf = instance.exact, instance.field
@@ -176,7 +176,7 @@ def error_norms(mixed, instance, data):
         tri = _rotate_singular_first(mesh.triangle_vertices()[on], corners[on])
 
         def at_dyadic_points(x, y):
-            u, p, f = ex.u_flux_load(x, y)
+            u, p, f = ex(x, y)
             values = zip(("u", "p", "f", "gamma"), (u, p, f, cf.gamma(x, y)))
             return squared_errors(on, x, y, *(
                 problem.require_finite(name, v, "dyadic point", on, q)

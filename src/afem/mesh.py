@@ -421,18 +421,15 @@ def write_mesh_file(mesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_mesh_file(path_or_file, strict=True):
+def read_mesh_file(path, strict=True):
     """Read the plain-text mesh format written by :func:`write_mesh_file`.
 
     Boundary lines must name boundary edges, in either orientation, or
     :class:`DanglingBoundaryTag` is raised; their tags are dropped.
     ``strict`` is passed on to :func:`build_mesh`.
     """
-    if hasattr(path_or_file, "read"):
-        text = path_or_file.read()
-    else:
-        with open(path_or_file) as fh:
-            text = fh.read()
+    with open(path) as fh:
+        text = fh.read()
     tokens = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].replace("/", " ")

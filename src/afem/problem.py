@@ -4,20 +4,25 @@ Coefficient callbacks are vectorized: given flat arrays ``x, y`` of length
 N they return arrays of shape (N, 2, 2) for the diffusion matrix, (N, 2)
 for the convection field and (N,) for scalars. The piecewise-constant
 projection realizes the L2 projection by one-point (centroid) quadrature,
-which is also how every discrete system evaluates its coefficients. A
-problem with a known solution carries an :class:`ExactSolution`, which
-gives u, the flux and the load from one evaluation of its closed form; the
-estimator and the error norms take the load at their quadrature points from
-it, so it must equal the field's ``f``.
+which is also how every discrete system evaluates its coefficients, and
+gives the condensation factor of the modified nonconforming method. A
+problem with a known solution carries it as a callable ``exact(x, y) ->
+(u, p, f)``: u, shape (N,), its flux p = -(A grad u + u b), shape (N, 2),
+and the load f = div p + gamma u, shape (N,), from one evaluation of the
+closed form. The estimator and the error norms take the load from it at
+their quadrature points, so it must equal the field's ``f``.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteCoefficient, NotPositiveDefinite, UnknownBenchmark
+from .errors import (
+    NonFiniteCoefficient, NotPositiveDefinite, SingularLocalFactor, UnknownBenchmark
+)
 from .mesh import build_mesh, read_mesh_file
 
 # first Dirichlet-Laplace eigenvalue of the L-shaped domain
@@ -39,25 +44,11 @@ class CoefficientField:
 
 
 @dataclass(frozen=True)
-class ExactSolution:
-    """``u_flux_load(x, y) -> (u, p, f)``: the exact solution, shape (N,), its
-    flux p = -(A grad u + u b), shape (N, 2), and the load f = div p + gamma
-    u, shape (N,), from one evaluation of the closed form.
-
-    The estimator and the error norms take f at their quadrature points from
-    here and the discrete systems take it at the centroids from the field's
-    ``f``, so the two must return the same values.
-    """
-
-    u_flux_load: Callable
-
-
-@dataclass(frozen=True)
 class ProblemInstance:
     name: str
     field: CoefficientField
     start_mesh: Callable
-    exact: Optional[ExactSolution] = None
+    exact: Optional[Callable] = None  # exact(x, y) -> (u, p, f)
     singular_point: Optional[tuple] = None
     params: dict = field(default_factory=dict)
 
@@ -65,7 +56,7 @@ class ProblemInstance:
 @dataclass(frozen=True)
 class PiecewiseData:
     """Per-triangle constants: centroid values of the coefficients plus the
-    second-moment functional S_T and the condensation factor data."""
+    second-moment functional S_T and the condensation factor it gives."""
 
     mesh: object
     a_h: np.ndarray       # (T, 2, 2)
@@ -75,6 +66,26 @@ class PiecewiseData:
     gamma_h: np.ndarray   # (T,)
     f_h: np.ndarray       # (T,)
     s_t: np.ndarray       # (T,)
+
+    @property
+    def s_mean(self):
+        """S_T / |T|, the element mean of the second-moment form (scales like
+        h^2): the condensation pairs it with piecewise constants in L2, where
+        the raw integral would break the reconstruction identity by |T|."""
+        return self.s_t / self.mesh.area
+
+    @cached_property
+    def kappa(self):
+        """kappa_T = (1 + gamma_h (S_T/|T|) / 4)^(-1), computed on first use,
+        which raises :class:`SingularLocalFactor` near blow-up."""
+        denom = 1.0 + self.gamma_h * self.s_mean / 4.0
+        if np.any(np.abs(denom) < 1e-12):
+            bad = int(np.argmin(np.abs(denom)))
+            raise SingularLocalFactor(
+                f"1 + gamma_h S_T/(4|T|) = {denom[bad]:.3e} on triangle {bad};"
+                " refine the mesh"
+            )
+        return 1.0 / denom
 
 
 def constant_matrix(m):
@@ -215,8 +226,8 @@ def crack_start_mesh():
     which would import scipy.spatial at start-up.
     """
     ref = resources.files("afem").joinpath("data/crack0.mesh")
-    with ref.open("r") as fh:
-        return read_mesh_file(fh, strict=False)
+    with resources.as_file(ref) as path:
+        return read_mesh_file(path, strict=False)
 
 
 def _polar(x, y):
@@ -232,7 +243,7 @@ def _lshape_instance():
     def b(x, y):
         return np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)], axis=-1)
 
-    def u_flux_load(x, y):
+    def exact(x, y):
         r, t = _polar(x, y)
         s, c = np.sin(two_thirds * t), np.cos(two_thirds * t)
         u = r**two_thirds * s
@@ -247,14 +258,14 @@ def _lshape_instance():
         a=constant_matrix(np.eye(2)),
         b=b,
         gamma=constant_scalar(-4.0),
-        f=lambda x, y: u_flux_load(x, y)[2],
-        u_dirichlet=lambda x, y: u_flux_load(x, y)[0],
+        f=lambda x, y: exact(x, y)[2],
+        u_dirichlet=lambda x, y: exact(x, y)[0],
     )
     return ProblemInstance(
         name="lshape",
         field=coeffs,
         start_mesh=lshape_start_mesh,
-        exact=ExactSolution(u_flux_load=u_flux_load),
+        exact=exact,
         singular_point=(0.0, 0.0),
     )
 
@@ -266,7 +277,7 @@ def _crack_instance():
             axis=-1,
         )
 
-    def u_flux_load(x, y):
+    def exact(x, y):
         r, t = _polar(x, y)
         y = np.asarray(y, dtype=float)
         sqrt_r, s, c = np.sqrt(r), np.sin(0.5 * t), np.cos(0.5 * t)
@@ -284,14 +295,14 @@ def _crack_instance():
         a=constant_matrix(np.eye(2)),
         b=b,
         gamma=constant_scalar(0.0),
-        f=lambda x, y: u_flux_load(x, y)[2],
-        u_dirichlet=lambda x, y: u_flux_load(x, y)[0],
+        f=lambda x, y: exact(x, y)[2],
+        u_dirichlet=lambda x, y: exact(x, y)[0],
     )
     return ProblemInstance(
         name="crack",
         field=coeffs,
         start_mesh=crack_start_mesh,
-        exact=ExactSolution(u_flux_load=u_flux_load),
+        exact=exact,
         singular_point=(0.0, 0.0),
     )
 
@@ -347,21 +358,3 @@ def benchmark(name, **params):
         ) from None
     return factory(**params)
 
-
-__all__ = [
-    "CoefficientField",
-    "ExactSolution",
-    "ProblemInstance",
-    "PiecewiseData",
-    "project_p0",
-    "s_of_t",
-    "benchmark",
-    "register_problem",
-    "lshape_start_mesh",
-    "crack_start_mesh",
-    "constant_matrix",
-    "constant_vector",
-    "constant_scalar",
-    "LSHAPE_LAMBDA_1",
-    "DEFAULT_GAMMA_SWEEP",
-]

@@ -81,9 +81,9 @@ class Degree5Data:
 def degree5_data(mesh, coeffs, exact=None):
     """Map the degree-5 points onto every triangle of ``mesh`` and evaluate
     the data there, once for all 7T points: gamma from ``coeffs``, and u, p
-    and f from one call of ``exact.u_flux_load`` where an exact solution is
-    given, else f from ``coeffs``. A value that is not finite raises
-    NonFiniteCoefficient."""
+    and f from one call of ``exact(x, y) -> (u, p, f)`` where an exact
+    solution is given, else f from ``coeffs``. A value that is not finite
+    raises NonFiniteCoefficient."""
     pts = physical_points(mesh.triangle_vertices())
     x, y = pts[..., 0], pts[..., 1]
     xs, ys = x.ravel(), y.ravel()
@@ -96,7 +96,7 @@ def degree5_data(mesh, coeffs, exact=None):
     if exact is None:
         f = coeffs.f(xs, ys)
     else:
-        u, p, f = exact.u_flux_load(xs, ys)
+        u, p, f = exact(xs, ys)
         u, p = checked("u", u), checked("p", p)
     f = checked("f", f)
     gamma = checked("gamma", coeffs.gamma(xs, ys))

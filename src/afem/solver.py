@@ -2,8 +2,9 @@
 
 The reconstruction route solves the condensed modified nonconforming
 system, forms the scalar part from the S_T-weighted average of the element
-means and lifts the broken gradient to a conforming flux; the direct route
-factors the saddle-point system. Their agreement to solver precision is
+means, scaled by the factor ``pw.kappa`` the system was condensed with, and
+lifts the broken gradient to a conforming flux; the direct route factors
+the saddle-point system. Their agreement to solver precision is
 the package's strongest correctness oracle and is asserted on every level
 of every benchmark run. Every system is assembled in the order in which it
 is factored, computed once per mesh (:mod:`afem.ordering`) and kept on it,
@@ -24,11 +25,10 @@ from .assembly import (
     assemble_mixed_direct,
     assemble_modified_ncfem,
     assemble_ncfem,
-    condensation_factors,
     mixed_from_edge_flux,
-    s_mean,
 )
 from .errors import ConfigError, MeshMismatch, SingularMatrix
+from .problem import project_p0
 from .quadrature import affine_sq_l2
 
 
@@ -98,7 +98,7 @@ def _lu_solve(matrix, rhs, static=False):
 
 def solve_ncfem(mesh, field):
     """Solve the plain nonconforming method; returns a :class:`CRSolution`."""
-    system = assemble_ncfem(mesh, field, u_dirichlet=field.u_dirichlet)
+    system = assemble_ncfem(mesh, project_p0(field, mesh), field.u_dirichlet)
     return CRSolution(mesh=mesh, edge_values=solve_sparse(system).solution)
 
 
@@ -111,8 +111,7 @@ def reconstruct_mixed(pw, u_cr_tilde):
     mesh = u_cr_tilde.mesh
     if pw.mesh is not mesh:
         raise MeshMismatch("piecewise data and solution live on different meshes")
-    kappa = condensation_factors(pw)
-    u_m = kappa * (u_cr_tilde.triangle_means() + s_mean(pw) / 4.0 * pw.f_h)
+    u_m = pw.kappa * (u_cr_tilde.triangle_means() + pw.s_mean / 4.0 * pw.f_h)
     grads = u_cr_tilde.gradients()
     slope = 0.5 * (pw.f_h - pw.gamma_h * u_m)
     const = (

@@ -38,7 +38,6 @@ from afem.adapt import average_cr, dorfler_mark, estimate_mixed, grad_p1
 from afem.assembly import assemble_mixed_direct
 from afem.problem import (
     CoefficientField,
-    ExactSolution,
     ProblemInstance,
     constant_matrix,
     constant_scalar,
@@ -320,12 +319,12 @@ def residual_of_exact(instance, x, y, h=1e-5):
     y = np.asarray(y, dtype=float)
 
     def flux(x, y):
-        return instance.exact.u_flux_load(x, y)[1]
+        return instance.exact(x, y)[1]
 
     div_p = (flux(x + h, y)[..., 0] - flux(x - h, y)[..., 0]) / (2 * h) + (
         flux(x, y + h)[..., 1] - flux(x, y - h)[..., 1]
     ) / (2 * h)
-    return div_p + cf.gamma(x, y) * instance.exact.u_flux_load(x, y)[0] - cf.f(x, y)
+    return div_p + cf.gamma(x, y) * instance.exact(x, y)[0] - cf.f(x, y)
 
 
 def constant_instance():
@@ -342,10 +341,8 @@ def constant_instance():
         name="constant",
         field=field,
         start_mesh=lshape_start_mesh,
-        exact=ExactSolution(
-            u_flux_load=lambda x, y: (
-                np.ones(np.size(x)), np.zeros((np.size(x), 2)), np.zeros(np.size(x))
-            )
+        exact=lambda x, y: (
+            np.ones(np.size(x)), np.zeros((np.size(x), 2)), np.zeros(np.size(x))
         ),
         singular_point=(0.0, 0.0),
     )
@@ -409,7 +406,7 @@ def mixed_dirichlet_eigenvalue(mesh, shift):
         f=constant_scalar(0.0),
         u_dirichlet=constant_scalar(0.0),
     )
-    k0 = assemble_mixed_direct(mesh, laplace).in_dof_order()[0]
+    k0 = assemble_mixed_direct(mesh, project_p0(laplace, mesh)).in_dof_order()[0]
     weight = np.concatenate([np.zeros(mesh.num_edges), mesh.area])
     lu = spla.splu((k0 - shift * sp.diags(weight)).tocsc())
     op = spla.LinearOperator(

@@ -9,7 +9,6 @@ from afem.assembly import (
     assemble_mixed_direct,
     assemble_modified_ncfem,
     assemble_ncfem,
-    condensation_factors,
 )
 from afem.errors import SingularLocalFactor
 from afem.mesh import build_mesh
@@ -60,15 +59,15 @@ def local_matrix(mesh, system, t=0):
 
 def test_cr_stiffness_reference_triangle():
     mesh = build_mesh(REF_TRI, np.array([[0, 1, 2]]))
-    system = assemble_ncfem(mesh, make_field())
+    system = assemble_ncfem(mesh, project_p0(make_field(), mesh))
     expected = np.array([[4.0, -2.0, -2.0], [-2.0, 2.0, 0.0], [-2.0, 0.0, 2.0]])
     assert np.abs(local_matrix(mesh, system) - expected).max() < 1e-13
 
 
 def test_cr_reaction_is_scaled_identity():
     mesh = build_mesh(REF_TRI, np.array([[0, 1, 2]]))
-    pure = assemble_ncfem(mesh, make_field(gamma=1.0))
-    diff = assemble_ncfem(mesh, make_field())
+    pure = assemble_ncfem(mesh, project_p0(make_field(gamma=1.0), mesh))
+    diff = assemble_ncfem(mesh, project_p0(make_field(), mesh))
     react = local_matrix(mesh, pure) - local_matrix(mesh, diff)
     assert np.abs(react - (0.5 / 3.0) * np.eye(3)).max() < 1e-14
 
@@ -81,7 +80,8 @@ def test_cr_local_matrices_match_quadrature_oracle():
         b = rng.uniform(-2, 2, 2)
         gamma = rng.uniform(-3, 3)
         mesh = build_mesh(tri, np.array([[0, 1, 2]]))
-        system = assemble_ncfem(mesh, make_field(a=a, b=b, gamma=gamma))
+        pw = project_p0(make_field(a=a, b=b, gamma=gamma), mesh)
+        system = assemble_ncfem(mesh, pw)
         oracle = cr_local_stiffness(tri, a, b, gamma)
         scale = np.abs(oracle).max()
         assert np.abs(local_matrix(mesh, system) - oracle).max() < 1e-13 * scale
@@ -91,14 +91,16 @@ def test_cr_diffusion_rows_annihilate_constants():
     rng = np.random.default_rng(4)
     tri = random_triangle(rng)
     mesh = build_mesh(tri, np.array([[0, 1, 2]]))
-    k = local_matrix(mesh, assemble_ncfem(mesh, make_field(a=random_spd_matrix(rng))))
+    pw = project_p0(make_field(a=random_spd_matrix(rng)), mesh)
+    k = local_matrix(mesh, assemble_ncfem(mesh, pw))
     assert np.abs(k - k.T).max() < 1e-13
     assert np.abs(k.sum(axis=1)).max() < 1e-13
 
 
 def test_assembled_ncfem_spd_for_pure_diffusion():
     mesh = lshape_start_mesh()
-    system = assemble_ncfem(mesh, make_field(), u_dirichlet=constant_scalar(0.0))
+    pw = project_p0(make_field(), mesh)
+    system = assemble_ncfem(mesh, pw, u_dirichlet=constant_scalar(0.0))
     lu = spla.splu(system.matrix.tocsc())  # factorization succeeds
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -108,7 +110,8 @@ def test_assembled_ncfem_spd_for_pure_diffusion():
 
 def test_zero_data_gives_zero_solution():
     mesh = lshape_start_mesh()
-    system = assemble_ncfem(mesh, make_field(), u_dirichlet=constant_scalar(0.0))
+    pw = project_p0(make_field(), mesh)
+    system = assemble_ncfem(mesh, pw, u_dirichlet=constant_scalar(0.0))
     assert np.abs(system.rhs).max() == 0.0
 
 
@@ -127,7 +130,7 @@ def test_condensation_factor_on_reference_triangle():
     pw = project_p0(make_field(gamma=4.0), mesh)
     # S_T = 1/18 and |T| = 1/2, so the factor is (1 + 4*(1/9)/4)^-1 = 9/10
     assert pw.s_t[0] == pytest.approx(1 / 18, rel=1e-14)
-    assert condensation_factors(pw)[0] == pytest.approx(0.9, rel=1e-14)
+    assert pw.kappa[0] == pytest.approx(0.9, rel=1e-14)
 
 
 def test_singular_local_factor_detected():
@@ -141,17 +144,15 @@ def test_singular_local_factor_detected():
 
 def test_dirichlet_elimination_moves_columns():
     mesh = build_mesh(REF_TRI, np.array([[0, 1, 2]]))
-    zero = assemble_ncfem(
-        mesh, make_field(gamma=1.0), u_dirichlet=constant_scalar(0.0)
-    )
+    pw = project_p0(make_field(gamma=1.0), mesh)
+    zero = assemble_ncfem(mesh, pw, u_dirichlet=constant_scalar(0.0))
     assert zero.matrix.shape == (0, 0)  # single triangle: all edges boundary
     assert np.allclose(zero.fixed_values, 0.0)
 
     mesh2 = build_mesh(*SQUARE)
-    raw2 = assemble_ncfem(mesh2, make_field(gamma=1.0))
-    ones = assemble_ncfem(
-        mesh2, make_field(gamma=1.0), u_dirichlet=constant_scalar(1.0)
-    )
+    pw2 = project_p0(make_field(gamma=1.0), mesh2)
+    raw2 = assemble_ncfem(mesh2, pw2)
+    ones = assemble_ncfem(mesh2, pw2, u_dirichlet=constant_scalar(1.0))
     free = ones.free
     full = raw2.in_dof_order()[0].toarray()
     expected = -full[np.ix_(free, ones.fixed)] @ np.ones(len(ones.fixed))
@@ -237,7 +238,8 @@ def test_mixed_eigenvalue_oracle_matches_dense_schur():
     # B M^-1 B^T u = lambda diag(|T|) u over the triangle scalars
     mesh = uniform_red_refine(lshape_start_mesh())
     assert mesh.ndof_mixed == 256
-    k0 = assemble_mixed_direct(mesh, make_field()).in_dof_order()[0].toarray()
+    pw = project_p0(make_field(), mesh)
+    k0 = assemble_mixed_direct(mesh, pw).in_dof_order()[0].toarray()
     ne = mesh.num_edges
     schur = -k0[ne:, :ne] @ np.linalg.solve(k0[:ne, :ne], k0[:ne, ne:])
     dense = sla.eigh(schur, np.diag(mesh.area), eigvals_only=True)
@@ -256,7 +258,8 @@ def test_one_point_quadrature_exact_for_p0_coefficients():
     b = rng.uniform(-1, 1, 2)
     gamma = rng.uniform(-2, 2)
     mesh = build_mesh(tri, np.array([[0, 1, 2]]))
-    system = assemble_ncfem(mesh, make_field(a=a, b=b, gamma=gamma))
+    pw = project_p0(make_field(a=a, b=b, gamma=gamma), mesh)
+    system = assemble_ncfem(mesh, pw)
     oracle = cr_local_stiffness(tri, a, b, gamma)
     assert np.abs(local_matrix(mesh, system) - oracle).max() < 1e-13
 

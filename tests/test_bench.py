@@ -19,7 +19,6 @@ from afem.errors import ConfigError, NoExactSolution
 from afem.mesh import build_mesh
 from afem.problem import (
     CoefficientField,
-    ExactSolution,
     ProblemInstance,
     benchmark,
     constant_matrix,
@@ -55,11 +54,9 @@ def test_error_norms_zero_when_solution_in_space():
         f=constant_scalar(0.0),
         u_dirichlet=constant_scalar(1.0),
     )
-    exact = ExactSolution(
-        u_flux_load=lambda x, y: (
-            np.ones(np.size(x)), np.zeros((np.size(x), 2)), np.zeros(np.size(x))
-        )
-    )
+    def exact(x, y):
+        return np.ones(np.size(x)), np.zeros((np.size(x), 2)), np.zeros(np.size(x))
+
     inst = ProblemInstance(
         name="const", field=field, start_mesh=lambda: mesh, exact=exact
     )
@@ -83,7 +80,7 @@ def test_error_norms_zero_discrete_solution_against_oracle():
     e_u, _, _ = norms(zero, inst)
 
     def u_sq(x, y):
-        return inst.exact.u_flux_load(x, y)[0] ** 2
+        return inst.exact(x, y)[0] ** 2
 
     total = 0.0
     for tri in mesh.triangle_vertices():

@@ -159,13 +159,13 @@ def test_non_finite_exact_solution_is_input_error(
     lshape = problem.benchmark("lshape")
     mask = _nan_near(*near)
 
-    def u_flux_load(x, y):
-        values = list(lshape.exact.u_flux_load(x, y))
+    def exact(x, y):
+        values = list(lshape.exact(x, y))
         nan = mask(x, y)
         values[output] = values[output] * (nan[:, None] if output == 1 else nan)
         return tuple(values)
 
-    inst = dataclasses.replace(lshape, exact=problem.ExactSolution(u_flux_load))
+    inst = dataclasses.replace(lshape, exact=exact)
     with pytest.raises(afem.NonFiniteCoefficient, match=where):
         adapt.adaptive_loop(inst, mode="uniform", max_ndof=300)
     monkeypatch.setattr(problem, "_REGISTRY", dict(problem._REGISTRY))

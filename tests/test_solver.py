@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from afem import adapt, solver
 from afem.assembly import SparseSystem, assemble_ncfem
 from afem.errors import ConfigError, MeshMismatch, SingularMatrix
 from afem.mesh import build_mesh
 from afem.problem import (
     CoefficientField,
+    PiecewiseData,
     benchmark,
     constant_matrix,
     constant_scalar,
@@ -316,3 +318,42 @@ def test_galerkin_residual_of_cr_solve():
     resid = system.matrix @ sol.edge_values[system.free] - system.rhs
     scale = max(np.abs(system.rhs).max(), 1.0)
     assert np.abs(resid).max() <= 1e-9 * scale
+
+
+def test_condensation_factor_is_computed_once_per_level(monkeypatch):
+    # one kappa array per level: the condensed assembly computes it and
+    # reconstruct_mixed reads it back
+    kappa = PiecewiseData.__dict__["kappa"]
+    compute, made, seen = kappa.func, [], []
+
+    def counting(pw):
+        made.append(compute(pw))
+        return made[-1]
+
+    assemble = solver.assemble_modified_ncfem
+    reconstruct = solver.reconstruct_mixed
+
+    def spy_assemble(mesh, pw, **kw):
+        assert "kappa" not in pw.__dict__
+        system = assemble(mesh, pw, **kw)
+        seen.append(pw.__dict__["kappa"])
+        return system
+
+    def spy_reconstruct(pw, u_tilde):
+        cached = pw.__dict__["kappa"]
+        mixed = reconstruct(pw, u_tilde)
+        pw.__dict__["kappa"] = 2.0 * cached  # u_M is linear in the read kappa
+        assert np.array_equal(reconstruct(pw, u_tilde).u, 2.0 * mixed.u)
+        pw.__dict__["kappa"] = cached
+        seen.append(cached)
+        return mixed
+
+    monkeypatch.setattr(kappa, "func", counting)
+    monkeypatch.setattr(solver, "assemble_modified_ncfem", spy_assemble)
+    monkeypatch.setattr(solver, "reconstruct_mixed", spy_reconstruct)
+    history = adapt.adaptive_loop(benchmark("lshape"), mode="uniform", max_ndof=4000)
+    levels = len(history.records)
+    assert levels >= 3 and len(made) == levels
+    assert len(seen) == 2 * levels
+    for k, array in enumerate(made):
+        assert seen[2 * k] is array and seen[2 * k + 1] is array
