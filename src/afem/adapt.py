@@ -6,7 +6,9 @@ mesh-weighted volume term, a nonconformity term in which the minimum over
 conforming functions is bounded through the nodal average of -u~_CR, and
 two coefficient-approximation terms. The driver runs
 solve / estimate / mark / refine, cross-checking the reconstruction
-against the direct saddle solve on every level. The estimator evaluates
+against the direct solve of the saddle-point system on every level
+(:func:`solver.solve_mixed_direct`, which condenses the scalars where the
+reaction allows). The estimator evaluates
 gamma, and f or the exact solution with its load, once per level, at the
 degree-5 points of every triangle; its report hands that data on to the
 error norms, and the driver drops it with the level, before the next
@@ -220,7 +222,7 @@ def adaptive_loop(
     bench.require_mode(mode)
     mesh = start_mesh if start_mesh is not None else instance.start_mesh()
     del start_mesh  # the red children kept on it would keep every level alive
-    if mesh.ndof_mixed > max_ndof:
+    if not mesh.ndof_mixed <= max_ndof:  # NaN too
         raise ConfigError(
             f"max-ndof {max_ndof} < {mesh.ndof_mixed} mixed dofs of the start mesh"
         )

@@ -7,19 +7,22 @@ quadrature and exact integration of the polynomial element integrands:
 * its condensed modification whose solution reconstructs the mixed one;
 * the direct saddle-point system of the lowest-order mixed method over
   edge-flux dofs (normal component on the canonical edge normal) followed
-  by one scalar dof per triangle.
+  by one scalar dof per triangle, or that system with each triangle's
+  scalar eliminated (:func:`assemble_condensed_mixed`).
 
 Each assembler takes ``pw = project_p0(field, mesh)``, the piecewise data of
 its mesh, which also holds the condensation factor ``pw.kappa``.
 
 Each system is a (T, k, k) block of element matrices over a (T, k) array
 of dofs: a triangle's three edges (k = 3), plus its scalar in the
-saddle-point system (k = 4). One scatter (:func:`_scatter`) numbers the
-dofs in the order of elimination and sums the blocks into CSC form.
+saddle-point system (k = 4, :func:`_mixed_blocks`), which condensation
+takes back to k = 3. One scatter (:func:`_scatter`) numbers the dofs in
+the order of elimination and sums the blocks into CSC form.
 
 Dirichlet data enters by elimination (nonconforming) or through the
 natural boundary term of the first mixed equation, approximated with the
-one-point edge rule |E| u_D(mid E).
+one-point edge rule |E| u_D(mid E); so the condensed system keeps every
+edge.
 """
 
 from dataclasses import dataclass, field
@@ -263,19 +266,16 @@ def assemble_modified_ncfem(mesh, pw, u_dirichlet=None):
     return _cr_system(mesh, pw, grad_psi, kappa, react, local_rhs, u_dirichlet)
 
 
-def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
-    """Saddle-point system of the lowest-order mixed method.
+def _mixed_blocks(mesh, pw, u_dirichlet):
+    """``(local, load)``: the (T, 4, 4) element blocks of the saddle-point
+    system over each triangle's three edge fluxes and its scalar, and their
+    (T, 4) loads.
 
-    Dofs: edge fluxes (canonical edge index), then triangle scalars, with
-    block structure [[M, W - B^T], [B, C]]: the flux mass matrix M
-    (edge-midpoint rule, exact), the convection coupling W, the divergence
-    block B and C = diag(gamma_h |T|). Each triangle contributes a 4 x 4
-    element matrix over its three edge fluxes and its scalar. Rows and
-    columns are numbered in ``mesh.saddle_order``, the order of elimination.
+    A block is [[M_T, g_T], [b_T^T, c_T]]: the flux mass matrix M_T
+    (edge-midpoint rule, exact), g_T = w_T - b_T with the convection
+    coupling w_T, the divergence row b_T = sigma |E| and c_T = gamma_h |T|.
     """
-    _require_mesh(mesh, pw)
     ne, nt = mesh.num_edges, mesh.num_triangles
-    free = mesh.saddle_order  # dofs numbered first (see _cr_system)
     te = mesh.triangle_edges
     pv = mesh.triangle_vertices()
     sig = mesh.triangle_edge_signs.astype(float)
@@ -317,6 +317,77 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
         flux = np.zeros(ne)
         flux[bnd] = mesh.edge_length[bnd] * _boundary_values(mesh, u_dirichlet)
         load[:, :3] = -sig * flux[te]
-    dofs = np.column_stack((te, np.arange(ne, ne + nt)))
+    return local, load
+
+
+def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
+    """Saddle-point system of the lowest-order mixed method.
+
+    Dofs: edge fluxes (canonical edge index), then triangle scalars, with
+    block structure [[M, W - B^T], [B, C]]: the flux mass matrix M, the
+    convection coupling W, the divergence block B and C = diag(gamma_h |T|),
+    summed from the 4 x 4 blocks of :func:`_mixed_blocks`. Rows and columns
+    are numbered in ``mesh.saddle_order``, the order of elimination.
+    """
+    _require_mesh(mesh, pw)
+    ne, nt = mesh.num_edges, mesh.num_triangles
+    free = mesh.saddle_order  # dofs numbered first (see _cr_system)
+    local, load = _mixed_blocks(mesh, pw, u_dirichlet)
+    dofs = np.column_stack((mesh.triangle_edges, np.arange(ne, ne + nt)))
     return _scatter(ne + nt, dofs, local, load, free, np.empty(0, dtype=int),
                     np.empty(0), kind="mixed")
+
+
+@dataclass
+class CondensedMixed:
+    """The saddle-point system with each triangle's scalar eliminated.
+
+    ``system`` is the Schur complement over all edge fluxes, numbered in
+    ``mesh.edge_order``. The (T, 3) divergence rows ``div`` over the
+    triangles' ``edges``, the scalar loads ``load`` and the reactions
+    ``reaction`` give the scalars back (:meth:`scalar`).
+    """
+
+    system: SparseSystem
+    edges: np.ndarray
+    div: np.ndarray
+    load: np.ndarray
+    reaction: np.ndarray
+
+    def scalar(self, edge_flux):
+        """u_T = (f_T - b_T . p_T) / c_T from the solved edge fluxes."""
+        dot = np.einsum("tk,tk->t", self.div, edge_flux[self.edges])
+        return (self.load - dot) / self.reaction
+
+
+def assemble_condensed_mixed(mesh, pw, u_dirichlet, min_ratio):
+    """The saddle-point system condensed by exact block elimination of each
+    triangle's scalar (static condensation; Arnold & Brezzi 1985), or None.
+
+    A block [[M_T, g_T], [b_T^T, c_T]] of :func:`_mixed_blocks` with load
+    (l_T, f_T) contributes S_T = M_T - g_T b_T^T / c_T and
+    l_T - g_T f_T / c_T; no dof is fixed, as u_D is natural data. Since
+    det K = prod c_T det S, the condensed matrix is singular exactly when
+    the saddle-point matrix is. Its solution carries roundoff amplified by
+    about 1 / r_T, with r_T = |c_T| ||M_T||_F / (||g_T|| ||b_T||), so the
+    result is None unless every r_T is at least ``min_ratio``, which a zero
+    reaction (c_T = 0) fails before any block is built.
+    """
+    _require_mesh(mesh, pw)
+    if not pw.gamma_h.all():
+        return None
+    free = mesh.edge_order  # dofs numbered first (see _cr_system)
+    local, load = _mixed_blocks(mesh, pw, u_dirichlet)
+    mass, coupling = local[:, :3, :3], local[:, :3, 3]
+    div, reaction = local[:, 3, :3], local[:, 3, 3]
+    # r_T >= min_ratio without a division: g_T may vanish
+    scaled = np.abs(reaction) * np.linalg.norm(mass, axis=(1, 2))
+    bound = min_ratio * np.linalg.norm(coupling, axis=1) * np.linalg.norm(div, axis=1)
+    if not np.all(scaled >= bound):
+        return None
+    schur = mass - coupling[:, :, None] * div[:, None, :] / reaction[:, None, None]
+    rhs = load[:, :3] - coupling * load[:, 3, None] / reaction[:, None]
+    system = _scatter(mesh.num_edges, mesh.triangle_edges, schur, rhs, free,
+                      np.empty(0, dtype=int), np.empty(0), kind="mixed")
+    return CondensedMixed(system, mesh.triangle_edges, div.copy(),
+                          load[:, 3].copy(), reaction.copy())

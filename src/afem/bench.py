@@ -230,7 +230,7 @@ class ExperimentConfig:
         require_mode(self.mode)
         if not (0.0 < self.theta <= 1.0):
             raise ConfigError(f"theta must lie in (0, 1], got {self.theta}")
-        if self.max_ndof < 1:
+        if not self.max_ndof >= 1:  # NaN too
             raise ConfigError("max-ndof must be positive")
         if self.gamma is not None and self.problem != "eigen_sweep":
             raise ConfigError("gamma applies to eigen_sweep only")

@@ -1,17 +1,20 @@
 """Fill-reducing orderings of the two linear systems, computed from the mesh.
 
-Both systems of a level have one unknown per edge, and the saddle-point
-system one more per triangle. Their sparsity follows the mesh, so one
-geometric nested dissection of the edges (George 1973, "Nested dissection
-of a regular finite element mesh") orders both:
+Every system of a level has one unknown per edge, and the saddle-point
+system, where its scalars are not condensed, one more per triangle. Their
+sparsity follows the mesh, so one geometric nested dissection of the edges
+(George 1973, "Nested dissection of a regular finite element mesh") orders
+all of them:
 
 * :func:`nested_dissection` orders the edges, with minimum vertex
   separators taken from the cut neighbour pairs of each geometric split;
-  the nonconforming systems number their free edges in it;
+  the nonconforming systems number their free edges in it, and the
+  condensed saddle-point system all of its edges;
 * :func:`saddle_order` inserts each triangle's scalar unknown into it so
   that every leading block of the saddle-point matrix stays nonsingular,
   which lets the matrix, assembled in this order, be factored with
-  diagonal (static) pivots.
+  diagonal (static) pivots. Only levels that cannot be condensed, such as
+  those with the zero reaction of ``crack``, build it.
 """
 
 import numpy as np

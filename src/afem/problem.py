@@ -13,7 +13,7 @@ closed form. The estimator and the error norms take the load from it at
 their quadrature points, so it must equal the field's ``f``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from typing import Callable, Optional
@@ -50,7 +50,6 @@ class ProblemInstance:
     start_mesh: Callable
     exact: Optional[Callable] = None  # exact(x, y) -> (u, p, f)
     singular_point: Optional[tuple] = None
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,6 @@ def _eigen_sweep_instance(gamma):
         start_mesh=lshape_start_mesh,
         exact=None,
         singular_point=None,
-        params={"gamma": gamma},
     )
 
 

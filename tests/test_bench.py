@@ -263,6 +263,19 @@ def test_run_experiment_config_errors():
         ExperimentConfig(problem="nonexistent_problem").validate()
 
 
+def test_nan_budget_is_config_error(tmp_path):
+    # NaN fails every comparison: the run used to solve nothing, write
+    # nothing and exit 0
+    config = ExperimentConfig(
+        problem="lshape", max_ndof=float("nan"), out=str(tmp_path)
+    )
+    with pytest.raises(ConfigError, match="max-ndof"):
+        run_experiment(config, echo=lambda *_: None)
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ConfigError, match="max-ndof"):
+        adaptive_loop(benchmark("lshape"), mode="uniform", max_ndof=float("nan"))
+
+
 def test_eigen_sweep_single_gamma_records_event(tmp_path):
     config = ExperimentConfig(
         problem="eigen_sweep",

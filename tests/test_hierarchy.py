@@ -66,9 +66,10 @@ def test_eigen_sweep_builds_each_level_and_its_orders_once(tmp_path, monkeypatch
     assert len(result.histories) == 8
     ndofs = {tuple(h.ndofs) for h in result.histories.values()}
     assert ndofs == {(68, 256, 992, 3904)}
-    # one call per distinct level, where each sweep value used to build its own
+    # one call per distinct level, where each sweep value used to build its own;
+    # every sweep level condenses its direct system, so none needs the saddle order
     assert calls == {
-        "build_mesh": 4, "nested_dissection": 4, "saddle_order": 4,
+        "build_mesh": 4, "nested_dissection": 4, "saddle_order": 0,
     }
 
 

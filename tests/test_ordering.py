@@ -185,12 +185,9 @@ def _colamd_solution(system):
     return system.full_solution(x)
 
 
-def test_routes_factor_in_the_mesh_orders(monkeypatch):
-    # every system is assembled in its elimination order and factored as it
-    # is: both mixed routes and the plain nonconforming solve
-    mesh = _lshape_twice_refined()
-    inst = benchmark("lshape")
-    pw = project_p0(inst.field, mesh)
+def _capture_factored(monkeypatch):
+    """Spy on ``solver.solve_sparse`` and ``splu``: ``(systems, factored)``,
+    the systems solved and the ``(matrix, options)`` factored, in order."""
     systems, factored = [], []
     solve_sparse = solver.solve_sparse
     splu = spla.splu
@@ -205,6 +202,17 @@ def test_routes_factor_in_the_mesh_orders(monkeypatch):
 
     monkeypatch.setattr(solver, "solve_sparse", capture)
     monkeypatch.setattr(spla, "splu", spy)
+    return systems, factored
+
+
+def test_routes_factor_in_the_mesh_orders(monkeypatch):
+    # every system is assembled in its elimination order and factored as it
+    # is: both mixed routes and the plain nonconforming solve; the L-shape's
+    # direct route condenses its scalars and factors all edges
+    mesh = _lshape_twice_refined()
+    inst = benchmark("lshape")
+    pw = project_p0(inst.field, mesh)
+    systems, factored = _capture_factored(monkeypatch)
     mixed, _ = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet)
     direct = solver.solve_mixed_direct(mesh, pw, inst.field.u_dirichlet)
     solver.solve_ncfem(mesh, inst.field)
@@ -212,14 +220,30 @@ def test_routes_factor_in_the_mesh_orders(monkeypatch):
     for (matrix, options), system in zip(factored, systems):
         assert matrix is system.matrix
         assert options == STATIC
-    recon, saddle, plain = systems
+    recon, condensed, plain = systems
 
     edge_order = mesh.edge_order
     assert np.array_equal(np.sort(edge_order), np.arange(mesh.num_edges))
     interior = edge_order[np.isin(edge_order, mesh.interior_edges)]
     assert np.array_equal(recon.free, interior)
     assert np.array_equal(plain.free, interior)
+    assert np.array_equal(condensed.free, edge_order)
+    assert max(solver.equivalence_residual(direct, mixed)) < 1e-10
+
+
+def test_direct_route_without_reaction_factors_in_saddle_order(monkeypatch):
+    # the crack's zero reaction keeps each scalar: the saddle-point system is
+    # factored in the mesh's saddle order
+    inst = benchmark("crack")
+    mesh = uniform_red_refine(crack_start_mesh())
+    pw = project_p0(inst.field, mesh)
+    systems, factored = _capture_factored(monkeypatch)
+    direct = solver.solve_mixed_direct(mesh, pw, inst.field.u_dirichlet)
+    ((matrix, options),) = factored
+    (saddle,) = systems
+    assert matrix is saddle.matrix and options == STATIC
     assert np.array_equal(saddle.free, saddle_order(mesh))
+    mixed, _ = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet)
     assert max(solver.equivalence_residual(direct, mixed)) < 1e-10
 
 

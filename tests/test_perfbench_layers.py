@@ -209,5 +209,8 @@ def test_every_level_factors_twice_in_order(tmp_path, monkeypatch):
     assert all(permc == "NATURAL" for _, permc in calls)
     metrics = tracer.metrics()
     assert metrics["solver.factorizations"] == 2 * levels
-    assert metrics["solver.nnz_lu_direct"] > 0
-    assert metrics["solver.nnz_lu_recon"] > 0
+    # the L-shape's direct route factors its condensed edge system, whose
+    # fill is the reconstruction's with the boundary edges added
+    recon = metrics["solver.nnz_lu_recon"]
+    assert recon > 0
+    assert abs(metrics["solver.nnz_lu_direct"] - recon) <= 0.01 * recon

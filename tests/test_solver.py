@@ -3,9 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from afem import adapt, solver
-from afem.assembly import SparseSystem, assemble_ncfem
+from afem.assembly import (
+    SparseSystem,
+    assemble_condensed_mixed,
+    assemble_mixed_direct,
+    assemble_ncfem,
+    mixed_from_edge_flux,
+)
+from afem.bench import ExperimentConfig, run_experiment
 from afem.errors import ConfigError, MeshMismatch, SingularMatrix
 from afem.mesh import build_mesh
 from afem.problem import (
@@ -357,3 +365,90 @@ def test_condensation_factor_is_computed_once_per_level(monkeypatch):
     assert len(seen) == 2 * levels
     for k, array in enumerate(made):
         assert seen[2 * k] is array and seen[2 * k + 1] is array
+
+
+def _lshape_level(levels):
+    mesh = lshape_start_mesh()
+    for _ in range(levels):
+        mesh = uniform_red_refine(mesh)
+    return mesh
+
+
+def test_condensed_direct_route_matches_saddle_solve_and_reconstruction():
+    # eliminating each triangle's scalar is exact block elimination of the
+    # saddle-point system: the same solution to roundoff
+    inst = benchmark("lshape")
+    u_d = inst.field.u_dirichlet
+    mesh = _lshape_level(3)
+    pw = project_p0(inst.field, mesh)
+    assert assemble_condensed_mixed(mesh, pw, u_d, solver.CONDENSE_MIN_RATIO)
+    direct = solve_mixed_direct(mesh, pw, u_d)
+    x = solve_sparse(assemble_mixed_direct(mesh, pw, u_d)).solution
+    ne = mesh.num_edges
+    saddle = mixed_from_edge_flux(mesh, x[:ne], x[ne:])
+    recon, _ = solve_mixed_via_equivalence(mesh, pw, u_d)
+    assert max(equivalence_residual(direct, saddle)) < 1e-12
+    assert max(equivalence_residual(direct, recon)) < 1e-12
+
+
+def _direct_factor_sizes(monkeypatch):
+    """Per direct solve of the loop: ``(E, T, sizes)``, with the sizes of the
+    matrices ``splu`` factored inside it."""
+    sizes, solves = [], []
+    splu = spla.splu
+    direct = adapt.solve_mixed_direct
+
+    def spy(matrix, **options):
+        sizes.append(matrix.shape[0])
+        return splu(matrix, **options)
+
+    def route(mesh, pw, u_dirichlet):
+        start = len(sizes)
+        mixed = direct(mesh, pw, u_dirichlet=u_dirichlet)
+        solves.append((mesh.num_edges, mesh.num_triangles, sizes[start:]))
+        return mixed
+
+    monkeypatch.setattr(spla, "splu", spy)
+    monkeypatch.setattr(adapt, "solve_mixed_direct", route)
+    return solves
+
+
+@pytest.mark.parametrize(
+    "problem,mode,max_ndof,keeps_scalars",
+    [
+        ("lshape", "uniform", 16000, False),
+        ("eigen_sweep", "uniform", 16000, False),
+        ("crack", "adaptive", 3000, True),  # zero reaction
+    ],
+)
+def test_direct_route_factors_edges_where_every_reaction_allows(
+    tmp_path, monkeypatch, problem, mode, max_ndof, keeps_scalars
+):
+    solves = _direct_factor_sizes(monkeypatch)
+    config = ExperimentConfig(
+        problem=problem, mode=mode, max_ndof=max_ndof, out=str(tmp_path)
+    )
+    result = run_experiment(config, echo=lambda *_: None)
+    assert result.exit_code == 0
+    levels = sum(len(h.records) for h in result.histories.values())
+    assert len(solves) == levels >= 3
+    for ne, nt, sizes in solves:
+        assert sizes == [ne + nt if keeps_scalars else ne]
+
+
+def test_tiny_reaction_keeps_the_saddle_path(monkeypatch):
+    # gamma = -1e-6: r_T is about 3e-10 on level 3, where condensing amplifies
+    # roundoff past the solve's trust test; the saddle path solves it exactly
+    lshape = benchmark("lshape")
+    field = dataclasses.replace(lshape.field, gamma=constant_scalar(-1e-6))
+    inst = dataclasses.replace(lshape, field=field)
+    solves = _direct_factor_sizes(monkeypatch)
+    history = adapt.adaptive_loop(inst, mode="uniform", max_ndof=4000)
+    assert history.failure is None and history.ndofs[-1] == 3904
+    assert [sizes for _, _, sizes in solves] == [[ne + nt] for ne, nt, _ in solves]
+    assert max(max(record.equivalence) for record in history.records) < 1e-12
+    mesh = _lshape_level(3)
+    pw = project_p0(field, mesh)
+    forced = assemble_condensed_mixed(mesh, pw, field.u_dirichlet, 0.0)
+    with pytest.raises(SingularMatrix):
+        solve_sparse(forced.system)
