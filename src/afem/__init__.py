@@ -3,9 +3,9 @@ problems, possibly indefinite and non-selfadjoint, with residual a
 posteriori error control and adaptive red-green-blue refinement.
 
 The mixed (lowest-order Raviart-Thomas) solution is available both from a
-direct saddle-point solve and from a closed-form reconstruction out of a
-modified Crouzeix-Raviart solve; the two agree to solver precision, which
-the adaptive driver verifies on every level.
+direct solve of the hybridized saddle-point system and from a closed-form
+reconstruction out of a modified Crouzeix-Raviart solve; the two agree to
+solver precision, which the adaptive driver verifies on every level.
 """
 
 from .adapt import (

@@ -6,9 +6,8 @@ mesh-weighted volume term, a nonconformity term in which the minimum over
 conforming functions is bounded through the nodal average of -u~_CR, and
 two coefficient-approximation terms. The driver runs
 solve / estimate / mark / refine, cross-checking the reconstruction
-against the direct solve of the saddle-point system on every level
-(:func:`solver.solve_mixed_direct`, which condenses the scalars where the
-reaction allows). The estimator evaluates
+against the direct solve of the hybridized saddle-point system on every
+level (:func:`solver.solve_mixed_direct`). The estimator evaluates
 gamma, and f or the exact solution with its load, once per level, at the
 degree-5 points of every triangle; its report hands that data on to the
 error norms, and the driver drops it with the level, before the next

@@ -5,24 +5,25 @@ quadrature and exact integration of the polynomial element integrands:
 
 * the nonconforming system  a_NC(u, v) = (f_h, v)  over edge-midpoint dofs;
 * its condensed modification whose solution reconstructs the mixed one;
-* the direct saddle-point system of the lowest-order mixed method over
-  edge-flux dofs (normal component on the canonical edge normal) followed
-  by one scalar dof per triangle, or that system with each triangle's
-  scalar eliminated (:func:`assemble_condensed_mixed`).
+* the saddle-point system of the lowest-order mixed method over edge-flux
+  dofs (normal component on the canonical edge normal) followed by one
+  scalar dof per triangle (:func:`assemble_mixed_direct`), and the same
+  system hybridized, over one multiplier per edge
+  (:func:`assemble_hybrid_mixed`), which the direct route factors.
 
 Each assembler takes ``pw = project_p0(field, mesh)``, the piecewise data of
 its mesh, which also holds the condensation factor ``pw.kappa``.
 
 Each system is a (T, k, k) block of element matrices over a (T, k) array
 of dofs: a triangle's three edges (k = 3), plus its scalar in the
-saddle-point system (k = 4, :func:`_mixed_blocks`), which condensation
+saddle-point system (k = 4, :func:`_mixed_blocks`), which hybridization
 takes back to k = 3. One scatter (:func:`_scatter`) numbers the dofs in
 the order of elimination and sums the blocks into CSC form.
 
-Dirichlet data enters by elimination (nonconforming) or through the
-natural boundary term of the first mixed equation, approximated with the
-one-point edge rule |E| u_D(mid E); so the condensed system keeps every
-edge.
+Dirichlet data enters by elimination (the edge systems: boundary edges
+are fixed to u_D(mid E), :func:`_edge_numbering`) or through the natural
+boundary term of the first mixed equation, approximated with the
+one-point edge rule |E| u_D(mid E).
 """
 
 from dataclasses import dataclass, field
@@ -119,17 +120,20 @@ class MixedSolution:
         return 2.0 * self.flux_slope
 
 
-def mixed_from_edge_flux(mesh, edge_flux, u):
-    """Expand edge flux dofs into the per-triangle affine representation."""
-    s = (
-        mesh.triangle_edge_signs
-        * mesh.edge_length[mesh.triangle_edges]
-        / (2.0 * mesh.area[:, None])
-    )  # (T, 3); local basis sigma |E| / (2|T|) (x - P_opp)
-    coef = edge_flux[mesh.triangle_edges] * s
+def mixed_from_local_flux(mesh, flux, u):
+    """Expand the (T, 3) flux dofs of each triangle's edges into the
+    per-triangle affine representation."""
+    # local basis sigma |E| / (2|T|) (x - P_opp)
+    coef = flux * (_divergence_rows(mesh) / (2.0 * mesh.area[:, None]))
     slope = coef.sum(axis=1)
     const = -np.einsum("tk,tkd->td", coef, mesh.triangle_vertices())
     return MixedSolution(mesh=mesh, flux_const=const, flux_slope=slope, u=u)
+
+
+def _divergence_rows(mesh):
+    """(T, 3) divergence rows b_T = sigma |E| = (div q, 1)_T of the signed
+    local flux basis."""
+    return mesh.triangle_edge_signs * mesh.edge_length[mesh.triangle_edges]
 
 
 def _require_mesh(mesh, pw):
@@ -194,22 +198,28 @@ def _cr_system(mesh, pw, grad_psi, conv_weight, react, local_rhs, u_dirichlet):
     plus the (T, 3, 3) reaction block; ``local_rhs`` holds the (T, 3)
     element loads. The free edges are numbered in ``mesh.edge_order``.
     """
+    # dofs numbered first: the mesh's edge order, built on first use,
+    # outlives the level, and built among the triplet temporaries it
+    # fragments the heap
+    free, fixed, values = _edge_numbering(mesh, u_dirichlet)
     area = mesh.area
-    ne = mesh.num_edges
-    # dofs numbered first: the mesh's orders, built on first use, outlive the
-    # level, and built among the triplet temporaries they fragment the heap
-    fixed, values = np.empty(0, dtype=int), np.empty(0)
-    if u_dirichlet is not None:
-        # essential data: fix boundary dofs to u_D(mid E), move their columns
-        fixed, values = mesh.boundary_edges, _boundary_values(mesh, u_dirichlet)
-    is_free = np.ones(ne, dtype=bool)
-    is_free[fixed] = False
-    free = mesh.edge_order[is_free[mesh.edge_order]]
-
     diff = _diffusion(area, pw.a_h, grad_psi)
     conv = np.einsum("t,td,tid->ti", conv_weight * area / 3.0, pw.b_h, grad_psi)
     local = diff + conv[:, :, None] + react
-    return _scatter(ne, mesh.triangle_edges, local, local_rhs, free, fixed, values)
+    return _scatter(mesh.num_edges, mesh.triangle_edges, local, local_rhs, free,
+                    fixed, values)
+
+
+def _edge_numbering(mesh, u_dirichlet):
+    """``(free, fixed, values)`` of a system over the edges: with
+    ``u_dirichlet`` given, the boundary edges are fixed to u_D(mid E); the
+    free edges are numbered in ``mesh.edge_order``."""
+    fixed, values = np.empty(0, dtype=int), np.empty(0)
+    if u_dirichlet is not None:
+        fixed, values = mesh.boundary_edges, _boundary_values(mesh, u_dirichlet)
+    is_free = np.ones(mesh.num_edges, dtype=bool)
+    is_free[fixed] = False
+    return mesh.edge_order[is_free[mesh.edge_order]], fixed, values
 
 
 def _boundary_values(mesh, u_dirichlet):
@@ -278,9 +288,8 @@ def _mixed_blocks(mesh, pw, u_dirichlet):
     ne, nt = mesh.num_edges, mesh.num_triangles
     te = mesh.triangle_edges
     pv = mesh.triangle_vertices()
-    sig = mesh.triangle_edge_signs.astype(float)
-    # divergence of the signed basis is sigma |E| / |T|; (div p, 1)_T = sigma |E|
-    div_coef = sig * mesh.edge_length[te]  # (T, 3)
+    # divergence of the signed basis is sigma |E| / |T|
+    div_coef = _divergence_rows(mesh)
     # (T, 3) coefficient of (x - P_k) in the signed local basis
     scale = div_coef / (2.0 * mesh.area[:, None])
 
@@ -316,7 +325,7 @@ def _mixed_blocks(mesh, pw, u_dirichlet):
         bnd = mesh.boundary_edges
         flux = np.zeros(ne)
         flux[bnd] = mesh.edge_length[bnd] * _boundary_values(mesh, u_dirichlet)
-        load[:, :3] = -sig * flux[te]
+        load[:, :3] = -mesh.triangle_edge_signs * flux[te]
     return local, load
 
 
@@ -326,68 +335,72 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
     Dofs: edge fluxes (canonical edge index), then triangle scalars, with
     block structure [[M, W - B^T], [B, C]]: the flux mass matrix M, the
     convection coupling W, the divergence block B and C = diag(gamma_h |T|),
-    summed from the 4 x 4 blocks of :func:`_mixed_blocks`. Rows and columns
-    are numbered in ``mesh.saddle_order``, the order of elimination.
+    summed from the 4 x 4 blocks of :func:`_mixed_blocks`, in dof order.
+    The direct route solves it hybridized (:func:`assemble_hybrid_mixed`);
+    this assembly serves ``--dump-systems``.
     """
     _require_mesh(mesh, pw)
     ne, nt = mesh.num_edges, mesh.num_triangles
-    free = mesh.saddle_order  # dofs numbered first (see _cr_system)
     local, load = _mixed_blocks(mesh, pw, u_dirichlet)
     dofs = np.column_stack((mesh.triangle_edges, np.arange(ne, ne + nt)))
-    return _scatter(ne + nt, dofs, local, load, free, np.empty(0, dtype=int),
-                    np.empty(0), kind="mixed")
+    return _scatter(ne + nt, dofs, local, load, np.arange(ne + nt),
+                    np.empty(0, dtype=int), np.empty(0), kind="mixed")
 
 
-@dataclass
-class CondensedMixed:
-    """The saddle-point system with each triangle's scalar eliminated.
-
-    ``system`` is the Schur complement over all edge fluxes, numbered in
-    ``mesh.edge_order``. The (T, 3) divergence rows ``div`` over the
-    triangles' ``edges``, the scalar loads ``load`` and the reactions
-    ``reaction`` give the scalars back (:meth:`scalar`).
-    """
-
-    system: SparseSystem
-    edges: np.ndarray
-    div: np.ndarray
-    load: np.ndarray
-    reaction: np.ndarray
-
-    def scalar(self, edge_flux):
-        """u_T = (f_T - b_T . p_T) / c_T from the solved edge fluxes."""
-        dot = np.einsum("tk,tk->t", self.div, edge_flux[self.edges])
-        return (self.load - dot) / self.reaction
+def _inverse_3x3(m):
+    """Inverses of the (T, 3, 3) matrices ``m`` from their adjugates: row i
+    of m^-1 is the cross product of the other two columns over det m."""
+    c0, c1, c2 = m[:, :, 0], m[:, :, 1], m[:, :, 2]
+    adj = np.stack((np.cross(c1, c2), np.cross(c2, c0), np.cross(c0, c1)), axis=1)
+    det = np.einsum("tk,tk->t", adj[:, 0], c0)
+    return adj / det[:, None, None]
 
 
-def assemble_condensed_mixed(mesh, pw, u_dirichlet, min_ratio):
-    """The saddle-point system condensed by exact block elimination of each
-    triangle's scalar (static condensation; Arnold & Brezzi 1985), or None.
+def assemble_hybrid_mixed(mesh, pw, u_dirichlet):
+    """The saddle-point system hybridized (Arnold & Brezzi 1985):
+    ``(system, recover)``, the system of the edge multipliers and the map
+    from its full solution to the :class:`MixedSolution`.
 
-    A block [[M_T, g_T], [b_T^T, c_T]] of :func:`_mixed_blocks` with load
-    (l_T, f_T) contributes S_T = M_T - g_T b_T^T / c_T and
-    l_T - g_T f_T / c_T; no dof is fixed, as u_D is natural data. Since
-    det K = prod c_T det S, the condensed matrix is singular exactly when
-    the saddle-point matrix is. Its solution carries roundoff amplified by
-    about 1 / r_T, with r_T = |c_T| ||M_T||_F / (||g_T|| ||b_T||), so the
-    result is None unless every r_T is at least ``min_ratio``, which a zero
-    reaction (c_T = 0) fails before any block is built.
+    Each triangle keeps its own fluxes p_T; a multiplier lambda_E per edge,
+    u_D(mid E) on the boundary edges (:func:`_edge_numbering`), ties them to
+    their neighbours'. With the block [[M_T, g_T], [b_T^T, c_T]] of
+    :func:`_mixed_blocks`, its scalar load f_T and D = diag(b_T), a triangle
+    solves M_T p_T + g_T u_T = -D lambda_T, b_T . p_T + c_T u_T = f_T
+    exactly: with s_T = c_T - b_T^T M_T^-1 g_T,
+
+        u_T = (f_T + b_T^T M_T^-1 D lambda_T) / s_T,
+        p_T = -M_T^-1 (D lambda_T + g_T u_T),
+
+    and the continuity of the normal flux, sum_T D p_T = 0 on every interior
+    edge, is the system D (M^-1 + M^-1 g b^T M^-1 / s) D lambda =
+    -D M^-1 g f / s, summed over the triangles. It is the modified
+    nonconforming system to roundoff (Marini 1985), and s_T =
+    4|T| / (S_T/|T| kappa_T), which vanishes only where ``pw.kappa`` raises
+    :class:`SingularLocalFactor`.
     """
     _require_mesh(mesh, pw)
-    if not pw.gamma_h.all():
-        return None
-    free = mesh.edge_order  # dofs numbered first (see _cr_system)
-    local, load = _mixed_blocks(mesh, pw, u_dirichlet)
-    mass, coupling = local[:, :3, :3], local[:, :3, 3]
-    div, reaction = local[:, 3, :3], local[:, 3, 3]
-    # r_T >= min_ratio without a division: g_T may vanish
-    scaled = np.abs(reaction) * np.linalg.norm(mass, axis=(1, 2))
-    bound = min_ratio * np.linalg.norm(coupling, axis=1) * np.linalg.norm(div, axis=1)
-    if not np.all(scaled >= bound):
-        return None
-    schur = mass - coupling[:, :, None] * div[:, None, :] / reaction[:, None, None]
-    rhs = load[:, :3] - coupling * load[:, 3, None] / reaction[:, None]
-    system = _scatter(mesh.num_edges, mesh.triangle_edges, schur, rhs, free,
-                      np.empty(0, dtype=int), np.empty(0), kind="mixed")
-    return CondensedMixed(system, mesh.triangle_edges, div.copy(),
-                          load[:, 3].copy(), reaction.copy())
+    free, fixed, values = _edge_numbering(mesh, u_dirichlet)  # see _cr_system
+    local, load = _mixed_blocks(mesh, pw, None)  # u_D enters as lambda
+    div, coupling = _divergence_rows(mesh), local[:, :3, 3]
+    m_inv = _inverse_3x3(local[:, :3, :3])
+    m_inv_g = np.einsum("tij,tj->ti", m_inv, coupling)
+    b_m_inv = np.einsum("ti,tij->tj", div, m_inv)
+    s = local[:, 3, 3] - np.einsum("tk,tk->t", b_m_inv, coupling)
+    f_over_s = load[:, 3] / s
+    b_m_inv_over_s = b_m_inv / s[:, None]
+    del local, load, coupling  # the (T, 4, 4) blocks go before the scatter
+    dm_inv_g = div * m_inv_g
+    hybrid = (
+        div[:, :, None] * m_inv * div[:, None, :]
+        + dm_inv_g[:, :, None] * (b_m_inv_over_s * div)[:, None, :]
+    )
+    system = _scatter(mesh.num_edges, mesh.triangle_edges, hybrid,
+                      -dm_inv_g * f_over_s[:, None], free, fixed, values)
+
+    def recover(multiplier):
+        d_lambda = _divergence_rows(mesh) * multiplier[mesh.triangle_edges]
+        u = f_over_s + np.einsum("tk,tk->t", b_m_inv_over_s, d_lambda)
+        flux = -np.einsum("tij,tj->ti", m_inv, d_lambda) - m_inv_g * u[:, None]
+        return mixed_from_local_flux(mesh, flux, u)
+
+    return system, recover

@@ -13,12 +13,12 @@ Conventions
 A Triangulation is immutable after construction: everything it carries,
 including the green/blue flags and the red-green-blue refinement state
 that :mod:`afem.refine` keeps behind an adaptively refined mesh, is passed
-to the constructor or, like the edge order, the saddle-point order and the
-uniform red child, derived from it once, and refinement always returns a
-new mesh. The red child is kept on its parent
-(:func:`afem.refine.uniform_red_refine`), so all histories that refine one
-mesh uniformly walk one hierarchy, and the orders of each level are
-computed once however many histories solve on it.
+to the constructor or, like the edge order and the uniform red child,
+derived from it once, and refinement always returns a new mesh. The red
+child is kept on its parent (:func:`afem.refine.uniform_red_refine`), so
+all histories that refine one mesh uniformly walk one hierarchy, and the
+edge order of each level is computed once however many histories solve on
+it.
 
 An undirected edge (a, b) is identified by one int64 key,
 ``min(a, b) << 32 | max(a, b)`` (:func:`edge_key`); sorting the keys sorts
@@ -87,7 +87,6 @@ class Triangulation:
     area, h_t, centroid : per-triangle geometry
     edge_length, edge_mid : per-edge geometry
     edge_order : (E,) int array, :func:`afem.ordering.nested_dissection`
-    saddle_order : (E + T,) int array, :func:`afem.ordering.saddle_order`
     """
 
     def __init__(self, vertices, triangles, green_flag=None, rgb=None):
@@ -191,14 +190,6 @@ class Triangulation:
         """Nested-dissection order of the edges, computed on first use; both
         sparse factorizations of a level share it."""
         order = ordering.nested_dissection(self)
-        order.flags.writeable = False
-        return order
-
-    @cached_property
-    def saddle_order(self):
-        """Order of the saddle-point unknowns, computed on first use and
-        shared by every reaction coefficient solved on this mesh."""
-        order = ordering.saddle_order(self)
         order.flags.writeable = False
         return order
 

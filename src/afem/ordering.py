@@ -1,29 +1,17 @@
-"""Fill-reducing orderings of the two linear systems, computed from the mesh.
+"""Fill-reducing order of the linear systems, computed from the mesh.
 
-Every system of a level has one unknown per edge, and the saddle-point
-system, where its scalars are not condensed, one more per triangle. Their
+Every system that a level factors has one unknown per interior edge: the
+modified nonconforming system and the hybridized saddle-point system. Their
 sparsity follows the mesh, so one geometric nested dissection of the edges
-(George 1973, "Nested dissection of a regular finite element mesh") orders
-all of them:
-
-* :func:`nested_dissection` orders the edges, with minimum vertex
-  separators taken from the cut neighbour pairs of each geometric split;
-  the nonconforming systems number their free edges in it, and the
-  condensed saddle-point system all of its edges;
-* :func:`saddle_order` inserts each triangle's scalar unknown into it so
-  that every leading block of the saddle-point matrix stays nonsingular,
-  which lets the matrix, assembled in this order, be factored with
-  diagonal (static) pivots. Only levels that cannot be condensed, such as
-  those with the zero reaction of ``crack``, build it.
+(George 1973, "Nested dissection of a regular finite element mesh"),
+:func:`nested_dissection`, orders them, with minimum vertex separators
+taken from the cut neighbour pairs of each geometric split. Assembled in
+this order, the systems are factored with diagonal (static) pivots.
 """
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import (
-    breadth_first_order,
-    maximum_bipartite_matching,
-    minimum_spanning_tree,
-)
+from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
 
 ND_LEAF = 16  # subdomains of at most this many edges are not split further
 
@@ -111,42 +99,3 @@ def _minimum_cover(low, up):
     seen = np.zeros(source + 1, dtype=bool)
     seen[breadth_first_order(paths, source, return_predecessors=False)] = True
     return np.concatenate([lows[~seen[:nl]], ups[seen[nl:source]]])
-
-
-def saddle_order(mesh):
-    """Order of the saddle-point unknowns: edges ``0..E-1``, triangles ``E + t``.
-
-    The edges keep ``mesh.edge_order``. Eliminating a set of edges and
-    triangles leaves a nonsingular leading block when every patch of
-    eliminated triangles, connected through eliminated edges, has an
-    eliminated edge (an "outlet") to the boundary or to a triangle not yet
-    eliminated: otherwise the divergence rows of the patch sum to zero on the
-    eliminated edges, and with a zero reaction block the block is singular.
-
-    The dual graph has a node per triangle, one for the boundary, and a link
-    per edge weighted by its step in the edge order (a triangle keeps only
-    its earliest boundary edge). Its minimum spanning tree (Kruskal 1956)
-    is rooted at the boundary, and each triangle goes right after the link
-    to its parent. The triangle of a patch nearest the root then has its
-    tree edge eliminated, and that edge leads out of the patch: a parent
-    inside it would be nearer the root.
-    """
-    ne, nt = mesh.num_edges, mesh.num_triangles
-    step = np.empty(ne, dtype=np.int64)
-    step[mesh.edge_order] = np.arange(ne)
-    # the two sides of each edge; nt is the boundary
-    sides = np.where(mesh.edge_tris >= 0, mesh.edge_tris, nt)
-    a, b = sides.min(axis=1), sides.max(axis=1)
-    # csr_matrix sums duplicate links: keep a triangle's earliest boundary edge
-    bnd = np.flatnonzero(b == nt)
-    bnd = bnd[np.argsort(step[bnd])]
-    _, first = np.unique(a[bnd], return_index=True)
-    keep = np.r_[np.flatnonzero(b < nt), bnd[first]]
-    # zero weights are no links to minimum_spanning_tree
-    graph = sp.csr_matrix((step[keep] + 1.0, (a[keep], b[keep])), (nt + 1, nt + 1))
-    tree = minimum_spanning_tree(graph).tocoo()
-    _, parent = breadth_first_order(tree, nt, directed=False, return_predecessors=True)
-    child = np.where(parent[tree.row] == tree.col, tree.row, tree.col)
-    after = np.empty(nt, dtype=np.int64)
-    after[child] = tree.data.astype(np.int64) - 1
-    return np.argsort(np.r_[2 * step, 2 * after + 1])

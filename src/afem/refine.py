@@ -27,7 +27,7 @@ def uniform_red_refine(mesh):
     """Split every triangle into four similar children via edge midpoints.
 
     The child is built once per mesh and kept on it: refining the same mesh
-    again returns the same object, with the orders it has computed."""
+    again returns the same object, with the edge order it has computed."""
     child = getattr(mesh, "_red_child", None)
     if child is not None:
         return child

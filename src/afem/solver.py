@@ -4,17 +4,16 @@ The reconstruction route solves the condensed modified nonconforming
 system, forms the scalar part from the S_T-weighted average of the element
 means, scaled by the factor ``pw.kappa`` the system was condensed with, and
 lifts the broken gradient to a conforming flux; the direct route solves
-the saddle-point system, by eliminating each triangle's scalar and
-factoring the edge system that is left where every reaction block allows
-(``CONDENSE_MIN_RATIO``), and by factoring the saddle-point system itself
-otherwise. Their agreement to solver precision is the package's strongest
+the saddle-point system hybridized: each triangle's flux and scalar are
+eliminated exactly, the edge multipliers factored, and the two recovered
+from them. Their agreement to solver precision is the package's strongest
 correctness oracle and is asserted on every level of every benchmark run.
-Every system is assembled in the order in which it is factored, computed
-once per mesh (:mod:`afem.ordering`) and kept on it: ``mesh.edge_order``
-for the edge systems, ``mesh.saddle_order`` for the saddle-point one. Its
-diagonal supplies the pivots. A solve is trusted by one test: the
-correction of its refinement step, relative to the solution, is at most
-``FORWARD_TOL``; otherwise the matrix counts as singular.
+Both routes factor a system over the interior edges, assembled in the
+order in which it is factored, ``mesh.edge_order``, computed once per mesh
+(:mod:`afem.ordering`) and kept on it. Its diagonal supplies the pivots. A
+solve is trusted by one test: the correction of its refinement step,
+relative to the solution, is at most ``FORWARD_TOL``; otherwise the matrix
+counts as singular.
 """
 
 import math
@@ -26,11 +25,9 @@ import scipy.sparse.linalg as spla
 from .assembly import (
     CRSolution,
     MixedSolution,
-    assemble_condensed_mixed,
-    assemble_mixed_direct,
+    assemble_hybrid_mixed,
     assemble_modified_ncfem,
     assemble_ncfem,
-    mixed_from_edge_flux,
 )
 from .errors import ConfigError, MeshMismatch, SingularMatrix
 from .problem import project_p0
@@ -39,10 +36,6 @@ from .quadrature import affine_sq_l2
 
 # largest trusted relative correction ||dx|| / ||x||: half the working digits
 FORWARD_TOL = float(np.sqrt(np.finfo(float).eps))
-# smallest r_T (see assemble_condensed_mixed) at which the direct route
-# eliminates the scalars: the routes then differ by about 0.13 eps / r_T,
-# and 100 eps / r_T stays within the 1e-8 of adapt.EQUIVALENCE_TOL
-CONDENSE_MIN_RATIO = 100.0 * float(np.finfo(float).eps) / 1e-8
 
 
 @dataclass
@@ -147,23 +140,16 @@ def solve_mixed_via_equivalence(mesh, pw, u_dirichlet):
 
 
 def solve_mixed_direct(mesh, pw, u_dirichlet):
-    """Mixed solution from the direct saddle-point factorization.
-
-    Where every reaction block allows it (:data:`CONDENSE_MIN_RATIO`), the
-    triangle scalars are eliminated and the edge system over
-    ``mesh.edge_order`` is factored; otherwise the saddle-point system in
-    ``mesh.saddle_order``. Either way the element blocks are gone before
-    the factorization.
-    """
+    """Mixed solution from the hybridized saddle-point system
+    (:func:`assembly.assemble_hybrid_mixed`), factored over the interior
+    edges in ``mesh.edge_order``; the element blocks are gone before the
+    factorization."""
     _require_dirichlet(u_dirichlet)
-    condensed = assemble_condensed_mixed(mesh, pw, u_dirichlet, CONDENSE_MIN_RATIO)
-    if condensed is not None:
-        flux = solve_sparse(condensed.system).solution
-        return mixed_from_edge_flux(mesh, flux, condensed.scalar(flux))
-    system = assemble_mixed_direct(mesh, pw, u_dirichlet=u_dirichlet)
-    report = solve_sparse(system)
-    ne = mesh.num_edges
-    return mixed_from_edge_flux(mesh, report.solution[:ne], report.solution[ne:])
+    # s_T vanishes only where kappa_T blows up: reading pw.kappa raises
+    # SingularLocalFactor there, before the assembly divides by s_T
+    pw.kappa
+    system, recover = assemble_hybrid_mixed(mesh, pw, u_dirichlet)
+    return recover(solve_sparse(system).solution)
 
 
 def equivalence_residual(direct, recon):

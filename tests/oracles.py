@@ -17,8 +17,7 @@ array kernels must reproduce bit for bit. :func:`normal_jumps` and
 and of the benchmarks' exact data. :func:`vertices_inside_edges` tests every
 vertex against every edge; :func:`red_split_without_closure` builds the
 meshes it is run on, and :func:`graded_toward_corner` graded ones.
-:func:`kruskal_tree_edges` is the textbook Kruskal with a union-find, for the saddle-point order's spanning tree, and
-:func:`kuhn_matching_size` the augmenting-path matching, for the size of
+:func:`kuhn_matching_size` is the augmenting-path matching, for the size of
 the nested dissection's separators. :func:`reference_minimum_cover` is the
 separator step as it was written with ``np.setdiff1d`` and ``np.r_``, which
 the package's edge orders must reproduce exactly, and
@@ -206,42 +205,6 @@ def graded_toward_corner(mesh, steps):
         at_corner = (mesh.vertices[mesh.triangles] == 0.0).all(axis=2).any(axis=1)
         mesh = rgb_refine(mesh, np.flatnonzero(at_corner))
     return mesh
-
-
-def kruskal_tree_edges(mesh):
-    """Edge joining each triangle to its parent in the minimum spanning tree
-    of the dual graph, rooted at the boundary.
-
-    The dual graph has a node per triangle and one for the boundary, and a
-    link per edge, taken in the order ``mesh.edge_order``; a link joins two
-    trees of a union-find or closes a cycle and is dropped.
-    """
-    nt = mesh.num_triangles
-    parent = list(range(nt + 1))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    links = {s: [] for s in range(nt + 1)}  # node -> [(edge, other node)]
-    for e in mesh.edge_order.tolist():
-        a, b = (int(s) if s >= 0 else nt for s in mesh.edge_tris[e])
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            links[a].append((e, b))
-            links[b].append((e, a))
-    tree_edge = [-1] * nt
-    stack, seen = [nt], {nt}
-    while stack:
-        node = stack.pop()
-        for e, other in links[node]:
-            if other not in seen:
-                seen.add(other)
-                tree_edge[other] = e
-                stack.append(other)
-    return np.array(tree_edge, dtype=np.int64)
 
 
 def kuhn_matching_size(low, up):

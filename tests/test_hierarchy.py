@@ -1,5 +1,5 @@
 """One mesh hierarchy per run: a uniform red child is built once per parent
-and kept on it, each mesh computes its orders once, and the histories of a
+and kept on it, each mesh computes its edge order once, and the histories of a
 sweep all start from one mesh. A run with a single history must still free
 its coarse levels as it refines."""
 
@@ -14,7 +14,7 @@ from afem.mesh import write_mesh_file
 from afem.problem import lshape_start_mesh
 from afem.refine import uniform_red_refine
 
-_ORDERS = ("edge_order", "saddle_order")
+_ORDERS = ("edge_order",)
 
 
 def _arrays(m):
@@ -40,11 +40,11 @@ def test_orders_are_computed_once_per_mesh_and_frozen():
         order = getattr(m, name)
         assert getattr(m, name) is order
         assert not order.flags.writeable
-    assert np.array_equal(m.saddle_order, ordering.saddle_order(m))
+    assert np.array_equal(m.edge_order, ordering.nested_dissection(m))
 
 
 def test_eigen_sweep_builds_each_level_and_its_orders_once(tmp_path, monkeypatch):
-    calls = {"build_mesh": 0, "nested_dissection": 0, "saddle_order": 0}
+    calls = {"build_mesh": 0, "nested_dissection": 0}
 
     def spy(name, fn):
         def counted(*args, **kwargs):
@@ -56,8 +56,10 @@ def test_eigen_sweep_builds_each_level_and_its_orders_once(tmp_path, monkeypatch
     build = spy("build_mesh", mesh.build_mesh)
     for module in (mesh, problem, refine):
         monkeypatch.setattr(module, "build_mesh", build)
-    for name in ("nested_dissection", "saddle_order"):
-        monkeypatch.setattr(ordering, name, spy(name, getattr(ordering, name)))
+    monkeypatch.setattr(
+        ordering, "nested_dissection",
+        spy("nested_dissection", ordering.nested_dissection),
+    )
 
     config = bench.ExperimentConfig(
         problem="eigen_sweep", mode="uniform", max_ndof=4000, out=str(tmp_path)
@@ -66,11 +68,8 @@ def test_eigen_sweep_builds_each_level_and_its_orders_once(tmp_path, monkeypatch
     assert len(result.histories) == 8
     ndofs = {tuple(h.ndofs) for h in result.histories.values()}
     assert ndofs == {(68, 256, 992, 3904)}
-    # one call per distinct level, where each sweep value used to build its own;
-    # every sweep level condenses its direct system, so none needs the saddle order
-    assert calls == {
-        "build_mesh": 4, "nested_dissection": 4, "saddle_order": 0,
-    }
+    # one call per distinct level, where each sweep value used to build its own
+    assert calls == {"build_mesh": 4, "nested_dissection": 4}
 
 
 def _watch_level_zero(monkeypatch):

@@ -1,22 +1,21 @@
-"""The mesh's fill-reducing orders and the statically pivoted factorization."""
+"""The mesh's fill-reducing edge order and the statically pivoted factorization."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from afem import bench, ordering, solver
 from afem.adapt import adaptive_loop
-from afem.assembly import assemble_mixed_direct, assemble_modified_ncfem
-from afem.mesh import build_mesh
-from afem.assembly import SparseSystem
-from afem.ordering import saddle_order
+from afem.assembly import (
+    SparseSystem,
+    assemble_hybrid_mixed,
+    assemble_mixed_direct,
+    assemble_modified_ncfem,
+)
 from afem.problem import benchmark, crack_start_mesh, lshape_start_mesh, project_p0
 from afem.refine import uniform_red_refine
 
-from oracles import kruskal_tree_edges, kuhn_matching_size, reference_minimum_cover
-from test_assembly import make_field
+from oracles import kuhn_matching_size, reference_minimum_cover
 from test_mesh import _rgb_mesh_with_green_and_blue
 
 
@@ -78,94 +77,7 @@ def test_edge_order_matches_reference_cover_on_every_crack_level(
         assert np.array_equal(mesh.edge_order, ordering.nested_dissection(mesh))
 
 
-def _unlinked_patches(mesh, tri_done, edge_done):
-    """Patches of eliminated triangles, connected through eliminated edges,
-    that have no eliminated edge to the boundary or to a live triangle."""
-    nt = mesh.num_triangles
-    et = mesh.edge_tris
-    side_done = np.where(et >= 0, tri_done[np.maximum(et, 0)], False)
-    link = edge_done & side_done.all(axis=1)
-    graph = sp.coo_matrix((np.ones(link.sum()), (et[link, 0], et[link, 1])), (nt, nt))
-    _, patch = connected_components(graph, directed=False)
-    outlet = edge_done & (side_done.sum(axis=1) == 1)
-    inside = np.where(side_done[outlet, 0], et[outlet, 0], et[outlet, 1])
-    outlets = np.bincount(patch[inside], minlength=nt)
-    return set(patch[tri_done & (outlets[patch] == 0)].tolist())
-
-
-@pytest.mark.parametrize(
-    "make", [_lshape_twice_refined, crack_start_mesh, _rgb_mesh_with_green_and_blue]
-)
-def test_saddle_order_keeps_every_patch_linked(make):
-    mesh = make()
-    ne, nt = mesh.num_edges, mesh.num_triangles
-    order = saddle_order(mesh)
-    assert np.array_equal(np.sort(order), np.arange(ne + nt))
-    assert np.array_equal(order[order < ne], mesh.edge_order)
-    position = np.empty(ne + nt, dtype=np.int64)
-    position[order] = np.arange(ne + nt)
-    # each triangle follows at least one of its edges
-    first_edge = position[mesh.triangle_edges].min(axis=1)
-    assert np.all(position[ne:] > first_edge)
-    # edges only add outlets or join linked patches, so checking after each
-    # triangle checks every prefix
-    for i in np.flatnonzero(order >= ne):
-        done = position <= i
-        assert not _unlinked_patches(mesh, done[ne:], done[:ne]), i
-
-
-@pytest.mark.parametrize(
-    "make", [_lshape_twice_refined, crack_start_mesh, _rgb_mesh_with_green_and_blue]
-)
-def test_saddle_order_follows_the_kruskal_tree(make):
-    mesh = make()
-    ne, nt = mesh.num_edges, mesh.num_triangles
-    order = saddle_order(mesh)
-    position = np.empty(ne + nt, dtype=np.int64)
-    position[order] = np.arange(ne + nt)
-    tree_edge = kruskal_tree_edges(mesh)
-    assert np.array_equal(position[ne:], position[tree_edge] + 1)
-    # each triangle's tree edge leads to its parent; nt is the boundary
-    sides = np.where(mesh.edge_tris >= 0, mesh.edge_tris, nt)[tree_edge]
-    parent = np.r_[np.where(sides[:, 0] == np.arange(nt), sides[:, 1], sides[:, 0]), nt]
-    node = np.arange(nt)
-    for _ in range(nt):
-        node = parent[node]
-    assert np.all(node == nt)
-
-
 STATIC = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
-
-
-@pytest.mark.parametrize(
-    "vertices, triangles",
-    [
-        ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]]),
-        ([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]]),
-        (
-            [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [3, 0], [2, 1]],
-            [[0, 1, 2], [0, 2, 3], [4, 5, 6]],
-        ),
-    ],
-    ids=["one-triangle", "square", "two-components"],
-)
-def test_saddle_order_on_tiny_meshes(monkeypatch, vertices, triangles):
-    mesh = build_mesh(np.array(vertices, dtype=float), np.array(triangles))
-    ne, nt = mesh.num_edges, mesh.num_triangles
-    order = saddle_order(mesh)
-    assert np.array_equal(np.sort(order), np.arange(ne + nt))
-    position = np.empty(ne + nt, dtype=np.int64)
-    position[order] = np.arange(ne + nt)
-    for i in range(ne + nt):
-        done = position <= i
-        assert not _unlinked_patches(mesh, done[ne:], done[:ne]), i
-    pw = project_p0(make_field(f=1.0), mesh)
-    assert not pw.gamma_h.any()  # zero reaction block
-    system = assemble_mixed_direct(mesh, pw, make_field().u_dirichlet)
-    assert np.array_equal(system.free, order)
-    calls = _spy_splu(monkeypatch)
-    solver.solve_sparse(system)
-    assert calls == [(ne + nt, STATIC)]
 
 
 def _spy_splu(monkeypatch):
@@ -207,8 +119,8 @@ def _capture_factored(monkeypatch):
 
 def test_routes_factor_in_the_mesh_orders(monkeypatch):
     # every system is assembled in its elimination order and factored as it
-    # is: both mixed routes and the plain nonconforming solve; the L-shape's
-    # direct route condenses its scalars and factors all edges
+    # is: both mixed routes and the plain nonconforming solve, each over the
+    # interior edges in the mesh's edge order
     mesh = _lshape_twice_refined()
     inst = benchmark("lshape")
     pw = project_p0(inst.field, mesh)
@@ -220,29 +132,33 @@ def test_routes_factor_in_the_mesh_orders(monkeypatch):
     for (matrix, options), system in zip(factored, systems):
         assert matrix is system.matrix
         assert options == STATIC
-    recon, condensed, plain = systems
+    recon, hybrid, plain = systems
 
     edge_order = mesh.edge_order
     assert np.array_equal(np.sort(edge_order), np.arange(mesh.num_edges))
     interior = edge_order[np.isin(edge_order, mesh.interior_edges)]
     assert np.array_equal(recon.free, interior)
     assert np.array_equal(plain.free, interior)
-    assert np.array_equal(condensed.free, edge_order)
+    assert np.array_equal(hybrid.free, interior)
+    assert np.array_equal(hybrid.fixed, mesh.boundary_edges)
     assert max(solver.equivalence_residual(direct, mixed)) < 1e-10
 
 
-def test_direct_route_without_reaction_factors_in_saddle_order(monkeypatch):
-    # the crack's zero reaction keeps each scalar: the saddle-point system is
-    # factored in the mesh's saddle order
+def test_crack_direct_route_factors_interior_edges_in_edge_order(monkeypatch):
+    # the hybridized system needs no reaction: with the crack's zero reaction
+    # the direct route factors the interior edges in the mesh's edge order
     inst = benchmark("crack")
     mesh = uniform_red_refine(crack_start_mesh())
     pw = project_p0(inst.field, mesh)
+    assert not pw.gamma_h.any()
     systems, factored = _capture_factored(monkeypatch)
     direct = solver.solve_mixed_direct(mesh, pw, inst.field.u_dirichlet)
     ((matrix, options),) = factored
-    (saddle,) = systems
-    assert matrix is saddle.matrix and options == STATIC
-    assert np.array_equal(saddle.free, saddle_order(mesh))
+    (hybrid,) = systems
+    assert matrix is hybrid.matrix and options == STATIC
+    edge_order = mesh.edge_order
+    interior = edge_order[np.isin(edge_order, mesh.interior_edges)]
+    assert np.array_equal(hybrid.free, interior)
     mixed, _ = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet)
     assert max(solver.equivalence_residual(direct, mixed)) < 1e-10
 
@@ -308,35 +224,31 @@ def test_singular_leading_block_falls_back_to_colamd(monkeypatch):
     assert err <= 1e-10 * np.linalg.norm(reference)
 
 
-def test_zero_pivot_of_a_reaction_block_falls_back_to_colamd(monkeypatch):
-    # saddle_order keeps a zero reaction block nonsingular, not every
-    # reaction: with gamma = 12 on the start mesh, a leading block of the
-    # eigen sweep's saddle system is exactly singular
+def test_eigen_sweep_solves_its_gamma_12_start_level(monkeypatch):
+    # with gamma = 12 on the start mesh, a leading block of the saddle-point
+    # system with its scalars among the edges is exactly singular; both
+    # systems the level factors are over its edges, on static pivots
     inst = benchmark("eigen_sweep", gamma=12.0)
     mesh = inst.start_mesh()
-    pw = project_p0(inst.field, mesh)
-    system = assemble_mixed_direct(mesh, pw, inst.field.u_dirichlet)
-    expected = _colamd_solution(system)
     calls = _spy_splu(monkeypatch)
-    report = solver.solve_sparse(system)
-    assert calls == [(mesh.ndof_mixed, STATIC), (mesh.ndof_mixed, {})]
-    assert np.array_equal(report.solution, expected)
     history = adaptive_loop(inst, mode="uniform", max_ndof=mesh.ndof_mixed)
     assert history.failure is None
     assert history.ndofs == [mesh.ndof_mixed]
+    assert [options for _, options in calls] == [STATIC, STATIC]
 
 
 def test_mesh_orders_need_less_fill_than_colamd():
     # George's nested dissection bounds the fill of a regular mesh by
-    # O(n log n); on 15,488 L-shape dofs both orders beat COLAMD
+    # O(n log n); on 15,488 L-shape dofs both mixed routes' systems beat
+    # COLAMD in it
     mesh = lshape_start_mesh()
     for _ in range(4):
         mesh = uniform_red_refine(mesh)
     inst = benchmark("lshape")
     pw = project_p0(inst.field, mesh)
-    direct = assemble_mixed_direct(mesh, pw, inst.field.u_dirichlet)
+    hybrid, _ = assemble_hybrid_mixed(mesh, pw, inst.field.u_dirichlet)
     recon = assemble_modified_ncfem(mesh, pw, inst.field.u_dirichlet)
-    for system in (direct, recon):
+    for system in (hybrid, recon):
         colamd = spla.splu(system.in_dof_order()[0])
         ordered = spla.splu(system.matrix, **STATIC)
         fill = ordered.L.nnz + ordered.U.nnz
@@ -363,7 +275,7 @@ def test_eigen_sweep_mesh_order_fills_less_than_colamd():
 
 
 def test_crack_adaptive_factors_twice_in_order(tmp_path, monkeypatch):
-    # the zero reaction block of crack, ordered statically on every level
+    # the zero reaction of crack, factored on static pivots on every level
     calls = _spy_splu(monkeypatch)
     config = bench.ExperimentConfig(
         problem="crack", mode="adaptive", max_ndof=41536, out=str(tmp_path)

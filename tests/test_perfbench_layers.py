@@ -180,7 +180,14 @@ def test_each_level_evaluates_its_data_once(
     assert levels == sum(len(h.records) for h in histories.values()) >= 3
 
 
-def test_every_level_factors_twice_in_order(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "problem, mode, max_ndof, finest",
+    [("lshape", "uniform", 62000, 61696), ("crack", "adaptive", 20000, 17691)],
+    ids=["lshape-uniform-62000", "crack-adaptive-20000"],
+)
+def test_every_level_factors_twice_in_order(
+    tmp_path, monkeypatch, problem, mode, max_ndof, finest
+):
     # two splu calls per level, both in the mesh's order (NATURAL column
     # order), and the benchmark's tracer sees every factorization and its
     # fill
@@ -194,7 +201,7 @@ def test_every_level_factors_twice_in_order(tmp_path, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", spy)
     config = bench.ExperimentConfig(
-        problem="lshape", mode="uniform", max_ndof=62000, out=str(tmp_path)
+        problem=problem, mode=mode, max_ndof=max_ndof, out=str(tmp_path)
     )
     tracer = spans.Tracer("test")
     tracer.install()
@@ -204,13 +211,13 @@ def test_every_level_factors_twice_in_order(tmp_path, monkeypatch):
         tracer.uninstall()
     (history,) = result.histories.values()
     levels = len(history.records)
-    assert history.ndofs[-1] == 61696
+    assert history.ndofs[-1] == finest
     assert len(calls) == 2 * levels
     assert all(permc == "NATURAL" for _, permc in calls)
     metrics = tracer.metrics()
     assert metrics["solver.factorizations"] == 2 * levels
-    # the L-shape's direct route factors its condensed edge system, whose
-    # fill is the reconstruction's with the boundary edges added
+    # both routes factor a matrix over the interior edges with one pattern,
+    # with or without a reaction
     recon = metrics["solver.nnz_lu_recon"]
     assert recon > 0
     assert abs(metrics["solver.nnz_lu_direct"] - recon) <= 0.01 * recon

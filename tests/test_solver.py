@@ -8,13 +8,14 @@ import scipy.sparse.linalg as spla
 from afem import adapt, solver
 from afem.assembly import (
     SparseSystem,
-    assemble_condensed_mixed,
+    assemble_hybrid_mixed,
     assemble_mixed_direct,
+    assemble_modified_ncfem,
     assemble_ncfem,
-    mixed_from_edge_flux,
+    mixed_from_local_flux,
 )
 from afem.bench import ExperimentConfig, run_experiment
-from afem.errors import ConfigError, MeshMismatch, SingularMatrix
+from afem.errors import ConfigError, MeshMismatch, SingularLocalFactor, SingularMatrix
 from afem.mesh import build_mesh
 from afem.problem import (
     CoefficientField,
@@ -375,25 +376,25 @@ def _lshape_level(levels):
 
 
 def test_condensed_direct_route_matches_saddle_solve_and_reconstruction():
-    # eliminating each triangle's scalar is exact block elimination of the
-    # saddle-point system: the same solution to roundoff
+    # eliminating each triangle's fluxes and scalar from the hybridized
+    # system is exact block elimination: the saddle-point system's solution
+    # to roundoff
     inst = benchmark("lshape")
     u_d = inst.field.u_dirichlet
     mesh = _lshape_level(3)
     pw = project_p0(inst.field, mesh)
-    assert assemble_condensed_mixed(mesh, pw, u_d, solver.CONDENSE_MIN_RATIO)
     direct = solve_mixed_direct(mesh, pw, u_d)
     x = solve_sparse(assemble_mixed_direct(mesh, pw, u_d)).solution
     ne = mesh.num_edges
-    saddle = mixed_from_edge_flux(mesh, x[:ne], x[ne:])
+    saddle = mixed_from_local_flux(mesh, x[:ne][mesh.triangle_edges], x[ne:])
     recon, _ = solve_mixed_via_equivalence(mesh, pw, u_d)
     assert max(equivalence_residual(direct, saddle)) < 1e-12
     assert max(equivalence_residual(direct, recon)) < 1e-12
 
 
 def _direct_factor_sizes(monkeypatch):
-    """Per direct solve of the loop: ``(E, T, sizes)``, with the sizes of the
-    matrices ``splu`` factored inside it."""
+    """Per direct solve of the loop: ``(interior edges, zero reaction,
+    sizes)``, with the sizes of the matrices ``splu`` factored inside it."""
     sizes, solves = [], []
     splu = spla.splu
     direct = adapt.solve_mixed_direct
@@ -405,7 +406,9 @@ def _direct_factor_sizes(monkeypatch):
     def route(mesh, pw, u_dirichlet):
         start = len(sizes)
         mixed = direct(mesh, pw, u_dirichlet=u_dirichlet)
-        solves.append((mesh.num_edges, mesh.num_triangles, sizes[start:]))
+        solves.append(
+            (len(mesh.interior_edges), not pw.gamma_h.any(), sizes[start:])
+        )
         return mixed
 
     monkeypatch.setattr(spla, "splu", spy)
@@ -414,16 +417,17 @@ def _direct_factor_sizes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "problem,mode,max_ndof,keeps_scalars",
+    "problem,mode,max_ndof,zero_reaction",
     [
         ("lshape", "uniform", 16000, False),
         ("eigen_sweep", "uniform", 16000, False),
-        ("crack", "adaptive", 3000, True),  # zero reaction
+        ("crack", "adaptive", 3000, True),
     ],
 )
 def test_direct_route_factors_edges_where_every_reaction_allows(
-    tmp_path, monkeypatch, problem, mode, max_ndof, keeps_scalars
+    tmp_path, monkeypatch, problem, mode, max_ndof, zero_reaction
 ):
+    # the hybridized system is over the interior edges whatever the reaction
     solves = _direct_factor_sizes(monkeypatch)
     config = ExperimentConfig(
         problem=problem, mode=mode, max_ndof=max_ndof, out=str(tmp_path)
@@ -432,23 +436,57 @@ def test_direct_route_factors_edges_where_every_reaction_allows(
     assert result.exit_code == 0
     levels = sum(len(h.records) for h in result.histories.values())
     assert len(solves) == levels >= 3
-    for ne, nt, sizes in solves:
-        assert sizes == [ne + nt if keeps_scalars else ne]
+    for interior, zero, sizes in solves:
+        assert sizes == [interior] and zero == zero_reaction
 
 
-def test_tiny_reaction_keeps_the_saddle_path(monkeypatch):
-    # gamma = -1e-6: r_T is about 3e-10 on level 3, where condensing amplifies
-    # roundoff past the solve's trust test; the saddle path solves it exactly
+def test_tiny_reaction_factors_the_interior_edges(monkeypatch):
+    # gamma = -1e-6: eliminating the scalars alone by c_T = gamma_h |T| turned
+    # level 3 singular; the hybridized system divides by s_T, which the
+    # diffusion keeps away from zero
     lshape = benchmark("lshape")
     field = dataclasses.replace(lshape.field, gamma=constant_scalar(-1e-6))
     inst = dataclasses.replace(lshape, field=field)
     solves = _direct_factor_sizes(monkeypatch)
     history = adapt.adaptive_loop(inst, mode="uniform", max_ndof=4000)
     assert history.failure is None and history.ndofs[-1] == 3904
-    assert [sizes for _, _, sizes in solves] == [[ne + nt] for ne, nt, _ in solves]
+    assert [sizes for *_, sizes in solves] == [[n] for n, *_ in solves]
     assert max(max(record.equivalence) for record in history.records) < 1e-12
-    mesh = _lshape_level(3)
+
+
+@pytest.mark.parametrize(
+    "name,kwargs,levels",
+    [("lshape", {}, 3), ("crack", {}, 3), ("eigen_sweep", {"gamma": 9.63}, 4)],
+    ids=["lshape", "crack", "eigen_sweep-9.63"],
+)
+def test_hybridized_system_is_the_modified_nonconforming_one(name, kwargs, levels):
+    # the equivalence of the mixed and the modified nonconforming methods in
+    # matrix form (Marini 1985): the same matrix and load to roundoff, over
+    # the same unknowns in the same order
+    inst = benchmark(name, **kwargs)
+    mesh = inst.start_mesh()
+    for _ in range(levels):
+        mesh = uniform_red_refine(mesh)
+    pw = project_p0(inst.field, mesh)
+    hybrid, _ = assemble_hybrid_mixed(mesh, pw, inst.field.u_dirichlet)
+    modified = assemble_modified_ncfem(mesh, pw, inst.field.u_dirichlet)
+    for attr in ("free", "fixed", "fixed_values"):
+        assert np.array_equal(getattr(hybrid, attr), getattr(modified, attr))
+    assert np.array_equal(hybrid.matrix.indptr, modified.matrix.indptr)
+    assert np.array_equal(hybrid.matrix.indices, modified.matrix.indices)
+    diff = spla.norm(hybrid.matrix - modified.matrix)
+    assert diff <= 1e-14 * spla.norm(modified.matrix)
+    diff = np.linalg.norm(hybrid.rhs - modified.rhs)
+    assert diff <= 1e-14 * np.linalg.norm(modified.rhs)
+
+
+def test_direct_route_raises_singular_local_factor_at_kappa_blowup():
+    # gamma = -144 on the L-shape start mesh: 1 + gamma_h S_T/(4|T|) = 0, so
+    # s_T = 4|T| / (S_T/|T| kappa_T) vanishes; the route raises what the
+    # reconstruction raises, before it divides by zero
+    lshape = benchmark("lshape")
+    field = dataclasses.replace(lshape.field, gamma=constant_scalar(-144.0))
+    mesh = lshape_start_mesh()
     pw = project_p0(field, mesh)
-    forced = assemble_condensed_mixed(mesh, pw, field.u_dirichlet, 0.0)
-    with pytest.raises(SingularMatrix):
-        solve_sparse(forced.system)
+    with pytest.raises(SingularLocalFactor):
+        solve_mixed_direct(mesh, pw, field.u_dirichlet)
