@@ -4,8 +4,10 @@ posteriori error control and adaptive red-green-blue refinement.
 
 The mixed (lowest-order Raviart-Thomas) solution is available both from a
 direct solve of the hybridized saddle-point system and from a closed-form
-reconstruction out of a modified Crouzeix-Raviart solve; the two agree to
-solver precision, which the adaptive driver verifies on every level.
+reconstruction out of a modified Crouzeix-Raviart solve. The two are equal
+triangle by triangle: the condensed and hybridized element blocks agree to
+roundoff, and so do the reconstruction and the hybrid recovery from the
+Crouzeix-Raviart solution, which every reconstruction checks.
 """
 
 from .adapt import (

@@ -7,9 +7,10 @@ quadrature and exact integration of the polynomial element integrands:
 * its condensed modification whose solution reconstructs the mixed one;
 * the saddle-point system of the lowest-order mixed method over edge-flux
   dofs (normal component on the canonical edge normal) followed by one
-  scalar dof per triangle (:func:`assemble_mixed_direct`), and the same
-  system hybridized, over one multiplier per edge
-  (:func:`assemble_hybrid_mixed`), which the direct route factors.
+  scalar dof per triangle (:func:`assemble_mixed_direct`), and the element
+  blocks of the same system hybridized, over one multiplier per edge
+  (:func:`assemble_hybrid_mixed`), equal to the condensed modification's
+  triangle by triangle up to roundoff.
 
 Each assembler takes ``pw = project_p0(field, mesh)``, the piecewise data of
 its mesh, which also holds the condensation factor ``pw.kappa``.
@@ -21,7 +22,7 @@ takes back to k = 3. One scatter (:func:`_scatter`) numbers the dofs in
 the order of elimination and sums the blocks into CSC form.
 
 Dirichlet data enters by elimination (the edge systems: boundary edges
-are fixed to u_D(mid E), :func:`_edge_numbering`) or through the natural
+are fixed to u_D(mid E), :func:`edge_system`) or through the natural
 boundary term of the first mixed equation, approximated with the
 one-point edge rule |E| u_D(mid E).
 """
@@ -191,35 +192,37 @@ def _diffusion(area, a, grad):
 
 
 def _cr_system(mesh, pw, grad_psi, conv_weight, react, local_rhs, u_dirichlet):
-    """Shared nonconforming kernel over edge dofs.
+    """Shared nonconforming kernel over edge dofs: ``(system, local)``, the
+    system and its (T, 3, 3) element blocks.
 
     Element matrix: diffusion (A_h grad psi_j, grad psi_i) plus the
     convection row (conv_weight b_h psi_j, grad psi_i), int_T psi_j = |T|/3,
     plus the (T, 3, 3) reaction block; ``local_rhs`` holds the (T, 3)
     element loads. The free edges are numbered in ``mesh.edge_order``.
     """
-    # dofs numbered first: the mesh's edge order, built on first use,
-    # outlives the level, and built among the triplet temporaries it
-    # fragments the heap
-    free, fixed, values = _edge_numbering(mesh, u_dirichlet)
+    # the mesh's edge order first: built on first use, it outlives the
+    # level, and built among the triplet temporaries it fragments the heap
+    mesh.edge_order
     area = mesh.area
     diff = _diffusion(area, pw.a_h, grad_psi)
     conv = np.einsum("t,td,tid->ti", conv_weight * area / 3.0, pw.b_h, grad_psi)
     local = diff + conv[:, :, None] + react
-    return _scatter(mesh.num_edges, mesh.triangle_edges, local, local_rhs, free,
-                    fixed, values)
+    return edge_system(mesh, local, local_rhs, u_dirichlet), local
 
 
-def _edge_numbering(mesh, u_dirichlet):
-    """``(free, fixed, values)`` of a system over the edges: with
-    ``u_dirichlet`` given, the boundary edges are fixed to u_D(mid E); the
-    free edges are numbered in ``mesh.edge_order``."""
+def edge_system(mesh, local, load, u_dirichlet):
+    """Sparse system of (T, 3, 3) element blocks ``local`` and (T, 3) loads
+    ``load`` over each triangle's edges. With ``u_dirichlet`` given, the
+    boundary edges are fixed to u_D(mid E); the free edges are numbered in
+    ``mesh.edge_order``."""
     fixed, values = np.empty(0, dtype=int), np.empty(0)
     if u_dirichlet is not None:
         fixed, values = mesh.boundary_edges, _boundary_values(mesh, u_dirichlet)
     is_free = np.ones(mesh.num_edges, dtype=bool)
     is_free[fixed] = False
-    return mesh.edge_order[is_free[mesh.edge_order]], fixed, values
+    free = mesh.edge_order[is_free[mesh.edge_order]]
+    return _scatter(mesh.num_edges, mesh.triangle_edges, local, load, free,
+                    fixed, values)
 
 
 def _boundary_values(mesh, u_dirichlet):
@@ -247,11 +250,13 @@ def assemble_ncfem(mesh, pw, u_dirichlet=None):
     load = np.repeat((pw.f_h * area / 3.0)[:, None], 3, axis=1)
     return _cr_system(
         mesh, pw, -2.0 * mesh.grad_bary(), 1.0, react, load, u_dirichlet
-    )
+    )[0]
 
 
 def assemble_modified_ncfem(mesh, pw, u_dirichlet=None):
-    """Condensed modified nonconforming system.
+    """Condensed modified nonconforming system: ``(system, local, load)``,
+    the system and the (T, 3, 3) element blocks and (T, 3) loads it is
+    scattered from.
 
     The zero-order couplings act on the elementwise mean of the trial
     function (one-point integration semantics), scaled by the condensation
@@ -273,7 +278,10 @@ def assemble_modified_ncfem(mesh, pw, u_dirichlet=None):
         - np.einsum("t,td,tid->ti", correction * area, pw.b_h, grad_psi)
         - (pw.gamma_h * correction * area / 3.0)[:, None]
     )
-    return _cr_system(mesh, pw, grad_psi, kappa, react, local_rhs, u_dirichlet)
+    system, local = _cr_system(
+        mesh, pw, grad_psi, kappa, react, local_rhs, u_dirichlet
+    )
+    return system, local, local_rhs
 
 
 def _mixed_blocks(mesh, pw, u_dirichlet):
@@ -356,13 +364,20 @@ def _inverse_3x3(m):
     return adj / det[:, None, None]
 
 
-def assemble_hybrid_mixed(mesh, pw, u_dirichlet):
+# a symmetric 3 x 3 matrix kept as its upper triangle: the flat positions
+# kept, and where each entry of the full matrix lies among them
+_UPPER = [0, 1, 2, 4, 5, 8]
+_FROM_UPPER = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+
+def assemble_hybrid_mixed(mesh, pw):
     """The saddle-point system hybridized (Arnold & Brezzi 1985):
-    ``(system, recover)``, the system of the edge multipliers and the map
-    from its full solution to the :class:`MixedSolution`.
+    ``(local, load, recover)``, the (T, 3, 3) element blocks and (T, 3)
+    loads over each triangle's edge multipliers, and the map from the
+    multipliers on all edges to the :class:`MixedSolution`.
 
     Each triangle keeps its own fluxes p_T; a multiplier lambda_E per edge,
-    u_D(mid E) on the boundary edges (:func:`_edge_numbering`), ties them to
+    u_D(mid E) on the boundary edges (:func:`edge_system`), ties them to
     their neighbours'. With the block [[M_T, g_T], [b_T^T, c_T]] of
     :func:`_mixed_blocks`, its scalar load f_T and D = diag(b_T), a triangle
     solves M_T p_T + g_T u_T = -D lambda_T, b_T . p_T + c_T u_T = f_T
@@ -373,13 +388,13 @@ def assemble_hybrid_mixed(mesh, pw, u_dirichlet):
 
     and the continuity of the normal flux, sum_T D p_T = 0 on every interior
     edge, is the system D (M^-1 + M^-1 g b^T M^-1 / s) D lambda =
-    -D M^-1 g f / s, summed over the triangles. It is the modified
-    nonconforming system to roundoff (Marini 1985), and s_T =
+    -D M^-1 g f / s, summed over the triangles. Its blocks and loads are the
+    modified nonconforming ones to roundoff (Marini 1985), and s_T =
     4|T| / (S_T/|T| kappa_T), which vanishes only where ``pw.kappa`` raises
-    :class:`SingularLocalFactor`.
+    :class:`SingularLocalFactor`. ``recover`` keeps M_T^-1, symmetric like
+    M_T, by its upper triangle, so it holds no (T, 3, 3) array.
     """
     _require_mesh(mesh, pw)
-    free, fixed, values = _edge_numbering(mesh, u_dirichlet)  # see _cr_system
     local, load = _mixed_blocks(mesh, pw, None)  # u_D enters as lambda
     div, coupling = _divergence_rows(mesh), local[:, :3, 3]
     m_inv = _inverse_3x3(local[:, :3, :3])
@@ -388,19 +403,19 @@ def assemble_hybrid_mixed(mesh, pw, u_dirichlet):
     s = local[:, 3, 3] - np.einsum("tk,tk->t", b_m_inv, coupling)
     f_over_s = load[:, 3] / s
     b_m_inv_over_s = b_m_inv / s[:, None]
-    del local, load, coupling  # the (T, 4, 4) blocks go before the scatter
+    del local, load, coupling  # the (T, 4, 4) blocks go first
     dm_inv_g = div * m_inv_g
     hybrid = (
         div[:, :, None] * m_inv * div[:, None, :]
         + dm_inv_g[:, :, None] * (b_m_inv_over_s * div)[:, None, :]
     )
-    system = _scatter(mesh.num_edges, mesh.triangle_edges, hybrid,
-                      -dm_inv_g * f_over_s[:, None], free, fixed, values)
+    m_inv_upper = m_inv.reshape(-1, 9)[:, _UPPER]
 
     def recover(multiplier):
         d_lambda = _divergence_rows(mesh) * multiplier[mesh.triangle_edges]
         u = f_over_s + np.einsum("tk,tk->t", b_m_inv_over_s, d_lambda)
+        m_inv = m_inv_upper[:, _FROM_UPPER]
         flux = -np.einsum("tij,tj->ti", m_inv, d_lambda) - m_inv_g * u[:, None]
         return mixed_from_local_flux(mesh, flux, u)
 
-    return system, recover
+    return hybrid, -dm_inv_g * f_over_s[:, None], recover

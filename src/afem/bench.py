@@ -59,6 +59,8 @@ class LevelRecord:
     rate_eta: float = math.nan
     c_rel: float = math.nan
     efficiency: float = math.nan
+    # equivalence_residual (flux, scalar) of the hybrid recovery from u~
+    # against the reconstruction
     equivalence: tuple = (math.nan, math.nan)
 
 
@@ -302,12 +304,13 @@ def run_experiment(config, echo=print):
                 return
             u_d = instance.field.u_dirichlet
             for kind, assemble in (
-                ("modified_nc", assemble_modified_ncfem),
-                ("mixed", assemble_mixed_direct),
+                ("modified_nc",
+                 lambda: assemble_modified_ncfem(pw.mesh, pw, u_dirichlet=u_d)[0]),
+                ("mixed", lambda: assemble_mixed_direct(pw.mesh, pw, u_dirichlet=u_d)),
             ):
                 path = os.path.join(sysdir, f"{prefix}level{record.level}_{kind}.txt")
                 with _writing(path):
-                    assemble(pw.mesh, pw, u_dirichlet=u_d).dump_triplets(path)
+                    assemble().dump_triplets(path)
 
         try:
             hist = adapt.adaptive_loop(

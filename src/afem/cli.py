@@ -61,6 +61,20 @@ def _parse_config_file(path):
     return values
 
 
+def _join_numeric_values(argv):
+    """``--key value`` as ``--key=value`` where the key takes a number:
+    argparse reads a value such as -1e5 or -inf, which its negative-number
+    pattern does not match, as an option."""
+    out = []
+    for arg in argv:
+        flag = out[-1] if out and out[-1].startswith("--") else ""
+        if _OPTIONS.get(flag[2:].replace("-", "_"), (None,))[0] in (int, float):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
@@ -82,7 +96,8 @@ def _build_parser():
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser().parse_args(_join_numeric_values(argv))
         values = _parse_config_file(args.config) if args.config else {}
         flags = {key: getattr(args, key) for key in _OPTIONS}
         values.update((key, v) for key, v in flags.items() if v is not None)

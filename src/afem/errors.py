@@ -59,8 +59,9 @@ class BadTheta(AfemError):
 
 
 class EquivalenceViolation(AfemError):
-    """The reconstructed and directly solved mixed solutions disagree
-    beyond solver precision; aborting the run."""
+    """The condensed and hybridized element blocks, or the reconstructed and
+    hybrid-recovered mixed solutions, disagree beyond their bounds; aborting
+    the run."""
 
 
 class ConfigError(AfemError):

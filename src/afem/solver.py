@@ -1,19 +1,18 @@
-"""Sparse direct solves and the two routes to the mixed solution.
+"""Sparse direct solves and the mixed solution.
 
-The reconstruction route solves the condensed modified nonconforming
-system, forms the scalar part from the S_T-weighted average of the element
-means, scaled by the factor ``pw.kappa`` the system was condensed with, and
-lifts the broken gradient to a conforming flux; the direct route solves
-the saddle-point system hybridized: each triangle's flux and scalar are
-eliminated exactly, the edge multipliers factored, and the two recovered
-from them. Their agreement to solver precision is the package's strongest
-correctness oracle and is asserted on every level of every benchmark run.
-Both routes factor a system over the interior edges, assembled in the
-order in which it is factored, ``mesh.edge_order``, computed once per mesh
-(:mod:`afem.ordering`) and kept on it. Its diagonal supplies the pivots. A
-solve is trusted by one test: the correction of its refinement step,
-relative to the solution, is at most ``FORWARD_TOL``; otherwise the matrix
-counts as singular.
+The mixed solution is reconstructed from the condensed modified
+nonconforming solve: the scalar part from the S_T-weighted average of the
+element means, scaled by the factor ``pw.kappa`` the system was condensed
+with, and the broken gradient lifted to a conforming flux. That it is the
+lowest-order mixed solution, the paper's equivalence, is checked triangle
+by triangle on every solve (:func:`solve_mixed_via_equivalence`), so one
+system is factored; :func:`solve_mixed_direct` solves the hybridized
+saddle-point system on its own. Every system is over the interior edges,
+assembled in the order in which it is factored, ``mesh.edge_order``,
+computed once per mesh (:mod:`afem.ordering`) and kept on it. Its diagonal
+supplies the pivots. A solve is trusted by one test: the correction of its
+refinement step, relative to the solution, is at most ``FORWARD_TOL``;
+otherwise the matrix counts as singular.
 """
 
 import math
@@ -28,14 +27,19 @@ from .assembly import (
     assemble_hybrid_mixed,
     assemble_modified_ncfem,
     assemble_ncfem,
+    edge_system,
 )
-from .errors import ConfigError, MeshMismatch, SingularMatrix
+from .errors import ConfigError, EquivalenceViolation, MeshMismatch, SingularMatrix
 from .problem import project_p0
 from .quadrature import affine_sq_l2
 
 
 # largest trusted relative correction ||dx|| / ||x||: half the working digits
 FORWARD_TOL = float(np.sqrt(np.finfo(float).eps))
+# largest difference between a triangle's condensed and hybridized element
+# block, or load, relative to the block's (the load's) largest entry and to
+# the triangle's condensation condition number (see _condition)
+IDENTITY_TOL = 1e-12
 
 
 @dataclass
@@ -132,11 +136,49 @@ def _require_dirichlet(u_dirichlet):
 
 
 def solve_mixed_via_equivalence(mesh, pw, u_dirichlet):
-    """Mixed solution by reconstruction; returns ``(mixed, u_cr_tilde)``."""
+    """Mixed solution by reconstruction, checked triangle by triangle:
+    ``(mixed, u_cr_tilde, (rel_p, rel_u))``.
+
+    Before the factorization, the element blocks and loads of the modified
+    nonconforming system are compared with the hybridized saddle-point ones
+    (:func:`assembly.assemble_hybrid_mixed`); a difference over
+    ``IDENTITY_TOL`` raises :class:`EquivalenceViolation`. No element block
+    outlives the comparison. The last value is :func:`equivalence_residual`
+    between the hybrid recovery from u~ and the reconstruction.
+    """
     _require_dirichlet(u_dirichlet)
-    system = assemble_modified_ncfem(mesh, pw, u_dirichlet=u_dirichlet)
+    system, local, load = assemble_modified_ncfem(mesh, pw, u_dirichlet=u_dirichlet)
+    hybrid, hybrid_load, recover = assemble_hybrid_mixed(mesh, pw)
+    cond = _condition(pw)
+    defect = (_defect(hybrid, local, cond), _defect(hybrid_load, load, cond))
+    if not all(d <= IDENTITY_TOL for d in defect):  # NaN too
+        raise EquivalenceViolation(
+            "element blocks and loads differ from the hybridized ones by"
+            f" ({defect[0]:.2e}, {defect[1]:.2e})"
+        )
+    del local, load, hybrid, hybrid_load, cond  # before the factorization
     u_tilde = CRSolution(mesh=mesh, edge_values=solve_sparse(system).solution)
-    return reconstruct_mixed(pw, u_tilde), u_tilde
+    mixed = reconstruct_mixed(pw, u_tilde)
+    return mixed, u_tilde, equivalence_residual(recover(u_tilde.edge_values), mixed)
+
+
+def _condition(pw):
+    """(T,) condition number (1 + |x_T|) max(1, |kappa_T|) of the
+    condensation, x_T = gamma_h S_T/(4|T|). Both sides of the element
+    identity lose digits to it: where kappa_T = 1/(1 + x_T) blows up, and
+    where the load corrections, of relative size x_T kappa_T, cancel."""
+    x = np.abs(pw.gamma_h * pw.s_mean / 4.0)
+    return (1.0 + x) * np.maximum(1.0, np.abs(pw.kappa))
+
+
+def _defect(hybrid, condensed, cond):
+    """Largest per-triangle difference of two (T, ...) element arrays,
+    relative to the triangle's largest condensed entry and to its ``cond``;
+    0 where both vanish."""
+    axes = tuple(range(1, condensed.ndim))
+    diff = np.abs(hybrid - condensed).max(axis=axes)
+    scale = np.abs(condensed).max(axis=axes) * cond
+    return float(np.max(diff / np.where(diff > 0, scale, 1.0), initial=0.0))
 
 
 def solve_mixed_direct(mesh, pw, u_dirichlet):
@@ -148,14 +190,17 @@ def solve_mixed_direct(mesh, pw, u_dirichlet):
     # s_T vanishes only where kappa_T blows up: reading pw.kappa raises
     # SingularLocalFactor there, before the assembly divides by s_T
     pw.kappa
-    system, recover = assemble_hybrid_mixed(mesh, pw, u_dirichlet)
+    local, load, recover = assemble_hybrid_mixed(mesh, pw)
+    system = edge_system(mesh, local, load, u_dirichlet)
+    del local, load
     return recover(solve_sparse(system).solution)
 
 
 def equivalence_residual(direct, recon):
-    """L2 discrepancies (flux, scalar) between the two routes, each relative
-    to the L2 norm of the whole direct solution (p, u), which vanishes only
-    with the solution: a flux or a scalar part alone may be roundoff."""
+    """L2 discrepancies (flux, scalar) between two mixed solutions, each
+    relative to the L2 norm of the whole of ``direct`` (p, u), which
+    vanishes only with the solution: a flux or a scalar part alone may be
+    roundoff."""
     if direct.mesh is not recon.mesh:
         raise MeshMismatch("solutions live on different meshes")
     mesh = direct.mesh

@@ -261,7 +261,7 @@ def unchecked_adaptive_loop(instance, max_ndof, theta=0.5):
     levels = []
     while mesh.ndof_mixed <= max_ndof:
         pw = project_p0(instance.field, mesh)
-        mixed, u_tilde = solve_mixed_via_equivalence(
+        mixed, u_tilde, _ = solve_mixed_via_equivalence(
             mesh, pw, u_dirichlet=instance.field.u_dirichlet
         )
         report = estimate_mixed(mesh, mixed, u_tilde, instance.field, pw)

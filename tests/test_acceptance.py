@@ -320,7 +320,7 @@ def test_criterion_9_property_suites():
         u_dirichlet=lambda x, y: np.asarray(x, dtype=float),
     )
     pw = project_p0(field, square)
-    mixed, _ = solve_mixed_via_equivalence(square, pw, u_dirichlet=field.u_dirichlet)
+    mixed, *_ = solve_mixed_via_equivalence(square, pw, u_dirichlet=field.u_dirichlet)
     if np.abs(mixed.u - square.centroid[:, 0]).max() > 1e-10:
         failures.append("mixed patch test u")
     flux = mixed.flux_at(square.centroid[:, None, :])[:, 0, :]
@@ -408,7 +408,7 @@ def test_criterion_9_property_suites():
     )
     mesh = lshape_start_mesh()
     pw0 = project_p0(zero_field, mesh)
-    mixed0, u0 = solve_mixed_via_equivalence(mesh, pw0, constant_scalar(0.0))
+    mixed0, u0, _ = solve_mixed_via_equivalence(mesh, pw0, constant_scalar(0.0))
     if estimate_mixed(mesh, mixed0, u0, zero_field, pw0).eta != 0.0:
         failures.append("estimator zero problem")
 

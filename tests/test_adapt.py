@@ -103,7 +103,7 @@ def test_average_of_two_triangle_traces():
 
 def run_pipeline(inst, mesh):
     pw = project_p0(inst.field, mesh)
-    mixed, u_tilde = solve_mixed_via_equivalence(
+    mixed, u_tilde, _ = solve_mixed_via_equivalence(
         mesh, pw, u_dirichlet=inst.field.u_dirichlet
     )
     return pw, mixed, u_tilde
@@ -113,7 +113,7 @@ def test_estimator_zero_on_zero_problem():
     mesh = lshape_start_mesh()
     zero = field()
     pw = project_p0(zero, mesh)
-    mixed, u_tilde = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
+    mixed, u_tilde, _ = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
     report = estimate_mixed(mesh, mixed, u_tilde, zero, pw)
     assert report.eta == 0.0
     assert all(v.max() == 0.0 for v in report.term_sq.values())
@@ -170,7 +170,7 @@ def test_constant_data_kills_osc_and_coefficient_terms():
     mesh = lshape_start_mesh()
     f = field(a=[[2.0, 0.5], [0.5, 1.0]], b=(0.3, -0.2), gamma=-1.0, f=2.0)
     pw = project_p0(f, mesh)
-    mixed, u_tilde = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
+    mixed, u_tilde, _ = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
     report = estimate_mixed(mesh, mixed, u_tilde, f, pw)
     assert report.term_sq["osc"].max() == pytest.approx(0.0, abs=1e-28)
     assert report.term_sq["coeff_a"].max() == pytest.approx(0.0, abs=1e-28)
@@ -227,7 +227,7 @@ def test_coefficient_terms_match_independent_recomputation():
     )
     mesh = lshape_start_mesh()
     pw = project_p0(var_field, mesh)
-    mixed, u_tilde = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
+    mixed, u_tilde, _ = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
     report = estimate_mixed(mesh, mixed, u_tilde, var_field, pw)
     assert report.term_sq["coeff_a"].max() > 0
     assert report.term_sq["coeff_b"].max() > 0

@@ -61,7 +61,7 @@ def test_error_norms_zero_when_solution_in_space():
         name="const", field=field, start_mesh=lambda: mesh, exact=exact
     )
     pw = project_p0(field, mesh)
-    mixed, _ = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=field.u_dirichlet)
+    mixed, *_ = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=field.u_dirichlet)
     e_u, e_p, e_div = norms(mixed, inst)
     assert max(e_u, e_p, e_div) < 1e-10
 
@@ -158,7 +158,7 @@ def test_error_norms_frozen_values(name, levels, expected):
     for _ in range(levels):
         mesh = uniform_red_refine(mesh)
     pw = project_p0(inst.field, mesh)
-    mixed, _ = solve_mixed_via_equivalence(
+    mixed, *_ = solve_mixed_via_equivalence(
         mesh, pw, u_dirichlet=inst.field.u_dirichlet
     )
     assert norms(mixed, inst) == tuple(float.fromhex(h) for h in expected)
@@ -168,7 +168,7 @@ def test_error_norms_requires_exact_solution():
     inst = benchmark("eigen_sweep", gamma=8.0)
     mesh = inst.start_mesh()
     pw = project_p0(inst.field, mesh)
-    mixed, _ = solve_mixed_via_equivalence(
+    mixed, *_ = solve_mixed_via_equivalence(
         mesh, pw, u_dirichlet=inst.field.u_dirichlet
     )
     with pytest.raises(NoExactSolution):
@@ -179,7 +179,7 @@ def test_lshape_level0_full_pipeline_error():
     inst = benchmark("lshape")
     mesh = inst.start_mesh()
     pw = project_p0(inst.field, mesh)
-    mixed, _ = solve_mixed_via_equivalence(
+    mixed, *_ = solve_mixed_via_equivalence(
         mesh, pw, u_dirichlet=inst.field.u_dirichlet
     )
     e_u, e_p, e_div = norms(mixed, inst)

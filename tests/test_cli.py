@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import afem
-from afem import adapt, bench, problem
+from afem import adapt, assembly, bench, problem, solver
 from afem.cli import main
 from afem.mesh import build_mesh, write_mesh_file
 from afem.refine import rgb_refine, uniform_red_refine
@@ -320,6 +320,19 @@ def test_adaptive_sweep_combined_ndof_matches_per_gamma(tmp_path):
             assert cell == (recs[lev][1] if lev < len(recs) else "")
     # the adaptive meshes of the sweep values diverge within this budget
     assert any(row[1] == "" for row in rows)
+
+
+def test_negative_gamma_in_exponent_form_is_a_value(tmp_path):
+    # argparse's negative-number pattern does not match -1e5, so it read the
+    # value as an option; both spellings run and write the same CSVs
+    csvs = []
+    for i, gamma in enumerate((["--gamma", "-1e5"], ["--gamma=-1e5"])):
+        out = tmp_path / str(i)
+        args = ["--problem", "eigen_sweep", *gamma, "--max-ndof", "300"]
+        assert main(["run", *args, "--out", str(out)]) == 0
+        csvs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+    assert "eigen_sweep_gamma-100000_uniform.csv" in csvs[0]
+    assert csvs[0] == csvs[1]
 
 
 def test_gamma_outside_eigen_sweep_is_config_error(tmp_path, capsys):
@@ -687,27 +700,64 @@ def test_rows_are_written_as_levels_complete(tmp_path, monkeypatch):
     assert on_disk == [None, rows[:1], rows[:2], rows[:3]]
 
 
-def test_equivalence_violation_leaves_rows_and_abort_line(
-    tmp_path, capsys, monkeypatch
-):
-    # the direct route's scalar perturbed by 1e-6 relative on level 2
-    solve = adapt.solve_mixed_direct
-
-    def perturbed(mesh, pw, **kwargs):
-        mixed = solve(mesh, pw, **kwargs)
-        if mesh.ndof_mixed == 992:
-            mixed = dataclasses.replace(mixed, u=mixed.u * (1 + 1e-6))
-        return mixed
-
-    monkeypatch.setattr(adapt, "solve_mixed_direct", perturbed)
+def _lshape_abort_on_level_2(tmp_path, capsys, violation):
+    """Run lshape uniform to 4000 dofs, which aborts on level 2 (992 dofs):
+    the CSV keeps rows 0-1 and its abort line, and stderr names ``violation``
+    on level 2."""
     args = ["--problem", "lshape", "--max-ndof", "4000", "--out", str(tmp_path)]
     assert main(["run", *args]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(r"afem: error: level 2: routes differ by \(.+, .+\)\n", err)
+    assert re.fullmatch(
+        rf"afem: error: level 2: {violation} by \(.+, .+\)\n", err
+    )
     header, *lines = (tmp_path / "lshape_uniform.csv").read_text().splitlines()
     assert [line.split(",")[:2] for line in lines[:2]] == [["0", "68"], ["1", "256"]]
     reason = err.removeprefix("afem: error: ").rstrip("\n")
     assert lines[2:] == [f"# aborted: EquivalenceViolation: {reason}"]
+
+
+def test_equivalence_violation_leaves_rows_and_abort_line(
+    tmp_path, capsys, monkeypatch
+):
+    # the hybrid recovery's scalar perturbed by 1e-6 relative on level 2
+    assemble = solver.assemble_hybrid_mixed
+
+    def perturbed(mesh, pw):
+        local, load, recover = assemble(mesh, pw)
+        if mesh.ndof_mixed != 992:
+            return local, load, recover
+
+        def recover_perturbed(multiplier):
+            mixed = recover(multiplier)
+            return dataclasses.replace(mixed, u=mixed.u * (1 + 1e-6))
+
+        return local, load, recover_perturbed
+
+    monkeypatch.setattr(solver, "assemble_hybrid_mixed", perturbed)
+    _lshape_abort_on_level_2(tmp_path, capsys, "routes differ")
+
+
+def test_element_identity_violation_leaves_rows_and_abort_line(
+    tmp_path, capsys, monkeypatch
+):
+    # the convection coupling w_T of the hybridized blocks perturbed by 1e-9
+    # relative on level 2; the hybrid recovery moves by about as much, far
+    # under EQUIVALENCE_TOL, so only the comparison of the element blocks
+    # sees it
+    blocks = assembly._mixed_blocks
+
+    def perturbed(mesh, pw, u_dirichlet):
+        local, load = blocks(mesh, pw, u_dirichlet)
+        if mesh.ndof_mixed == 992:
+            w = local[:, :3, 3] + assembly._divergence_rows(mesh)
+            assert np.abs(w).max() > 0
+            local[:, :3, 3] += 1e-9 * w
+        return local, load
+
+    monkeypatch.setattr(assembly, "_mixed_blocks", perturbed)
+    _lshape_abort_on_level_2(
+        tmp_path, capsys, "element blocks and loads differ from the hybridized ones"
+    )
 
 
 def test_interrupt_leaves_rows_and_abort_line(tmp_path, monkeypatch):

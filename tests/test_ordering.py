@@ -11,6 +11,7 @@ from afem.assembly import (
     assemble_hybrid_mixed,
     assemble_mixed_direct,
     assemble_modified_ncfem,
+    edge_system,
 )
 from afem.problem import benchmark, crack_start_mesh, lshape_start_mesh, project_p0
 from afem.refine import uniform_red_refine
@@ -125,7 +126,7 @@ def test_routes_factor_in_the_mesh_orders(monkeypatch):
     inst = benchmark("lshape")
     pw = project_p0(inst.field, mesh)
     systems, factored = _capture_factored(monkeypatch)
-    mixed, _ = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet)
+    mixed, *_ = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet)
     direct = solver.solve_mixed_direct(mesh, pw, inst.field.u_dirichlet)
     solver.solve_ncfem(mesh, inst.field)
     assert len(factored) == len(systems) == 3
@@ -159,7 +160,7 @@ def test_crack_direct_route_factors_interior_edges_in_edge_order(monkeypatch):
     edge_order = mesh.edge_order
     interior = edge_order[np.isin(edge_order, mesh.interior_edges)]
     assert np.array_equal(hybrid.free, interior)
-    mixed, _ = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet)
+    mixed, *_ = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet)
     assert max(solver.equivalence_residual(direct, mixed)) < 1e-10
 
 
@@ -174,7 +175,17 @@ def _crack_saddle_system(levels):
 
 
 def test_static_pivots_on_crack_match_colamd(monkeypatch):
-    mesh, system = _crack_saddle_system(3)
+    # the hybridized system of uniform crack level 3, zero reaction and all,
+    # as solve_mixed_direct factors it
+    inst = benchmark("crack")
+    mesh = crack_start_mesh()
+    for _ in range(3):
+        mesh = uniform_red_refine(mesh)
+    pw = project_p0(inst.field, mesh)
+    assert not pw.gamma_h.any()
+    local, load, _ = assemble_hybrid_mixed(mesh, pw)
+    system = edge_system(mesh, local, load, inst.field.u_dirichlet)
+    assert len(system.rhs) == len(mesh.interior_edges)
     expected = _colamd_solution(system)
     calls = _spy_splu(monkeypatch)
     report = solver.solve_sparse(system)
@@ -192,7 +203,7 @@ def test_near_resonant_level_is_trusted_on_static_pivots(monkeypatch):
     for _ in range(4):
         mesh = uniform_red_refine(mesh)
     pw = project_p0(inst.field, mesh)
-    system = assemble_modified_ncfem(mesh, pw, inst.field.u_dirichlet)
+    system, *_ = assemble_modified_ncfem(mesh, pw, inst.field.u_dirichlet)
     expected = _colamd_solution(system)
     calls = _spy_splu(monkeypatch)
     report = solver.solve_sparse(system)
@@ -226,15 +237,15 @@ def test_singular_leading_block_falls_back_to_colamd(monkeypatch):
 
 def test_eigen_sweep_solves_its_gamma_12_start_level(monkeypatch):
     # with gamma = 12 on the start mesh, a leading block of the saddle-point
-    # system with its scalars among the edges is exactly singular; both
-    # systems the level factors are over its edges, on static pivots
+    # system with its scalars among the edges is exactly singular; the one
+    # system the level factors is over its edges, on static pivots
     inst = benchmark("eigen_sweep", gamma=12.0)
     mesh = inst.start_mesh()
     calls = _spy_splu(monkeypatch)
     history = adaptive_loop(inst, mode="uniform", max_ndof=mesh.ndof_mixed)
     assert history.failure is None
     assert history.ndofs == [mesh.ndof_mixed]
-    assert [options for _, options in calls] == [STATIC, STATIC]
+    assert [options for _, options in calls] == [STATIC]
 
 
 def test_mesh_orders_need_less_fill_than_colamd():
@@ -246,8 +257,9 @@ def test_mesh_orders_need_less_fill_than_colamd():
         mesh = uniform_red_refine(mesh)
     inst = benchmark("lshape")
     pw = project_p0(inst.field, mesh)
-    hybrid, _ = assemble_hybrid_mixed(mesh, pw, inst.field.u_dirichlet)
-    recon = assemble_modified_ncfem(mesh, pw, inst.field.u_dirichlet)
+    hybrid_local, hybrid_load, _ = assemble_hybrid_mixed(mesh, pw)
+    hybrid = edge_system(mesh, hybrid_local, hybrid_load, inst.field.u_dirichlet)
+    recon, *_ = assemble_modified_ncfem(mesh, pw, inst.field.u_dirichlet)
     for system in (hybrid, recon):
         colamd = spla.splu(system.in_dof_order()[0])
         ordered = spla.splu(system.matrix, **STATIC)
@@ -263,7 +275,7 @@ def test_eigen_sweep_mesh_order_fills_less_than_colamd():
     mesh = inst.start_mesh()
     ordered = colamd = 0
     for _ in range(5):
-        system = assemble_modified_ncfem(
+        system, *_ = assemble_modified_ncfem(
             mesh, project_p0(inst.field, mesh), inst.field.u_dirichlet
         )
         lu = spla.splu(system.matrix, **STATIC)
@@ -274,13 +286,14 @@ def test_eigen_sweep_mesh_order_fills_less_than_colamd():
     assert ordered < 0.8 * colamd
 
 
-def test_crack_adaptive_factors_twice_in_order(tmp_path, monkeypatch):
-    # the zero reaction of crack, factored on static pivots on every level
+def test_crack_adaptive_factors_once_in_order(tmp_path, monkeypatch):
+    # the zero reaction of crack, factored once on static pivots on every
+    # level
     calls = _spy_splu(monkeypatch)
     config = bench.ExperimentConfig(
         problem="crack", mode="adaptive", max_ndof=41536, out=str(tmp_path)
     )
     (history,) = bench.run_experiment(config, echo=lambda *_: None).histories.values()
     assert history.ndofs[-1] == 41536
-    assert len(calls) == 2 * len(history.records)
+    assert len(calls) == len(history.records)
     assert all(options == STATIC for _, options in calls)

@@ -185,12 +185,12 @@ def test_each_level_evaluates_its_data_once(
     [("lshape", "uniform", 62000, 61696), ("crack", "adaptive", 20000, 17691)],
     ids=["lshape-uniform-62000", "crack-adaptive-20000"],
 )
-def test_every_level_factors_twice_in_order(
+def test_every_level_factors_once_in_order(
     tmp_path, monkeypatch, problem, mode, max_ndof, finest
 ):
-    # two splu calls per level, both in the mesh's order (NATURAL column
-    # order), and the benchmark's tracer sees every factorization and its
-    # fill
+    # one splu call per level, the reconstruction route's, in the mesh's
+    # order (NATURAL column order), and the benchmark's tracer sees every
+    # factorization and its fill
     spans = _load_perfbench("spans")
     calls = []
     splu = spla.splu
@@ -212,12 +212,9 @@ def test_every_level_factors_twice_in_order(
     (history,) = result.histories.values()
     levels = len(history.records)
     assert history.ndofs[-1] == finest
-    assert len(calls) == 2 * levels
+    assert len(calls) == levels
     assert all(permc == "NATURAL" for _, permc in calls)
     metrics = tracer.metrics()
-    assert metrics["solver.factorizations"] == 2 * levels
-    # both routes factor a matrix over the interior edges with one pattern,
-    # with or without a reaction
-    recon = metrics["solver.nnz_lu_recon"]
-    assert recon > 0
-    assert abs(metrics["solver.nnz_lu_direct"] - recon) <= 0.01 * recon
+    assert metrics["solver.factorizations"] == levels
+    assert metrics["solver.nnz_lu_direct"] == 0
+    assert metrics["solver.nnz_lu_recon"] > 0

@@ -12,12 +12,13 @@ from afem.assembly import (
     assemble_mixed_direct,
     assemble_modified_ncfem,
     assemble_ncfem,
+    edge_system,
     mixed_from_local_flux,
 )
-from afem.bench import ExperimentConfig, run_experiment
 from afem.errors import ConfigError, MeshMismatch, SingularLocalFactor, SingularMatrix
 from afem.mesh import build_mesh
 from afem.problem import (
+    DEFAULT_GAMMA_SWEEP,
     CoefficientField,
     PiecewiseData,
     benchmark,
@@ -136,7 +137,7 @@ def test_mixed_patch_test_both_routes():
     field = laplace_instance(lambda x, y: np.asarray(x, dtype=float))
     pw = project_p0(field, mesh)
     direct = solve_mixed_direct(mesh, pw, u_dirichlet=field.u_dirichlet)
-    recon, _ = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=field.u_dirichlet)
+    recon, *_ = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=field.u_dirichlet)
     for sol in (direct, recon):
         flux_mid = sol.flux_at(mesh.centroid[:, None, :])[:, 0, :]
         assert np.abs(flux_mid - np.array([-1.0, 0.0])).max() < 1e-10
@@ -152,7 +153,7 @@ def test_equivalence_residual_sees_a_flux_or_scalar_mismatch():
     mesh = uniform_red_refine(inst.start_mesh())
     pw = project_p0(inst.field, mesh)
     direct = solve_mixed_direct(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
-    recon, _ = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
+    recon, *_ = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
     assert max(equivalence_residual(direct, recon)) < 1e-12
     flux = dataclasses.replace(recon, flux_const=recon.flux_const * (1.0 + 1e-6))
     scalar = dataclasses.replace(recon, u=recon.u * (1.0 + 1e-6))
@@ -163,7 +164,7 @@ def test_equivalence_residual_sees_a_flux_or_scalar_mismatch():
 def test_mixed_zero_data():
     mesh = lshape_start_mesh()
     pw = project_p0(laplace_instance(constant_scalar(0.0)), mesh)
-    recon, u_tilde = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
+    recon, u_tilde, _ = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
     assert np.abs(recon.u).max() == 0.0
     assert np.abs(recon.flux_const).max() == 0.0
     assert np.abs(u_tilde.edge_values).max() == 0.0
@@ -180,7 +181,7 @@ def test_reconstruction_formulas_collapse_without_reaction():
         u_dirichlet=constant_scalar(0.0),
     )
     pw = project_p0(field, mesh)
-    recon, u_tilde = solve_mixed_via_equivalence(
+    recon, u_tilde, _ = solve_mixed_via_equivalence(
         mesh, pw, u_dirichlet=field.u_dirichlet
     )
     assert np.abs(recon.div() - 1.0).max() < 1e-12
@@ -198,7 +199,7 @@ def test_equivalence_on_benchmarks(name, kwargs):
     for _ in range(2):
         pw = project_p0(inst.field, mesh)
         direct = solve_mixed_direct(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
-        recon, _ = solve_mixed_via_equivalence(
+        recon, *_ = solve_mixed_via_equivalence(
             mesh, pw, u_dirichlet=inst.field.u_dirichlet
         )
         rel_p, rel_u = equivalence_residual(direct, recon)
@@ -219,7 +220,7 @@ def test_equivalence_residual_detects_perturbation():
     mesh = inst.start_mesh()
     pw = project_p0(inst.field, mesh)
     direct = solve_mixed_direct(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
-    recon, _ = solve_mixed_via_equivalence(
+    recon, *_ = solve_mixed_via_equivalence(
         mesh, pw, u_dirichlet=inst.field.u_dirichlet
     )
     assert equivalence_residual(direct, direct) == (0.0, 0.0)
@@ -299,7 +300,7 @@ def test_equivalence_with_variable_coefficients():
     for _ in range(3):
         pw = project_p0(field, mesh)
         direct = solve_mixed_direct(mesh, pw, u_dirichlet=field.u_dirichlet)
-        recon, _ = solve_mixed_via_equivalence(
+        recon, *_ = solve_mixed_via_equivalence(
             mesh, pw, u_dirichlet=field.u_dirichlet
         )
         rel_p, rel_u = equivalence_residual(direct, recon)
@@ -375,10 +376,11 @@ def _lshape_level(levels):
     return mesh
 
 
-def test_condensed_direct_route_matches_saddle_solve_and_reconstruction():
-    # eliminating each triangle's fluxes and scalar from the hybridized
-    # system is exact block elimination: the saddle-point system's solution
-    # to roundoff
+def test_direct_route_matches_saddle_solve_and_reconstruction():
+    # the two global mixed solves: eliminating each triangle's fluxes and
+    # scalar from the hybridized system is exact block elimination, so the
+    # direct route gives the saddle-point system's solution to roundoff,
+    # and so does the reconstruction
     inst = benchmark("lshape")
     u_d = inst.field.u_dirichlet
     mesh = _lshape_level(3)
@@ -387,33 +389,36 @@ def test_condensed_direct_route_matches_saddle_solve_and_reconstruction():
     x = solve_sparse(assemble_mixed_direct(mesh, pw, u_d)).solution
     ne = mesh.num_edges
     saddle = mixed_from_local_flux(mesh, x[:ne][mesh.triangle_edges], x[ne:])
-    recon, _ = solve_mixed_via_equivalence(mesh, pw, u_d)
+    recon, *_ = solve_mixed_via_equivalence(mesh, pw, u_d)
     assert max(equivalence_residual(direct, saddle)) < 1e-12
     assert max(equivalence_residual(direct, recon)) < 1e-12
 
 
-def _direct_factor_sizes(monkeypatch):
-    """Per direct solve of the loop: ``(interior edges, zero reaction,
-    sizes)``, with the sizes of the matrices ``splu`` factored inside it."""
+def _direct_solves(monkeypatch, inst, mode, max_ndof):
+    """``(history, solves)``: ``solve_mixed_direct`` on every level of the
+    loop, with per level ``(interior edges, zero reaction, sizes,
+    equivalence)``, the sizes of the matrices ``splu`` factored inside it
+    and its :func:`equivalence_residual` against the loop's solution."""
     sizes, solves = [], []
     splu = spla.splu
-    direct = adapt.solve_mixed_direct
 
     def spy(matrix, **options):
         sizes.append(matrix.shape[0])
         return splu(matrix, **options)
 
-    def route(mesh, pw, u_dirichlet):
+    def on_level(pw, mixed, *_):
         start = len(sizes)
-        mixed = direct(mesh, pw, u_dirichlet=u_dirichlet)
-        solves.append(
-            (len(mesh.interior_edges), not pw.gamma_h.any(), sizes[start:])
-        )
-        return mixed
+        direct = solve_mixed_direct(pw.mesh, pw, inst.field.u_dirichlet)
+        solves.append((
+            len(pw.mesh.interior_edges), not pw.gamma_h.any(), sizes[start:],
+            equivalence_residual(direct, mixed),
+        ))
 
     monkeypatch.setattr(spla, "splu", spy)
-    monkeypatch.setattr(adapt, "solve_mixed_direct", route)
-    return solves
+    history = adapt.adaptive_loop(
+        inst, mode=mode, max_ndof=max_ndof, on_level=on_level
+    )
+    return history, solves
 
 
 @pytest.mark.parametrize(
@@ -425,19 +430,22 @@ def _direct_factor_sizes(monkeypatch):
     ],
 )
 def test_direct_route_factors_edges_where_every_reaction_allows(
-    tmp_path, monkeypatch, problem, mode, max_ndof, zero_reaction
+    monkeypatch, problem, mode, max_ndof, zero_reaction
 ):
-    # the hybridized system is over the interior edges whatever the reaction
-    solves = _direct_factor_sizes(monkeypatch)
-    config = ExperimentConfig(
-        problem=problem, mode=mode, max_ndof=max_ndof, out=str(tmp_path)
-    )
-    result = run_experiment(config, echo=lambda *_: None)
-    assert result.exit_code == 0
-    levels = sum(len(h.records) for h in result.histories.values())
-    assert len(solves) == levels >= 3
-    for interior, zero, sizes in solves:
-        assert sizes == [interior] and zero == zero_reaction
+    # the hybridized system is over the interior edges whatever the reaction;
+    # the eigen sweep runs its default reaction grid
+    gammas = DEFAULT_GAMMA_SWEEP if problem == "eigen_sweep" else [None]
+    levels = 0
+    for gamma in gammas:
+        inst = benchmark(problem, **({} if gamma is None else {"gamma": gamma}))
+        history, solves = _direct_solves(monkeypatch, inst, mode, max_ndof)
+        assert history.failure is None
+        assert len(solves) == len(history.records)
+        levels += len(solves)
+        for interior, zero, sizes, equivalence in solves:
+            assert sizes == [interior] and zero == zero_reaction
+            assert max(equivalence) < 1e-8
+    assert levels >= 3
 
 
 def test_tiny_reaction_factors_the_interior_edges(monkeypatch):
@@ -447,10 +455,10 @@ def test_tiny_reaction_factors_the_interior_edges(monkeypatch):
     lshape = benchmark("lshape")
     field = dataclasses.replace(lshape.field, gamma=constant_scalar(-1e-6))
     inst = dataclasses.replace(lshape, field=field)
-    solves = _direct_factor_sizes(monkeypatch)
-    history = adapt.adaptive_loop(inst, mode="uniform", max_ndof=4000)
+    history, solves = _direct_solves(monkeypatch, inst, "uniform", 4000)
     assert history.failure is None and history.ndofs[-1] == 3904
-    assert [sizes for *_, sizes in solves] == [[n] for n, *_ in solves]
+    assert [sizes for _, _, sizes, _ in solves] == [[n] for n, *_ in solves]
+    assert max(max(equivalence) for *_, equivalence in solves) < 1e-12
     assert max(max(record.equivalence) for record in history.records) < 1e-12
 
 
@@ -468,8 +476,9 @@ def test_hybridized_system_is_the_modified_nonconforming_one(name, kwargs, level
     for _ in range(levels):
         mesh = uniform_red_refine(mesh)
     pw = project_p0(inst.field, mesh)
-    hybrid, _ = assemble_hybrid_mixed(mesh, pw, inst.field.u_dirichlet)
-    modified = assemble_modified_ncfem(mesh, pw, inst.field.u_dirichlet)
+    hybrid_local, hybrid_load, _ = assemble_hybrid_mixed(mesh, pw)
+    hybrid = edge_system(mesh, hybrid_local, hybrid_load, inst.field.u_dirichlet)
+    modified, *_ = assemble_modified_ncfem(mesh, pw, inst.field.u_dirichlet)
     for attr in ("free", "fixed", "fixed_values"):
         assert np.array_equal(getattr(hybrid, attr), getattr(modified, attr))
     assert np.array_equal(hybrid.matrix.indptr, modified.matrix.indptr)
@@ -478,6 +487,25 @@ def test_hybridized_system_is_the_modified_nonconforming_one(name, kwargs, level
     assert diff <= 1e-14 * spla.norm(modified.matrix)
     diff = np.linalg.norm(hybrid.rhs - modified.rhs)
     assert diff <= 1e-14 * np.linalg.norm(modified.rhs)
+
+
+@pytest.mark.parametrize("gamma", [-143.99, -1e6, 1e7])
+def test_element_identity_bound_scales_with_the_condensation(gamma):
+    # on the L-shape start mesh, gamma = -143.99 drives kappa_T to 1.4e4 and
+    # |gamma| >= 1e6 makes the load corrections cancel: the condensed and
+    # hybridized element blocks or loads then differ by 2.7e-12 to 2.3e-11
+    # relative, roundoff that the condensation amplifies, and the level
+    # must still solve
+    lshape = benchmark("lshape")
+    field = dataclasses.replace(lshape.field, gamma=constant_scalar(gamma))
+    mesh = lshape_start_mesh()
+    pw = project_p0(field, mesh)
+    condition = solver._condition(pw)
+    assert condition.max() > 1e3
+    mixed, _, equivalence = solve_mixed_via_equivalence(mesh, pw, field.u_dirichlet)
+    assert max(equivalence) < 1e-8
+    direct = solve_mixed_direct(mesh, pw, field.u_dirichlet)
+    assert max(equivalence_residual(direct, mixed)) < 1e-8
 
 
 def test_direct_route_raises_singular_local_factor_at_kappa_blowup():
