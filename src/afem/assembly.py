@@ -125,16 +125,18 @@ def mixed_from_local_flux(mesh, flux, u):
     """Expand the (T, 3) flux dofs of each triangle's edges into the
     per-triangle affine representation."""
     # local basis sigma |E| / (2|T|) (x - P_opp)
-    coef = flux * (_divergence_rows(mesh) / (2.0 * mesh.area[:, None]))
+    coef = flux * (_divergence_rows(mesh) / (2.0 * mesh.area)).T
     slope = coef.sum(axis=1)
     const = -np.einsum("tk,tkd->td", coef, mesh.triangle_vertices())
     return MixedSolution(mesh=mesh, flux_const=const, flux_slope=slope, u=u)
 
 
 def _divergence_rows(mesh):
-    """(T, 3) divergence rows b_T = sigma |E| = (div q, 1)_T of the signed
-    local flux basis."""
-    return mesh.triangle_edge_signs * mesh.edge_length[mesh.triangle_edges]
+    """(3, T) divergence rows b_T = sigma |E| = (div q, 1)_T of the signed
+    local flux basis, coordinate-major."""
+    return _coordinate_major(
+        mesh.triangle_edge_signs * mesh.edge_length[mesh.triangle_edges]
+    )
 
 
 def _require_mesh(mesh, pw):
@@ -284,57 +286,42 @@ def assemble_modified_ncfem(mesh, pw, u_dirichlet=None):
     return system, local, local_rhs
 
 
-def _mixed_blocks(mesh, pw, u_dirichlet):
-    """``(local, load)``: the (T, 4, 4) element blocks of the saddle-point
-    system over each triangle's three edge fluxes and its scalar, and their
-    (T, 4) loads.
+def _coordinate_major(a):
+    """The (T, ...) array ``a`` with its triangle axis last and contiguous:
+    each entry a (T,) row, over which every array operation runs one loop."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
 
-    A block is [[M_T, g_T], [b_T^T, c_T]]: the flux mass matrix M_T
-    (edge-midpoint rule, exact), g_T = w_T - b_T with the convection
-    coupling w_T, the divergence row b_T = sigma |E| and c_T = gamma_h |T|.
-    """
-    ne, nt = mesh.num_edges, mesh.num_triangles
-    te = mesh.triangle_edges
-    pv = mesh.triangle_vertices()
-    # divergence of the signed basis is sigma |E| / |T|
-    div_coef = _divergence_rows(mesh)
-    # (T, 3) coefficient of (x - P_k) in the signed local basis
-    scale = div_coef / (2.0 * mesh.area[:, None])
 
-    mids = 0.5 * (pv + np.roll(pv, -1, axis=1))  # edge midpoints, (T, 3, 2)
-    # basis values at the quadrature (edge mid) points: (T, k_basis, q, 2)
-    vals = scale[:, :, None, None] * (mids[:, None, :, :] - pv[:, :, None, :])
-    # einsum("tde,tkqe->tkqd", a_h_inv, vals) up to the sign of zero
-    # entries, which the mass sum (onto +0.0, like einsum) cannot see
-    a_inv = pw.a_h_inv[:, None, None, :, :]
-    a_inv_vals = (
-        a_inv[..., 0] * vals[..., 0, None] + a_inv[..., 1] * vals[..., 1, None]
-    )
-    local = np.empty((nt, 4, 4))
-    local[:, :3, :3] = np.einsum(
-        "t,tiqd,tjqd->tij", mesh.area / 3.0, a_inv_vals, vals
-    )
-    local[:, 3, :3] = div_coef
-    # (u b*_h, q)_T - (div q, u)_T couples each triangle dof to its edges
-    w = np.einsum(
-        "t,td,tkd->tk",
-        mesh.area,
-        pw.b_star_h,
-        mesh.centroid[:, None, :] - pv,
-    ) * scale
-    local[:, :3, 3] = w - div_coef
-    local[:, 3, 3] = pw.gamma_h * mesh.area
-
-    load = np.zeros((nt, 4))
-    load[:, 3] = pw.f_h * mesh.area
-    if u_dirichlet is not None:
-        # natural data -sigma |E| u_D(mid E) on the boundary edge's one
-        # triangle, whose sign on it is sigma
-        bnd = mesh.boundary_edges
-        flux = np.zeros(ne)
-        flux[bnd] = mesh.edge_length[bnd] * _boundary_values(mesh, u_dirichlet)
-        load[:, :3] = -mesh.triangle_edge_signs * flux[te]
-    return local, load
+def _mixed_blocks(mesh, pw):
+    """``(mass, w, div, react, source)``, coordinate-major: the (3, 3, T)
+    flux mass matrices M_T (edge-midpoint rule, exact), (3, T) convection
+    couplings w_T and divergence rows b_T = sigma |E|, c_T = gamma_h |T|
+    and f_T = f_h |T|; a triangle's saddle-point block over its three edge
+    fluxes and its scalar is [[M_T, w_T - b_T], [b_T^T, c_T]], its load
+    (0, f_T). The products and sum order (q, then d, onto +0.0) are those
+    of ``einsum("t,tiqd,tjqd->tij", |T|/3, A^-1 v, v)``, v the basis at the
+    edge midpoints, and ``einsum("t,td,tkd->tk", |T|, b*, c - P)``."""
+    area = mesh.area
+    pv = _coordinate_major(mesh.triangle_vertices())  # (3, 2, T): P_k, x/y
+    div = _divergence_rows(mesh)
+    # (3, T) coefficient of (x - P_k) in the signed local basis, whose
+    # divergence is sigma |E| / |T|
+    scale = div / (2.0 * area)
+    a_inv = _coordinate_major(pw.a_h_inv)
+    third = area / 3.0
+    mass = np.zeros((3, 3, len(area)))
+    vals = np.empty((3, 2, len(area)))  # basis k, coordinate e, at one point
+    for q in range(3):  # the midpoint of edge (P_q, P_q+1)
+        np.subtract(0.5 * (pv[q] + pv[(q + 1) % 3]), pv, out=vals)
+        vals *= scale[:, None]
+        for d in range(2):
+            a_inv_vals = third * (a_inv[d, 0] * vals[:, 0] + a_inv[d, 1] * vals[:, 1])
+            for i in range(3):
+                mass[i] += a_inv_vals[i] * vals[:, d]
+    # (u b*_h, q)_T couples each triangle's scalar to its edges
+    w = (area * pw.b_star_h.T)[:, None] * (mesh.centroid.T[:, None] - pv.swapaxes(0, 1))
+    w = (0.0 + w[0] + w[1]) * scale
+    return mass, w, div, pw.gamma_h * area, pw.f_h * area
 
 
 def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
@@ -343,43 +330,60 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
     Dofs: edge fluxes (canonical edge index), then triangle scalars, with
     block structure [[M, W - B^T], [B, C]]: the flux mass matrix M, the
     convection coupling W, the divergence block B and C = diag(gamma_h |T|),
-    summed from the 4 x 4 blocks of :func:`_mixed_blocks`, in dof order.
-    The direct route solves it hybridized (:func:`assemble_hybrid_mixed`);
-    this assembly serves ``--dump-systems``.
+    summed from 4 x 4 blocks of the :func:`_mixed_blocks` arrays, in dof
+    order. The direct route solves it hybridized
+    (:func:`assemble_hybrid_mixed`); this assembly serves ``--dump-systems``.
     """
     _require_mesh(mesh, pw)
     ne, nt = mesh.num_edges, mesh.num_triangles
-    local, load = _mixed_blocks(mesh, pw, u_dirichlet)
+    mass, w, div, react, source = _mixed_blocks(mesh, pw)
+    # (u b*_h, q)_T - (div q, u)_T couples each triangle dof to its edges
+    local = np.block([[mass.transpose(2, 0, 1), (w - div).T[:, :, None]],
+                      [div.T[:, None, :], react[:, None, None]]])
+    load = np.column_stack((np.zeros((nt, 3)), source))
+    if u_dirichlet is not None:
+        # natural data -sigma |E| u_D(mid E) on the boundary edge's one
+        # triangle, whose sign on it is sigma
+        bnd = mesh.boundary_edges
+        flux = np.zeros(ne)
+        flux[bnd] = mesh.edge_length[bnd] * _boundary_values(mesh, u_dirichlet)
+        load[:, :3] = -mesh.triangle_edge_signs * flux[mesh.triangle_edges]
     dofs = np.column_stack((mesh.triangle_edges, np.arange(ne, ne + nt)))
     return _scatter(ne + nt, dofs, local, load, np.arange(ne + nt),
                     np.empty(0, dtype=int), np.empty(0), kind="mixed")
 
 
-def _inverse_3x3(m):
-    """Inverses of the (T, 3, 3) matrices ``m`` from their adjugates: row i
-    of m^-1 is the cross product of the other two columns over det m."""
-    c0, c1, c2 = m[:, :, 0], m[:, :, 1], m[:, :, 2]
-    adj = np.stack((np.cross(c1, c2), np.cross(c2, c0), np.cross(c0, c1)), axis=1)
-    det = np.einsum("tk,tk->t", adj[:, 0], c0)
-    return adj / det[:, None, None]
+# entry (i, j) of a symmetric 3 x 3 matrix kept by its upper triangle, the
+# rows (00, 01, 02, 11, 12, 22)
+_SYMMETRIC = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
-# a symmetric 3 x 3 matrix kept as its upper triangle: the flat positions
-# kept, and where each entry of the full matrix lies among them
-_UPPER = [0, 1, 2, 4, 5, 8]
-_FROM_UPPER = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+def _symmetric_inverse(m):
+    """(6, T) upper triangles of the inverses of the symmetric (3, 3, T)
+    matrices ``m``: the symmetric adjugate of their upper triangles."""
+    (a, b, c), (_, d, e), (_, _, f) = m
+    inv = np.stack((d * f - e * e, c * e - b * f, b * e - c * d,
+                    a * f - c * c, b * c - a * e, a * d - b * b))
+    return inv / (a * inv[0] + b * inv[1] + c * inv[2])
+
+
+def _symmetric_times(upper, v):
+    """(3, T) products of the symmetric matrices of the (6, T) ``upper``
+    triangles with the (3, T) vectors ``v``."""
+    return np.stack([upper[i] * v[0] + upper[j] * v[1] + upper[k] * v[2]
+                     for i, j, k in _SYMMETRIC])
 
 
 def assemble_hybrid_mixed(mesh, pw):
     """The saddle-point system hybridized (Arnold & Brezzi 1985):
     ``(local, load, recover)``, the (T, 3, 3) element blocks and (T, 3)
-    loads over each triangle's edge multipliers, and the map from the
-    multipliers on all edges to the :class:`MixedSolution`.
+    loads over each triangle's edge multipliers (transposed coordinate-major
+    arrays), and the map from all edges' multipliers to the mixed solution.
 
     Each triangle keeps its own fluxes p_T; a multiplier lambda_E per edge,
     u_D(mid E) on the boundary edges (:func:`edge_system`), ties them to
-    their neighbours'. With the block [[M_T, g_T], [b_T^T, c_T]] of
-    :func:`_mixed_blocks`, its scalar load f_T and D = diag(b_T), a triangle
+    their neighbours'. With the element arrays M_T, g_T = w_T - b_T, b_T,
+    c_T and f_T of :func:`_mixed_blocks` and D = diag(b_T), a triangle
     solves M_T p_T + g_T u_T = -D lambda_T, b_T . p_T + c_T u_T = f_T
     exactly: with s_T = c_T - b_T^T M_T^-1 g_T,
 
@@ -391,31 +395,25 @@ def assemble_hybrid_mixed(mesh, pw):
     -D M^-1 g f / s, summed over the triangles. Its blocks and loads are the
     modified nonconforming ones to roundoff (Marini 1985), and s_T =
     4|T| / (S_T/|T| kappa_T), which vanishes only where ``pw.kappa`` raises
-    :class:`SingularLocalFactor`. ``recover`` keeps M_T^-1, symmetric like
-    M_T, by its upper triangle, so it holds no (T, 3, 3) array.
+    :class:`SingularLocalFactor`. M_T^-1 is symmetric like M_T and is kept
+    by its upper triangle, so ``recover`` holds 13 doubles per triangle.
     """
     _require_mesh(mesh, pw)
-    local, load = _mixed_blocks(mesh, pw, None)  # u_D enters as lambda
-    div, coupling = _divergence_rows(mesh), local[:, :3, 3]
-    m_inv = _inverse_3x3(local[:, :3, :3])
-    m_inv_g = np.einsum("tij,tj->ti", m_inv, coupling)
-    b_m_inv = np.einsum("ti,tij->tj", div, m_inv)
-    s = local[:, 3, 3] - np.einsum("tk,tk->t", b_m_inv, coupling)
-    f_over_s = load[:, 3] / s
-    b_m_inv_over_s = b_m_inv / s[:, None]
-    del local, load, coupling  # the (T, 4, 4) blocks go first
+    mass, w, div, react, source = _mixed_blocks(mesh, pw)  # u_D enters as lambda
+    m_inv = _symmetric_inverse(mass)
+    del mass
+    m_inv_g = _symmetric_times(m_inv, w - div)  # g_T = w_T - b_T
+    s = react - np.einsum("kt,kt->t", div, m_inv_g)  # b^T M^-1 g
+    f_over_s = source / s
+    m_inv_b_over_s = _symmetric_times(m_inv, div) / s
     dm_inv_g = div * m_inv_g
-    hybrid = (
-        div[:, :, None] * m_inv * div[:, None, :]
-        + dm_inv_g[:, :, None] * (b_m_inv_over_s * div)[:, None, :]
-    )
-    m_inv_upper = m_inv.reshape(-1, 9)[:, _UPPER]
+    hybrid = div[:, None] * m_inv[_SYMMETRIC] * div
+    hybrid += dm_inv_g[:, None] * (m_inv_b_over_s * div)
 
     def recover(multiplier):
-        d_lambda = _divergence_rows(mesh) * multiplier[mesh.triangle_edges]
-        u = f_over_s + np.einsum("tk,tk->t", b_m_inv_over_s, d_lambda)
-        m_inv = m_inv_upper[:, _FROM_UPPER]
-        flux = -np.einsum("tij,tj->ti", m_inv, d_lambda) - m_inv_g * u[:, None]
-        return mixed_from_local_flux(mesh, flux, u)
+        d_lambda = _divergence_rows(mesh) * multiplier[mesh.triangle_edges].T
+        u = f_over_s + np.einsum("kt,kt->t", m_inv_b_over_s, d_lambda)
+        flux = -_symmetric_times(m_inv, d_lambda) - m_inv_g * u
+        return mixed_from_local_flux(mesh, flux.T, u)
 
-    return hybrid, -dm_inv_g * f_over_s[:, None], recover
+    return hybrid.transpose(2, 0, 1), (-dm_inv_g * f_over_s).T, recover

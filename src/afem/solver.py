@@ -174,11 +174,13 @@ def _condition(pw):
 def _defect(hybrid, condensed, cond):
     """Largest per-triangle difference of two (T, ...) element arrays,
     relative to the triangle's largest condensed entry and to its ``cond``;
-    0 where both vanish."""
-    axes = tuple(range(1, condensed.ndim))
-    diff = np.abs(hybrid - condensed).max(axis=axes)
-    scale = np.abs(condensed).max(axis=axes) * cond
-    return float(np.max(diff / np.where(diff > 0, scale, 1.0), initial=0.0))
+    0 where both vanish. Each entry is compared as a (T,) row of a view."""
+    diff, scale = np.zeros_like(cond), np.zeros_like(cond)
+    rows = (np.moveaxis(a, 0, -1).reshape(-1, len(cond)) for a in (hybrid, condensed))
+    for h, c in zip(*rows):
+        np.maximum(diff, np.abs(h - c), out=diff)
+        np.maximum(scale, np.abs(c), out=scale)
+    return float(np.max(diff / np.where(diff > 0, scale * cond, 1.0), initial=0.0))
 
 
 def solve_mixed_direct(mesh, pw, u_dirichlet):

@@ -12,7 +12,9 @@ takes that matrix from the package's mixed assembly and guards the result
 with its own eigen-residual check instead. :func:`reference_ncfem`,
 :func:`reference_modified_ncfem` and :func:`reference_mixed_direct` are the
 lexsort-and-einsum formulation of the three assemblies, which the package's
-array kernels must reproduce bit for bit. :func:`normal_jumps` and
+array kernels must reproduce bit for bit; :func:`reference_hybrid_mixed`
+eliminates the same einsum element arrays of the mixed system triangle by
+triangle with dense solves. :func:`normal_jumps` and
 :func:`residual_of_exact` are consistency diagnostics of a mixed solution
 and of the benchmarks' exact data. :func:`vertices_inside_edges` tests every
 vertex against every edge; :func:`red_split_without_closure` builds the
@@ -466,10 +468,10 @@ def reference_modified_ncfem(mesh, pw, u_dirichlet):
     return _reference_cr(mesh, pw, kappa, react, local_rhs, u_dirichlet)
 
 
-def reference_mixed_direct(mesh, pw, u_dirichlet):
-    """(matrix, rhs) of the saddle-point system, edge fluxes first; with
-    no boundary term when ``u_dirichlet`` is None."""
-    ne, nt = mesh.num_edges, mesh.num_triangles
+def reference_mixed_elements(mesh, pw):
+    """(mass, div_coef, w): the (T, 3, 3) flux mass matrices, (T, 3)
+    divergence rows and (T, 3) convection couplings of the saddle-point
+    system, by einsum."""
     te = mesh.triangle_edges
     pv = mesh.vertices[mesh.triangles]
     sig = mesh.triangle_edge_signs.astype(float)
@@ -482,6 +484,15 @@ def reference_mixed_direct(mesh, pw, u_dirichlet):
     w = np.einsum(
         "t,td,tkd->tk", mesh.area, pw.b_star_h, mesh.centroid[:, None, :] - pv
     ) * scale
+    return mass, div_coef, w
+
+
+def reference_mixed_direct(mesh, pw, u_dirichlet):
+    """(matrix, rhs) of the saddle-point system, edge fluxes first; with
+    no boundary term when ``u_dirichlet`` is None."""
+    ne, nt = mesh.num_edges, mesh.num_triangles
+    te = mesh.triangle_edges
+    mass, div_coef, w = reference_mixed_elements(mesh, pw)
     tri_ids = ne + np.repeat(np.arange(nt), 3)
     rows = [np.repeat(te, 3, axis=1).ravel(), tri_ids, te.ravel(),
             ne + np.arange(nt)]
@@ -502,3 +513,36 @@ def reference_mixed_direct(mesh, pw, u_dirichlet):
     values = np.asarray(u_dirichlet(mid[:, 0], mid[:, 1]), dtype=float).ravel()
     rhs[bnd] -= sigma * mesh.edge_length[bnd] * values
     return matrix, rhs
+
+
+def reference_hybrid_mixed(mesh, pw, multiplier):
+    """(local, load, (flux_const, flux_slope, u)): the hybridized element
+    blocks and loads, and the mixed solution recovered from the edge
+    ``multiplier``, each triangle's (4, 4) block [[M, w - b], [b^T, c]]
+    eliminated by a dense solve.
+
+    With D = diag(b) and Z = K^-1 [[D, 0], [0, f]], the block is D Z_pp and
+    the load D Z_pu; the edge fluxes and the scalar solve K (p, u) =
+    (-D lambda, f), and the flux is sum_k p_k b_k / (2|T|) (x - P_k)."""
+    nt = mesh.num_triangles
+    mass, div_coef, w = reference_mixed_elements(mesh, pw)
+    block = np.zeros((nt, 4, 4))
+    block[:, :3, :3] = mass
+    block[:, :3, 3] = w - div_coef
+    block[:, 3, :3] = div_coef
+    block[:, 3, 3] = pw.gamma_h * mesh.area
+    f = pw.f_h * mesh.area
+    right = np.zeros((nt, 4, 4))
+    right[:, :3, :3] = div_coef[:, :, None] * np.eye(3)
+    right[:, 3, 3] = f
+    z = np.linalg.solve(block, right)
+    local = div_coef[:, :, None] * z[:, :3, :3]
+    load = div_coef * z[:, :3, 3]
+    data = np.concatenate(
+        (-div_coef * multiplier[mesh.triangle_edges], f[:, None]), axis=1
+    )
+    x = np.linalg.solve(block, data[:, :, None])[:, :, 0]
+    coef = x[:, :3] * div_coef / (2.0 * mesh.area[:, None])
+    pv = mesh.vertices[mesh.triangles]
+    flux_const = -np.einsum("tk,tkd->td", coef, pv)
+    return local, load, (flux_const, coef.sum(axis=1), x[:, 3])

@@ -6,6 +6,8 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from afem.assembly import (
+    MixedSolution,
+    assemble_hybrid_mixed,
     assemble_mixed_direct,
     assemble_modified_ncfem,
     assemble_ncfem,
@@ -29,6 +31,7 @@ from oracles import (
     mixed_dirichlet_eigenvalue,
     random_spd_matrix,
     random_triangle,
+    reference_hybrid_mixed,
     reference_mixed_direct,
     reference_modified_ncfem,
     reference_ncfem,
@@ -347,3 +350,37 @@ def test_assembly_bit_identical_to_lexsort_einsum_reference():
             matrix.data.view(np.int64), ref_matrix.data.view(np.int64)
         ), assemble.__name__
         assert np.array_equal(rhs.view(np.int64), ref_rhs.view(np.int64))
+
+
+def test_hybridized_elements_match_dense_elimination():
+    # the mesh and data of the bit-identity test above: adaptive crack with
+    # green children, SPD variable A, variable b and gamma; the oracle
+    # eliminates each triangle's (4, 4) block of the einsum element arrays
+    # with a dense solve, independently of the hybridization's closed form
+    rng = np.random.default_rng(11)
+    mesh = crack_start_mesh()
+    for _ in range(4):
+        marked = rng.choice(mesh.num_triangles, mesh.num_triangles // 3,
+                            replace=False)
+        mesh = rgb_refine(mesh, np.sort(marked))
+    assert (mesh.green_flag > 0).any()
+    pw = project_p0(_variable_field(rng), mesh)
+    assert np.ptp(pw.a_h[:, 0, 1]) > 0 and np.ptp(pw.gamma_h) > 0
+    assert np.ptp(pw.b_h[:, 1]) > 0
+    multiplier = rng.standard_normal(mesh.num_edges)
+    local, load, recover = assemble_hybrid_mixed(mesh, pw)
+    ref_local, ref_load, (const, slope, u) = reference_hybrid_mixed(
+        mesh, pw, multiplier
+    )
+    mixed = recover(multiplier)
+    ref_mixed = MixedSolution(mesh, const, slope, u)
+    pv = mesh.vertices[mesh.triangles]
+    mids = 0.5 * (pv + np.roll(pv, -1, axis=1))
+    for name, got, want in (
+        ("blocks", local, ref_local),
+        ("loads", load, ref_load),
+        ("flux", mixed.flux_at(mids), ref_mixed.flux_at(mids)),
+        ("scalar", mixed.u, ref_mixed.u),
+    ):
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name

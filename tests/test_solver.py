@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -518,3 +519,34 @@ def test_direct_route_raises_singular_local_factor_at_kappa_blowup():
     pw = project_p0(field, mesh)
     with pytest.raises(SingularLocalFactor):
         solve_mixed_direct(mesh, pw, field.u_dirichlet)
+
+
+def test_hybrid_assembly_memory_contract():
+    # lshape uniform level 5, 24,576 triangles, counted by tracemalloc, which
+    # sees NumPy's buffers and not the heap's layout: the assembly's traced
+    # peak, its results included, is at most 74 doubles per triangle, and
+    # recover holds at most 13 (M_T^-1 by its upper triangle, M_T^-1 g_T,
+    # M_T^-1 b_T / s_T and f_T / s_T)
+    lshape = benchmark("lshape")
+    mesh = lshape.start_mesh()
+    for _ in range(5):
+        mesh = uniform_red_refine(mesh)
+    assert mesh.num_triangles == 24576
+    pw = project_p0(lshape.field, mesh)
+    assemble_hybrid_mixed(mesh, pw)  # whatever the mesh caches, first
+    tracemalloc.start()
+    try:
+        _, _, recover = assemble_hybrid_mixed(mesh, pw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    doubles = 8 * mesh.num_triangles
+    assert round(peak / doubles) <= 74
+    held = {}
+    for cell in recover.__closure__:
+        array = cell.cell_contents
+        if isinstance(array, np.ndarray):
+            while isinstance(array.base, np.ndarray):  # a view holds its base
+                array = array.base
+            held[id(array)] = array.nbytes
+    assert sum(held.values()) <= 13 * doubles
