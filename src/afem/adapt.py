@@ -12,11 +12,11 @@ driver bounds how far the hybrid recovery lies from the reconstruction
 by ``EQUIVALENCE_TOL``. The estimator evaluates
 gamma, and f or the exact solution with its load, once per level, at the
 degree-5 points of every triangle; its report hands that data on to the
-error norms, and the driver drops it with the level, before the next
-level's solves. Before refining, the driver tests the dof budget against
-:func:`refine.refined_ndof_bound`, so it never builds a mesh the budget
-rejects in uniform mode, nor one the bound already puts over it in
-adaptive mode.
+error norms. The loop drops it with the rest of the level, its mesh
+included, before the next level assembles. Before refining, the loop
+tests the dof budget against :func:`refine.refined_ndof_bound`, so it
+never builds a mesh the budget rejects in uniform mode, nor one the bound
+already puts over it in adaptive mode.
 """
 
 from dataclasses import dataclass
@@ -212,6 +212,10 @@ def adaptive_loop(
     recorded (indefinite problems on coarse meshes). After each level it
     calls ``on_level(pw, mixed, u_tilde, report, record)`` with the level's
     record complete, its rates included; ``pw.mesh`` is the level's mesh.
+    Nothing of a level outlives it: its data die with :func:`_run_level`'s
+    locals, and its mesh as the next one replaces it, so no part of level
+    k-1 is reachable when level k assembles (unless the caller holds the
+    start mesh, which keeps its red children).
 
     The run keeps every level with at most ``max_ndof`` mixed dofs. It ends
     before refining when :func:`refine.refined_ndof_bound` puts the next
@@ -228,49 +232,64 @@ def adaptive_loop(
             f"max-ndof {max_ndof} < {mesh.ndof_mixed} mixed dofs of the start mesh"
         )
     history = bench.ConvergenceHistory()
-    level = 0
-    while mesh.ndof_mixed <= max_ndof:
-        try:
-            pw = project_p0(instance.field, mesh)
-            mixed, u_tilde, (rel_p, rel_u) = solve_mixed_via_equivalence(
-                mesh, pw, u_dirichlet=instance.field.u_dirichlet
-            )
-        except SingularMatrix as exc:
-            history.failure = f"SingularMatrix at level {level}: {exc}"
-            break
-        except EquivalenceViolation as exc:
-            raise EquivalenceViolation(f"level {level}: {exc}") from None
-        if max(rel_p, rel_u) > EQUIVALENCE_TOL:
-            raise EquivalenceViolation(
-                f"level {level}: routes differ by ({rel_p:.2e}, {rel_u:.2e})"
-            )
-        report = estimate_mixed(
-            mesh, mixed, u_tilde, instance.field, pw, instance.exact
+    while mesh is not None and mesh.ndof_mixed <= max_ndof:
+        mesh = _refined(
+            mesh, _run_level(instance, mesh, history, on_level),
+            mode, theta, max_ndof,
         )
-        record = bench.LevelRecord(
-            level=level,
-            ndof=mesh.ndof_mixed,
-            eta=report.eta,
-            equivalence=(rel_p, rel_u),
-        )
-        if instance.exact is not None:
-            record.e_u, record.e_p, record.e_div = bench.error_norms(
-                mixed, instance, report.data
-            )
-        history.add(record)
-        if on_level is not None:
-            on_level(pw, mixed, u_tilde, report, record)
-        eta_sq = report.per_triangle_sq
-        del report  # with its degree-5 data, before the next level's solves
-        marked = None  # uniform: red-refine every triangle
-        if mode == "adaptive":
-            marked = dorfler_mark(eta_sq, theta).indices
-            if len(marked) == 0:
-                break  # estimator vanished; nothing to refine
-        # never build a mesh the budget rejects; the rgb bound may pass a
-        # mesh that the loop's test then rejects
-        if refined_ndof_bound(mesh, marked) > max_ndof:
-            break
-        mesh = uniform_red_refine(mesh) if marked is None else rgb_refine(mesh, marked)
-        level += 1
     return history
+
+
+def _run_level(instance, mesh, history, on_level):
+    """Solve, check, estimate and record the level of ``mesh``; return its
+    per-triangle eta_T^2, or None where a singular factorization ends the
+    run. The level's data are locals of this call: none outlives it."""
+    level = len(history.records)
+    try:
+        pw = project_p0(instance.field, mesh)
+        mixed, u_tilde, (rel_p, rel_u) = solve_mixed_via_equivalence(
+            mesh, pw, u_dirichlet=instance.field.u_dirichlet
+        )
+    except SingularMatrix as exc:
+        history.failure = f"SingularMatrix at level {level}: {exc}"
+        return None
+    except EquivalenceViolation as exc:
+        raise EquivalenceViolation(f"level {level}: {exc}") from None
+    if max(rel_p, rel_u) > EQUIVALENCE_TOL:
+        raise EquivalenceViolation(
+            f"level {level}: routes differ by ({rel_p:.2e}, {rel_u:.2e})"
+        )
+    report = estimate_mixed(mesh, mixed, u_tilde, instance.field, pw, instance.exact)
+    record = bench.LevelRecord(
+        level=level,
+        ndof=mesh.ndof_mixed,
+        eta=report.eta,
+        equivalence=(rel_p, rel_u),
+    )
+    if instance.exact is not None:
+        record.e_u, record.e_p, record.e_div = bench.error_norms(
+            mixed, instance, report.data
+        )
+    history.add(record)
+    if on_level is not None:
+        on_level(pw, mixed, u_tilde, report, record)
+    return report.per_triangle_sq
+
+
+def _refined(mesh, eta_sq, mode, theta, max_ndof):
+    """The next level's mesh: ``mesh`` red-refined (uniform mode) or refined
+    around the Doerfler set of ``eta_sq`` (adaptive mode); None where the run
+    ends: the level ended it (``eta_sq`` None), no triangle is marked, or
+    :func:`refine.refined_ndof_bound` puts the next mesh over the budget."""
+    if eta_sq is None:
+        return None
+    marked = None  # uniform: red-refine every triangle
+    if mode == "adaptive":
+        marked = dorfler_mark(eta_sq, theta).indices
+        if len(marked) == 0:
+            return None  # estimator vanished; nothing to refine
+    # never build a mesh the budget rejects; the rgb bound may pass a mesh
+    # that the loop's test then rejects
+    if refined_ndof_bound(mesh, marked) > max_ndof:
+        return None
+    return uniform_red_refine(mesh) if marked is None else rgb_refine(mesh, marked)

@@ -292,6 +292,9 @@ def _coordinate_major(a):
     return np.ascontiguousarray(np.moveaxis(a, 0, -1))
 
 
+MASS_BLOCK = 8192  # triangles per block of the mass loop of _mixed_blocks
+
+
 def _mixed_blocks(mesh, pw):
     """``(mass, w, div, react, source)``, coordinate-major: the (3, 3, T)
     flux mass matrices M_T (edge-midpoint rule, exact), (3, T) convection
@@ -310,14 +313,19 @@ def _mixed_blocks(mesh, pw):
     a_inv = _coordinate_major(pw.a_h_inv)
     third = area / 3.0
     mass = np.zeros((3, 3, len(area)))
-    vals = np.empty((3, 2, len(area)))  # basis k, coordinate e, at one point
-    for q in range(3):  # the midpoint of edge (P_q, P_q+1)
-        np.subtract(0.5 * (pv[q] + pv[(q + 1) % 3]), pv, out=vals)
-        vals *= scale[:, None]
-        for d in range(2):
-            a_inv_vals = third * (a_inv[d, 0] * vals[:, 0] + a_inv[d, 1] * vals[:, 1])
-            for i in range(3):
-                mass[i] += a_inv_vals[i] * vals[:, d]
+    # over blocks of triangles whose arrays stay in the cache
+    for lo in range(0, len(area), MASS_BLOCK):
+        t = slice(lo, lo + MASS_BLOCK)
+        vals = np.empty(pv[..., t].shape)  # basis k, coordinate e, at one point
+        for q in range(3):  # the midpoint of edge (P_q, P_q+1)
+            np.subtract(0.5 * (pv[q, :, t] + pv[(q + 1) % 3, :, t]), pv[..., t], out=vals)
+            vals *= scale[:, None, t]
+            for d in range(2):
+                a_inv_vals = third[t] * (
+                    a_inv[d, 0, t] * vals[:, 0] + a_inv[d, 1, t] * vals[:, 1]
+                )
+                for i in range(3):
+                    mass[i, :, t] += a_inv_vals[i] * vals[:, d]
     # (u b*_h, q)_T couples each triangle's scalar to its edges
     w = (area * pw.b_star_h.T)[:, None] * (mesh.centroid.T[:, None] - pv.swapaxes(0, 1))
     w = (0.0 + w[0] + w[1]) * scale

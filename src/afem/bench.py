@@ -34,6 +34,7 @@ from .errors import AfemError, ConfigError, NoExactSolution
 from .mesh import read_mesh_file
 
 SINGULAR_QUAD_DEPTH = 3
+ERROR_BLOCK = 4096  # triangles whose pointwise errors error_norms forms at once
 MODES = ("uniform", "adaptive")  # the refinements of adapt.adaptive_loop
 
 # (LevelRecord field, summary-table title or None), in CSV column order
@@ -152,26 +153,33 @@ def error_norms(mixed, instance, data):
     sing = corners.any(axis=1)
     q = len(quadrature.DEGREE5[1])
 
-    def squared_errors(idx, x, y, u, p, f, gamma):
-        # the mixed solution repeated over the q points of each triangle
+    div = mixed.div()
+
+    def squared_errors(out, idx, x, y, u, p, f, gamma):
+        # the three squared errors into the rows of the (3, n) ``out``, the
+        # mixed solution repeated over the q points of each triangle
         u_m = np.repeat(mixed.u[idx], q)
         consts = np.repeat(mixed.flux_const[idx], q, axis=0)
         slopes = np.repeat(mixed.flux_slope[idx], q)[:, None]
-        div_m = np.repeat(mixed.div()[idx], q)
+        div_m = np.repeat(div[idx], q)
         diff = p - (consts + slopes * np.stack([x, y], axis=-1))
-        return np.stack([
-            (u - u_m) ** 2,
-            np.einsum("nd,nd->n", diff, diff),
-            (f - gamma * u - div_m) ** 2,
-        ])
+        np.square(u - u_m, out=out[0])
+        np.einsum("nd,nd->n", diff, diff, out=out[1])
+        np.square(f - gamma * u - div_m, out=out[2])
+        return out
 
     sq = np.zeros((3, mesh.num_triangles))
     off = np.flatnonzero(~sing)
     if len(off):
-        values = squared_errors(off, *(
-            a[off].reshape((-1,) + a.shape[2:])
-            for a in (data.x, data.y, data.u, data.p, data.f, data.gamma)
-        ))
+        # pointwise values filled block by block, so that only one block's
+        # temporaries exist at a time; one sum over all of them
+        values = np.empty((3, len(off) * q))
+        for start in range(0, len(off), ERROR_BLOCK):
+            idx = off[start:start + ERROR_BLOCK]
+            squared_errors(values[:, start * q:(start + len(idx)) * q], idx, *(
+                a[idx].reshape((-1,) + a.shape[2:])
+                for a in (data.x, data.y, data.u, data.p, data.f, data.gamma)
+            ))
         sq[:, off] = quadrature.element_sums(values, mesh.area[off])
     on = np.flatnonzero(sing)
     if len(on):
@@ -180,7 +188,7 @@ def error_norms(mixed, instance, data):
         def at_dyadic_points(x, y):
             u, p, f = ex(x, y)
             values = zip(("u", "p", "f", "gamma"), (u, p, f, cf.gamma(x, y)))
-            return squared_errors(on, x, y, *(
+            return squared_errors(np.empty((3, len(x))), on, x, y, *(
                 problem.require_finite(name, v, "dyadic point", on, q)
                 for name, v in values
             ))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from afem.adapt import (
     estimate_mixed,
     grad_p1,
 )
-from afem import adapt
+from afem import adapt, solver
 from afem.assembly import CRSolution
 from afem.errors import BadTheta
 from afem.mesh import build_mesh
@@ -477,6 +478,30 @@ def test_uniform_loop_builds_no_mesh_over_budget(monkeypatch):
     got = [(r.eta, r.e_u, r.e_p) for r in hist.records]
     assert np.allclose(got, [row[1:] for row in expected], rtol=1e-10, atol=0)
     assert hist.failure is None
+
+
+@pytest.mark.parametrize(
+    "problem, mode, max_ndof", [("lshape", "uniform", 4000), ("crack", "adaptive", 15000)]
+)
+def test_no_level_outlives_the_next_factorization(monkeypatch, problem, mode, max_ndof):
+    # each level's mesh and piecewise data, held here by weakrefs only, are
+    # freed by reference counting before the next level factors: no
+    # solution, report or record of the loop still reaches them
+    refs = []
+    alive_at_factor = []
+    solve_sparse = solver.solve_sparse
+
+    def spy(system):
+        alive_at_factor.append(sum(r() is not None for pair in refs for r in pair))
+        return solve_sparse(system)
+
+    def on_level(pw, *_):
+        refs.append((weakref.ref(pw.mesh), weakref.ref(pw)))
+
+    monkeypatch.setattr(solver, "solve_sparse", spy)
+    hist = adaptive_loop(benchmark(problem), mode=mode, max_ndof=max_ndof, on_level=on_level)
+    assert len(hist.records) >= 4 and hist.failure is None
+    assert alive_at_factor == [0] * len(hist.records)
 
 
 def test_adaptive_eta_decreases_after_startup():

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
+from afem import assembly
 from afem.assembly import (
     MixedSolution,
     assemble_hybrid_mixed,
@@ -384,3 +385,21 @@ def test_hybridized_elements_match_dense_elimination():
     ):
         assert got.shape == want.shape, name
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+def test_mass_loop_in_blocks_bit_identical(monkeypatch):
+    # the mesh and data of the dense-elimination test above: the mass loop
+    # of _mixed_blocks over blocks of 7 triangles gives the element arrays
+    # of one block, bit for bit
+    rng = np.random.default_rng(11)
+    mesh = crack_start_mesh()
+    for _ in range(4):
+        marked = rng.choice(mesh.num_triangles, mesh.num_triangles // 3,
+                            replace=False)
+        mesh = rgb_refine(mesh, np.sort(marked))
+    pw = project_p0(_variable_field(rng), mesh)
+    assert 7 < mesh.num_triangles <= assembly.MASS_BLOCK
+    whole = assembly._mixed_blocks(mesh, pw)
+    monkeypatch.setattr(assembly, "MASS_BLOCK", 7)
+    for got, want in zip(assembly._mixed_blocks(mesh, pw), whole):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from afem import quadrature
+from afem import bench, quadrature
 from afem.adapt import adaptive_loop
 from afem.assembly import MixedSolution
 from afem.bench import (
     ConvergenceHistory,
     _rotate_singular_first,
+    _singular_corners,
     ExperimentConfig,
     LevelRecord,
     error_norms,
@@ -30,6 +31,7 @@ from afem.refine import uniform_red_refine
 from afem.solver import solve_mixed_via_equivalence
 
 from oracles import integrate_triangle
+from test_adapt import _crack_adaptive_mesh
 
 SQUARE = (
     np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
@@ -315,3 +317,21 @@ def test_sensitivity_event_rules():
     assert sensitivity_event(hist) is None
     hist.failure = "SingularMatrix at level 1: boom"
     assert "SingularMatrix" in sensitivity_event(hist)
+
+
+def test_error_norms_in_blocks_bit_identical(monkeypatch):
+    # the adaptive crack mesh of the estimator's bit-identity test, with
+    # green children and triangles at the singular vertex: blocks of 7
+    # triangles give the norms of one block, bit for bit
+    inst = benchmark("crack")
+    mesh = _crack_adaptive_mesh()
+    assert {1, 2} <= set(mesh.green_flag.tolist())
+    assert _singular_corners(mesh, inst.singular_point).any()
+    assert mesh.num_triangles <= bench.ERROR_BLOCK
+    pw = project_p0(inst.field, mesh)
+    mixed, *_ = solve_mixed_via_equivalence(
+        mesh, pw, u_dirichlet=inst.field.u_dirichlet
+    )
+    whole = norms(mixed, inst)
+    monkeypatch.setattr(bench, "ERROR_BLOCK", 7)
+    assert [v.hex() for v in norms(mixed, inst)] == [v.hex() for v in whole]

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from afem import adapt, solver
+from afem import adapt, bench, quadrature, solver
 from afem.assembly import (
     SparseSystem,
     assemble_hybrid_mixed,
@@ -550,3 +550,40 @@ def test_hybrid_assembly_memory_contract():
                 array = array.base
             held[id(array)] = array.nbytes
     assert sum(held.values()) <= 13 * doubles
+
+
+def _traced_doubles(fn, num_triangles):
+    """Traced peak of ``fn()``, results included, in doubles per triangle."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * num_triangles)
+
+
+def test_modified_assembly_and_error_norms_memory_contracts():
+    # lshape uniform level 5, 24,576 triangles, counted by tracemalloc as in
+    # the hybrid assembly's contract: the modified nonconforming assembly's
+    # traced peak, its system and element arrays included, is at most 92
+    # doubles per triangle (it reads 91.5), and the error norms', which form
+    # their pointwise errors a block of triangles at a time, at most 50
+    # (forming the whole level's at once takes 144.5)
+    lshape = benchmark("lshape")
+    mesh = lshape.start_mesh()
+    for _ in range(5):
+        mesh = uniform_red_refine(mesh)
+    assert mesh.num_triangles == 24576
+    pw = project_p0(lshape.field, mesh)
+    u_d = lshape.field.u_dirichlet
+    mixed, *_ = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=u_d)
+    data = quadrature.degree5_data(mesh, lshape.field, lshape.exact)
+    peak = _traced_doubles(
+        lambda: assemble_modified_ncfem(mesh, pw, u_dirichlet=u_d), mesh.num_triangles
+    )
+    assert peak <= 92
+    peak = _traced_doubles(
+        lambda: bench.error_norms(mixed, lshape, data), mesh.num_triangles
+    )
+    assert peak <= 50
