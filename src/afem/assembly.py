@@ -215,11 +215,14 @@ def _cr_system(mesh, pw, grad_psi, conv_weight, react, local_rhs, u_dirichlet):
 def edge_system(mesh, local, load, u_dirichlet):
     """Sparse system of (T, 3, 3) element blocks ``local`` and (T, 3) loads
     ``load`` over each triangle's edges. With ``u_dirichlet`` given, the
-    boundary edges are fixed to u_D(mid E); the free edges are numbered in
-    ``mesh.edge_order``."""
+    boundary edges are fixed to u_D(mid E), or to the values of
+    :func:`boundary_values` where ``u_dirichlet`` is that array; the free
+    edges are numbered in ``mesh.edge_order``."""
     fixed, values = np.empty(0, dtype=int), np.empty(0)
-    if u_dirichlet is not None:
-        fixed, values = mesh.boundary_edges, _boundary_values(mesh, u_dirichlet)
+    if isinstance(u_dirichlet, np.ndarray):
+        fixed, values = mesh.boundary_edges, u_dirichlet
+    elif u_dirichlet is not None:
+        fixed, values = mesh.boundary_edges, boundary_values(mesh, u_dirichlet)
     is_free = np.ones(mesh.num_edges, dtype=bool)
     is_free[fixed] = False
     free = mesh.edge_order[is_free[mesh.edge_order]]
@@ -227,7 +230,7 @@ def edge_system(mesh, local, load, u_dirichlet):
                     fixed, values)
 
 
-def _boundary_values(mesh, u_dirichlet):
+def boundary_values(mesh, u_dirichlet):
     """u_D at the boundary-edge midpoints, in ``mesh.boundary_edges`` order."""
     bnd = mesh.boundary_edges
     mid = mesh.edge_mid[bnd]
@@ -295,14 +298,15 @@ def _coordinate_major(a):
 MASS_BLOCK = 8192  # triangles per block of the mass loop of _mixed_blocks
 
 
-def _mixed_blocks(mesh, pw):
-    """``(mass, w, div, react, source)``, coordinate-major: the (3, 3, T)
-    flux mass matrices M_T (edge-midpoint rule, exact), (3, T) convection
-    couplings w_T and divergence rows b_T = sigma |E|, c_T = gamma_h |T|
-    and f_T = f_h |T|; a triangle's saddle-point block over its three edge
-    fluxes and its scalar is [[M_T, w_T - b_T], [b_T^T, c_T]], its load
-    (0, f_T). The products and sum order (q, then d, onto +0.0) are those
-    of ``einsum("t,tiqd,tjqd->tij", |T|/3, A^-1 v, v)``, v the basis at the
+def _mixed_blocks(mesh, pw, lower=False):
+    """``(mass, w, div)``, coordinate-major: the (3, 3, T) flux mass
+    matrices M_T (edge-midpoint rule, exact), their entries below the
+    diagonal zero unless ``lower``, and the (3, T) convection couplings w_T
+    and divergence rows b_T = sigma |E|. With c_T = gamma_h |T| and f_T =
+    f_h |T|, a triangle's saddle-point block over its three edge fluxes and
+    its scalar is [[M_T, w_T - b_T], [b_T^T, c_T]], its load (0, f_T). The
+    products and sum order (q, then d, onto +0.0) are those of
+    ``einsum("t,tiqd,tjqd->tij", |T|/3, A^-1 v, v)``, v the basis at the
     edge midpoints, and ``einsum("t,td,tkd->tk", |T|, b*, c - P)``."""
     area = mesh.area
     pv = _coordinate_major(mesh.triangle_vertices())  # (3, 2, T): P_k, x/y
@@ -313,6 +317,9 @@ def _mixed_blocks(mesh, pw):
     a_inv = _coordinate_major(pw.a_h_inv)
     third = area / 3.0
     mass = np.zeros((3, 3, len(area)))
+    # the first column of row i; M_T is symmetric, and the hybridization
+    # reads its upper triangle only
+    first = [0, 0, 0] if lower else [0, 1, 2]
     # over blocks of triangles whose arrays stay in the cache
     for lo in range(0, len(area), MASS_BLOCK):
         t = slice(lo, lo + MASS_BLOCK)
@@ -324,12 +331,12 @@ def _mixed_blocks(mesh, pw):
                 a_inv_vals = third[t] * (
                     a_inv[d, 0, t] * vals[:, 0] + a_inv[d, 1, t] * vals[:, 1]
                 )
-                for i in range(3):
-                    mass[i, :, t] += a_inv_vals[i] * vals[:, d]
+                for i, j in enumerate(first):
+                    mass[i, j:, t] += a_inv_vals[i] * vals[j:, d]
     # (u b*_h, q)_T couples each triangle's scalar to its edges
     w = (area * pw.b_star_h.T)[:, None] * (mesh.centroid.T[:, None] - pv.swapaxes(0, 1))
     w = (0.0 + w[0] + w[1]) * scale
-    return mass, w, div, pw.gamma_h * area, pw.f_h * area
+    return mass, w, div
 
 
 def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
@@ -344,7 +351,8 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
     """
     _require_mesh(mesh, pw)
     ne, nt = mesh.num_edges, mesh.num_triangles
-    mass, w, div, react, source = _mixed_blocks(mesh, pw)
+    mass, w, div = _mixed_blocks(mesh, pw, lower=True)
+    react, source = pw.gamma_h * mesh.area, pw.f_h * mesh.area
     # (u b*_h, q)_T - (div q, u)_T couples each triangle dof to its edges
     local = np.block([[mass.transpose(2, 0, 1), (w - div).T[:, :, None]],
                       [div.T[:, None, :], react[:, None, None]]])
@@ -354,7 +362,7 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
         # triangle, whose sign on it is sigma
         bnd = mesh.boundary_edges
         flux = np.zeros(ne)
-        flux[bnd] = mesh.edge_length[bnd] * _boundary_values(mesh, u_dirichlet)
+        flux[bnd] = mesh.edge_length[bnd] * boundary_values(mesh, u_dirichlet)
         load[:, :3] = -mesh.triangle_edge_signs * flux[mesh.triangle_edges]
     dofs = np.column_stack((mesh.triangle_edges, np.arange(ne, ne + nt)))
     return _scatter(ne + nt, dofs, local, load, np.arange(ne + nt),
@@ -382,7 +390,19 @@ def _symmetric_times(upper, v):
                      for i, j, k in _SYMMETRIC])
 
 
-def assemble_hybrid_mixed(mesh, pw):
+def hybrid_inverses(mesh, pw):
+    """``(m_inv, m_inv_g, m_inv_b, div)``: the reaction-free arrays of
+    :func:`assemble_hybrid_mixed`, coordinate-major. They are the (6, T)
+    upper triangles of M_T^-1, the (3, T) products M_T^-1 g_T and M_T^-1 b_T
+    (g_T = w_T - b_T), and the (3, T) divergence rows b_T. Fields that differ
+    only in gamma share them on one mesh."""
+    mass, w, div = _mixed_blocks(mesh, pw)
+    m_inv = _symmetric_inverse(mass)
+    del mass
+    return m_inv, _symmetric_times(m_inv, w - div), _symmetric_times(m_inv, div), div
+
+
+def assemble_hybrid_mixed(mesh, pw, inverses=None):
     """The saddle-point system hybridized (Arnold & Brezzi 1985):
     ``(local, load, recover)``, the (T, 3, 3) element blocks and (T, 3)
     loads over each triangle's edge multipliers (transposed coordinate-major
@@ -390,10 +410,10 @@ def assemble_hybrid_mixed(mesh, pw):
 
     Each triangle keeps its own fluxes p_T; a multiplier lambda_E per edge,
     u_D(mid E) on the boundary edges (:func:`edge_system`), ties them to
-    their neighbours'. With the element arrays M_T, g_T = w_T - b_T, b_T,
-    c_T and f_T of :func:`_mixed_blocks` and D = diag(b_T), a triangle
-    solves M_T p_T + g_T u_T = -D lambda_T, b_T . p_T + c_T u_T = f_T
-    exactly: with s_T = c_T - b_T^T M_T^-1 g_T,
+    their neighbours'. With the element arrays M_T, g_T = w_T - b_T, b_T of
+    :func:`_mixed_blocks`, c_T = gamma_h |T|, f_T = f_h |T| and D =
+    diag(b_T), a triangle solves M_T p_T + g_T u_T = -D lambda_T,
+    b_T . p_T + c_T u_T = f_T exactly: with s_T = c_T - b_T^T M_T^-1 g_T,
 
         u_T = (f_T + b_T^T M_T^-1 D lambda_T) / s_T,
         p_T = -M_T^-1 (D lambda_T + g_T u_T),
@@ -405,15 +425,16 @@ def assemble_hybrid_mixed(mesh, pw):
     4|T| / (S_T/|T| kappa_T), which vanishes only where ``pw.kappa`` raises
     :class:`SingularLocalFactor`. M_T^-1 is symmetric like M_T and is kept
     by its upper triangle, so ``recover`` holds 13 doubles per triangle.
+    ``inverses`` are :func:`hybrid_inverses` of the mesh, built here where
+    not given.
     """
     _require_mesh(mesh, pw)
-    mass, w, div, react, source = _mixed_blocks(mesh, pw)  # u_D enters as lambda
-    m_inv = _symmetric_inverse(mass)
-    del mass
-    m_inv_g = _symmetric_times(m_inv, w - div)  # g_T = w_T - b_T
-    s = react - np.einsum("kt,kt->t", div, m_inv_g)  # b^T M^-1 g
-    f_over_s = source / s
-    m_inv_b_over_s = _symmetric_times(m_inv, div) / s
+    # no boundary load: u_D enters as lambda
+    m_inv, m_inv_g, m_inv_b, div = inverses or hybrid_inverses(mesh, pw)
+    s = pw.gamma_h * mesh.area - np.einsum("kt,kt->t", div, m_inv_g)  # b^T M^-1 g
+    f_over_s = pw.f_h * mesh.area / s
+    m_inv_b_over_s = m_inv_b / s
+    del m_inv_b  # freed here where built here
     dm_inv_g = div * m_inv_g
     hybrid = div[:, None] * m_inv[_SYMMETRIC] * div
     hybrid += dm_inv_g[:, None] * (m_inv_b_over_s * div)

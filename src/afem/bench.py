@@ -283,58 +283,45 @@ def run_experiment(config, echo=print):
             ) from None
 
     # off the eigen sweep validate() leaves gamma None; the sweep without
-    # gamma runs the default grid, one history per value
+    # gamma runs the default grid, one history per value, all in one loop:
+    # they start from one mesh, so a uniform sweep walks one hierarchy (each
+    # red child is kept on its parent, each order on its mesh)
     eigen = config.problem == "eigen_sweep"
     sweep = eigen and config.gamma is None
     gammas = problem.DEFAULT_GAMMA_SWEEP if sweep else [config.gamma]
-    # the histories of a sweep start from one mesh, so a uniform sweep walks
-    # one hierarchy (each red child is kept on its parent, each order on its
-    # mesh); a single history holds no start mesh and frees its coarse levels
-    shared = None
-    if sweep:
-        shared = start_mesh() or problem.benchmark(config.problem).start_mesh()
+    runs = []  # (key, CSV stem, CSV lines written, instance) per history
+    for g in gammas:
+        key = config.problem if g is None else f"{config.problem}_gamma{g:g}"
+        params = {} if g is None else {"gamma": g}
+        runs.append((key, f"{key}_{config.mode}", [],
+                     problem.benchmark(config.problem, **params)))
+    hists = [ConvergenceHistory() for _ in runs]
+    try:
+        adapt.adaptive_loop(
+            [instance for *_, instance in runs],
+            theta=config.theta,
+            max_ndof=config.max_ndof,
+            mode=config.mode,
+            start_mesh=start_mesh(),
+            on_level=[
+                _level_writer(config, stem, lines, f"{key}_" if sweep else "",
+                              instance.field.u_dirichlet)
+                for key, stem, lines, instance in runs
+            ],
+            histories=hists,
+        )
+    except BaseException:
+        # the loop gave each history it stopped the exception as its failure
+        for (_, stem, lines, _), hist in zip(runs, hists):
+            if lines and hist.failure:
+                with contextlib.suppress(ConfigError):  # the CSV may be the fault
+                    _append_csv(config.out, stem, lines, f"# aborted: {hist.failure}")
+        raise
 
     histories = {}
     events = {}
     csv_paths = []
-    for g in gammas:
-        key = config.problem if g is None else f"{config.problem}_gamma{g:g}"
-        stem = f"{key}_{config.mode}"
-        prefix = f"{key}_" if sweep else ""
-        params = {} if g is None else {"gamma": g}
-        instance = problem.benchmark(config.problem, **params)
-        lines = []
-
-        def on_level(pw, mixed, u_tilde, report, record):
-            row = ",".join(_cell(getattr(record, name)) for name, _ in COLUMNS)
-            _append_csv(config.out, stem, lines, row)
-            if not config.dump_systems:
-                return
-            u_d = instance.field.u_dirichlet
-            for kind, assemble in (
-                ("modified_nc",
-                 lambda: assemble_modified_ncfem(pw.mesh, pw, u_dirichlet=u_d)[0]),
-                ("mixed", lambda: assemble_mixed_direct(pw.mesh, pw, u_dirichlet=u_d)),
-            ):
-                path = os.path.join(sysdir, f"{prefix}level{record.level}_{kind}.txt")
-                with _writing(path):
-                    assemble().dump_triplets(path)
-
-        try:
-            hist = adapt.adaptive_loop(
-                instance,
-                theta=config.theta,
-                max_ndof=config.max_ndof,
-                mode=config.mode,
-                start_mesh=shared or start_mesh(),
-                on_level=on_level,
-            )
-        except BaseException as exc:
-            if lines:
-                reason = type(exc).__name__ + (f": {exc}" if str(exc) else "")
-                with contextlib.suppress(ConfigError):  # the CSV may be the fault
-                    _append_csv(config.out, stem, lines, f"# aborted: {reason}")
-            raise
+    for (key, stem, lines, _), hist in zip(runs, hists):
         if hist.failure:
             _append_csv(config.out, stem, lines, f"# aborted: {hist.failure}")
         histories[key] = hist
@@ -355,6 +342,29 @@ def run_experiment(config, echo=print):
 
     singular = any(h.failure for h in histories.values())
     return ExperimentResult(histories, csv_paths, events, 2 if singular else 0)
+
+
+def _level_writer(config, stem, lines, prefix, u_d):
+    """The ``on_level`` callback of one history: its CSV row into
+    ``<stem>.csv`` and ``lines``, and with ``dump_systems`` its systems
+    with Dirichlet data ``u_d``, each file named by ``prefix`` and the level."""
+    sysdir = os.path.join(config.out, "systems")
+
+    def on_level(pw, mixed, u_tilde, report, record):
+        row = ",".join(_cell(getattr(record, name)) for name, _ in COLUMNS)
+        _append_csv(config.out, stem, lines, row)
+        if not config.dump_systems:
+            return
+        for kind, assemble in (
+            ("modified_nc",
+             lambda: assemble_modified_ncfem(pw.mesh, pw, u_dirichlet=u_d)[0]),
+            ("mixed", lambda: assemble_mixed_direct(pw.mesh, pw, u_dirichlet=u_d)),
+        ):
+            path = os.path.join(sysdir, f"{prefix}level{record.level}_{kind}.txt")
+            with _writing(path):
+                assemble().dump_triplets(path)
+
+    return on_level
 
 
 @contextlib.contextmanager

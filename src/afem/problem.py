@@ -13,7 +13,7 @@ closed form. The estimator and the error norms take the load from it at
 their quadrature points, so it must equal the field's ``f``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
 from typing import Callable, Optional
@@ -21,7 +21,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    NonFiniteCoefficient, NotPositiveDefinite, SingularLocalFactor, UnknownBenchmark
+    MeshMismatch,
+    NonFiniteCoefficient,
+    NotPositiveDefinite,
+    SingularLocalFactor,
+    UnknownBenchmark,
 )
 from .mesh import build_mesh, read_mesh_file
 
@@ -87,6 +91,16 @@ class PiecewiseData:
         return 1.0 / denom
 
 
+@dataclass(frozen=True)
+class Reaction:
+    """The reaction ``gamma`` of a field that differs from the one projected
+    to ``like``, a :class:`PiecewiseData`, in gamma alone; for it
+    :func:`project_p0` projects gamma and shares the rest of ``like``."""
+
+    gamma: Callable
+    like: PiecewiseData
+
+
 def constant_matrix(m):
     m = np.asarray(m, dtype=float)
 
@@ -149,12 +163,20 @@ def require_finite(name, values, point, triangles=None, per_triangle=1):
 
 
 def project_p0(coeffs, mesh):
-    """Centroid projection of the coefficient field onto piecewise constants."""
+    """Centroid projection of the coefficient field onto piecewise constants.
+
+    ``coeffs`` is a :class:`CoefficientField`, or a :class:`Reaction` whose
+    ``like`` lives on ``mesh``: then only gamma is projected."""
     cx, cy = mesh.centroid[:, 0], mesh.centroid[:, 1]
 
     def at_centroids(name, fn, shape=(-1,)):
         values = np.asarray(fn(cx, cy), dtype=float).reshape(shape)
         return require_finite(name, values, "centroid")
+
+    if isinstance(coeffs, Reaction):
+        if coeffs.like.mesh is not mesh:
+            raise MeshMismatch("piecewise data belongs to a different mesh")
+        return replace(coeffs.like, gamma_h=at_centroids("gamma", coeffs.gamma))
 
     # finite before the SPD test: one NaN would poison the symmetry scale
     a_h = at_centroids("A", coeffs.a, (-1, 2, 2))
@@ -306,6 +328,17 @@ def _crack_instance():
     )
 
 
+# the eigen sweep's coefficients but gamma, one object for every sweep value,
+# so that the histories of a sweep share their reaction-free data by identity
+_EIGEN_SWEEP_FIELD = CoefficientField(
+    a=constant_matrix(np.eye(2)),
+    b=constant_vector((0.0, 0.0)),
+    gamma=None,
+    f=constant_scalar(1.0),
+    u_dirichlet=constant_scalar(0.0),
+)
+
+
 def _eigen_sweep_instance(gamma):
     """L-shape Laplacian with reaction -gamma and unit load.
 
@@ -317,16 +350,9 @@ def _eigen_sweep_instance(gamma):
     gamma = float(gamma)
     if not np.isfinite(gamma):
         raise UnknownBenchmark("eigen_sweep needs a finite gamma")
-    coeffs = CoefficientField(
-        a=constant_matrix(np.eye(2)),
-        b=constant_vector((0.0, 0.0)),
-        gamma=constant_scalar(-gamma),
-        f=constant_scalar(1.0),
-        u_dirichlet=constant_scalar(0.0),
-    )
     return ProblemInstance(
         name="eigen_sweep",
-        field=coeffs,
+        field=replace(_EIGEN_SWEEP_FIELD, gamma=constant_scalar(-gamma)),
         start_mesh=lshape_start_mesh,
         exact=None,
         singular_point=None,

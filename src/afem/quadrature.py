@@ -11,7 +11,7 @@ rule has degree 5 and serves data oscillation and error norms, which share
 a level's points and load data through :class:`Degree5Data`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -78,29 +78,32 @@ class Degree5Data:
     p: Optional[np.ndarray] = None
 
 
-def degree5_data(mesh, coeffs, exact=None):
+def degree5_data(mesh, coeffs, exact=None, like=None):
     """Map the degree-5 points onto every triangle of ``mesh`` and evaluate
     the data there, once for all 7T points: gamma from ``coeffs``, and u, p
     and f from one call of ``exact(x, y) -> (u, p, f)`` where an exact
-    solution is given, else f from ``coeffs``. A value that is not finite
-    raises NonFiniteCoefficient."""
-    pts = physical_points(mesh.triangle_vertices())
-    x, y = pts[..., 0], pts[..., 1]
-    xs, ys = x.ravel(), y.ravel()
+    solution is given, else f from ``coeffs``. ``like``, the data of the
+    same mesh and of a problem that differs only in gamma, gives all but
+    gamma. A value that is not finite raises NonFiniteCoefficient."""
+    if like is None:
+        pts = physical_points(mesh.triangle_vertices())
+        x, y = pts[..., 0], pts[..., 1]
+        u = p = None
+        if exact is None:
+            f = coeffs.f(x.ravel(), y.ravel())
+        else:
+            u, p, f = exact(x.ravel(), y.ravel())
+            u, p = _at_points("u", u, x), _at_points("p", p, x)
+        like = Degree5Data(x=x, y=y, f=_at_points("f", f, x), gamma=None, u=u, p=p)
+    gamma = coeffs.gamma(like.x.ravel(), like.y.ravel())
+    return replace(like, gamma=_at_points("gamma", gamma, like.x))
 
-    def checked(name, values):
-        values = require_finite(name, values, "degree-5 point", per_triangle=x.shape[1])
-        return values.reshape(x.shape + values.shape[1:])
 
-    u = p = None
-    if exact is None:
-        f = coeffs.f(xs, ys)
-    else:
-        u, p, f = exact(xs, ys)
-        u, p = checked("u", u), checked("p", p)
-    f = checked("f", f)
-    gamma = checked("gamma", coeffs.gamma(xs, ys))
-    return Degree5Data(x=x, y=y, f=f, gamma=gamma, u=u, p=p)
+def _at_points(name, values, x):
+    """``values`` at the (T, 7) points ``x``, checked finite and shaped (T, 7)
+    plus their own trailing axes."""
+    values = require_finite(name, values, "degree-5 point", per_triangle=x.shape[1])
+    return values.reshape(x.shape + values.shape[1:])
 
 
 def element_sums(vals, areas):

@@ -135,20 +135,22 @@ def _require_dirichlet(u_dirichlet):
         raise ConfigError("u_dirichlet is None; for u_D = 0 pass constant_scalar(0.0)")
 
 
-def solve_mixed_via_equivalence(mesh, pw, u_dirichlet):
+def solve_mixed_via_equivalence(mesh, pw, u_dirichlet, inverses=None):
     """Mixed solution by reconstruction, checked triangle by triangle:
     ``(mixed, u_cr_tilde, (rel_p, rel_u))``.
 
     Before the factorization, the element blocks and loads of the modified
     nonconforming system are compared with the hybridized saddle-point ones
-    (:func:`assembly.assemble_hybrid_mixed`); a difference over
-    ``IDENTITY_TOL`` raises :class:`EquivalenceViolation`. No element block
-    outlives the comparison. The last value is :func:`equivalence_residual`
-    between the hybrid recovery from u~ and the reconstruction.
+    (:func:`assembly.assemble_hybrid_mixed`, given ``inverses``); a
+    difference over ``IDENTITY_TOL`` raises :class:`EquivalenceViolation`.
+    No element block outlives the comparison. The last value is
+    :func:`equivalence_residual` between the hybrid recovery from u~ and
+    the reconstruction. ``u_dirichlet`` may be given by its boundary values
+    (:func:`assembly.edge_system`).
     """
     _require_dirichlet(u_dirichlet)
     system, local, load = assemble_modified_ncfem(mesh, pw, u_dirichlet=u_dirichlet)
-    hybrid, hybrid_load, recover = assemble_hybrid_mixed(mesh, pw)
+    hybrid, hybrid_load, recover = assemble_hybrid_mixed(mesh, pw, inverses)
     cond = _condition(pw)
     defect = (_defect(hybrid, local, cond), _defect(hybrid_load, load, cond))
     if not all(d <= IDENTITY_TOL for d in defect):  # NaN too

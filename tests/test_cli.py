@@ -722,8 +722,8 @@ def test_equivalence_violation_leaves_rows_and_abort_line(
     # the hybrid recovery's scalar perturbed by 1e-6 relative on level 2
     assemble = solver.assemble_hybrid_mixed
 
-    def perturbed(mesh, pw):
-        local, load, recover = assemble(mesh, pw)
+    def perturbed(mesh, pw, *args):
+        local, load, recover = assemble(mesh, pw, *args)
         if mesh.ndof_mixed != 992:
             return local, load, recover
 
@@ -757,6 +757,67 @@ def test_element_identity_violation_leaves_rows_and_abort_line(
     _lshape_abort_on_level_2(
         tmp_path, capsys, "element blocks and loads differ from the hybridized ones"
     )
+
+
+def test_sweep_violation_stops_every_running_history(tmp_path, capsys, monkeypatch):
+    # the hybridized element blocks of gamma = 9.63 perturbed by 1e-9
+    # relative on level 2: the sweep's histories advance together, so the
+    # values before it in the sweep have solved level 2 and those after it
+    # only level 1; each CSV keeps its rows and ends with the abort line
+    assemble = solver.assemble_hybrid_mixed
+
+    def perturbed(mesh, pw, *args):
+        local, load, recover = assemble(mesh, pw, *args)
+        if mesh.ndof_mixed == 992 and pw.gamma_h[0] == -9.63:
+            local = local * (1 + 1e-9)
+        return local, load, recover
+
+    monkeypatch.setattr(solver, "assemble_hybrid_mixed", perturbed)
+    args = ["--problem", "eigen_sweep", "--max-ndof", "4000", "--out", str(tmp_path)]
+    assert main(["run", *args]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # the tables come after the loop
+    violation = "element blocks and loads differ from the hybridized ones"
+    assert re.fullmatch(rf"afem: error: level 2: {violation} by \(.+, .+\)\n", err)
+    reason = err.removeprefix("afem: error: ").rstrip("\n")
+    for g in problem.DEFAULT_GAMMA_SWEEP:
+        csv = tmp_path / f"eigen_sweep_gamma{g:g}_uniform.csv"
+        header, *lines = csv.read_text().splitlines()
+        solved = [68, 256, 992] if g < 9.63 else [68, 256]
+        assert [line.split(",")[1] for line in lines[:-1]] == [str(n) for n in solved]
+        assert lines[-1] == f"# aborted: EquivalenceViolation: {reason}"
+    assert not (tmp_path / "eigen_sweep_uniform_combined.csv").exists()
+
+
+def test_sweep_history_ended_before_an_exception_keeps_its_end(
+    tmp_path, capsys, monkeypatch
+):
+    # gamma = 9 ends singular on level 1; gamma = 12 raises on level 2, after
+    # the values before it have solved level 2: the singular history keeps
+    # its own abort line, and every history still running gets the error's
+    solve = adapt.solve_mixed_via_equivalence
+
+    def failing(mesh, pw, *args, **kwargs):
+        if pw.gamma_h[0] == -9.0 and mesh.ndof_mixed == 256:
+            raise afem.SingularMatrix("injected")
+        if pw.gamma_h[0] == -12.0 and mesh.ndof_mixed == 992:
+            raise afem.EquivalenceViolation("injected")
+        return solve(mesh, pw, *args, **kwargs)
+
+    monkeypatch.setattr(adapt, "solve_mixed_via_equivalence", failing)
+    args = ["--problem", "eigen_sweep", "--max-ndof", "4000", "--out", str(tmp_path)]
+    assert main(["run", *args]) == 1
+    assert capsys.readouterr().err == "afem: error: level 2: injected\n"
+    for g in problem.DEFAULT_GAMMA_SWEEP:
+        csv = tmp_path / f"eigen_sweep_gamma{g:g}_uniform.csv"
+        _, *lines = csv.read_text().splitlines()
+        rows, end = [line.split(",")[1] for line in lines[:-1]], lines[-1]
+        if g == 9.0:
+            assert rows == ["68"]
+            assert end == "# aborted: SingularMatrix at level 1: injected"
+        else:
+            assert rows == (["68", "256"] if g == 12.0 else ["68", "256", "992"])
+            assert end == "# aborted: EquivalenceViolation: level 2: injected"
 
 
 def test_interrupt_leaves_rows_and_abort_line(tmp_path, monkeypatch):

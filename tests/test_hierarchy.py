@@ -106,3 +106,61 @@ def test_single_history_frees_its_coarse_levels(tmp_path, monkeypatch, from_file
     bench.run_experiment(config, echo=lambda *_: None)
     assert [level for level, _ in seen] == [0, 1, 2, 3]
     assert [alive for level, alive in seen if level >= 2] == [False, False]
+
+
+def _count_reaction_free_builds(monkeypatch):
+    """Count the builds of a level's reaction-free data by its parts: S_T of
+    the P0 projection, the hybridization's M_T^-1 and the estimator's
+    degree-5 points. Returns the per-part lists of meshes (None for the
+    points, which get vertices only)."""
+    from afem import adapt, assembly, quadrature
+
+    built = {"s_of_t": [], "hybrid_inverses": [], "physical_points": []}
+
+    def spy(name, fn, module):
+        def counted(*args):
+            built[name].append(args[0] if name != "physical_points" else None)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy("s_of_t", problem.s_of_t, problem)
+    inverses = assembly.hybrid_inverses
+    for module in (assembly, adapt):
+        spy("hybrid_inverses", inverses, module)
+    spy("physical_points", quadrature.physical_points, quadrature)
+    return built
+
+
+@pytest.mark.parametrize("mode", ["uniform", "adaptive"])
+def test_sweep_in_lockstep_equals_separate_runs(monkeypatch, mode):
+    # the eight histories advance together and share each level's
+    # reaction-free data; each must be bit for bit the run of its value alone
+    from afem.adapt import adaptive_loop
+
+    def sweep():
+        gammas = problem.DEFAULT_GAMMA_SWEEP
+        return [problem.benchmark("eigen_sweep", gamma=g) for g in gammas]
+
+    alone = [adaptive_loop(inst, mode=mode, max_ndof=4000) for inst in sweep()]
+    built = _count_reaction_free_builds(monkeypatch)
+    together = adaptive_loop(sweep(), mode=mode, max_ndof=4000)
+    assert len(together) == 8
+    for hist, ref in zip(together, alone):
+        assert hist.ndofs == ref.ndofs
+        for name in ("eta", "equivalence"):
+            assert np.array_equal(
+                np.array(hist.column(name)).view(np.int64),
+                np.array(ref.column(name)).view(np.int64),
+            ), name
+        assert hist.failure == ref.failure
+    # one build per distinct mesh per level: the four uniform levels, or the
+    # adaptive start mesh and then each history's own meshes
+    attempted = [len(h.records) + (h.failure is not None) for h in together]
+    meshes = 4 if mode == "uniform" else 1 + sum(n - 1 for n in attempted)
+    if mode == "uniform":
+        assert attempted == [4] * 8
+    assert {name: len(calls) for name, calls in built.items()} == dict.fromkeys(
+        built, meshes
+    )
+    assert len({id(m) for m in built["s_of_t"]}) == meshes

@@ -103,7 +103,10 @@ def test_level_clock_sees_one_projection_per_level(
     )
     histories = bench.run_experiment(config, echo=lambda *_: None).histories
     assert all(len(h.records) >= 3 for h in histories.values())
-    assert seen == [n for h in histories.values() for n in h.ndofs]
+    # a sweep's histories advance together, level by level
+    ndofs = [h.ndofs for h in histories.values()]
+    levels = range(max(map(len, ndofs)))
+    assert seen == [n[k] for k in levels for n in ndofs if k < len(n)]
 
 
 @pytest.mark.parametrize(
@@ -218,3 +221,25 @@ def test_every_level_factors_once_in_order(
     assert metrics["solver.factorizations"] == levels
     assert metrics["solver.nnz_lu_direct"] == 0
     assert metrics["solver.nnz_lu_recon"] > 0
+
+
+def test_level_clock_of_a_sweep_in_lockstep(tmp_path):
+    # perfbench/child.py's untraced clock wraps adapt.project_p0 and
+    # adapt.adaptive_loop: the sweep's histories share one loop, so each
+    # reaction marks the start of its level and the loop's end closes the
+    # last, and finest_level_s sums the eight reactions' finest levels
+    child = _load_perfbench("child")
+    config = bench.ExperimentConfig(
+        problem="eigen_sweep", mode="uniform", max_ndof=1000, out=str(tmp_path)
+    )
+    loop, project = adapt.adaptive_loop, adapt.project_p0
+    sample = child._timed(adapt, bench, config)
+    assert (adapt.adaptive_loop, adapt.project_p0) == (loop, project)
+    levels = sample["levels"]
+    # one record per mark but the loop-end one, in level-major order
+    assert [lv["ndof"] for lv in levels] == [68] * 8 + [256] * 8 + [992] * 8
+    assert {lv["loop"] for lv in levels} == {0}
+    assert all(lv["wall_s"] > 0 for lv in levels)
+    top = max(lv["ndof"] for lv in levels)
+    assert sum(lv["ndof"] == top for lv in levels) == 8
+    assert [h["ndof"] for h in sample["histories"].values()] == [[68, 256, 992]] * 8
