@@ -12,23 +12,24 @@ driver bounds how far the hybrid recovery lies from the reconstruction
 by ``EQUIVALENCE_TOL``. The estimator evaluates
 gamma, and f or the exact solution with its load, once per level, at the
 degree-5 points of every triangle; its report hands that data on to the
-error norms. The loop drops it with the rest of the level, its mesh
-included, before the next level assembles. Before refining, the loop
+error norms. Every level runs through one :class:`_Level`, which keeps
+its data that do not depend on gamma only while a later history will use
+them; so the loop holds none of them when it refines, and drops the rest
+of the level, its mesh included, before the next level assembles. Before
+refining, the loop
 tests the dof budget against :func:`refine.refined_ndof_bound`, so it
 never builds a mesh the budget rejects in uniform mode, nor one the bound
 already puts over it in adaptive mode. A sweep's histories advance
 together, level by level; those on one mesh whose fields differ only in
-gamma share the level's reaction-free data, built once
-(:class:`_SharedLevel`).
+gamma run their level through one :class:`_Level`.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import bench, quadrature
-from .assembly import boundary_values, hybrid_inverses
+from .assembly import hybrid_inverses
 from .errors import (
     BadTheta, ConfigError, EquivalenceViolation, MeshMismatch, SingularMatrix
 )
@@ -98,7 +99,7 @@ def grad_p1(mesh, nodal):
     return np.einsum("tk,tkd->td", vals, mesh.grad_bary())
 
 
-def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw, exact=None, shared=None):
+def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw, exact=None, level=None):
     """Residual estimator for the mixed solution.
 
     Terms per triangle: osc ||(1-Pi0)(f - gamma u_M)||, volume
@@ -108,20 +109,19 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw, exact=None, shared=None)
     ``pw`` is ``project_p0(coeffs, mesh)``; its centroid data is the
     oscillation's reference value. With the problem's ``exact`` solution the
     report's degree-5 data also holds u and p, and f comes from the same
-    evaluation (:func:`quadrature.degree5_data`). ``shared``, the
-    :class:`_SharedLevel` of ``mesh`` where given, supplies all of that
-    data but gamma, and A^-1 and b* at the edge midpoints.
+    evaluation (:func:`quadrature.degree5_data`). The degree-5 data and A^-1
+    and b* at the edge midpoints come from ``level``, the :class:`_Level` of
+    ``mesh``; where it is not given, one is built for this call.
     """
     if mixed.mesh is not mesh or u_cr_tilde.mesh is not mesh or pw.mesh is not mesh:
         raise MeshMismatch("estimator inputs live on different meshes")
-    mids = _edge_midpoints(mesh)  # (T, 3, 2)
+    if level is None:
+        level = _Level(mesh, coeffs, exact)
+    mids = mesh.triangle_edge_midpoints()  # (T, 3, 2)
 
     # oscillation of f - gamma u_M against its centroid value, degree 5
     resid = pw.f_h - pw.gamma_h * mixed.u
-    if shared is None:
-        data = quadrature.degree5_data(mesh, coeffs, exact)
-    else:
-        data = shared.degree5_data(coeffs)
+    data = level.degree5_data(coeffs)
     g = data.f - data.gamma * mixed.u[:, None]
     osc_sq = mesh.area * (((g - resid[:, None]) ** 2) @ quadrature.DEGREE5[1])
 
@@ -142,19 +142,10 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw, exact=None, shared=None)
     nonconf_sq = quadrature.affine_sq_l2(mesh.area, r - gv[:, None, :])
 
     # coefficient approximation terms, degree-2 rule on the midpoints
-    if shared is None:
-        a_inv_pts = _a_inv_at(mids, coeffs)
-        diff_a = np.einsum(
-            "tqde,tqe->tqd", a_inv_pts - pw.a_h_inv[:, None, :, :], p_at_mids
-        )
-    else:
-        diff_a = np.einsum("tqde,tqe->tqd", shared.coefficient_gaps[0], p_at_mids)
+    a_gap, b_gap = level.coefficient_gaps(pw, mids)
+    diff_a = np.einsum("tqde,tqe->tqd", a_gap, p_at_mids)
     coeff_a_sq = quadrature.affine_sq_l2(mesh.area, diff_a)
 
-    if shared is None:
-        b_gap = _b_star_at(mids, coeffs, a_inv_pts) - pw.b_star_h[:, None, :]
-    else:
-        b_gap = shared.coefficient_gaps[1]
     diff_b = mixed.u[:, None, None] * b_gap
     coeff_b_sq = quadrature.affine_sq_l2(mesh.area, diff_b)
 
@@ -174,26 +165,6 @@ def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw, exact=None, shared=None)
         diagnostics=diagnostics,
         data=data,
     )
-
-
-def _edge_midpoints(mesh):
-    """(T, 3, 2) midpoints of each triangle's edges (P_k, P_k+1)."""
-    pv = mesh.triangle_vertices()
-    return 0.5 * (pv + np.roll(pv, -1, axis=1))
-
-
-def _a_inv_at(mids, coeffs):
-    """(T, 3, 2, 2) inverses of A at the (T, 3, 2) points ``mids``."""
-    xm, ym = mids[..., 0].ravel(), mids[..., 1].ravel()
-    a_pts = require_finite("A", coeffs.a(xm, ym), "edge midpoint", per_triangle=3)
-    return inv_2x2(a_pts.reshape(-1, 3, 2, 2))
-
-
-def _b_star_at(mids, coeffs, a_inv_pts):
-    """(T, 3, 2) values b* = A^-1 b at the points ``mids``, given A^-1 there."""
-    xm, ym = mids[..., 0].ravel(), mids[..., 1].ravel()
-    b_pts = require_finite("b", coeffs.b(xm, ym), "edge midpoint", per_triangle=3)
-    return np.einsum("tqde,tqe->tqd", a_inv_pts, b_pts.reshape(-1, 3, 2))
 
 
 def dorfler_mark(eta_sq_per_triangle, theta):
@@ -246,9 +217,10 @@ def adaptive_loop(
     calls ``on_level(pw, mixed, u_tilde, report, record)`` with the level's
     record complete, its rates included; ``pw.mesh`` is the level's mesh.
     Nothing of a level outlives it: its data die with :func:`_run_level`'s
-    locals, and its mesh as the next one replaces it, so no part of level
-    k-1 is reachable when level k assembles (unless the caller holds the
-    start mesh, which keeps its red children).
+    locals, or with their last use where its :class:`_Level` keeps them for
+    later histories, and its mesh as the next one replaces it, so no part
+    of level k-1 is reachable when level k assembles (unless the caller
+    holds the start mesh, which keeps its red children).
 
     The run keeps every level with at most ``max_ndof`` mixed dofs. It ends
     before refining when :func:`refine.refined_ndof_bound` puts the next
@@ -261,7 +233,7 @@ def adaptive_loop(
     sequence of callbacks, or None, for ``on_level``; it gets the list of
     their histories. The histories advance together, level by level: on
     each level, those on one mesh whose fields differ only in gamma (with
-    one exact solution) share its reaction-free data (:class:`_SharedLevel`).
+    one exact solution) share its reaction-free data (:class:`_Level`).
     ``histories`` are the histories to fill, one per instance, new ones by
     default. An exception out of a level ends every history still running:
     each gets it as its ``failure`` before it propagates, so a caller that
@@ -317,94 +289,105 @@ def _groups(runs):
     return list(groups.values())
 
 
-class _SharedLevel:
-    """The reaction-free data of one level, shared by a group of histories:
-    one mesh, fields that differ only in gamma, and one exact solution.
+class _Level:
+    """The reaction-free data of one level: one mesh, the fields of its
+    group's histories, which differ only in gamma, and one exact solution.
 
-    The group's first history builds each part where it first needs it,
-    and every part dies with the group, so with its level."""
+    The first history that needs a part builds it. A part is kept while
+    ``later`` is set, that is, while histories after the current one will
+    run the level; the last history takes each part as it uses it. So each
+    part dies with its last use, a group of one keeps none, and no history
+    refines while a part of its level is alive."""
 
-    def __init__(self, mesh, instance):
-        self.mesh, self.field, self.exact = mesh, instance.field, instance.exact
-        self.pw = self.data = None  # the first history's
+    def __init__(self, mesh, field, exact):
+        self.mesh, self.field, self.exact = mesh, field, exact
+        self.later = False
+        self._parts = {}
+
+    def _keep(self, name, part):
+        """``part``, kept as ``name`` where later histories run the level,
+        for the next of them to take."""
+        if self.later:
+            self._parts[name] = part
+        return part
 
     def project(self, field):
         """``field``'s piecewise data (:func:`project_p0`); after the first
         history's, only gamma is projected."""
-        coeffs = field if self.pw is None else Reaction(field.gamma, self.pw)
-        pw = project_p0(coeffs, self.mesh)
-        if self.pw is None:
-            self.pw = pw
-        return pw
+        like = self._parts.pop("pw", None)
+        coeffs = field if like is None else Reaction(field.gamma, like)
+        return self._keep("pw", project_p0(coeffs, self.mesh))
 
     def degree5_data(self, coeffs):
         """``coeffs``' :func:`quadrature.degree5_data`; after the first
         history's, only gamma is evaluated."""
-        data = quadrature.degree5_data(self.mesh, coeffs, self.exact, like=self.data)
-        if self.data is None:
-            self.data = replace(data, gamma=None)
+        like = self._parts.pop("data", None)
+        data = quadrature.degree5_data(self.mesh, coeffs, self.exact, like=like)
+        self._keep("data", replace(data, gamma=None))
         return data
 
-    @cached_property
-    def boundary_values(self):
-        u_d = self.field.u_dirichlet
-        return u_d if u_d is None else boundary_values(self.mesh, u_d)
+    def inverses(self, mesh, pw):
+        """The builder of :func:`assembly.assemble_hybrid_mixed`: the arrays
+        of :func:`assembly.hybrid_inverses`, which the first history builds
+        after its modified assembly."""
+        inverses = self._parts.pop("inverses", None) or hybrid_inverses(mesh, pw)
+        return self._keep("inverses", inverses)
 
-    @cached_property
-    def inverses(self):
-        return hybrid_inverses(self.mesh, self.pw)
-
-    @cached_property
-    def coefficient_gaps(self):
-        """A^-1 - A_h^-1 and b* - b*_h at the edge midpoints, (T, 3, 2, 2) and
-        (T, 3, 2)."""
-        mids = _edge_midpoints(self.mesh)
-        a_inv_pts = _a_inv_at(mids, self.field)
-        return (
-            a_inv_pts - self.pw.a_h_inv[:, None, :, :],
-            _b_star_at(mids, self.field, a_inv_pts) - self.pw.b_star_h[:, None, :],
-        )
+    def coefficient_gaps(self, pw, mids):
+        """A^-1 - A_h^-1 and b* - b*_h = A^-1 b - A_h^-1 b_h at the edge
+        midpoints ``mids``, (T, 3, 2, 2) and (T, 3, 2); ``pw`` is a
+        history's piecewise data."""
+        gaps = self._parts.pop("gaps", None)
+        if gaps is None:
+            x, y, field = mids[..., 0].ravel(), mids[..., 1].ravel(), self.field
+            a = require_finite("A", field.a(x, y), "edge midpoint", per_triangle=3)
+            a_inv = inv_2x2(a.reshape(-1, 3, 2, 2))
+            b = require_finite("b", field.b(x, y), "edge midpoint", per_triangle=3)
+            b_star = np.einsum("tqde,tqe->tqd", a_inv, b.reshape(-1, 3, 2))
+            # in place: no third (T, 3, 2, 2) array while the estimate runs
+            a_inv -= pw.a_h_inv[:, None]
+            b_star -= pw.b_star_h[:, None]
+            gaps = a_inv, b_star
+        return self._keep("gaps", gaps)
 
 
 def _advance(group, mode, theta, max_ndof):
-    """Run the level of every run of ``group`` on their common mesh, and
-    move each on to its next mesh. A group of two or more shares the
-    level's reaction-free data, which dies here."""
-    mesh = group[0].mesh
-    shared = _SharedLevel(mesh, group[0].instance) if len(group) > 1 else None
+    """Run the level of every run of ``group`` on their common mesh through
+    one :class:`_Level`, and move each run on to its next mesh right after
+    its level. The last run takes the level's parts as it uses them, so
+    none is alive when it refines."""
+    mesh, first = group[0].mesh, group[0].instance
+    level = _Level(mesh, first.field, first.exact)
     for run in group:
-        eta_sq = _run_level(run.instance, mesh, run.history, run.on_level, shared)
+        level.later = run is not group[-1]
+        eta_sq = _run_level(run, level)
         run.mesh = _refined(mesh, eta_sq, mode, theta, max_ndof)
 
 
-def _run_level(instance, mesh, history, on_level, shared=None):
-    """Solve, check, estimate and record the level of ``mesh``; return its
-    per-triangle eta_T^2, or None where a singular factorization ends the
-    run. The level's data are locals of this call, or parts of ``shared``,
-    the :class:`_SharedLevel` of its group: none outlives the level."""
-    level = len(history.records)
-    field = instance.field
+def _run_level(run, level):
+    """Solve, check, estimate and record ``run``'s level, that of
+    ``level.mesh``; return its per-triangle eta_T^2, or None where a
+    singular factorization ends the run. The level's data are locals of
+    this call or parts of ``level``: none outlives the level."""
+    instance, history, mesh = run.instance, run.history, level.mesh
+    field, k = instance.field, len(history.records)
     try:
-        if shared is None:
-            pw, u_d, inverses = project_p0(field, mesh), field.u_dirichlet, None
-        else:
-            pw = shared.project(field)
-            u_d, inverses = shared.boundary_values, shared.inverses
+        pw = level.project(field)
         mixed, u_tilde, (rel_p, rel_u) = solve_mixed_via_equivalence(
-            mesh, pw, u_dirichlet=u_d, inverses=inverses
+            mesh, pw, u_dirichlet=field.u_dirichlet, inverses=level.inverses
         )
     except SingularMatrix as exc:
-        history.failure = f"SingularMatrix at level {level}: {exc}"
+        history.failure = f"SingularMatrix at level {k}: {exc}"
         return None
     except EquivalenceViolation as exc:
-        raise EquivalenceViolation(f"level {level}: {exc}") from None
+        raise EquivalenceViolation(f"level {k}: {exc}") from None
     if max(rel_p, rel_u) > EQUIVALENCE_TOL:
         raise EquivalenceViolation(
-            f"level {level}: routes differ by ({rel_p:.2e}, {rel_u:.2e})"
+            f"level {k}: routes differ by ({rel_p:.2e}, {rel_u:.2e})"
         )
-    report = estimate_mixed(mesh, mixed, u_tilde, field, pw, instance.exact, shared)
+    report = estimate_mixed(mesh, mixed, u_tilde, field, pw, instance.exact, level)
     record = bench.LevelRecord(
-        level=level,
+        level=k,
         ndof=mesh.ndof_mixed,
         eta=report.eta,
         equivalence=(rel_p, rel_u),
@@ -414,8 +397,8 @@ def _run_level(instance, mesh, history, on_level, shared=None):
             mixed, instance, report.data
         )
     history.add(record)
-    if on_level is not None:
-        on_level(pw, mixed, u_tilde, report, record)
+    if run.on_level is not None:
+        run.on_level(pw, mixed, u_tilde, report, record)
     return report.per_triangle_sq
 
 

@@ -402,7 +402,7 @@ def hybrid_inverses(mesh, pw):
     return m_inv, _symmetric_times(m_inv, w - div), _symmetric_times(m_inv, div), div
 
 
-def assemble_hybrid_mixed(mesh, pw, inverses=None):
+def assemble_hybrid_mixed(mesh, pw, inverses=hybrid_inverses):
     """The saddle-point system hybridized (Arnold & Brezzi 1985):
     ``(local, load, recover)``, the (T, 3, 3) element blocks and (T, 3)
     loads over each triangle's edge multipliers (transposed coordinate-major
@@ -425,16 +425,16 @@ def assemble_hybrid_mixed(mesh, pw, inverses=None):
     4|T| / (S_T/|T| kappa_T), which vanishes only where ``pw.kappa`` raises
     :class:`SingularLocalFactor`. M_T^-1 is symmetric like M_T and is kept
     by its upper triangle, so ``recover`` holds 13 doubles per triangle.
-    ``inverses`` are :func:`hybrid_inverses` of the mesh, built here where
-    not given.
+    ``inverses(mesh, pw)`` builds the arrays of :func:`hybrid_inverses`, or
+    returns those a caller keeps for fields that differ only in gamma.
     """
     _require_mesh(mesh, pw)
     # no boundary load: u_D enters as lambda
-    m_inv, m_inv_g, m_inv_b, div = inverses or hybrid_inverses(mesh, pw)
+    m_inv, m_inv_g, m_inv_b, div = inverses(mesh, pw)
     s = pw.gamma_h * mesh.area - np.einsum("kt,kt->t", div, m_inv_g)  # b^T M^-1 g
     f_over_s = pw.f_h * mesh.area / s
     m_inv_b_over_s = m_inv_b / s
-    del m_inv_b  # freed here where built here
+    del m_inv_b  # freed here unless the builder keeps it
     dm_inv_g = div * m_inv_g
     hybrid = div[:, None] * m_inv[_SYMMETRIC] * div
     hybrid += dm_inv_g[:, None] * (m_inv_b_over_s * div)

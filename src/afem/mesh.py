@@ -202,6 +202,11 @@ class Triangulation:
         """Vertex coordinates per triangle, shape (T, 3, 2), read-only."""
         return self._triangle_vertices
 
+    def triangle_edge_midpoints(self):
+        """Midpoints of each triangle's edges (P_k, P_k+1), shape (T, 3, 2)."""
+        pv = self.triangle_vertices()
+        return 0.5 * (pv + np.roll(pv, -1, axis=1))
+
     def grad_bary(self):
         """Gradients of the barycentric coordinate functions, shape (T, 3, 2),
         read-only."""

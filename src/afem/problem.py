@@ -134,8 +134,7 @@ def s_of_t(mesh, a_h_inv):
     Computed with the edge-midpoint rule, which integrates the quadratic
     integrand exactly:  S_T = (|T|/3) sum_k (m_k - c)^T A_h^{-1} (m_k - c).
     """
-    pv = mesh.triangle_vertices()
-    mids = 0.5 * (pv + np.roll(pv, -1, axis=1)) - mesh.centroid[:, None, :]
+    mids = mesh.triangle_edge_midpoints() - mesh.centroid[:, None, :]
     return mesh.area / 3.0 * np.einsum("tkd,tde,tke->t", mids, a_h_inv, mids)
 
 

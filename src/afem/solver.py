@@ -28,6 +28,7 @@ from .assembly import (
     assemble_modified_ncfem,
     assemble_ncfem,
     edge_system,
+    hybrid_inverses,
 )
 from .errors import ConfigError, EquivalenceViolation, MeshMismatch, SingularMatrix
 from .problem import project_p0
@@ -135,13 +136,14 @@ def _require_dirichlet(u_dirichlet):
         raise ConfigError("u_dirichlet is None; for u_D = 0 pass constant_scalar(0.0)")
 
 
-def solve_mixed_via_equivalence(mesh, pw, u_dirichlet, inverses=None):
+def solve_mixed_via_equivalence(mesh, pw, u_dirichlet, inverses=hybrid_inverses):
     """Mixed solution by reconstruction, checked triangle by triangle:
     ``(mixed, u_cr_tilde, (rel_p, rel_u))``.
 
     Before the factorization, the element blocks and loads of the modified
     nonconforming system are compared with the hybridized saddle-point ones
-    (:func:`assembly.assemble_hybrid_mixed`, given ``inverses``); a
+    (:func:`assembly.assemble_hybrid_mixed`, which calls the builder
+    ``inverses(mesh, pw)`` after the modified assembly); a
     difference over ``IDENTITY_TOL`` raises :class:`EquivalenceViolation`.
     No element block outlives the comparison. The last value is
     :func:`equivalence_residual` between the hybrid recovery from u~ and
@@ -208,8 +210,7 @@ def equivalence_residual(direct, recon):
     if direct.mesh is not recon.mesh:
         raise MeshMismatch("solutions live on different meshes")
     mesh = direct.mesh
-    pv = mesh.triangle_vertices()
-    mids = 0.5 * (pv + np.roll(pv, -1, axis=1))
+    mids = mesh.triangle_edge_midpoints()
     p_direct = direct.flux_at(mids)
     dp = p_direct - recon.flux_at(mids)
     num_p = float(np.sqrt(np.sum(affine_sq_l2(mesh.area, dp))))

@@ -486,22 +486,35 @@ def test_uniform_loop_builds_no_mesh_over_budget(monkeypatch):
 def test_no_level_outlives_the_next_factorization(monkeypatch, problem, mode, max_ndof):
     # each level's mesh and piecewise data, held here by weakrefs only, are
     # freed by reference counting before the next level factors: no
-    # solution, report or record of the loop still reaches them
+    # solution, report or record of the loop still reaches them; and the
+    # level's data, its piecewise data among them, die before its mesh is
+    # refined
     refs = []
-    alive_at_factor = []
+    alive_at_factor, alive_at_refine = [], []
     solve_sparse = solver.solve_sparse
 
     def spy(system):
         alive_at_factor.append(sum(r() is not None for pair in refs for r in pair))
         return solve_sparse(system)
 
+    def refine_spy(refine):
+        def refined(mesh, *args):
+            alive_at_refine.append(sum(pw() is not None for _, pw in refs))
+            return refine(mesh, *args)
+
+        return refined
+
     def on_level(pw, *_):
         refs.append((weakref.ref(pw.mesh), weakref.ref(pw)))
 
     monkeypatch.setattr(solver, "solve_sparse", spy)
+    for name in ("uniform_red_refine", "rgb_refine"):
+        monkeypatch.setattr(adapt, name, refine_spy(getattr(adapt, name)))
     hist = adaptive_loop(benchmark(problem), mode=mode, max_ndof=max_ndof, on_level=on_level)
     assert len(hist.records) >= 4 and hist.failure is None
     assert alive_at_factor == [0] * len(hist.records)
+    assert len(alive_at_refine) >= len(hist.records) - 1
+    assert alive_at_refine == [0] * len(alive_at_refine)
 
 
 def test_adaptive_eta_decreases_after_startup():
