@@ -296,8 +296,9 @@ class _Level:
     The first history that needs a part builds it. A part is kept while
     ``later`` is set, that is, while histories after the current one will
     run the level; the last history takes each part as it uses it. So each
-    part dies with its last use, a group of one keeps none, and no history
-    refines while a part of its level is alive."""
+    part dies with its last use and a group of one keeps none. An earlier
+    history of a group refines while the parts kept for the later ones are
+    alive; the last one, and so any group of one, refines with none."""
 
     def __init__(self, mesh, field, exact):
         self.mesh, self.field, self.exact = mesh, field, exact

@@ -215,14 +215,11 @@ def _cr_system(mesh, pw, grad_psi, conv_weight, react, local_rhs, u_dirichlet):
 def edge_system(mesh, local, load, u_dirichlet):
     """Sparse system of (T, 3, 3) element blocks ``local`` and (T, 3) loads
     ``load`` over each triangle's edges. With ``u_dirichlet`` given, the
-    boundary edges are fixed to u_D(mid E), or to the values of
-    :func:`boundary_values` where ``u_dirichlet`` is that array; the free
-    edges are numbered in ``mesh.edge_order``."""
+    boundary edges are fixed to u_D(mid E); the free edges are numbered in
+    ``mesh.edge_order``."""
     fixed, values = np.empty(0, dtype=int), np.empty(0)
-    if isinstance(u_dirichlet, np.ndarray):
-        fixed, values = mesh.boundary_edges, u_dirichlet
-    elif u_dirichlet is not None:
-        fixed, values = mesh.boundary_edges, boundary_values(mesh, u_dirichlet)
+    if u_dirichlet is not None:
+        fixed, values = mesh.boundary_edges, _boundary_values(mesh, u_dirichlet)
     is_free = np.ones(mesh.num_edges, dtype=bool)
     is_free[fixed] = False
     free = mesh.edge_order[is_free[mesh.edge_order]]
@@ -230,7 +227,7 @@ def edge_system(mesh, local, load, u_dirichlet):
                     fixed, values)
 
 
-def boundary_values(mesh, u_dirichlet):
+def _boundary_values(mesh, u_dirichlet):
     """u_D at the boundary-edge midpoints, in ``mesh.boundary_edges`` order."""
     bnd = mesh.boundary_edges
     mid = mesh.edge_mid[bnd]
@@ -362,7 +359,7 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
         # triangle, whose sign on it is sigma
         bnd = mesh.boundary_edges
         flux = np.zeros(ne)
-        flux[bnd] = mesh.edge_length[bnd] * boundary_values(mesh, u_dirichlet)
+        flux[bnd] = mesh.edge_length[bnd] * _boundary_values(mesh, u_dirichlet)
         load[:, :3] = -mesh.triangle_edge_signs * flux[mesh.triangle_edges]
     dofs = np.column_stack((mesh.triangle_edges, np.arange(ne, ne + nt)))
     return _scatter(ne + nt, dofs, local, load, np.arange(ne + nt),

@@ -147,8 +147,7 @@ def solve_mixed_via_equivalence(mesh, pw, u_dirichlet, inverses=hybrid_inverses)
     difference over ``IDENTITY_TOL`` raises :class:`EquivalenceViolation`.
     No element block outlives the comparison. The last value is
     :func:`equivalence_residual` between the hybrid recovery from u~ and
-    the reconstruction. ``u_dirichlet`` may be given by its boundary values
-    (:func:`assembly.edge_system`).
+    the reconstruction.
     """
     _require_dirichlet(u_dirichlet)
     system, local, load = assemble_modified_ncfem(mesh, pw, u_dirichlet=u_dirichlet)
