@@ -12,6 +12,7 @@ Crouzeix-Raviart solution, which every reconstruction checks.
 
 from .adapt import (
     EstimatorReport,
+    LevelResult,
     MarkedSet,
     adaptive_loop,
     average_cr,
@@ -67,6 +68,7 @@ from .problem import (
 from .refine import rgb_refine, uniform_red_refine
 from .solver import (
     LinearSolveReport,
+    MixedSolve,
     equivalence_residual,
     solve_mixed_direct,
     solve_mixed_via_equivalence,

@@ -6,10 +6,8 @@ mesh-weighted volume term, a nonconformity term in which the minimum over
 conforming functions is bounded through the nodal average of -u~_CR, and
 two coefficient-approximation terms. The driver runs
 solve / estimate / mark / refine and factors one system per level, the
-modified nonconforming one; the solve checks the paper's equivalence on
-every triangle (:func:`solver.solve_mixed_via_equivalence`), and the
-driver bounds how far the hybrid recovery lies from the reconstruction
-by ``EQUIVALENCE_TOL``. The estimator evaluates
+modified nonconforming one, whose solve checks the paper's equivalence
+(:func:`solver.solve_mixed_via_equivalence`). The estimator evaluates
 gamma, and f or the exact solution with its load, once per level, at the
 degree-5 points of every triangle; its report hands that data on to the
 error norms. Every level runs through one :class:`_Level`, which keeps
@@ -28,17 +26,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bench, quadrature
+from . import bench, problem, quadrature
 from .assembly import hybrid_inverses
 from .errors import (
     BadTheta, ConfigError, EquivalenceViolation, MeshMismatch, SingularMatrix
 )
 from .problem import ProblemInstance, Reaction, inv_2x2, project_p0, require_finite
 from .refine import refined_ndof_bound, rgb_refine, uniform_red_refine
-from .solver import solve_mixed_via_equivalence
-
-# per-level bound on the hybrid recovery's distance from the reconstruction
-EQUIVALENCE_TOL = 1e-8
+from .solver import MixedSolve, solve_mixed_via_equivalence
 
 
 @dataclass
@@ -71,6 +66,16 @@ class EstimatorReport:
     @property
     def eta(self):
         return float(np.sqrt(self.per_triangle_sq.sum()))
+
+
+@dataclass
+class LevelResult:
+    """The one argument of :func:`adaptive_loop`'s ``on_level``."""
+
+    pw: problem.PiecewiseData
+    solve: MixedSolve
+    estimate: EstimatorReport
+    record: bench.LevelRecord
 
 
 @dataclass
@@ -207,20 +212,20 @@ def adaptive_loop(
     """SOLVE / ESTIMATE / MARK / REFINE until the dof budget is exhausted.
 
     On every level the mixed solution is obtained by reconstruction from
-    the modified nonconforming solve, the one factorization of the level.
-    The solve compares its element blocks and loads with the hybridized
-    saddle-point ones, and the hybrid recovery from u~ with the
-    reconstruction; a difference beyond ``solver.IDENTITY_TOL`` or
-    ``EQUIVALENCE_TOL`` aborts with :class:`EquivalenceViolation`. A
-    singular factorization ends the run early with the partial history
-    recorded (indefinite problems on coarse meshes). After each level it
-    calls ``on_level(pw, mixed, u_tilde, report, record)`` with the level's
-    record complete, its rates included; ``pw.mesh`` is the level's mesh.
-    Nothing of a level outlives it: its data die with :func:`_run_level`'s
-    locals, or with their last use where its :class:`_Level` keeps them for
-    later histories, and its mesh as the next one replaces it, so no part
-    of level k-1 is reachable when level k assembles (unless the caller
-    holds the start mesh, which keeps its red children).
+    the modified nonconforming solve, the one factorization of the level,
+    which checks the equivalence (:func:`solver.solve_mixed_via_equivalence`);
+    its :class:`EquivalenceViolation` aborts the run, prefixed with the
+    level. A singular factorization ends the run early with the partial
+    history recorded (indefinite problems on coarse meshes). After each
+    level it calls ``on_level(level)`` with one :class:`LevelResult`: the
+    level's piecewise data ``pw`` (``pw.mesh`` is its mesh), its
+    :class:`solver.MixedSolve` ``solve``, its :class:`EstimatorReport`
+    ``estimate`` and its ``record``, complete with its rates. Nothing of a
+    level outlives it: its data die with :func:`_run_level`'s locals, or
+    with their last use where its :class:`_Level` keeps them for later
+    histories, and its mesh as the next one replaces it, so no part of
+    level k-1 is reachable when level k assembles (unless the caller holds
+    the start mesh, which keeps its red children).
 
     The run keeps every level with at most ``max_ndof`` mixed dofs. It ends
     before refining when :func:`refine.refined_ndof_bound` puts the next
@@ -374,7 +379,7 @@ def _run_level(run, level):
     field, k = instance.field, len(history.records)
     try:
         pw = level.project(field)
-        mixed, u_tilde, (rel_p, rel_u) = solve_mixed_via_equivalence(
+        solve = solve_mixed_via_equivalence(
             mesh, pw, u_dirichlet=field.u_dirichlet, inverses=level.inverses
         )
     except SingularMatrix as exc:
@@ -382,25 +387,22 @@ def _run_level(run, level):
         return None
     except EquivalenceViolation as exc:
         raise EquivalenceViolation(f"level {k}: {exc}") from None
-    if max(rel_p, rel_u) > EQUIVALENCE_TOL:
-        raise EquivalenceViolation(
-            f"level {k}: routes differ by ({rel_p:.2e}, {rel_u:.2e})"
-        )
-    report = estimate_mixed(mesh, mixed, u_tilde, field, pw, instance.exact, level)
+    mixed, u_tilde = solve.mixed, solve.u_tilde
+    estimate = estimate_mixed(mesh, mixed, u_tilde, field, pw, instance.exact, level)
     record = bench.LevelRecord(
         level=k,
         ndof=mesh.ndof_mixed,
-        eta=report.eta,
-        equivalence=(rel_p, rel_u),
+        eta=estimate.eta,
+        equivalence=solve.equivalence,
     )
     if instance.exact is not None:
         record.e_u, record.e_p, record.e_div = bench.error_norms(
-            mixed, instance, report.data
+            mixed, instance, estimate.data
         )
     history.add(record)
     if run.on_level is not None:
-        run.on_level(pw, mixed, u_tilde, report, record)
-    return report.per_triangle_sq
+        run.on_level(LevelResult(pw, solve, estimate, record))
+    return estimate.per_triangle_sq
 
 
 def _refined(mesh, eta_sq, mode, theta, max_ndof):

@@ -350,7 +350,8 @@ def _level_writer(config, stem, lines, prefix, u_d):
     with Dirichlet data ``u_d``, each file named by ``prefix`` and the level."""
     sysdir = os.path.join(config.out, "systems")
 
-    def on_level(pw, mixed, u_tilde, report, record):
+    def on_level(level):
+        pw, record = level.pw, level.record
         row = ",".join(_cell(getattr(record, name)) for name, _ in COLUMNS)
         _append_csv(config.out, stem, lines, row)
         if not config.dump_systems:

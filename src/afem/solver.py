@@ -41,12 +41,23 @@ FORWARD_TOL = float(np.sqrt(np.finfo(float).eps))
 # block, or load, relative to the block's (the load's) largest entry and to
 # the triangle's condensation condition number (see _condition)
 IDENTITY_TOL = 1e-12
+# largest equivalence_residual of the hybrid recovery from u~ (flux, scalar)
+EQUIVALENCE_TOL = 1e-8
 
 
 @dataclass
 class LinearSolveReport:
     solution: np.ndarray       # full dof vector, fixed dofs filled in
     correction: float          # ||dx|| / ||x|| of the refinement step
+
+
+@dataclass
+class MixedSolve:
+    mixed: MixedSolution
+    u_tilde: CRSolution
+    defects: tuple             # (blocks, loads), at most IDENTITY_TOL
+    equivalence: tuple         # (flux, scalar), at most EQUIVALENCE_TOL
+    report: LinearSolveReport  # its solution is u_tilde.edge_values
 
 
 def solve_sparse(system):
@@ -137,32 +148,38 @@ def _require_dirichlet(u_dirichlet):
 
 
 def solve_mixed_via_equivalence(mesh, pw, u_dirichlet, inverses=hybrid_inverses):
-    """Mixed solution by reconstruction, checked triangle by triangle:
-    ``(mixed, u_cr_tilde, (rel_p, rel_u))``.
+    """Mixed solution by reconstruction, checked triangle by triangle; a
+    :class:`MixedSolve`.
 
     Before the factorization, the element blocks and loads of the modified
     nonconforming system are compared with the hybridized saddle-point ones
     (:func:`assembly.assemble_hybrid_mixed`, which calls the builder
     ``inverses(mesh, pw)`` after the modified assembly); a
     difference over ``IDENTITY_TOL`` raises :class:`EquivalenceViolation`.
-    No element block outlives the comparison. The last value is
-    :func:`equivalence_residual` between the hybrid recovery from u~ and
-    the reconstruction.
+    No element block outlives the comparison. After the solve, an
+    :func:`equivalence_residual` of the hybrid recovery from u~ against the
+    reconstruction over ``EQUIVALENCE_TOL`` raises it too.
     """
     _require_dirichlet(u_dirichlet)
     system, local, load = assemble_modified_ncfem(mesh, pw, u_dirichlet=u_dirichlet)
     hybrid, hybrid_load, recover = assemble_hybrid_mixed(mesh, pw, inverses)
     cond = _condition(pw)
-    defect = (_defect(hybrid, local, cond), _defect(hybrid_load, load, cond))
-    if not all(d <= IDENTITY_TOL for d in defect):  # NaN too
+    defects = (_defect(hybrid, local, cond), _defect(hybrid_load, load, cond))
+    if not all(d <= IDENTITY_TOL for d in defects):  # NaN too
         raise EquivalenceViolation(
             "element blocks and loads differ from the hybridized ones by"
-            f" ({defect[0]:.2e}, {defect[1]:.2e})"
+            f" ({defects[0]:.2e}, {defects[1]:.2e})"
         )
     del local, load, hybrid, hybrid_load, cond  # before the factorization
-    u_tilde = CRSolution(mesh=mesh, edge_values=solve_sparse(system).solution)
+    report = solve_sparse(system)
+    u_tilde = CRSolution(mesh=mesh, edge_values=report.solution)
     mixed = reconstruct_mixed(pw, u_tilde)
-    return mixed, u_tilde, equivalence_residual(recover(u_tilde.edge_values), mixed)
+    equivalence = equivalence_residual(recover(u_tilde.edge_values), mixed)
+    if not all(e <= EQUIVALENCE_TOL for e in equivalence):  # NaN too
+        raise EquivalenceViolation(
+            f"routes differ by ({equivalence[0]:.2e}, {equivalence[1]:.2e})"
+        )
+    return MixedSolve(mixed, u_tilde, defects, equivalence, report)
 
 
 def _condition(pw):
@@ -177,13 +194,16 @@ def _condition(pw):
 def _defect(hybrid, condensed, cond):
     """Largest per-triangle difference of two (T, ...) element arrays,
     relative to the triangle's largest condensed entry and to its ``cond``;
-    0 where both vanish. Each entry is compared as a (T,) row of a view."""
+    0 where both vanish, inf where only the condensed entries do. Each entry
+    is compared as a (T,) row of a view."""
     diff, scale = np.zeros_like(cond), np.zeros_like(cond)
     rows = (np.moveaxis(a, 0, -1).reshape(-1, len(cond)) for a in (hybrid, condensed))
     for h, c in zip(*rows):
         np.maximum(diff, np.abs(h - c), out=diff)
         np.maximum(scale, np.abs(c), out=scale)
-    return float(np.max(diff / np.where(diff > 0, scale * cond, 1.0), initial=0.0))
+    rel = np.where(diff > 0, np.inf, diff)  # where the condensed entries vanish
+    np.divide(diff, scale * cond, out=rel, where=scale > 0)
+    return float(np.max(rel, initial=0.0))
 
 
 def solve_mixed_direct(mesh, pw, u_dirichlet):

@@ -263,10 +263,10 @@ def unchecked_adaptive_loop(instance, max_ndof, theta=0.5):
     levels = []
     while mesh.ndof_mixed <= max_ndof:
         pw = project_p0(instance.field, mesh)
-        mixed, u_tilde, _ = solve_mixed_via_equivalence(
+        solve = solve_mixed_via_equivalence(
             mesh, pw, u_dirichlet=instance.field.u_dirichlet
         )
-        report = estimate_mixed(mesh, mixed, u_tilde, instance.field, pw)
+        report = estimate_mixed(mesh, solve.mixed, solve.u_tilde, instance.field, pw)
         marked = dorfler_mark(report.per_triangle_sq, theta).indices
         levels.append((mesh, marked))
         if len(marked) == 0:

@@ -81,7 +81,8 @@ def run_with_diagnostics(instance, mode, theta, max_ndof):
     div_resid = []
     mesh_digests = []
 
-    def spy(pw, mixed, u_tilde, est_report, record):
+    def spy(level):
+        pw, mixed = level.pw, level.solve.mixed
         target = pw.f_h - pw.gamma_h * mixed.u
         scale = max(1.0, float(np.abs(target).max()))
         div_resid.append(float(np.abs(mixed.div() - target).max()) / scale)
@@ -320,7 +321,7 @@ def test_criterion_9_property_suites():
         u_dirichlet=lambda x, y: np.asarray(x, dtype=float),
     )
     pw = project_p0(field, square)
-    mixed, *_ = solve_mixed_via_equivalence(square, pw, u_dirichlet=field.u_dirichlet)
+    mixed = solve_mixed_via_equivalence(square, pw, u_dirichlet=field.u_dirichlet).mixed
     if np.abs(mixed.u - square.centroid[:, 0]).max() > 1e-10:
         failures.append("mixed patch test u")
     flux = mixed.flux_at(square.centroid[:, None, :])[:, 0, :]
@@ -408,8 +409,8 @@ def test_criterion_9_property_suites():
     )
     mesh = lshape_start_mesh()
     pw0 = project_p0(zero_field, mesh)
-    mixed0, u0, _ = solve_mixed_via_equivalence(mesh, pw0, constant_scalar(0.0))
-    if estimate_mixed(mesh, mixed0, u0, zero_field, pw0).eta != 0.0:
+    solve0 = solve_mixed_via_equivalence(mesh, pw0, constant_scalar(0.0))
+    if estimate_mixed(mesh, solve0.mixed, solve0.u_tilde, zero_field, pw0).eta != 0.0:
         failures.append("estimator zero problem")
 
     report(

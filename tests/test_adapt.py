@@ -19,6 +19,7 @@ from afem.assembly import CRSolution
 from afem.errors import BadTheta
 from afem.mesh import build_mesh
 from afem.problem import (
+    DEFAULT_GAMMA_SWEEP,
     CoefficientField,
     benchmark,
     constant_matrix,
@@ -104,18 +105,16 @@ def test_average_of_two_triangle_traces():
 
 def run_pipeline(inst, mesh):
     pw = project_p0(inst.field, mesh)
-    mixed, u_tilde, _ = solve_mixed_via_equivalence(
-        mesh, pw, u_dirichlet=inst.field.u_dirichlet
-    )
-    return pw, mixed, u_tilde
+    solve = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
+    return pw, solve.mixed, solve.u_tilde
 
 
 def test_estimator_zero_on_zero_problem():
     mesh = lshape_start_mesh()
     zero = field()
     pw = project_p0(zero, mesh)
-    mixed, u_tilde, _ = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
-    report = estimate_mixed(mesh, mixed, u_tilde, zero, pw)
+    solve = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
+    report = estimate_mixed(mesh, solve.mixed, solve.u_tilde, zero, pw)
     assert report.eta == 0.0
     assert all(v.max() == 0.0 for v in report.term_sq.values())
 
@@ -171,8 +170,8 @@ def test_constant_data_kills_osc_and_coefficient_terms():
     mesh = lshape_start_mesh()
     f = field(a=[[2.0, 0.5], [0.5, 1.0]], b=(0.3, -0.2), gamma=-1.0, f=2.0)
     pw = project_p0(f, mesh)
-    mixed, u_tilde, _ = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
-    report = estimate_mixed(mesh, mixed, u_tilde, f, pw)
+    solve = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
+    report = estimate_mixed(mesh, solve.mixed, solve.u_tilde, f, pw)
     assert report.term_sq["osc"].max() == pytest.approx(0.0, abs=1e-28)
     assert report.term_sq["coeff_a"].max() == pytest.approx(0.0, abs=1e-28)
     assert report.term_sq["coeff_b"].max() == pytest.approx(0.0, abs=1e-28)
@@ -228,8 +227,9 @@ def test_coefficient_terms_match_independent_recomputation():
     )
     mesh = lshape_start_mesh()
     pw = project_p0(var_field, mesh)
-    mixed, u_tilde, _ = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
-    report = estimate_mixed(mesh, mixed, u_tilde, var_field, pw)
+    solve = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
+    mixed = solve.mixed
+    report = estimate_mixed(mesh, mixed, solve.u_tilde, var_field, pw)
     assert report.term_sq["coeff_a"].max() > 0
     assert report.term_sq["coeff_b"].max() > 0
     for t in np.random.default_rng(2).choice(mesh.num_triangles, 5, replace=False):
@@ -504,8 +504,8 @@ def test_no_level_outlives_the_next_factorization(monkeypatch, problem, mode, ma
 
         return refined
 
-    def on_level(pw, *_):
-        refs.append((weakref.ref(pw.mesh), weakref.ref(pw)))
+    def on_level(level):
+        refs.append((weakref.ref(level.pw.mesh), weakref.ref(level.pw)))
 
     monkeypatch.setattr(solver, "solve_sparse", spy)
     for name in ("uniform_red_refine", "rgb_refine"):
@@ -515,6 +515,42 @@ def test_no_level_outlives_the_next_factorization(monkeypatch, problem, mode, ma
     assert alive_at_factor == [0] * len(hist.records)
     assert len(alive_at_refine) >= len(hist.records) - 1
     assert alive_at_refine == [0] * len(alive_at_refine)
+
+
+@pytest.mark.parametrize(
+    "problem,mode,max_ndof",
+    [("crack", "adaptive", 3000), ("eigen_sweep", "uniform", 4000)],
+    ids=["crack-adaptive-3000", "eigen-sweep-uniform-4000"],
+)
+def test_every_level_result_carries_the_verdicts_of_its_solve(
+    problem, mode, max_ndof
+):
+    # the sweep's histories share each level's reaction-free data; every
+    # level a callback sees passed both checks of its solve and records them
+    checked = []
+
+    def on_level(level):
+        pw, solve, estimate, record = (
+            level.pw, level.solve, level.estimate, level.record
+        )
+        assert record.equivalence == solve.equivalence
+        assert max(solve.equivalence) <= solver.EQUIVALENCE_TOL
+        assert max(solve.defects) <= solver.IDENTITY_TOL
+        assert solve.report.correction <= solver.FORWARD_TOL
+        assert solve.report.solution is solve.u_tilde.edge_values
+        assert solve.mixed.mesh is pw.mesh and solve.u_tilde.mesh is pw.mesh
+        assert record.eta == estimate.eta
+        checked.append(record.ndof)
+
+    if problem == "eigen_sweep":
+        instance = [benchmark(problem, gamma=g) for g in DEFAULT_GAMMA_SWEEP]
+        callbacks = [on_level] * len(instance)
+    else:
+        instance, callbacks = benchmark(problem), on_level
+    hists = adaptive_loop(instance, mode=mode, max_ndof=max_ndof, on_level=callbacks)
+    hists = hists if isinstance(hists, list) else [hists]
+    assert len(checked) == sum(len(h.records) for h in hists) >= 5
+    assert checked[-1] > checked[0]
 
 
 def test_adaptive_eta_decreases_after_startup():
@@ -543,8 +579,8 @@ def test_adaptive_crack_grades_toward_tip():
     inst = benchmark("crack")
     meshes = []
 
-    def spy(pw, *args):
-        meshes.append(pw.mesh)
+    def spy(level):
+        meshes.append(level.pw.mesh)
 
     hist = adaptive_loop(inst, theta=0.5, max_ndof=8000, mode="adaptive", on_level=spy)
     ndofs = [r.ndof for r in hist.records]

@@ -63,7 +63,7 @@ def test_error_norms_zero_when_solution_in_space():
         name="const", field=field, start_mesh=lambda: mesh, exact=exact
     )
     pw = project_p0(field, mesh)
-    mixed, *_ = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=field.u_dirichlet)
+    mixed = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=field.u_dirichlet).mixed
     e_u, e_p, e_div = norms(mixed, inst)
     assert max(e_u, e_p, e_div) < 1e-10
 
@@ -160,9 +160,9 @@ def test_error_norms_frozen_values(name, levels, expected):
     for _ in range(levels):
         mesh = uniform_red_refine(mesh)
     pw = project_p0(inst.field, mesh)
-    mixed, *_ = solve_mixed_via_equivalence(
+    mixed = solve_mixed_via_equivalence(
         mesh, pw, u_dirichlet=inst.field.u_dirichlet
-    )
+    ).mixed
     assert norms(mixed, inst) == tuple(float.fromhex(h) for h in expected)
 
 
@@ -170,9 +170,9 @@ def test_error_norms_requires_exact_solution():
     inst = benchmark("eigen_sweep", gamma=8.0)
     mesh = inst.start_mesh()
     pw = project_p0(inst.field, mesh)
-    mixed, *_ = solve_mixed_via_equivalence(
+    mixed = solve_mixed_via_equivalence(
         mesh, pw, u_dirichlet=inst.field.u_dirichlet
-    )
+    ).mixed
     with pytest.raises(NoExactSolution):
         norms(mixed, inst)
 
@@ -181,9 +181,9 @@ def test_lshape_level0_full_pipeline_error():
     inst = benchmark("lshape")
     mesh = inst.start_mesh()
     pw = project_p0(inst.field, mesh)
-    mixed, *_ = solve_mixed_via_equivalence(
+    mixed = solve_mixed_via_equivalence(
         mesh, pw, u_dirichlet=inst.field.u_dirichlet
-    )
+    ).mixed
     e_u, e_p, e_div = norms(mixed, inst)
     assert e_u == pytest.approx(0.16656920, rel=0.20)
 
@@ -329,9 +329,9 @@ def test_error_norms_in_blocks_bit_identical(monkeypatch):
     assert _singular_corners(mesh, inst.singular_point).any()
     assert mesh.num_triangles <= bench.ERROR_BLOCK
     pw = project_p0(inst.field, mesh)
-    mixed, *_ = solve_mixed_via_equivalence(
+    mixed = solve_mixed_via_equivalence(
         mesh, pw, u_dirichlet=inst.field.u_dirichlet
-    )
+    ).mixed
     whole = norms(mixed, inst)
     monkeypatch.setattr(bench, "ERROR_BLOCK", 7)
     assert [v.hex() for v in norms(mixed, inst)] == [v.hex() for v in whole]

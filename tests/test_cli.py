@@ -742,8 +742,8 @@ def test_element_identity_violation_leaves_rows_and_abort_line(
 ):
     # the convection coupling w_T of the hybridized blocks perturbed by 1e-9
     # relative on level 2; the hybrid recovery moves by about as much, far
-    # under EQUIVALENCE_TOL, so only the comparison of the element blocks
-    # sees it
+    # under solver.EQUIVALENCE_TOL, so only the comparison of the element
+    # blocks sees it
     blocks = assembly._mixed_blocks
 
     def perturbed(mesh, pw):
@@ -757,6 +757,27 @@ def test_element_identity_violation_leaves_rows_and_abort_line(
     _lshape_abort_on_level_2(
         tmp_path, capsys, "element blocks and loads differ from the hybridized ones"
     )
+
+
+@pytest.mark.parametrize(
+    "gamma,violation",
+    [
+        # the hybrid recovery leaves the reconstruction by 2e-8
+        ("1e10", r"routes differ by \(.+, .+\)"),
+        # the condensed loads round to zero where the hybridized ones do
+        # not: the load defect is inf, reached without a division by zero,
+        # which would raise here (filterwarnings = error)
+        ("1e20", r"element blocks and loads differ from the hybridized ones"
+                 r" by \(.+, inf\)"),
+    ],
+)
+def test_huge_reaction_trips_one_verdict_of_the_solve(
+    tmp_path, capsys, gamma, violation
+):
+    args = ["--problem", "eigen_sweep", "--gamma", gamma, "--max-ndof", "1000"]
+    assert main(["run", *args, "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert re.fullmatch(rf"afem: error: level 0: {violation}\n", err)
 
 
 def test_sweep_violation_stops_every_running_history(tmp_path, capsys, monkeypatch):

@@ -28,7 +28,7 @@ def _adaptive_crack_mesh():
     meshes = []
     adaptive_loop(
         benchmark("crack"), mode="adaptive", max_ndof=3000,
-        on_level=lambda pw, *_: meshes.append(pw.mesh),
+        on_level=lambda level: meshes.append(level.pw.mesh),
     )
     assert meshes[-1].green_flag.any()
     return meshes[-1]
@@ -126,7 +126,7 @@ def test_routes_factor_in_the_mesh_orders(monkeypatch):
     inst = benchmark("lshape")
     pw = project_p0(inst.field, mesh)
     systems, factored = _capture_factored(monkeypatch)
-    mixed, *_ = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet)
+    mixed = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet).mixed
     direct = solver.solve_mixed_direct(mesh, pw, inst.field.u_dirichlet)
     solver.solve_ncfem(mesh, inst.field)
     assert len(factored) == len(systems) == 3
@@ -160,7 +160,7 @@ def test_crack_direct_route_factors_interior_edges_in_edge_order(monkeypatch):
     edge_order = mesh.edge_order
     interior = edge_order[np.isin(edge_order, mesh.interior_edges)]
     assert np.array_equal(hybrid.free, interior)
-    mixed, *_ = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet)
+    mixed = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet).mixed
     assert max(solver.equivalence_residual(direct, mixed)) < 1e-10
 
 

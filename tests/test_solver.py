@@ -16,7 +16,9 @@ from afem.assembly import (
     edge_system,
     mixed_from_local_flux,
 )
-from afem.errors import ConfigError, MeshMismatch, SingularLocalFactor, SingularMatrix
+from afem.errors import (
+    ConfigError, EquivalenceViolation, MeshMismatch, SingularLocalFactor, SingularMatrix
+)
 from afem.mesh import build_mesh
 from afem.problem import (
     DEFAULT_GAMMA_SWEEP,
@@ -138,7 +140,7 @@ def test_mixed_patch_test_both_routes():
     field = laplace_instance(lambda x, y: np.asarray(x, dtype=float))
     pw = project_p0(field, mesh)
     direct = solve_mixed_direct(mesh, pw, u_dirichlet=field.u_dirichlet)
-    recon, *_ = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=field.u_dirichlet)
+    recon = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=field.u_dirichlet).mixed
     for sol in (direct, recon):
         flux_mid = sol.flux_at(mesh.centroid[:, None, :])[:, 0, :]
         assert np.abs(flux_mid - np.array([-1.0, 0.0])).max() < 1e-10
@@ -154,7 +156,9 @@ def test_equivalence_residual_sees_a_flux_or_scalar_mismatch():
     mesh = uniform_red_refine(inst.start_mesh())
     pw = project_p0(inst.field, mesh)
     direct = solve_mixed_direct(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
-    recon, *_ = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
+    recon = solve_mixed_via_equivalence(
+        mesh, pw, u_dirichlet=inst.field.u_dirichlet
+    ).mixed
     assert max(equivalence_residual(direct, recon)) < 1e-12
     flux = dataclasses.replace(recon, flux_const=recon.flux_const * (1.0 + 1e-6))
     scalar = dataclasses.replace(recon, u=recon.u * (1.0 + 1e-6))
@@ -162,10 +166,35 @@ def test_equivalence_residual_sees_a_flux_or_scalar_mismatch():
     assert equivalence_residual(direct, scalar)[1] > 1e-7
 
 
+def test_solve_raises_where_the_hybrid_recovery_leaves_the_reconstruction(
+    monkeypatch,
+):
+    # the hybrid recovery's scalar perturbed by 1e-6 relative: the element
+    # blocks agree, so only the solve's bound on the routes sees it
+    inst = benchmark("lshape")
+    mesh = uniform_red_refine(inst.start_mesh())
+    pw = project_p0(inst.field, mesh)
+    assemble = solver.assemble_hybrid_mixed
+
+    def perturbed(mesh, pw, *args):
+        local, load, recover = assemble(mesh, pw, *args)
+
+        def recover_perturbed(multiplier):
+            mixed = recover(multiplier)
+            return dataclasses.replace(mixed, u=mixed.u * (1 + 1e-6))
+
+        return local, load, recover_perturbed
+
+    monkeypatch.setattr(solver, "assemble_hybrid_mixed", perturbed)
+    with pytest.raises(EquivalenceViolation, match=r"^routes differ by \(.+, .+\)$"):
+        solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet)
+
+
 def test_mixed_zero_data():
     mesh = lshape_start_mesh()
     pw = project_p0(laplace_instance(constant_scalar(0.0)), mesh)
-    recon, u_tilde, _ = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
+    solve = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
+    recon, u_tilde = solve.mixed, solve.u_tilde
     assert np.abs(recon.u).max() == 0.0
     assert np.abs(recon.flux_const).max() == 0.0
     assert np.abs(u_tilde.edge_values).max() == 0.0
@@ -182,9 +211,8 @@ def test_reconstruction_formulas_collapse_without_reaction():
         u_dirichlet=constant_scalar(0.0),
     )
     pw = project_p0(field, mesh)
-    recon, u_tilde, _ = solve_mixed_via_equivalence(
-        mesh, pw, u_dirichlet=field.u_dirichlet
-    )
+    solve = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=field.u_dirichlet)
+    recon, u_tilde = solve.mixed, solve.u_tilde
     assert np.abs(recon.div() - 1.0).max() < 1e-12
     expected_u = u_tilde.triangle_means() + pw.s_t / (4.0 * mesh.area)
     assert np.abs(recon.u - expected_u).max() < 1e-13
@@ -200,9 +228,9 @@ def test_equivalence_on_benchmarks(name, kwargs):
     for _ in range(2):
         pw = project_p0(inst.field, mesh)
         direct = solve_mixed_direct(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
-        recon, *_ = solve_mixed_via_equivalence(
+        recon = solve_mixed_via_equivalence(
             mesh, pw, u_dirichlet=inst.field.u_dirichlet
-        )
+        ).mixed
         rel_p, rel_u = equivalence_residual(direct, recon)
         assert rel_p <= 1e-8 and rel_u <= 1e-8
         # elementwise divergence identity, both routes
@@ -221,9 +249,9 @@ def test_equivalence_residual_detects_perturbation():
     mesh = inst.start_mesh()
     pw = project_p0(inst.field, mesh)
     direct = solve_mixed_direct(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
-    recon, *_ = solve_mixed_via_equivalence(
+    recon = solve_mixed_via_equivalence(
         mesh, pw, u_dirichlet=inst.field.u_dirichlet
-    )
+    ).mixed
     assert equivalence_residual(direct, direct) == (0.0, 0.0)
     recon.flux_const[0, 0] += 1e-3
     rel_p, _ = equivalence_residual(direct, recon)
@@ -301,9 +329,9 @@ def test_equivalence_with_variable_coefficients():
     for _ in range(3):
         pw = project_p0(field, mesh)
         direct = solve_mixed_direct(mesh, pw, u_dirichlet=field.u_dirichlet)
-        recon, *_ = solve_mixed_via_equivalence(
+        recon = solve_mixed_via_equivalence(
             mesh, pw, u_dirichlet=field.u_dirichlet
-        )
+        ).mixed
         rel_p, rel_u = equivalence_residual(direct, recon)
         assert max(rel_p, rel_u) < 1e-12
         assert np.abs(recon.div() - (pw.f_h - pw.gamma_h * recon.u)).max() < 1e-13
@@ -390,7 +418,7 @@ def test_direct_route_matches_saddle_solve_and_reconstruction():
     x = solve_sparse(assemble_mixed_direct(mesh, pw, u_d)).solution
     ne = mesh.num_edges
     saddle = mixed_from_local_flux(mesh, x[:ne][mesh.triangle_edges], x[ne:])
-    recon, *_ = solve_mixed_via_equivalence(mesh, pw, u_d)
+    recon = solve_mixed_via_equivalence(mesh, pw, u_d).mixed
     assert max(equivalence_residual(direct, saddle)) < 1e-12
     assert max(equivalence_residual(direct, recon)) < 1e-12
 
@@ -407,12 +435,12 @@ def _direct_solves(monkeypatch, inst, mode, max_ndof):
         sizes.append(matrix.shape[0])
         return splu(matrix, **options)
 
-    def on_level(pw, mixed, *_):
-        start = len(sizes)
+    def on_level(level):
+        pw, start = level.pw, len(sizes)
         direct = solve_mixed_direct(pw.mesh, pw, inst.field.u_dirichlet)
         solves.append((
             len(pw.mesh.interior_edges), not pw.gamma_h.any(), sizes[start:],
-            equivalence_residual(direct, mixed),
+            equivalence_residual(direct, level.solve.mixed),
         ))
 
     monkeypatch.setattr(spla, "splu", spy)
@@ -503,10 +531,10 @@ def test_element_identity_bound_scales_with_the_condensation(gamma):
     pw = project_p0(field, mesh)
     condition = solver._condition(pw)
     assert condition.max() > 1e3
-    mixed, _, equivalence = solve_mixed_via_equivalence(mesh, pw, field.u_dirichlet)
-    assert max(equivalence) < 1e-8
+    solve = solve_mixed_via_equivalence(mesh, pw, field.u_dirichlet)
+    assert max(solve.equivalence) < 1e-8
     direct = solve_mixed_direct(mesh, pw, field.u_dirichlet)
-    assert max(equivalence_residual(direct, mixed)) < 1e-8
+    assert max(equivalence_residual(direct, solve.mixed)) < 1e-8
 
 
 def test_direct_route_raises_singular_local_factor_at_kappa_blowup():
@@ -577,7 +605,7 @@ def test_modified_assembly_and_error_norms_memory_contracts():
     assert mesh.num_triangles == 24576
     pw = project_p0(lshape.field, mesh)
     u_d = lshape.field.u_dirichlet
-    mixed, *_ = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=u_d)
+    mixed = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=u_d).mixed
     data = quadrature.degree5_data(mesh, lshape.field, lshape.exact)
     peak = _traced_doubles(
         lambda: assemble_modified_ncfem(mesh, pw, u_dirichlet=u_d), mesh.num_triangles
