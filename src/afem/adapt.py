@@ -14,12 +14,12 @@ error norms. Every level runs through one :class:`_Level`, which keeps
 its data that do not depend on gamma only while a later history will use
 them; so the loop holds none of them when it refines, and drops the rest
 of the level, its mesh included, before the next level assembles. Before
-refining, the loop
-tests the dof budget against :func:`refine.refined_ndof_bound`, so it
-never builds a mesh the budget rejects in uniform mode, nor one the bound
-already puts over it in adaptive mode. A sweep's histories advance
-together, level by level; those on one mesh whose fields differ only in
-gamma run their level through one :class:`_Level`.
+refining, the loop tests the dof budget against
+:func:`refine.refined_ndof_bound`, so it never builds a mesh the budget
+rejects in uniform mode, nor one the bound already puts over it in
+adaptive mode. A sweep's histories advance together, level by level;
+those on one mesh whose fields differ only in gamma run their level
+through one :class:`_Level`.
 """
 
 from dataclasses import dataclass, replace
@@ -104,21 +104,23 @@ def grad_p1(mesh, nodal):
     return np.einsum("tk,tkd->td", vals, mesh.grad_bary())
 
 
-def estimate_mixed(mesh, mixed, u_cr_tilde, coeffs, pw, exact=None, level=None):
+def estimate_mixed(mixed, u_cr_tilde, coeffs, pw, exact=None, level=None):
     """Residual estimator for the mixed solution.
 
     Terms per triangle: osc ||(1-Pi0)(f - gamma u_M)||, volume
     ||h_T (A_h^-1 p_M + u_M b*_h)||, nonconformity
     ||A_h^-1 p_M + u_M b*_h - grad v|| with v = -average(u~_CR), and
     coefficient terms ||(A^-1 - A_h^-1) p_M|| and ||u_M (b* - b*_h)||.
-    ``pw`` is ``project_p0(coeffs, mesh)``; its centroid data is the
-    oscillation's reference value. With the problem's ``exact`` solution the
-    report's degree-5 data also holds u and p, and f comes from the same
-    evaluation (:func:`quadrature.degree5_data`). The degree-5 data and A^-1
-    and b* at the edge midpoints come from ``level``, the :class:`_Level` of
-    ``mesh``; where it is not given, one is built for this call.
+    ``pw`` is ``project_p0(coeffs, mesh)`` of the solutions' mesh; its
+    centroid data is the oscillation's reference value. With the problem's
+    ``exact`` solution the report's degree-5 data also holds u and p, and f
+    comes from the same evaluation (:func:`quadrature.degree5_data`). The
+    degree-5 data and A^-1 and b* at the edge midpoints come from ``level``,
+    the :class:`_Level` of ``pw.mesh``; where it is not given, one is built
+    for this call.
     """
-    if mixed.mesh is not mesh or u_cr_tilde.mesh is not mesh or pw.mesh is not mesh:
+    mesh = pw.mesh
+    if mixed.mesh is not mesh or u_cr_tilde.mesh is not mesh:
         raise MeshMismatch("estimator inputs live on different meshes")
     if level is None:
         level = _Level(mesh, coeffs, exact)
@@ -224,8 +226,7 @@ def adaptive_loop(
     level outlives it: its data die with :func:`_run_level`'s locals, or
     with their last use where its :class:`_Level` keeps them for later
     histories, and its mesh as the next one replaces it, so no part of
-    level k-1 is reachable when level k assembles (unless the caller holds
-    the start mesh, which keeps its red children).
+    level k-1 is reachable when level k assembles.
 
     The run keeps every level with at most ``max_ndof`` mixed dofs. It ends
     before refining when :func:`refine.refined_ndof_bound` puts the next
@@ -251,13 +252,12 @@ def adaptive_loop(
     if histories is None:
         histories = [bench.ConvergenceHistory() for _ in instances]
     mesh = start_mesh if start_mesh is not None else instances[0].start_mesh()
-    del start_mesh  # the red children kept on it would keep every level alive
     if not mesh.ndof_mixed <= max_ndof:  # NaN too
         raise ConfigError(
             f"max-ndof {max_ndof} < {mesh.ndof_mixed} mixed dofs of the start mesh"
         )
     runs = [_Run(*run, mesh) for run in zip(instances, callbacks, histories)]
-    del mesh
+    del mesh, start_mesh  # the runs hold level 0 while they need it
     try:
         while runs:
             for group in _groups(runs):
@@ -295,8 +295,9 @@ def _groups(runs):
 
 
 class _Level:
-    """The reaction-free data of one level: one mesh, the fields of its
-    group's histories, which differ only in gamma, and one exact solution.
+    """The reaction-free data of one level, its uniform red child included:
+    one mesh, the fields of its group's histories, which differ only in
+    gamma, and one exact solution.
 
     The first history that needs a part builds it. A part is kept while
     ``later`` is set, that is, while histories after the current one will
@@ -332,12 +333,19 @@ class _Level:
         self._keep("data", replace(data, gamma=None))
         return data
 
-    def inverses(self, mesh, pw):
+    def inverses(self, pw):
         """The builder of :func:`assembly.assemble_hybrid_mixed`: the arrays
         of :func:`assembly.hybrid_inverses`, which the first history builds
         after its modified assembly."""
-        inverses = self._parts.pop("inverses", None) or hybrid_inverses(mesh, pw)
+        inverses = self._parts.pop("inverses", None) or hybrid_inverses(pw)
         return self._keep("inverses", inverses)
+
+    def red_child(self):
+        """The mesh's :func:`refine.uniform_red_refine`, which the first
+        history to refine builds: the histories walk one hierarchy, and each
+        level's edge order is computed once."""
+        child = self._parts.pop("red_child", None)
+        return self._keep("red_child", child or uniform_red_refine(self.mesh))
 
     def coefficient_gaps(self, pw, mids):
         """A^-1 - A_h^-1 and b* - b*_h = A^-1 b - A_h^-1 b_h at the edge
@@ -362,12 +370,12 @@ def _advance(group, mode, theta, max_ndof):
     one :class:`_Level`, and move each run on to its next mesh right after
     its level. The last run takes the level's parts as it uses them, so
     none is alive when it refines."""
-    mesh, first = group[0].mesh, group[0].instance
-    level = _Level(mesh, first.field, first.exact)
+    first = group[0].instance
+    level = _Level(group[0].mesh, first.field, first.exact)
     for run in group:
         level.later = run is not group[-1]
         eta_sq = _run_level(run, level)
-        run.mesh = _refined(mesh, eta_sq, mode, theta, max_ndof)
+        run.mesh = _refined(level, eta_sq, mode, theta, max_ndof)
 
 
 def _run_level(run, level):
@@ -375,23 +383,21 @@ def _run_level(run, level):
     ``level.mesh``; return its per-triangle eta_T^2, or None where a
     singular factorization ends the run. The level's data are locals of
     this call or parts of ``level``: none outlives the level."""
-    instance, history, mesh = run.instance, run.history, level.mesh
+    instance, history = run.instance, run.history
     field, k = instance.field, len(history.records)
     try:
         pw = level.project(field)
-        solve = solve_mixed_via_equivalence(
-            mesh, pw, u_dirichlet=field.u_dirichlet, inverses=level.inverses
-        )
+        solve = solve_mixed_via_equivalence(pw, inverses=level.inverses)
     except SingularMatrix as exc:
         history.failure = f"SingularMatrix at level {k}: {exc}"
         return None
     except EquivalenceViolation as exc:
         raise EquivalenceViolation(f"level {k}: {exc}") from None
     mixed, u_tilde = solve.mixed, solve.u_tilde
-    estimate = estimate_mixed(mesh, mixed, u_tilde, field, pw, instance.exact, level)
+    estimate = estimate_mixed(mixed, u_tilde, field, pw, instance.exact, level)
     record = bench.LevelRecord(
         level=k,
-        ndof=mesh.ndof_mixed,
+        ndof=pw.mesh.ndof_mixed,
         eta=estimate.eta,
         equivalence=solve.equivalence,
     )
@@ -405,14 +411,16 @@ def _run_level(run, level):
     return estimate.per_triangle_sq
 
 
-def _refined(mesh, eta_sq, mode, theta, max_ndof):
-    """The next level's mesh: ``mesh`` red-refined (uniform mode) or refined
-    around the Doerfler set of ``eta_sq`` (adaptive mode); None where the run
-    ends: the level ended it (``eta_sq`` None), no triangle is marked, or
-    the next mesh has more than ``max_ndof`` mixed dofs, which
-    :func:`refine.refined_ndof_bound` tells before it is built."""
+def _refined(level, eta_sq, mode, theta, max_ndof):
+    """The next level's mesh: ``level.mesh`` red-refined (uniform mode,
+    :meth:`_Level.red_child`) or refined around the Doerfler set of
+    ``eta_sq`` (adaptive mode); None where the run ends: the level ended it
+    (``eta_sq`` None), no triangle is marked, or the next mesh has more
+    than ``max_ndof`` mixed dofs, which :func:`refine.refined_ndof_bound`
+    tells before it is built."""
     if eta_sq is None:
         return None
+    mesh = level.mesh
     marked = None  # uniform: red-refine every triangle
     if mode == "adaptive":
         marked = dorfler_mark(eta_sq, theta).indices
@@ -422,5 +430,5 @@ def _refined(mesh, eta_sq, mode, theta, max_ndof):
     # that only its count then rejects
     if refined_ndof_bound(mesh, marked) > max_ndof:
         return None
-    refined = uniform_red_refine(mesh) if marked is None else rgb_refine(mesh, marked)
+    refined = level.red_child() if marked is None else rgb_refine(mesh, marked)
     return refined if refined.ndof_mixed <= max_ndof else None

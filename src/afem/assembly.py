@@ -12,8 +12,9 @@ quadrature and exact integration of the polynomial element integrands:
   (:func:`assemble_hybrid_mixed`), equal to the condensed modification's
   triangle by triangle up to roundoff.
 
-Each assembler takes ``pw = project_p0(field, mesh)``, the piecewise data of
-its mesh, which also holds the condensation factor ``pw.kappa``.
+Each assembler takes ``pw = project_p0(field, mesh)``, the whole discrete
+data of its mesh ``pw.mesh``: the centroid values, the condensation factor
+``pw.kappa`` and u_D at the boundary-edge midpoints ``pw.u_d``.
 
 Each system is a (T, k, k) block of element matrices over a (T, k) array
 of dofs: a triangle's three edges (k = 3), plus its scalar in the
@@ -22,7 +23,7 @@ takes back to k = 3. One scatter (:func:`_scatter`) numbers the dofs in
 the order of elimination and sums the blocks into CSC form.
 
 Dirichlet data enters by elimination (the edge systems: boundary edges
-are fixed to u_D(mid E), :func:`edge_system`) or through the natural
+are fixed to ``pw.u_d``, :func:`edge_system`) or through the natural
 boundary term of the first mixed equation, approximated with the
 one-point edge rule |E| u_D(mid E).
 """
@@ -32,8 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import MeshMismatch
-from .problem import require_finite
 
 
 @dataclass
@@ -139,11 +138,6 @@ def _divergence_rows(mesh):
     )
 
 
-def _require_mesh(mesh, pw):
-    if pw.mesh is not mesh:
-        raise MeshMismatch("piecewise data belongs to a different mesh")
-
-
 def _scatter(n, dofs, local, load, free, fixed, values, kind="cr"):
     """Sparse system of the (T, k, k) element blocks ``local`` and (T, k)
     loads ``load`` over the (T, k) dofs ``dofs`` of an ``n``-dof space.
@@ -193,7 +187,7 @@ def _diffusion(area, a, grad):
     return out
 
 
-def _cr_system(mesh, pw, grad_psi, conv_weight, react, local_rhs, u_dirichlet):
+def _cr_system(pw, grad_psi, conv_weight, react, local_rhs):
     """Shared nonconforming kernel over edge dofs: ``(system, local)``, the
     system and its (T, 3, 3) element blocks.
 
@@ -202,6 +196,7 @@ def _cr_system(mesh, pw, grad_psi, conv_weight, react, local_rhs, u_dirichlet):
     plus the (T, 3, 3) reaction block; ``local_rhs`` holds the (T, 3)
     element loads. The free edges are numbered in ``mesh.edge_order``.
     """
+    mesh = pw.mesh
     # the mesh's edge order first: built on first use, it outlives the
     # level, and built among the triplet temporaries it fragments the heap
     mesh.edge_order
@@ -209,17 +204,18 @@ def _cr_system(mesh, pw, grad_psi, conv_weight, react, local_rhs, u_dirichlet):
     diff = _diffusion(area, pw.a_h, grad_psi)
     conv = np.einsum("t,td,tid->ti", conv_weight * area / 3.0, pw.b_h, grad_psi)
     local = diff + conv[:, :, None] + react
-    return edge_system(mesh, local, local_rhs, u_dirichlet), local
+    return edge_system(pw, local, local_rhs), local
 
 
-def edge_system(mesh, local, load, u_dirichlet):
+def edge_system(pw, local, load):
     """Sparse system of (T, 3, 3) element blocks ``local`` and (T, 3) loads
-    ``load`` over each triangle's edges. With ``u_dirichlet`` given, the
-    boundary edges are fixed to u_D(mid E); the free edges are numbered in
-    ``mesh.edge_order``."""
+    ``load`` over each triangle's edges of ``pw.mesh``. The boundary edges
+    are fixed to ``pw.u_d``, or free where it is None; the free edges are
+    numbered in ``mesh.edge_order``."""
+    mesh = pw.mesh
     fixed, values = np.empty(0, dtype=int), np.empty(0)
-    if u_dirichlet is not None:
-        fixed, values = mesh.boundary_edges, _boundary_values(mesh, u_dirichlet)
+    if pw.u_d is not None:
+        fixed, values = mesh.boundary_edges, pw.u_d
     is_free = np.ones(mesh.num_edges, dtype=bool)
     is_free[fixed] = False
     free = mesh.edge_order[is_free[mesh.edge_order]]
@@ -227,35 +223,23 @@ def edge_system(mesh, local, load, u_dirichlet):
                     fixed, values)
 
 
-def _boundary_values(mesh, u_dirichlet):
-    """u_D at the boundary-edge midpoints, in ``mesh.boundary_edges`` order."""
-    bnd = mesh.boundary_edges
-    mid = mesh.edge_mid[bnd]
-    values = np.asarray(u_dirichlet(mid[:, 0], mid[:, 1]), dtype=float).ravel()
-    return require_finite(
-        "u_D", values, "boundary midpoint", mesh.edge_tris[bnd].max(axis=1)
-    )
-
-
-def assemble_ncfem(mesh, pw, u_dirichlet=None):
+def assemble_ncfem(pw):
     """Nonconforming system for a_NC(u, v) = (f_h, v) over all edge dofs.
 
     Coefficients enter through their centroid values (the piecewise data);
-    the remaining polynomial integrals are exact. With ``u_dirichlet``
-    given, boundary dofs are fixed to u_D(mid E) and eliminated.
+    the remaining polynomial integrals are exact. With ``pw.u_d`` given,
+    boundary dofs are fixed to u_D(mid E) and eliminated.
     """
-    _require_mesh(mesh, pw)
+    mesh = pw.mesh
     area = mesh.area
     react = (
         (pw.gamma_h * area / 3.0)[:, None, None] * np.eye(3)[None, :, :]
     )
     load = np.repeat((pw.f_h * area / 3.0)[:, None], 3, axis=1)
-    return _cr_system(
-        mesh, pw, -2.0 * mesh.grad_bary(), 1.0, react, load, u_dirichlet
-    )[0]
+    return _cr_system(pw, -2.0 * mesh.grad_bary(), 1.0, react, load)[0]
 
 
-def assemble_modified_ncfem(mesh, pw, u_dirichlet=None):
+def assemble_modified_ncfem(pw):
     """Condensed modified nonconforming system: ``(system, local, load)``,
     the system and the (T, 3, 3) element blocks and (T, 3) loads it is
     scattered from.
@@ -265,7 +249,7 @@ def assemble_modified_ncfem(mesh, pw, u_dirichlet=None):
     factor ``pw.kappa``, first computed here; the load carries the matching
     corrections.
     """
-    _require_mesh(mesh, pw)
+    mesh = pw.mesh
     kappa = pw.kappa
     grad_psi = -2.0 * mesh.grad_bary()
     area = mesh.area
@@ -280,9 +264,7 @@ def assemble_modified_ncfem(mesh, pw, u_dirichlet=None):
         - np.einsum("t,td,tid->ti", correction * area, pw.b_h, grad_psi)
         - (pw.gamma_h * correction * area / 3.0)[:, None]
     )
-    system, local = _cr_system(
-        mesh, pw, grad_psi, kappa, react, local_rhs, u_dirichlet
-    )
+    system, local = _cr_system(pw, grad_psi, kappa, react, local_rhs)
     return system, local, local_rhs
 
 
@@ -295,7 +277,7 @@ def _coordinate_major(a):
 MASS_BLOCK = 8192  # triangles per block of the mass loop of _mixed_blocks
 
 
-def _mixed_blocks(mesh, pw, lower=False):
+def _mixed_blocks(pw, lower=False):
     """``(mass, w, div)``, coordinate-major: the (3, 3, T) flux mass
     matrices M_T (edge-midpoint rule, exact), their entries below the
     diagonal zero unless ``lower``, and the (3, T) convection couplings w_T
@@ -305,6 +287,7 @@ def _mixed_blocks(mesh, pw, lower=False):
     products and sum order (q, then d, onto +0.0) are those of
     ``einsum("t,tiqd,tjqd->tij", |T|/3, A^-1 v, v)``, v the basis at the
     edge midpoints, and ``einsum("t,td,tkd->tk", |T|, b*, c - P)``."""
+    mesh = pw.mesh
     area = mesh.area
     pv = _coordinate_major(mesh.triangle_vertices())  # (3, 2, T): P_k, x/y
     div = _divergence_rows(mesh)
@@ -336,7 +319,7 @@ def _mixed_blocks(mesh, pw, lower=False):
     return mass, w, div
 
 
-def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
+def assemble_mixed_direct(pw):
     """Saddle-point system of the lowest-order mixed method.
 
     Dofs: edge fluxes (canonical edge index), then triangle scalars, with
@@ -346,20 +329,20 @@ def assemble_mixed_direct(mesh, pw, u_dirichlet=None):
     order. The direct route solves it hybridized
     (:func:`assemble_hybrid_mixed`); this assembly serves ``--dump-systems``.
     """
-    _require_mesh(mesh, pw)
+    mesh = pw.mesh
     ne, nt = mesh.num_edges, mesh.num_triangles
-    mass, w, div = _mixed_blocks(mesh, pw, lower=True)
+    mass, w, div = _mixed_blocks(pw, lower=True)
     react, source = pw.gamma_h * mesh.area, pw.f_h * mesh.area
     # (u b*_h, q)_T - (div q, u)_T couples each triangle dof to its edges
     local = np.block([[mass.transpose(2, 0, 1), (w - div).T[:, :, None]],
                       [div.T[:, None, :], react[:, None, None]]])
     load = np.column_stack((np.zeros((nt, 3)), source))
-    if u_dirichlet is not None:
+    if pw.u_d is not None:
         # natural data -sigma |E| u_D(mid E) on the boundary edge's one
         # triangle, whose sign on it is sigma
         bnd = mesh.boundary_edges
         flux = np.zeros(ne)
-        flux[bnd] = mesh.edge_length[bnd] * _boundary_values(mesh, u_dirichlet)
+        flux[bnd] = mesh.edge_length[bnd] * pw.u_d
         load[:, :3] = -mesh.triangle_edge_signs * flux[mesh.triangle_edges]
     dofs = np.column_stack((mesh.triangle_edges, np.arange(ne, ne + nt)))
     return _scatter(ne + nt, dofs, local, load, np.arange(ne + nt),
@@ -387,26 +370,26 @@ def _symmetric_times(upper, v):
                      for i, j, k in _SYMMETRIC])
 
 
-def hybrid_inverses(mesh, pw):
+def hybrid_inverses(pw):
     """``(m_inv, m_inv_g, m_inv_b, div)``: the reaction-free arrays of
     :func:`assemble_hybrid_mixed`, coordinate-major. They are the (6, T)
     upper triangles of M_T^-1, the (3, T) products M_T^-1 g_T and M_T^-1 b_T
     (g_T = w_T - b_T), and the (3, T) divergence rows b_T. Fields that differ
     only in gamma share them on one mesh."""
-    mass, w, div = _mixed_blocks(mesh, pw)
+    mass, w, div = _mixed_blocks(pw)
     m_inv = _symmetric_inverse(mass)
     del mass
     return m_inv, _symmetric_times(m_inv, w - div), _symmetric_times(m_inv, div), div
 
 
-def assemble_hybrid_mixed(mesh, pw, inverses=hybrid_inverses):
+def assemble_hybrid_mixed(pw, inverses=hybrid_inverses):
     """The saddle-point system hybridized (Arnold & Brezzi 1985):
     ``(local, load, recover)``, the (T, 3, 3) element blocks and (T, 3)
     loads over each triangle's edge multipliers (transposed coordinate-major
     arrays), and the map from all edges' multipliers to the mixed solution.
 
     Each triangle keeps its own fluxes p_T; a multiplier lambda_E per edge,
-    u_D(mid E) on the boundary edges (:func:`edge_system`), ties them to
+    ``pw.u_d`` on the boundary edges (:func:`edge_system`), ties them to
     their neighbours'. With the element arrays M_T, g_T = w_T - b_T, b_T of
     :func:`_mixed_blocks`, c_T = gamma_h |T|, f_T = f_h |T| and D =
     diag(b_T), a triangle solves M_T p_T + g_T u_T = -D lambda_T,
@@ -422,12 +405,12 @@ def assemble_hybrid_mixed(mesh, pw, inverses=hybrid_inverses):
     4|T| / (S_T/|T| kappa_T), which vanishes only where ``pw.kappa`` raises
     :class:`SingularLocalFactor`. M_T^-1 is symmetric like M_T and is kept
     by its upper triangle, so ``recover`` holds 13 doubles per triangle.
-    ``inverses(mesh, pw)`` builds the arrays of :func:`hybrid_inverses`, or
+    ``inverses(pw)`` builds the arrays of :func:`hybrid_inverses`, or
     returns those a caller keeps for fields that differ only in gamma.
     """
-    _require_mesh(mesh, pw)
+    mesh = pw.mesh
     # no boundary load: u_D enters as lambda
-    m_inv, m_inv_g, m_inv_b, div = inverses(mesh, pw)
+    m_inv, m_inv_g, m_inv_b, div = inverses(pw)
     s = pw.gamma_h * mesh.area - np.einsum("kt,kt->t", div, m_inv_g)  # b^T M^-1 g
     f_over_s = pw.f_h * mesh.area / s
     m_inv_b_over_s = m_inv_b / s

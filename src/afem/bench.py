@@ -6,7 +6,7 @@ of dyadic subdivision on triangles touching the singular vertex. That depth
 under-resolves the flux error there: measured against depth 60, e_p is off
 by 3.0e-3 relative on the finest uniform L-shape level (246,272 dofs), and
 e_p and e_div by 1.9e-3 and 2.5e-3 on the adaptive slit disc at 41,536
-dofs; ROADMAP item 3 holds the measurements. Off that vertex they take the
+dofs; ROADMAP item 5 holds the measurements. Off that vertex they take the
 level's degree-5 points, with gamma and the exact solution's u, flux and
 load there, from the estimator (:class:`quadrature.Degree5Data`); each
 point, there and at the singular vertex, evaluates the exact solution's
@@ -283,9 +283,7 @@ def run_experiment(config, echo=print):
             ) from None
 
     # off the eigen sweep validate() leaves gamma None; the sweep without
-    # gamma runs the default grid, one history per value, all in one loop:
-    # they start from one mesh, so a uniform sweep walks one hierarchy (each
-    # red child is kept on its parent, each order on its mesh)
+    # gamma runs the default grid, one history per value, all in one loop
     eigen = config.problem == "eigen_sweep"
     sweep = eigen and config.gamma is None
     gammas = problem.DEFAULT_GAMMA_SWEEP if sweep else [config.gamma]
@@ -304,9 +302,8 @@ def run_experiment(config, echo=print):
             mode=config.mode,
             start_mesh=start_mesh(),
             on_level=[
-                _level_writer(config, stem, lines, f"{key}_" if sweep else "",
-                              instance.field.u_dirichlet)
-                for key, stem, lines, instance in runs
+                _level_writer(config, stem, lines, f"{key}_" if sweep else "")
+                for key, stem, lines, _ in runs
             ],
             histories=hists,
         )
@@ -344,10 +341,10 @@ def run_experiment(config, echo=print):
     return ExperimentResult(histories, csv_paths, events, 2 if singular else 0)
 
 
-def _level_writer(config, stem, lines, prefix, u_d):
+def _level_writer(config, stem, lines, prefix):
     """The ``on_level`` callback of one history: its CSV row into
-    ``<stem>.csv`` and ``lines``, and with ``dump_systems`` its systems
-    with Dirichlet data ``u_d``, each file named by ``prefix`` and the level."""
+    ``<stem>.csv`` and ``lines``, and with ``dump_systems`` its systems,
+    each file named by ``prefix`` and the level."""
     sysdir = os.path.join(config.out, "systems")
 
     def on_level(level):
@@ -357,9 +354,8 @@ def _level_writer(config, stem, lines, prefix, u_d):
         if not config.dump_systems:
             return
         for kind, assemble in (
-            ("modified_nc",
-             lambda: assemble_modified_ncfem(pw.mesh, pw, u_dirichlet=u_d)[0]),
-            ("mixed", lambda: assemble_mixed_direct(pw.mesh, pw, u_dirichlet=u_d)),
+            ("modified_nc", lambda: assemble_modified_ncfem(pw)[0]),
+            ("mixed", lambda: assemble_mixed_direct(pw)),
         ):
             path = os.path.join(sysdir, f"{prefix}level{record.level}_{kind}.txt")
             with _writing(path):

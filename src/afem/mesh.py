@@ -13,12 +13,8 @@ Conventions
 A Triangulation is immutable after construction: everything it carries,
 including the green/blue flags and the red-green-blue refinement state
 that :mod:`afem.refine` keeps behind an adaptively refined mesh, is passed
-to the constructor or, like the edge order and the uniform red child,
-derived from it once, and refinement always returns a new mesh. The red
-child is kept on its parent (:func:`afem.refine.uniform_red_refine`), so
-all histories that refine one mesh uniformly walk one hierarchy, and the
-edge order of each level is computed once however many histories solve on
-it.
+to the constructor or, like the edge order, derived from it once, and
+refinement always returns a new mesh.
 
 An undirected edge (a, b) is identified by one int64 key,
 ``min(a, b) << 32 | max(a, b)`` (:func:`edge_key`); sorting the keys sorts

@@ -38,7 +38,9 @@ DEFAULT_GAMMA_SWEEP = (8.0, 9.0, 9.5, 9.63, 9.64, 9.7, 10.0, 12.0)
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Variable coefficients of -div(A grad u + u b) + gamma u = f."""
+    """Variable coefficients of -div(A grad u + u b) + gamma u = f, with
+    Dirichlet data ``u_dirichlet``; None leaves the boundary dofs of the
+    nonconforming systems free, and the mixed routes reject it."""
 
     a: Callable
     b: Callable
@@ -58,8 +60,11 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class PiecewiseData:
-    """Per-triangle constants: centroid values of the coefficients plus the
-    second-moment functional S_T and the condensation factor it gives."""
+    """The discrete data of one mesh, which every system of it reads:
+    per-triangle centroid values of the coefficients, the second-moment
+    functional S_T and the condensation factor it gives, and u_D at the
+    boundary-edge midpoints (the one-point edge rule), in
+    ``mesh.boundary_edges`` order, or None for a field without u_D."""
 
     mesh: object
     a_h: np.ndarray       # (T, 2, 2)
@@ -69,6 +74,7 @@ class PiecewiseData:
     gamma_h: np.ndarray   # (T,)
     f_h: np.ndarray       # (T,)
     s_t: np.ndarray       # (T,)
+    u_d: Optional[np.ndarray]  # (boundary edges,)
 
     @property
     def s_mean(self):
@@ -162,7 +168,8 @@ def require_finite(name, values, point, triangles=None, per_triangle=1):
 
 
 def project_p0(coeffs, mesh):
-    """Centroid projection of the coefficient field onto piecewise constants.
+    """Centroid projection of the coefficient field onto piecewise constants,
+    with u_D at the boundary-edge midpoints.
 
     ``coeffs`` is a :class:`CoefficientField`, or a :class:`Reaction` whose
     ``like`` lives on ``mesh``: then only gamma is projected."""
@@ -195,6 +202,14 @@ def project_p0(coeffs, mesh):
     gamma_h = at_centroids("gamma", coeffs.gamma)
     f_h = at_centroids("f", coeffs.f)
     b_star_h = np.einsum("tde,te->td", a_h_inv, b_h)
+    u_d = None
+    if coeffs.u_dirichlet is not None:
+        bnd = mesh.boundary_edges
+        mid = mesh.edge_mid[bnd]
+        u_d = np.asarray(coeffs.u_dirichlet(mid[:, 0], mid[:, 1]), dtype=float).ravel()
+        u_d = require_finite(
+            "u_D", u_d, "boundary midpoint", mesh.edge_tris[bnd].max(axis=1)
+        )
     return PiecewiseData(
         mesh=mesh,
         a_h=a_h,
@@ -204,6 +219,7 @@ def project_p0(coeffs, mesh):
         gamma_h=gamma_h,
         f_h=f_h,
         s_t=s_of_t(mesh, a_h_inv),
+        u_d=u_d,
     )
 
 

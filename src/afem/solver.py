@@ -31,7 +31,6 @@ from .assembly import (
     hybrid_inverses,
 )
 from .errors import ConfigError, EquivalenceViolation, MeshMismatch, SingularMatrix
-from .problem import project_p0
 from .quadrature import affine_sq_l2
 
 
@@ -114,10 +113,10 @@ def _lu_solve(matrix, rhs, static=False):
     return x, correction
 
 
-def solve_ncfem(mesh, field):
+def solve_ncfem(pw):
     """Solve the plain nonconforming method; returns a :class:`CRSolution`."""
-    system = assemble_ncfem(mesh, project_p0(field, mesh), field.u_dirichlet)
-    return CRSolution(mesh=mesh, edge_values=solve_sparse(system).solution)
+    system = assemble_ncfem(pw)
+    return CRSolution(mesh=pw.mesh, edge_values=solve_sparse(system).solution)
 
 
 def reconstruct_mixed(pw, u_cr_tilde):
@@ -140,29 +139,29 @@ def reconstruct_mixed(pw, u_cr_tilde):
     return MixedSolution(mesh=mesh, flux_const=const, flux_slope=slope, u=u_m)
 
 
-def _require_dirichlet(u_dirichlet):
-    """Both mixed routes need u_D: with None the modified CR system keeps its
-    boundary dofs free while the saddle-point system imposes u_D = 0."""
-    if u_dirichlet is None:
+def _require_dirichlet(pw):
+    """Both mixed routes need u_D: without it the modified CR system keeps
+    its boundary dofs free while the saddle-point system imposes u_D = 0."""
+    if pw.u_d is None:
         raise ConfigError("u_dirichlet is None; for u_D = 0 pass constant_scalar(0.0)")
 
 
-def solve_mixed_via_equivalence(mesh, pw, u_dirichlet, inverses=hybrid_inverses):
+def solve_mixed_via_equivalence(pw, inverses=hybrid_inverses):
     """Mixed solution by reconstruction, checked triangle by triangle; a
     :class:`MixedSolve`.
 
     Before the factorization, the element blocks and loads of the modified
     nonconforming system are compared with the hybridized saddle-point ones
     (:func:`assembly.assemble_hybrid_mixed`, which calls the builder
-    ``inverses(mesh, pw)`` after the modified assembly); a
+    ``inverses(pw)`` after the modified assembly); a
     difference over ``IDENTITY_TOL`` raises :class:`EquivalenceViolation`.
     No element block outlives the comparison. After the solve, an
     :func:`equivalence_residual` of the hybrid recovery from u~ against the
     reconstruction over ``EQUIVALENCE_TOL`` raises it too.
     """
-    _require_dirichlet(u_dirichlet)
-    system, local, load = assemble_modified_ncfem(mesh, pw, u_dirichlet=u_dirichlet)
-    hybrid, hybrid_load, recover = assemble_hybrid_mixed(mesh, pw, inverses)
+    _require_dirichlet(pw)
+    system, local, load = assemble_modified_ncfem(pw)
+    hybrid, hybrid_load, recover = assemble_hybrid_mixed(pw, inverses)
     cond = _condition(pw)
     defects = (_defect(hybrid, local, cond), _defect(hybrid_load, load, cond))
     if not all(d <= IDENTITY_TOL for d in defects):  # NaN too
@@ -172,7 +171,7 @@ def solve_mixed_via_equivalence(mesh, pw, u_dirichlet, inverses=hybrid_inverses)
         )
     del local, load, hybrid, hybrid_load, cond  # before the factorization
     report = solve_sparse(system)
-    u_tilde = CRSolution(mesh=mesh, edge_values=report.solution)
+    u_tilde = CRSolution(mesh=pw.mesh, edge_values=report.solution)
     mixed = reconstruct_mixed(pw, u_tilde)
     equivalence = equivalence_residual(recover(u_tilde.edge_values), mixed)
     if not all(e <= EQUIVALENCE_TOL for e in equivalence):  # NaN too
@@ -206,17 +205,17 @@ def _defect(hybrid, condensed, cond):
     return float(np.max(rel, initial=0.0))
 
 
-def solve_mixed_direct(mesh, pw, u_dirichlet):
+def solve_mixed_direct(pw):
     """Mixed solution from the hybridized saddle-point system
     (:func:`assembly.assemble_hybrid_mixed`), factored over the interior
     edges in ``mesh.edge_order``; the element blocks are gone before the
     factorization."""
-    _require_dirichlet(u_dirichlet)
+    _require_dirichlet(pw)
     # s_T vanishes only where kappa_T blows up: reading pw.kappa raises
     # SingularLocalFactor there, before the assembly divides by s_T
     pw.kappa
-    local, load, recover = assemble_hybrid_mixed(mesh, pw)
-    system = edge_system(mesh, local, load, u_dirichlet)
+    local, load, recover = assemble_hybrid_mixed(pw)
+    system = edge_system(pw, local, load)
     del local, load
     return recover(solve_sparse(system).solution)
 

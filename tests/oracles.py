@@ -263,10 +263,8 @@ def unchecked_adaptive_loop(instance, max_ndof, theta=0.5):
     levels = []
     while mesh.ndof_mixed <= max_ndof:
         pw = project_p0(instance.field, mesh)
-        solve = solve_mixed_via_equivalence(
-            mesh, pw, u_dirichlet=instance.field.u_dirichlet
-        )
-        report = estimate_mixed(mesh, solve.mixed, solve.u_tilde, instance.field, pw)
+        solve = solve_mixed_via_equivalence(pw)
+        report = estimate_mixed(solve.mixed, solve.u_tilde, instance.field, pw)
         marked = dorfler_mark(report.per_triangle_sq, theta).indices
         levels.append((mesh, marked))
         if len(marked) == 0:
@@ -371,7 +369,7 @@ def mixed_dirichlet_eigenvalue(mesh, shift):
         f=constant_scalar(0.0),
         u_dirichlet=constant_scalar(0.0),
     )
-    k0 = assemble_mixed_direct(mesh, project_p0(laplace, mesh)).in_dof_order()[0]
+    k0 = assemble_mixed_direct(project_p0(laplace, mesh)).in_dof_order()[0]
     weight = np.concatenate([np.zeros(mesh.num_edges), mesh.area])
     lu = spla.splu((k0 - shift * sp.diags(weight)).tocsc())
     op = spla.LinearOperator(

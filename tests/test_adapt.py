@@ -105,7 +105,7 @@ def test_average_of_two_triangle_traces():
 
 def run_pipeline(inst, mesh):
     pw = project_p0(inst.field, mesh)
-    solve = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
+    solve = solve_mixed_via_equivalence(pw)
     return pw, solve.mixed, solve.u_tilde
 
 
@@ -113,8 +113,8 @@ def test_estimator_zero_on_zero_problem():
     mesh = lshape_start_mesh()
     zero = field()
     pw = project_p0(zero, mesh)
-    solve = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
-    report = estimate_mixed(mesh, solve.mixed, solve.u_tilde, zero, pw)
+    solve = solve_mixed_via_equivalence(pw)
+    report = estimate_mixed(solve.mixed, solve.u_tilde, zero, pw)
     assert report.eta == 0.0
     assert all(v.max() == 0.0 for v in report.term_sq.values())
 
@@ -135,7 +135,7 @@ def _crack_adaptive_mesh(levels=4):
     mesh = inst.start_mesh()
     for _ in range(levels):
         pw, mixed, u_tilde = run_pipeline(inst, mesh)
-        report = estimate_mixed(mesh, mixed, u_tilde, inst.field, pw)
+        report = estimate_mixed(mixed, u_tilde, inst.field, pw)
         mesh = rgb_refine(mesh, dorfler_mark(report.per_triangle_sq, 0.5).indices)
     return mesh
 
@@ -153,7 +153,7 @@ def test_estimator_bit_identical_to_pointwise_reference(case):
     else:
         inst = benchmark("crack")
     pw, mixed, u_tilde = run_pipeline(inst, mesh)
-    report = estimate_mixed(mesh, mixed, u_tilde, inst.field, pw)
+    report = estimate_mixed(mixed, u_tilde, inst.field, pw)
     expected = reference_estimate_mixed(mesh, mixed, u_tilde, inst.field, pw)
     assert report.term_sq.keys() == expected.keys()
     # crack's A is the identity, so only its coeff_a term vanishes
@@ -170,8 +170,8 @@ def test_constant_data_kills_osc_and_coefficient_terms():
     mesh = lshape_start_mesh()
     f = field(a=[[2.0, 0.5], [0.5, 1.0]], b=(0.3, -0.2), gamma=-1.0, f=2.0)
     pw = project_p0(f, mesh)
-    solve = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
-    report = estimate_mixed(mesh, solve.mixed, solve.u_tilde, f, pw)
+    solve = solve_mixed_via_equivalence(pw)
+    report = estimate_mixed(solve.mixed, solve.u_tilde, f, pw)
     assert report.term_sq["osc"].max() == pytest.approx(0.0, abs=1e-28)
     assert report.term_sq["coeff_a"].max() == pytest.approx(0.0, abs=1e-28)
     assert report.term_sq["coeff_b"].max() == pytest.approx(0.0, abs=1e-28)
@@ -181,7 +181,7 @@ def test_lshape_level0_estimator_matches_reported_value():
     inst = benchmark("lshape")
     mesh = inst.start_mesh()
     pw, mixed, u_tilde = run_pipeline(inst, mesh)
-    report = estimate_mixed(mesh, mixed, u_tilde, inst.field, pw)
+    report = estimate_mixed(mixed, u_tilde, inst.field, pw)
     assert report.eta == pytest.approx(1.01064602, rel=0.15)
 
 
@@ -189,7 +189,7 @@ def test_estimator_additivity_and_permutation_invariance():
     inst = benchmark("lshape")
     mesh = inst.start_mesh()
     pw, mixed, u_tilde = run_pipeline(inst, mesh)
-    report = estimate_mixed(mesh, mixed, u_tilde, inst.field, pw)
+    report = estimate_mixed(mixed, u_tilde, inst.field, pw)
     per_tri = report.per_triangle_sq
     assert report.eta**2 == pytest.approx(per_tri.sum(), rel=1e-14)
     rng = np.random.default_rng(1)
@@ -199,7 +199,7 @@ def test_estimator_additivity_and_permutation_invariance():
     perm = rng.permutation(mesh.num_triangles)
     mesh2 = build_mesh(mesh.vertices, mesh.triangles[perm])
     pw2, mixed2, u_tilde2 = run_pipeline(inst, mesh2)
-    report2 = estimate_mixed(mesh2, mixed2, u_tilde2, inst.field, pw2)
+    report2 = estimate_mixed(mixed2, u_tilde2, inst.field, pw2)
     assert report2.eta == pytest.approx(report.eta, rel=1e-10)
     assert np.abs(np.sort(report2.per_triangle_sq) - np.sort(per_tri)).max() < 1e-12
 
@@ -227,9 +227,9 @@ def test_coefficient_terms_match_independent_recomputation():
     )
     mesh = lshape_start_mesh()
     pw = project_p0(var_field, mesh)
-    solve = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
+    solve = solve_mixed_via_equivalence(pw)
     mixed = solve.mixed
-    report = estimate_mixed(mesh, mixed, solve.u_tilde, var_field, pw)
+    report = estimate_mixed(mixed, solve.u_tilde, var_field, pw)
     assert report.term_sq["coeff_a"].max() > 0
     assert report.term_sq["coeff_b"].max() > 0
     for t in np.random.default_rng(2).choice(mesh.num_triangles, 5, replace=False):

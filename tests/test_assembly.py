@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -63,15 +64,15 @@ def local_matrix(mesh, system, t=0):
 
 def test_cr_stiffness_reference_triangle():
     mesh = build_mesh(REF_TRI, np.array([[0, 1, 2]]))
-    system = assemble_ncfem(mesh, project_p0(make_field(), mesh))
+    system = assemble_ncfem(project_p0(make_field(u_d=None), mesh))
     expected = np.array([[4.0, -2.0, -2.0], [-2.0, 2.0, 0.0], [-2.0, 0.0, 2.0]])
     assert np.abs(local_matrix(mesh, system) - expected).max() < 1e-13
 
 
 def test_cr_reaction_is_scaled_identity():
     mesh = build_mesh(REF_TRI, np.array([[0, 1, 2]]))
-    pure = assemble_ncfem(mesh, project_p0(make_field(gamma=1.0), mesh))
-    diff = assemble_ncfem(mesh, project_p0(make_field(), mesh))
+    pure = assemble_ncfem(project_p0(make_field(gamma=1.0, u_d=None), mesh))
+    diff = assemble_ncfem(project_p0(make_field(u_d=None), mesh))
     react = local_matrix(mesh, pure) - local_matrix(mesh, diff)
     assert np.abs(react - (0.5 / 3.0) * np.eye(3)).max() < 1e-14
 
@@ -84,8 +85,8 @@ def test_cr_local_matrices_match_quadrature_oracle():
         b = rng.uniform(-2, 2, 2)
         gamma = rng.uniform(-3, 3)
         mesh = build_mesh(tri, np.array([[0, 1, 2]]))
-        pw = project_p0(make_field(a=a, b=b, gamma=gamma), mesh)
-        system = assemble_ncfem(mesh, pw)
+        pw = project_p0(make_field(a=a, b=b, gamma=gamma, u_d=None), mesh)
+        system = assemble_ncfem(pw)
         oracle = cr_local_stiffness(tri, a, b, gamma)
         scale = np.abs(oracle).max()
         assert np.abs(local_matrix(mesh, system) - oracle).max() < 1e-13 * scale
@@ -95,8 +96,8 @@ def test_cr_diffusion_rows_annihilate_constants():
     rng = np.random.default_rng(4)
     tri = random_triangle(rng)
     mesh = build_mesh(tri, np.array([[0, 1, 2]]))
-    pw = project_p0(make_field(a=random_spd_matrix(rng)), mesh)
-    k = local_matrix(mesh, assemble_ncfem(mesh, pw))
+    pw = project_p0(make_field(a=random_spd_matrix(rng), u_d=None), mesh)
+    k = local_matrix(mesh, assemble_ncfem(pw))
     assert np.abs(k - k.T).max() < 1e-13
     assert np.abs(k.sum(axis=1)).max() < 1e-13
 
@@ -104,7 +105,7 @@ def test_cr_diffusion_rows_annihilate_constants():
 def test_assembled_ncfem_spd_for_pure_diffusion():
     mesh = lshape_start_mesh()
     pw = project_p0(make_field(), mesh)
-    system = assemble_ncfem(mesh, pw, u_dirichlet=constant_scalar(0.0))
+    system = assemble_ncfem(pw)
     lu = spla.splu(system.matrix.tocsc())  # factorization succeeds
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -115,16 +116,16 @@ def test_assembled_ncfem_spd_for_pure_diffusion():
 def test_zero_data_gives_zero_solution():
     mesh = lshape_start_mesh()
     pw = project_p0(make_field(), mesh)
-    system = assemble_ncfem(mesh, pw, u_dirichlet=constant_scalar(0.0))
+    system = assemble_ncfem(pw)
     assert np.abs(system.rhs).max() == 0.0
 
 
 def test_modified_equals_plain_without_reaction_and_convection():
     mesh = lshape_start_mesh()
     inst = benchmark("lshape")
-    pw = project_p0(make_field(a=[[2.0, 0.3], [0.3, 1.0]]), mesh)
-    plain = assemble_ncfem(mesh, pw)
-    modified, *_ = assemble_modified_ncfem(mesh, pw)
+    pw = project_p0(make_field(a=[[2.0, 0.3], [0.3, 1.0]], u_d=None), mesh)
+    plain = assemble_ncfem(pw)
+    modified, *_ = assemble_modified_ncfem(pw)
     assert np.abs((plain.matrix - modified.matrix).toarray()).max() < 1e-14
     assert np.abs(plain.rhs - modified.rhs).max() < 1e-14
 
@@ -143,20 +144,19 @@ def test_singular_local_factor_detected():
     gamma = -4.0 * 0.5 / (1 / 18)
     pw = project_p0(make_field(gamma=gamma), mesh)
     with pytest.raises(SingularLocalFactor):
-        assemble_modified_ncfem(mesh, pw)
+        assemble_modified_ncfem(pw)
 
 
 def test_dirichlet_elimination_moves_columns():
     mesh = build_mesh(REF_TRI, np.array([[0, 1, 2]]))
     pw = project_p0(make_field(gamma=1.0), mesh)
-    zero = assemble_ncfem(mesh, pw, u_dirichlet=constant_scalar(0.0))
+    zero = assemble_ncfem(pw)
     assert zero.matrix.shape == (0, 0)  # single triangle: all edges boundary
     assert np.allclose(zero.fixed_values, 0.0)
 
     mesh2 = build_mesh(*SQUARE)
-    pw2 = project_p0(make_field(gamma=1.0), mesh2)
-    raw2 = assemble_ncfem(mesh2, pw2)
-    ones = assemble_ncfem(mesh2, pw2, u_dirichlet=constant_scalar(1.0))
+    raw2 = assemble_ncfem(project_p0(make_field(gamma=1.0, u_d=None), mesh2))
+    ones = assemble_ncfem(project_p0(make_field(gamma=1.0, u_d=1.0), mesh2))
     free = ones.free
     full = raw2.in_dof_order()[0].toarray()
     expected = -full[np.ix_(free, ones.fixed)] @ np.ones(len(ones.fixed))
@@ -172,9 +172,11 @@ def test_mixed_boundary_term_matches_triangle_sign_lookup(make):
     def u_d(x, y):
         return 1.0 + 0.3 * np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
 
-    pw = project_p0(make_field(b=(0.5, -1.0), gamma=2.0, f=1.0), mesh)
-    plain = assemble_mixed_direct(mesh, pw)
-    folded = assemble_mixed_direct(mesh, pw, u_dirichlet=u_d)
+    def projected(u_d):
+        return project_p0(make_field(b=(0.5, -1.0), gamma=2.0, f=1.0, u_d=u_d), mesh)
+
+    plain = assemble_mixed_direct(projected(None))
+    folded = assemble_mixed_direct(projected(u_d))
     # reference: the edge's sign in the local numbering of its one triangle
     bnd = mesh.boundary_edges
     tri = np.where(
@@ -197,7 +199,7 @@ def test_lshape_boundary_value_at_unit_height():
     # every boundary dof receives u_D(mid E) after elimination
     mesh = inst.start_mesh()
     pw = project_p0(inst.field, mesh)
-    system = assemble_ncfem(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
+    system = assemble_ncfem(pw)
     mids = mesh.edge_mid[system.fixed]
     assert np.allclose(
         system.fixed_values, inst.field.u_dirichlet(mids[:, 0], mids[:, 1])
@@ -206,8 +208,8 @@ def test_lshape_boundary_value_at_unit_height():
 
 def test_mixed_divergence_rows():
     mesh = build_mesh(*SQUARE)
-    pw = project_p0(make_field(f=1.0), mesh)
-    system = assemble_mixed_direct(mesh, pw)
+    pw = project_p0(make_field(f=1.0, u_d=None), mesh)
+    system = assemble_mixed_direct(pw)
     ne = mesh.num_edges
     a, rhs = system.in_dof_order()
     a = a.toarray()
@@ -222,14 +224,14 @@ def test_mixed_divergence_rows():
 
 def test_mixed_block_structure():
     mesh = lshape_start_mesh()
-    pw = project_p0(make_field(gamma=-4.0), mesh)
-    system = assemble_mixed_direct(mesh, pw)
+    pw = project_p0(make_field(gamma=-4.0, u_d=None), mesh)
+    system = assemble_mixed_direct(pw)
     ne = mesh.num_edges
     c_block = system.in_dof_order()[0].toarray()[ne:, ne:]
     assert np.allclose(c_block, np.diag(pw.gamma_h * mesh.area))
     # with gamma = 0, b = 0 the mass block is SPD and B has full row rank
-    pw0 = project_p0(make_field(), mesh)
-    sys0 = assemble_mixed_direct(mesh, pw0)
+    pw0 = project_p0(make_field(u_d=None), mesh)
+    sys0 = assemble_mixed_direct(pw0)
     k0 = sys0.in_dof_order()[0].toarray()
     m_block = k0[:ne, :ne]
     assert np.linalg.eigvalsh((m_block + m_block.T) / 2).min() > 0
@@ -242,8 +244,8 @@ def test_mixed_eigenvalue_oracle_matches_dense_schur():
     # B M^-1 B^T u = lambda diag(|T|) u over the triangle scalars
     mesh = uniform_red_refine(lshape_start_mesh())
     assert mesh.ndof_mixed == 256
-    pw = project_p0(make_field(), mesh)
-    k0 = assemble_mixed_direct(mesh, pw).in_dof_order()[0].toarray()
+    pw = project_p0(make_field(u_d=None), mesh)
+    k0 = assemble_mixed_direct(pw).in_dof_order()[0].toarray()
     ne = mesh.num_edges
     schur = -k0[ne:, :ne] @ np.linalg.solve(k0[:ne, :ne], k0[:ne, ne:])
     dense = sla.eigh(schur, np.diag(mesh.area), eigvals_only=True)
@@ -262,15 +264,15 @@ def test_one_point_quadrature_exact_for_p0_coefficients():
     b = rng.uniform(-1, 1, 2)
     gamma = rng.uniform(-2, 2)
     mesh = build_mesh(tri, np.array([[0, 1, 2]]))
-    pw = project_p0(make_field(a=a, b=b, gamma=gamma), mesh)
-    system = assemble_ncfem(mesh, pw)
+    pw = project_p0(make_field(a=a, b=b, gamma=gamma, u_d=None), mesh)
+    system = assemble_ncfem(pw)
     oracle = cr_local_stiffness(tri, a, b, gamma)
     assert np.abs(local_matrix(mesh, system) - oracle).max() < 1e-13
 
 
 def test_dump_triplets(tmp_path):
     mesh = build_mesh(*SQUARE)
-    system = assemble_mixed_direct(mesh, project_p0(make_field(f=1.0), mesh))
+    system = assemble_mixed_direct(project_p0(make_field(f=1.0, u_d=None), mesh))
     path = tmp_path / "system.txt"
     system.dump_triplets(path)
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("%")]
@@ -314,9 +316,9 @@ def _is_canonical_csc(m):
     return m.format == "csc" and bool(np.all(steps[inner] > 0))
 
 
-def _modified_system(mesh, pw, u_dirichlet):
+def _modified_system(pw):
     """The system of ``assemble_modified_ncfem``'s (system, local, load)."""
-    return assemble_modified_ncfem(mesh, pw, u_dirichlet)[0]
+    return assemble_modified_ncfem(pw)[0]
 
 
 def test_assembly_bit_identical_to_lexsort_einsum_reference():
@@ -338,7 +340,8 @@ def test_assembly_bit_identical_to_lexsort_einsum_reference():
         ),
         (field.u_dirichlet, None),
     ):
-        matrix, rhs = assemble(mesh, pw, u_dirichlet=u_dirichlet).in_dof_order()
+        pw = project_p0(dataclasses.replace(field, u_dirichlet=u_dirichlet), mesh)
+        matrix, rhs = assemble(pw).in_dof_order()
         ref_matrix, ref_rhs = reference(mesh, pw, u_dirichlet)
         assert _is_canonical_csc(matrix)
         assert _is_canonical_csc(ref_matrix)
@@ -369,7 +372,7 @@ def test_hybridized_elements_match_dense_elimination():
     assert np.ptp(pw.a_h[:, 0, 1]) > 0 and np.ptp(pw.gamma_h) > 0
     assert np.ptp(pw.b_h[:, 1]) > 0
     multiplier = rng.standard_normal(mesh.num_edges)
-    local, load, recover = assemble_hybrid_mixed(mesh, pw)
+    local, load, recover = assemble_hybrid_mixed(pw)
     ref_local, ref_load, (const, slope, u) = reference_hybrid_mixed(
         mesh, pw, multiplier
     )
@@ -399,7 +402,7 @@ def test_mass_loop_in_blocks_bit_identical(monkeypatch):
         mesh = rgb_refine(mesh, np.sort(marked))
     pw = project_p0(_variable_field(rng), mesh)
     assert 7 < mesh.num_triangles <= assembly.MASS_BLOCK
-    whole = assembly._mixed_blocks(mesh, pw)
+    whole = assembly._mixed_blocks(pw)
     monkeypatch.setattr(assembly, "MASS_BLOCK", 7)
-    for got, want in zip(assembly._mixed_blocks(mesh, pw), whole):
+    for got, want in zip(assembly._mixed_blocks(pw), whole):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))

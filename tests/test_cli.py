@@ -722,9 +722,9 @@ def test_equivalence_violation_leaves_rows_and_abort_line(
     # the hybrid recovery's scalar perturbed by 1e-6 relative on level 2
     assemble = solver.assemble_hybrid_mixed
 
-    def perturbed(mesh, pw, *args):
-        local, load, recover = assemble(mesh, pw, *args)
-        if mesh.ndof_mixed != 992:
+    def perturbed(pw, *args):
+        local, load, recover = assemble(pw, *args)
+        if pw.mesh.ndof_mixed != 992:
             return local, load, recover
 
         def recover_perturbed(multiplier):
@@ -746,9 +746,9 @@ def test_element_identity_violation_leaves_rows_and_abort_line(
     # blocks sees it
     blocks = assembly._mixed_blocks
 
-    def perturbed(mesh, pw):
-        mass, w, *rest = blocks(mesh, pw)
-        if mesh.ndof_mixed == 992:
+    def perturbed(pw):
+        mass, w, *rest = blocks(pw)
+        if pw.mesh.ndof_mixed == 992:
             assert np.abs(w).max() > 0
             w = w * (1 + 1e-9)
         return mass, w, *rest
@@ -787,9 +787,9 @@ def test_sweep_violation_stops_every_running_history(tmp_path, capsys, monkeypat
     # only level 1; each CSV keeps its rows and ends with the abort line
     assemble = solver.assemble_hybrid_mixed
 
-    def perturbed(mesh, pw, *args):
-        local, load, recover = assemble(mesh, pw, *args)
-        if mesh.ndof_mixed == 992 and pw.gamma_h[0] == -9.63:
+    def perturbed(pw, *args):
+        local, load, recover = assemble(pw, *args)
+        if pw.mesh.ndof_mixed == 992 and pw.gamma_h[0] == -9.63:
             local = local * (1 + 1e-9)
         return local, load, recover
 
@@ -818,12 +818,12 @@ def test_sweep_history_ended_before_an_exception_keeps_its_end(
     # its own abort line, and every history still running gets the error's
     solve = adapt.solve_mixed_via_equivalence
 
-    def failing(mesh, pw, *args, **kwargs):
-        if pw.gamma_h[0] == -9.0 and mesh.ndof_mixed == 256:
+    def failing(pw, *args, **kwargs):
+        if pw.gamma_h[0] == -9.0 and pw.mesh.ndof_mixed == 256:
             raise afem.SingularMatrix("injected")
-        if pw.gamma_h[0] == -12.0 and mesh.ndof_mixed == 992:
+        if pw.gamma_h[0] == -12.0 and pw.mesh.ndof_mixed == 992:
             raise afem.EquivalenceViolation("injected")
-        return solve(mesh, pw, *args, **kwargs)
+        return solve(pw, *args, **kwargs)
 
     monkeypatch.setattr(adapt, "solve_mixed_via_equivalence", failing)
     args = ["--problem", "eigen_sweep", "--max-ndof", "4000", "--out", str(tmp_path)]

@@ -1,8 +1,9 @@
-"""One mesh hierarchy per run: a uniform red child is built once per parent
-and kept on it, each mesh computes its edge order once, and the histories of a
-sweep all start from one mesh. A run with a single history must still free
-its coarse levels as it refines."""
+"""One mesh hierarchy per run: the histories of a sweep all start from one
+mesh, a level's uniform red child is built once for all of them, and each
+mesh computes its edge order once. A run must still free its coarse levels
+as it refines, whoever holds its start mesh."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -24,8 +25,6 @@ def _arrays(m):
 def test_red_child_is_built_once_and_equals_a_fresh_one():
     parent = lshape_start_mesh()
     child = uniform_red_refine(parent)
-    assert uniform_red_refine(parent) is child
-    assert uniform_red_refine(child) is uniform_red_refine(child)
     fresh = uniform_red_refine(lshape_start_mesh())
     assert fresh is not child
     ours, theirs = _arrays(child), _arrays(fresh)
@@ -81,12 +80,12 @@ def _watch_level_zero(monkeypatch):
     refs = []
     assemble = bench.assemble_modified_ncfem
 
-    def spy(mesh, pw, **kwargs):
+    def spy(pw):
         if not refs:
-            refs.append(weakref.ref(mesh))
+            refs.append(weakref.ref(pw.mesh))
         gc.collect()
         seen.append((len(seen), refs[0]() is not None))
-        return assemble(mesh, pw, **kwargs)
+        return assemble(pw)
 
     monkeypatch.setattr(bench, "assemble_modified_ncfem", spy)
     return seen
@@ -106,6 +105,45 @@ def test_single_history_frees_its_coarse_levels(tmp_path, monkeypatch, from_file
     bench.run_experiment(config, echo=lambda *_: None)
     assert [level for level, _ in seen] == [0, 1, 2, 3]
     assert [alive for level, alive in seen if level >= 2] == [False, False]
+
+
+def test_held_start_mesh_keeps_no_later_level():
+    # the red children are kept by the level, not on their parent, so a
+    # caller that holds the start mesh holds level 0 alone
+    from afem.adapt import adaptive_loop
+
+    start = lshape_start_mesh()
+    refs = []
+    adaptive_loop(
+        problem.benchmark("lshape"), mode="uniform", max_ndof=4000,
+        start_mesh=start,
+        on_level=lambda level: refs.append(weakref.ref(level.pw.mesh)),
+    )
+    gc.collect()
+    assert [ref() is not None for ref in refs] == [True, False, False, False]
+    assert refs[0]() is start
+
+
+def test_eigen_sweep_evaluates_u_d_once_per_level(tmp_path, monkeypatch):
+    # the sweep's reactions share one u_D evaluation per level through the
+    # projection of their common data (problem.Reaction)
+    calls = []
+    field = problem._EIGEN_SWEEP_FIELD
+    u_d = field.u_dirichlet
+
+    def counted(x, y):
+        calls.append(len(x))
+        return u_d(x, y)
+
+    monkeypatch.setattr(
+        problem, "_EIGEN_SWEEP_FIELD", dataclasses.replace(field, u_dirichlet=counted)
+    )
+    config = bench.ExperimentConfig(
+        problem="eigen_sweep", mode="uniform", max_ndof=4000, out=str(tmp_path)
+    )
+    result = bench.run_experiment(config, echo=lambda *_: None)
+    assert {tuple(h.ndofs) for h in result.histories.values()} == {(68, 256, 992, 3904)}
+    assert len(calls) == 4
 
 
 def _count_reaction_free_builds(monkeypatch):

@@ -126,9 +126,9 @@ def test_routes_factor_in_the_mesh_orders(monkeypatch):
     inst = benchmark("lshape")
     pw = project_p0(inst.field, mesh)
     systems, factored = _capture_factored(monkeypatch)
-    mixed = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet).mixed
-    direct = solver.solve_mixed_direct(mesh, pw, inst.field.u_dirichlet)
-    solver.solve_ncfem(mesh, inst.field)
+    mixed = solver.solve_mixed_via_equivalence(pw).mixed
+    direct = solver.solve_mixed_direct(pw)
+    solver.solve_ncfem(project_p0(inst.field, mesh))
     assert len(factored) == len(systems) == 3
     for (matrix, options), system in zip(factored, systems):
         assert matrix is system.matrix
@@ -153,14 +153,14 @@ def test_crack_direct_route_factors_interior_edges_in_edge_order(monkeypatch):
     pw = project_p0(inst.field, mesh)
     assert not pw.gamma_h.any()
     systems, factored = _capture_factored(monkeypatch)
-    direct = solver.solve_mixed_direct(mesh, pw, inst.field.u_dirichlet)
+    direct = solver.solve_mixed_direct(pw)
     ((matrix, options),) = factored
     (hybrid,) = systems
     assert matrix is hybrid.matrix and options == STATIC
     edge_order = mesh.edge_order
     interior = edge_order[np.isin(edge_order, mesh.interior_edges)]
     assert np.array_equal(hybrid.free, interior)
-    mixed = solver.solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet).mixed
+    mixed = solver.solve_mixed_via_equivalence(pw).mixed
     assert max(solver.equivalence_residual(direct, mixed)) < 1e-10
 
 
@@ -171,7 +171,7 @@ def _crack_saddle_system(levels):
         mesh = uniform_red_refine(mesh)
     pw = project_p0(inst.field, mesh)
     assert not pw.gamma_h.any()  # zero reaction block
-    return mesh, assemble_mixed_direct(mesh, pw, inst.field.u_dirichlet)
+    return mesh, assemble_mixed_direct(pw)
 
 
 def test_static_pivots_on_crack_match_colamd(monkeypatch):
@@ -183,8 +183,8 @@ def test_static_pivots_on_crack_match_colamd(monkeypatch):
         mesh = uniform_red_refine(mesh)
     pw = project_p0(inst.field, mesh)
     assert not pw.gamma_h.any()
-    local, load, _ = assemble_hybrid_mixed(mesh, pw)
-    system = edge_system(mesh, local, load, inst.field.u_dirichlet)
+    local, load, _ = assemble_hybrid_mixed(pw)
+    system = edge_system(pw, local, load)
     assert len(system.rhs) == len(mesh.interior_edges)
     expected = _colamd_solution(system)
     calls = _spy_splu(monkeypatch)
@@ -203,7 +203,7 @@ def test_near_resonant_level_is_trusted_on_static_pivots(monkeypatch):
     for _ in range(4):
         mesh = uniform_red_refine(mesh)
     pw = project_p0(inst.field, mesh)
-    system, *_ = assemble_modified_ncfem(mesh, pw, inst.field.u_dirichlet)
+    system, *_ = assemble_modified_ncfem(pw)
     expected = _colamd_solution(system)
     calls = _spy_splu(monkeypatch)
     report = solver.solve_sparse(system)
@@ -257,9 +257,9 @@ def test_mesh_orders_need_less_fill_than_colamd():
         mesh = uniform_red_refine(mesh)
     inst = benchmark("lshape")
     pw = project_p0(inst.field, mesh)
-    hybrid_local, hybrid_load, _ = assemble_hybrid_mixed(mesh, pw)
-    hybrid = edge_system(mesh, hybrid_local, hybrid_load, inst.field.u_dirichlet)
-    recon, *_ = assemble_modified_ncfem(mesh, pw, inst.field.u_dirichlet)
+    hybrid_local, hybrid_load, _ = assemble_hybrid_mixed(pw)
+    hybrid = edge_system(pw, hybrid_local, hybrid_load)
+    recon, *_ = assemble_modified_ncfem(pw)
     for system in (hybrid, recon):
         colamd = spla.splu(system.in_dof_order()[0])
         ordered = spla.splu(system.matrix, **STATIC)
@@ -275,9 +275,7 @@ def test_eigen_sweep_mesh_order_fills_less_than_colamd():
     mesh = inst.start_mesh()
     ordered = colamd = 0
     for _ in range(5):
-        system, *_ = assemble_modified_ncfem(
-            mesh, project_p0(inst.field, mesh), inst.field.u_dirichlet
-        )
+        system, *_ = assemble_modified_ncfem(project_p0(inst.field, mesh))
         lu = spla.splu(system.matrix, **STATIC)
         ordered += lu.L.nnz + lu.U.nnz
         lu = spla.splu(system.in_dof_order()[0])

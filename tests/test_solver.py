@@ -101,7 +101,7 @@ def laplace_instance(u_d):
 
 def test_cr_zero_data_zero_solution():
     mesh = lshape_start_mesh()
-    sol = solve_ncfem(mesh, laplace_instance(constant_scalar(0.0)))
+    sol = solve_ncfem(project_p0(laplace_instance(constant_scalar(0.0)), mesh))
     assert np.abs(sol.edge_values).max() == 0.0
 
 
@@ -113,7 +113,7 @@ def test_cr_solve_with_all_dofs_on_boundary():
     field = laplace_instance(
         lambda x, y: np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
     )
-    sol = solve_ncfem(ref, field)
+    sol = solve_ncfem(project_p0(field, ref))
     assert np.allclose(sol.edge_values, ref.edge_mid.sum(axis=1))
 
 
@@ -122,7 +122,7 @@ def test_cr_affine_patch_test():
     field = laplace_instance(
         lambda x, y: np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
     )
-    sol = solve_ncfem(mesh, field)
+    sol = solve_ncfem(project_p0(field, mesh))
     exact = mesh.edge_mid[:, 0] + mesh.edge_mid[:, 1]
     assert np.abs(sol.edge_values - exact).max() < 1e-10
 
@@ -130,7 +130,7 @@ def test_cr_affine_patch_test():
 def test_cr_lshape_level0_is_finite_and_bounded():
     inst = benchmark("lshape")
     mesh = inst.start_mesh()
-    sol = solve_ncfem(mesh, inst.field)
+    sol = solve_ncfem(project_p0(inst.field, mesh))
     assert np.all(np.isfinite(sol.edge_values))
     assert np.abs(sol.edge_values).max() < 10.0
 
@@ -139,8 +139,8 @@ def test_mixed_patch_test_both_routes():
     mesh = build_mesh(*SQUARE)
     field = laplace_instance(lambda x, y: np.asarray(x, dtype=float))
     pw = project_p0(field, mesh)
-    direct = solve_mixed_direct(mesh, pw, u_dirichlet=field.u_dirichlet)
-    recon = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=field.u_dirichlet).mixed
+    direct = solve_mixed_direct(pw)
+    recon = solve_mixed_via_equivalence(pw).mixed
     for sol in (direct, recon):
         flux_mid = sol.flux_at(mesh.centroid[:, None, :])[:, 0, :]
         assert np.abs(flux_mid - np.array([-1.0, 0.0])).max() < 1e-10
@@ -155,10 +155,8 @@ def test_equivalence_residual_sees_a_flux_or_scalar_mismatch():
     inst = benchmark("lshape")
     mesh = uniform_red_refine(inst.start_mesh())
     pw = project_p0(inst.field, mesh)
-    direct = solve_mixed_direct(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
-    recon = solve_mixed_via_equivalence(
-        mesh, pw, u_dirichlet=inst.field.u_dirichlet
-    ).mixed
+    direct = solve_mixed_direct(pw)
+    recon = solve_mixed_via_equivalence(pw).mixed
     assert max(equivalence_residual(direct, recon)) < 1e-12
     flux = dataclasses.replace(recon, flux_const=recon.flux_const * (1.0 + 1e-6))
     scalar = dataclasses.replace(recon, u=recon.u * (1.0 + 1e-6))
@@ -176,8 +174,8 @@ def test_solve_raises_where_the_hybrid_recovery_leaves_the_reconstruction(
     pw = project_p0(inst.field, mesh)
     assemble = solver.assemble_hybrid_mixed
 
-    def perturbed(mesh, pw, *args):
-        local, load, recover = assemble(mesh, pw, *args)
+    def perturbed(pw, *args):
+        local, load, recover = assemble(pw, *args)
 
         def recover_perturbed(multiplier):
             mixed = recover(multiplier)
@@ -187,13 +185,13 @@ def test_solve_raises_where_the_hybrid_recovery_leaves_the_reconstruction(
 
     monkeypatch.setattr(solver, "assemble_hybrid_mixed", perturbed)
     with pytest.raises(EquivalenceViolation, match=r"^routes differ by \(.+, .+\)$"):
-        solve_mixed_via_equivalence(mesh, pw, inst.field.u_dirichlet)
+        solve_mixed_via_equivalence(pw)
 
 
 def test_mixed_zero_data():
     mesh = lshape_start_mesh()
     pw = project_p0(laplace_instance(constant_scalar(0.0)), mesh)
-    solve = solve_mixed_via_equivalence(mesh, pw, constant_scalar(0.0))
+    solve = solve_mixed_via_equivalence(pw)
     recon, u_tilde = solve.mixed, solve.u_tilde
     assert np.abs(recon.u).max() == 0.0
     assert np.abs(recon.flux_const).max() == 0.0
@@ -211,7 +209,7 @@ def test_reconstruction_formulas_collapse_without_reaction():
         u_dirichlet=constant_scalar(0.0),
     )
     pw = project_p0(field, mesh)
-    solve = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=field.u_dirichlet)
+    solve = solve_mixed_via_equivalence(pw)
     recon, u_tilde = solve.mixed, solve.u_tilde
     assert np.abs(recon.div() - 1.0).max() < 1e-12
     expected_u = u_tilde.triangle_means() + pw.s_t / (4.0 * mesh.area)
@@ -227,10 +225,8 @@ def test_equivalence_on_benchmarks(name, kwargs):
     mesh = inst.start_mesh()
     for _ in range(2):
         pw = project_p0(inst.field, mesh)
-        direct = solve_mixed_direct(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
-        recon = solve_mixed_via_equivalence(
-            mesh, pw, u_dirichlet=inst.field.u_dirichlet
-        ).mixed
+        direct = solve_mixed_direct(pw)
+        recon = solve_mixed_via_equivalence(pw).mixed
         rel_p, rel_u = equivalence_residual(direct, recon)
         assert rel_p <= 1e-8 and rel_u <= 1e-8
         # elementwise divergence identity, both routes
@@ -248,10 +244,8 @@ def test_equivalence_residual_detects_perturbation():
     inst = benchmark("lshape")
     mesh = inst.start_mesh()
     pw = project_p0(inst.field, mesh)
-    direct = solve_mixed_direct(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
-    recon = solve_mixed_via_equivalence(
-        mesh, pw, u_dirichlet=inst.field.u_dirichlet
-    ).mixed
+    direct = solve_mixed_direct(pw)
+    recon = solve_mixed_via_equivalence(pw).mixed
     assert equivalence_residual(direct, direct) == (0.0, 0.0)
     recon.flux_const[0, 0] += 1e-3
     rel_p, _ = equivalence_residual(direct, recon)
@@ -266,9 +260,14 @@ def test_mixed_routes_reject_missing_dirichlet_data(route):
     # the saddle-point system imposes u_D = 0: two different problems
     inst = benchmark("lshape")
     mesh = uniform_red_refine(inst.start_mesh())
-    pw = project_p0(inst.field, mesh)
+    pw = project_p0(dataclasses.replace(inst.field, u_dirichlet=None), mesh)
+    assert pw.u_d is None
     with pytest.raises(ConfigError, match="u_dirichlet"):
-        route(mesh, pw, None)
+        route(pw)
+    # the nonconforming system of the same data leaves every edge free
+    system = assemble_ncfem(pw)
+    assert len(system.fixed) == 0
+    assert np.array_equal(np.sort(system.free), np.arange(mesh.num_edges))
 
 
 def test_equivalence_residual_mesh_mismatch():
@@ -277,8 +276,8 @@ def test_equivalence_residual_mesh_mismatch():
     m2 = inst.start_mesh()
     pw1 = project_p0(inst.field, m1)
     pw2 = project_p0(inst.field, m2)
-    a = solve_mixed_direct(m1, pw1, u_dirichlet=inst.field.u_dirichlet)
-    b = solve_mixed_direct(m2, pw2, u_dirichlet=inst.field.u_dirichlet)
+    a = solve_mixed_direct(pw1)
+    b = solve_mixed_direct(pw2)
     with pytest.raises(MeshMismatch):
         equivalence_residual(a, b)
 
@@ -294,7 +293,7 @@ def test_discrete_compatibility_without_reaction():
         u_dirichlet=inst.field.u_dirichlet,
     )
     pw = project_p0(field, mesh)
-    sol = solve_mixed_direct(mesh, pw, u_dirichlet=field.u_dirichlet)
+    sol = solve_mixed_direct(pw)
     lhs = float(np.sum(mesh.area * sol.div()))
     rhs = float(np.sum(mesh.area * pw.f_h))
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -328,10 +327,8 @@ def test_equivalence_with_variable_coefficients():
     mesh = build_mesh(*SQUARE)
     for _ in range(3):
         pw = project_p0(field, mesh)
-        direct = solve_mixed_direct(mesh, pw, u_dirichlet=field.u_dirichlet)
-        recon = solve_mixed_via_equivalence(
-            mesh, pw, u_dirichlet=field.u_dirichlet
-        ).mixed
+        direct = solve_mixed_direct(pw)
+        recon = solve_mixed_via_equivalence(pw).mixed
         rel_p, rel_u = equivalence_residual(direct, recon)
         assert max(rel_p, rel_u) < 1e-12
         assert np.abs(recon.div() - (pw.f_h - pw.gamma_h * recon.u)).max() < 1e-13
@@ -344,7 +341,7 @@ def test_single_triangle_has_no_unknowns():
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = build_mesh(tri, np.array([[0, 1, 2]]))
     mid = mesh.edge_mid
-    sol = solve_ncfem(mesh, inst.field)
+    sol = solve_ncfem(project_p0(inst.field, mesh))
     assert np.array_equal(sol.edge_values, inst.field.u_dirichlet(mid[:, 0], mid[:, 1]))
 
 
@@ -352,8 +349,8 @@ def test_galerkin_residual_of_cr_solve():
     inst = benchmark("lshape")
     mesh = inst.start_mesh()
     pw = project_p0(inst.field, mesh)
-    system = assemble_ncfem(mesh, pw, u_dirichlet=inst.field.u_dirichlet)
-    sol = solve_ncfem(mesh, inst.field)
+    system = assemble_ncfem(pw)
+    sol = solve_ncfem(project_p0(inst.field, mesh))
     resid = system.matrix @ sol.edge_values[system.free] - system.rhs
     scale = max(np.abs(system.rhs).max(), 1.0)
     assert np.abs(resid).max() <= 1e-9 * scale
@@ -372,9 +369,9 @@ def test_condensation_factor_is_computed_once_per_level(monkeypatch):
     assemble = solver.assemble_modified_ncfem
     reconstruct = solver.reconstruct_mixed
 
-    def spy_assemble(mesh, pw, **kw):
+    def spy_assemble(pw):
         assert "kappa" not in pw.__dict__
-        system = assemble(mesh, pw, **kw)
+        system = assemble(pw)
         seen.append(pw.__dict__["kappa"])
         return system
 
@@ -411,14 +408,13 @@ def test_direct_route_matches_saddle_solve_and_reconstruction():
     # direct route gives the saddle-point system's solution to roundoff,
     # and so does the reconstruction
     inst = benchmark("lshape")
-    u_d = inst.field.u_dirichlet
     mesh = _lshape_level(3)
     pw = project_p0(inst.field, mesh)
-    direct = solve_mixed_direct(mesh, pw, u_d)
-    x = solve_sparse(assemble_mixed_direct(mesh, pw, u_d)).solution
+    direct = solve_mixed_direct(pw)
+    x = solve_sparse(assemble_mixed_direct(pw)).solution
     ne = mesh.num_edges
     saddle = mixed_from_local_flux(mesh, x[:ne][mesh.triangle_edges], x[ne:])
-    recon = solve_mixed_via_equivalence(mesh, pw, u_d).mixed
+    recon = solve_mixed_via_equivalence(pw).mixed
     assert max(equivalence_residual(direct, saddle)) < 1e-12
     assert max(equivalence_residual(direct, recon)) < 1e-12
 
@@ -437,7 +433,7 @@ def _direct_solves(monkeypatch, inst, mode, max_ndof):
 
     def on_level(level):
         pw, start = level.pw, len(sizes)
-        direct = solve_mixed_direct(pw.mesh, pw, inst.field.u_dirichlet)
+        direct = solve_mixed_direct(pw)
         solves.append((
             len(pw.mesh.interior_edges), not pw.gamma_h.any(), sizes[start:],
             equivalence_residual(direct, level.solve.mixed),
@@ -505,9 +501,9 @@ def test_hybridized_system_is_the_modified_nonconforming_one(name, kwargs, level
     for _ in range(levels):
         mesh = uniform_red_refine(mesh)
     pw = project_p0(inst.field, mesh)
-    hybrid_local, hybrid_load, _ = assemble_hybrid_mixed(mesh, pw)
-    hybrid = edge_system(mesh, hybrid_local, hybrid_load, inst.field.u_dirichlet)
-    modified, *_ = assemble_modified_ncfem(mesh, pw, inst.field.u_dirichlet)
+    hybrid_local, hybrid_load, _ = assemble_hybrid_mixed(pw)
+    hybrid = edge_system(pw, hybrid_local, hybrid_load)
+    modified, *_ = assemble_modified_ncfem(pw)
     for attr in ("free", "fixed", "fixed_values"):
         assert np.array_equal(getattr(hybrid, attr), getattr(modified, attr))
     assert np.array_equal(hybrid.matrix.indptr, modified.matrix.indptr)
@@ -531,9 +527,9 @@ def test_element_identity_bound_scales_with_the_condensation(gamma):
     pw = project_p0(field, mesh)
     condition = solver._condition(pw)
     assert condition.max() > 1e3
-    solve = solve_mixed_via_equivalence(mesh, pw, field.u_dirichlet)
+    solve = solve_mixed_via_equivalence(pw)
     assert max(solve.equivalence) < 1e-8
-    direct = solve_mixed_direct(mesh, pw, field.u_dirichlet)
+    direct = solve_mixed_direct(pw)
     assert max(equivalence_residual(direct, solve.mixed)) < 1e-8
 
 
@@ -546,7 +542,7 @@ def test_direct_route_raises_singular_local_factor_at_kappa_blowup():
     mesh = lshape_start_mesh()
     pw = project_p0(field, mesh)
     with pytest.raises(SingularLocalFactor):
-        solve_mixed_direct(mesh, pw, field.u_dirichlet)
+        solve_mixed_direct(pw)
 
 
 def test_hybrid_assembly_memory_contract():
@@ -561,10 +557,10 @@ def test_hybrid_assembly_memory_contract():
         mesh = uniform_red_refine(mesh)
     assert mesh.num_triangles == 24576
     pw = project_p0(lshape.field, mesh)
-    assemble_hybrid_mixed(mesh, pw)  # whatever the mesh caches, first
+    assemble_hybrid_mixed(pw)  # whatever the mesh caches, first
     tracemalloc.start()
     try:
-        _, _, recover = assemble_hybrid_mixed(mesh, pw)
+        _, _, recover = assemble_hybrid_mixed(pw)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -604,11 +600,10 @@ def test_modified_assembly_and_error_norms_memory_contracts():
         mesh = uniform_red_refine(mesh)
     assert mesh.num_triangles == 24576
     pw = project_p0(lshape.field, mesh)
-    u_d = lshape.field.u_dirichlet
-    mixed = solve_mixed_via_equivalence(mesh, pw, u_dirichlet=u_d).mixed
+    mixed = solve_mixed_via_equivalence(pw).mixed
     data = quadrature.degree5_data(mesh, lshape.field, lshape.exact)
     peak = _traced_doubles(
-        lambda: assemble_modified_ncfem(mesh, pw, u_dirichlet=u_d), mesh.num_triangles
+        lambda: assemble_modified_ncfem(pw), mesh.num_triangles
     )
     assert peak <= 92
     peak = _traced_doubles(
